@@ -332,9 +332,9 @@ def _product_count(p, r, s, coprime_group, p_group, duality, provider) -> CountR
     provider = get_provider(provider)
     factors = []
     count = 1
-    for d in sorted(order_census(coprime_group)):
-        f = _divisor_factor(p, r, s, d, order_census(coprime_group)[d],
-                            duality, provider, p_group)
+    census = order_census(coprime_group)
+    for d in sorted(census):
+        f = _divisor_factor(p, r, s, d, census[d], duality, provider, p_group)
         factors.append(f)
         count *= f.factor
     return CountReport(p, r, s, coprime_group, p_group,

@@ -10,6 +10,12 @@ The class of x need not itself be a root of unity once lifted, so the
 canonical Teichmuller generator xi is obtained by iterating t -> t^(p^s)
 on the class of x; xi has exact multiplicative order p^s - 1 and every
 element has a unique expansion sum(a_i * p^i) with Teichmuller digits a_i.
+
+Each ring lazily builds one table of the powers xi^e, e < p^s - 1, and of
+their residues' discrete logs.  A Teichmuller digit is then a lookup by
+residue, the Frobenius a multiplication of digit exponents, and an
+embedding a rescaling of digit exponents; only xi itself, and work over
+residue fields too big to tabulate at all, are computed by powering.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .numth import factorize, is_prime
 
 # discrete logs in the Teichmuller set are done with a lookup table over
-# the residue field; refuse to build absurdly large ones
+# the residue field; refuse to build absurdly large ones (above this size
+# lifts, Frobenius and the target side of an embedding power instead)
 _MAX_DLOG_TABLE = 1 << 21
 
 
@@ -104,7 +111,7 @@ class GaloisRingSpec:
     """Immutable description of GR(p^r, s) plus cached arithmetic data."""
 
     __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size",
-                 "_xi", "_dlog", "__weakref__")
+                 "_xi", "_xi_pows", "_dlog", "__weakref__")
 
     def __init__(self, p: int, r: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -115,6 +122,8 @@ class GaloisRingSpec:
         self.size = p ** (r * s)
         self.residue_size = p**s
         self._xi: GaloisRingElement | None = None
+        # filled together by _table(): coefficients of xi^e, and residue -> e
+        self._xi_pows: tuple[tuple[int, ...], ...] = ()
         self._dlog: dict[tuple[int, ...], int] | None = None
 
     def __repr__(self) -> str:
@@ -162,26 +171,70 @@ class GaloisRingSpec:
         if self._xi is None:
             x = self.element((0, 1) + (0,) * (self.s - 2)) if self.s > 1 else \
                 self.element((-self.modulus[0],))
-            self._xi = teichmuller_lift(x)
+            self._xi = _lift_by_powering(x)
         return self._xi
 
-    def dlog(self, t: GaloisRingElement) -> int:
-        """Discrete log of a nonzero Teichmuller element with respect to xi."""
+    def _table(self) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+        """(residue -> e, coefficients of xi^e) for e < p^s - 1, built on first use."""
         if self._dlog is None:
             if self.residue_size > _MAX_DLOG_TABLE:
                 raise BoundExceededError(
                     f"discrete-log table for {ring_name(self)} would need "
                     f"{self.residue_size} entries")
+            p, m, modulus = self.p, self.char, self.modulus
+            xi = self.xi.coeffs
+            acc = self.one().coeffs
+            pows = []
             table = {}
-            acc = self.one()
             for e in range(self.residue_size - 1):
-                table[acc.residue()] = e
-                acc = acc * self.xi
+                pows.append(acc)
+                table[tuple(c % p for c in acc)] = e
+                acc = _poly_mul_mod(acc, xi, modulus, m)
+            self._xi_pows = tuple(pows)
             self._dlog = table
+        return self._dlog, self._xi_pows
+
+    def _has_table(self) -> bool:
+        """Whether the residue field is small enough for _table()."""
+        return self.residue_size <= _MAX_DLOG_TABLE
+
+    def dlog(self, t: GaloisRingElement) -> int:
+        """Discrete log of a nonzero Teichmuller element with respect to xi."""
         try:
-            return self._dlog[t.residue()]
+            return self._table()[0][t.residue()]
         except KeyError:
             raise InternalInvariantError(f"{t} is not a unit Teichmuller element") from None
+
+    def _digit_logs(self, coeffs: tuple[int, ...]) -> list[int | None]:
+        """Exponents e_i with digit a_i = xi^(e_i), None for a zero digit."""
+        table, pows = self._table()
+        p, m = self.p, self.char
+        out = []
+        for _ in range(self.r):
+            res = tuple(c % p for c in coeffs)
+            if any(res):
+                e = table[res]
+                coeffs = tuple((c - d) % m // p for c, d in zip(coeffs, pows[e]))
+            else:
+                e = None
+                coeffs = tuple(c // p for c in coeffs)
+            out.append(e)
+        return out
+
+    def _from_digit_logs(self, logs) -> GaloisRingElement:
+        """sum(xi^(e_i) * p^i) over the non-None exponents e_i."""
+        # the target of an embedding may be too big to tabulate: power there
+        pows = self._table()[1] if self._has_table() else None
+        p, m = self.p, self.char
+        acc = [0] * self.s
+        scale = 1
+        for e in logs:
+            if e is not None:
+                xe = pows[e] if pows is not None else (self.xi ** e).coeffs
+                for j, c in enumerate(xe):
+                    acc[j] += scale * c
+            scale *= p
+        return GaloisRingElement(self, tuple(c % m for c in acc))
 
 
 class GaloisRingElement:
@@ -282,8 +335,8 @@ class GaloisRingElement:
         return out
 
 
-def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
-    """The unique Teichmuller element congruent to a modulo p.
+def _lift_by_powering(a: GaloisRingElement) -> GaloisRingElement:
+    """Teichmuller lift by its definition, for xi itself and big residue fields.
 
     Iterating t -> t^(p^s) gains one p-adic digit of stability per step,
     so exactly r - 1 iterations suffice.
@@ -294,22 +347,41 @@ def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
     return a
 
 
-def teichmuller_digits(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
-    """Digits (a_0, ..., a_{r-1}) with a = sum(a_i * p^i), each a Teichmuller element.
-
-    Digits are peeled low to high: a_0 is the lift of a mod p and the
-    recursion continues on (a - a_0) / p.
-    """
+def _digits_by_powering(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
+    """Teichmuller digits peeled low to high with powering lifts: a_0 is the
+    lift of a mod p and the recursion continues on (a - a_0) / p."""
     spec = a.spec
-    p = spec.p
+    p, m = spec.p, spec.char
     digits = []
     cur = a
     for _ in range(spec.r):
-        d = teichmuller_lift(cur)
+        d = _lift_by_powering(cur)
         digits.append(d)
-        m = spec.char
         cur = GaloisRingElement(spec, tuple(((x - y) % m) // p for x, y in zip(cur.coeffs, d.coeffs)))
     return tuple(digits)
+
+
+def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
+    """The unique Teichmuller element congruent to a modulo p: xi^dlog(a mod p)
+    for a unit, 0 otherwise."""
+    spec = a.spec
+    if not spec._has_table():
+        return _lift_by_powering(a)
+    res = a.residue()
+    if not any(res):
+        return spec.zero()
+    table, pows = spec._table()
+    return GaloisRingElement(spec, pows[table[res]])
+
+
+def teichmuller_digits(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
+    """Digits (a_0, ..., a_{r-1}) with a = sum(a_i * p^i), each a Teichmuller element."""
+    spec = a.spec
+    if not spec._has_table():
+        return _digits_by_powering(a)
+    pows = spec._table()[1]
+    return tuple(spec.zero() if e is None else GaloisRingElement(spec, pows[e])
+                 for e in spec._digit_logs(a.coeffs))
 
 
 def from_teichmuller_digits(spec: GaloisRingSpec, digits) -> GaloisRingElement:
@@ -330,7 +402,11 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
     if k == 0:
         return a
     e = spec.p**k
-    return from_teichmuller_digits(spec, [d**e for d in teichmuller_digits(a)])
+    if not spec._has_table():
+        return from_teichmuller_digits(spec, [d**e for d in _digits_by_powering(a)])
+    order = spec.residue_size - 1
+    return spec._from_digit_logs([None if d is None else d * e % order
+                                  for d in spec._digit_logs(a.coeffs)])
 
 
 @lru_cache(maxsize=None)
@@ -387,15 +463,10 @@ def embed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
         raise DomainError(f"degree {src.s} does not divide {target.s}")
     if src == target:
         return a
-    step = (target.residue_size - 1) // (src.residue_size - 1)
-    step *= _embedding_exponent(src, target)
-    out = []
-    for d in teichmuller_digits(a):
-        if d.is_zero():
-            out.append(target.zero())
-        else:
-            out.append(target.xi ** (src.dlog(d) * step))
-    return from_teichmuller_digits(target, out)
+    order = target.residue_size - 1
+    step = order // (src.residue_size - 1) * _embedding_exponent(src, target)
+    return target._from_digit_logs([None if e is None else e * step % order
+                                    for e in src._digit_logs(a.coeffs)])
 
 
 def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
@@ -410,17 +481,15 @@ def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
     step = (big.residue_size - 1) // (target.residue_size - 1)
     order = target.residue_size - 1
     jinv = pow(_embedding_exponent(target, big), -1, order) if order > 1 else 0
-    out = []
-    for d in teichmuller_digits(a):
-        if d.is_zero():
-            out.append(target.zero())
-        else:
-            e = big.dlog(d)
+    logs = []
+    for e in big._digit_logs(a.coeffs):
+        if e is not None:
             if e % step:
                 raise InternalInvariantError(
                     f"element is not in the degree-{target.s} subring of {big}")
-            out.append(target.xi ** (e // step * jinv % order if order > 1 else 0))
-    return from_teichmuller_digits(target, out)
+            e = e // step * jinv % order
+        logs.append(e)
+    return target._from_digit_logs(logs)
 
 
 def root_of_unity(spec: GaloisRingSpec, order: int) -> GaloisRingElement:

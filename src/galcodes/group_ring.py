@@ -316,14 +316,6 @@ class AmbientDecomposition:
             self._component_specs[nu] = out
         return out
 
-    def transform_at(self, x: GroupRingElement, h) -> GaloisRingElement:
-        """sum_a x_a * zeta^gamma_h(a), valued in the extension ring."""
-        acc = self.big.zero()
-        for a, c in x.coeffs.items():
-            e = character_exponent(self.group, h, a)
-            acc = acc + embed(c, self.big) * self.zeta_pows[e]
-        return acc
-
 
 @lru_cache(maxsize=None)
 def _ambient_cached(p: int, r: int, s: int, factors: tuple[int, ...]) -> AmbientDecomposition:
@@ -346,12 +338,21 @@ class Spectrum:
 
 
 def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> Spectrum:
-    """Evaluate x at every character; values live in the extension ring."""
+    """Evaluate x at every character: the value at h is
+    sum_a x_a * zeta^gamma_h(a), in the extension ring."""
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
     if x.ring != ctx.ring:
         raise DomainError("element does not belong to the decomposed ring")
-    return Spectrum(ctx, {h: ctx.transform_at(x, h) for h in ctx.group.elements()})
+    group, big, zeta_pows = ctx.group, ctx.big, ctx.zeta_pows
+    lifted = [(a, embed(c, big)) for a, c in x.coeffs.items()]
+    values = {}
+    for h in group.elements():
+        acc = big.zero()
+        for a, c in lifted:
+            acc = acc + c * zeta_pows[character_exponent(group, h, a)]
+        values[h] = acc
+    return Spectrum(ctx, values)
 
 
 def idft(spec: Spectrum) -> GroupRingElement:

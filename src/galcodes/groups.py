@@ -207,12 +207,12 @@ _GROUP_RE = re.compile(r"^Z(\d+)(?:xZ(\d+))*$")
 
 
 def parse_group(text: str) -> AbelianGroup:
-    """Parse 'Z6', 'Z2xZ4', or '1' (trivial group)."""
+    """Parse 'Z6', 'Z2xZ4', or '1' / 'Z1' (trivial group)."""
     t = text.strip()
-    if t == "1":
+    if t in ("1", "Z1"):
         return AbelianGroup(())
     if not _GROUP_RE.match(t):
-        raise DomainError(f"cannot parse group {text!r}; expected Z<n>[xZ<n>...] or 1")
+        raise DomainError(f"cannot parse group {text!r}; expected Z<n>[xZ<n>...], Z1 or 1")
     try:
         return AbelianGroup(int(part[1:]) for part in t.split("x"))
     except DomainError:

@@ -621,13 +621,21 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     count = (r + 1)**len(pairs)
     reps = []
     if max_representatives is None or count <= max_representatives:
+        # compose is Z-linear, so p^exp at a slot pulls back to p^exp times
+        # the slot's unit idempotent: one compose per slot, not per choice
+        single_gens = [_scaled_idempotent(ctx, form, singles, pairs, i, 0) * p**(r // 2)
+                       for i in singles]
+        # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r
+        ladders = []
+        for i, _ in pairs:
+            units = [_scaled_idempotent(ctx, form, singles, pairs, i, 0, member)
+                     for member in (0, 1)]
+            ladders.append([[u * p**exp for exp in range(r)] for u in units])
         for choice in itertools.product(range(r + 1), repeat=len(pairs)):
-            gens = [_scaled_idempotent(ctx, form, singles, pairs, i, r // 2)
-                    for i in singles]
-            for (i, _), w in zip(pairs, choice):
+            gens = list(single_gens)
+            for ladder, w in zip(ladders, choice):
                 for member, exp in ((0, w), (1, r - w)):
                     if exp < r:
-                        gens.append(_scaled_idempotent(ctx, form, singles, pairs,
-                                                       i, exp, member))
+                        gens.append(ladder[member][exp])
             reps.append(tuple(gens))
     return SemisimpleSelfDualFamily(p, r, s, group, form, count, tuple(reps))

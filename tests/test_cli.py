@@ -35,6 +35,16 @@ def test_count_total(capsys):
     assert out == "7\n"
 
 
+def test_count_trivial_group_z1(capsys):
+    code, out, _ = run(capsys, "count", "--p", "2", "--r", "2", "--s", "1",
+                       "--group", "Z1", "--dual", "euclidean")
+    assert code == 0
+    assert out == "1\n"
+    doc = run_json(capsys, "count", "--p", "2", "--r", "2", "--s", "1",
+                   "--group", "Z1", "--dual", "euclidean", "--json")
+    assert doc["parameters"]["group"] == "1"
+
+
 def test_exists_plain(capsys):
     code, out, _ = run(capsys, "exists", "--p", "3", "--r", "1", "--group", "Z3")
     assert code == 0

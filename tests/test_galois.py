@@ -1,14 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galcodes.errors import DomainError, InternalInvariantError
-from galcodes.galois import (construct_ring, element_text, embed,
-                             from_teichmuller_digits, generalized_frobenius,
-                             modulus_text, parse_element, parse_ring_name,
-                             ring_name, root_of_unity, teichmuller_digits,
-                             teichmuller_lift, unembed)
+from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
+from galcodes.galois import (_MAX_DLOG_TABLE, _digits_by_powering,
+                             _embedding_exponent, _lift_by_powering, construct_ring,
+                             element_text, embed, from_teichmuller_digits,
+                             generalized_frobenius, modulus_text, parse_element,
+                             parse_ring_name, ring_name, root_of_unity,
+                             teichmuller_digits, teichmuller_lift, unembed)
 
 # rings small enough for exhaustive element sweeps (p^(r*s) <= 6561)
 SMALL_SPECS = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2),
@@ -156,6 +158,79 @@ def test_teichmuller_lift_fixes_residue():
         t = teichmuller_lift(a)
         assert t**spec.residue_size == t
         assert t.residue() == a.residue()
+
+
+# -- table lookups against the powering definitions --------------------------------
+
+# every GR(p^r, s) with p in {2, 3, 5}, r <= 4 and p^s <= 729
+TABLE_SPECS = [(p, r, s) for p, s_max in ((2, 9), (3, 6), (5, 4))
+               for r in range(1, 5) for s in range(1, s_max + 1)]
+
+
+def gr_id(args):
+    return "GR(%d^%d,%d)" % args
+
+
+def random_elements(spec, seed, n=4):
+    rng = random.Random(seed)
+    return [spec.element(rng.randrange(spec.char) for _ in range(spec.s)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("args", TABLE_SPECS, ids=gr_id)
+def test_table_lift_digits_and_frobenius_match_powering(args):
+    spec = spec_of(args)
+    p, r, s = args
+    for a in random_elements(spec, p * 100 + r * 10 + s) + [spec.zero(), spec.xi]:
+        assert teichmuller_lift(a) == _lift_by_powering(a)
+        digits = _digits_by_powering(a)
+        assert teichmuller_digits(a) == digits
+        for k in range(s):
+            want = from_teichmuller_digits(spec, [d**(p**k) for d in digits])
+            assert generalized_frobenius(a, k) == want
+
+
+@pytest.mark.parametrize("args", [a for a in TABLE_SPECS if a[2] > 1], ids=gr_id)
+def test_table_embed_matches_powering(args):
+    p, r, s = args
+    big = spec_of(args)
+    for d in range(1, s):
+        if s % d:
+            continue
+        small = construct_ring(p, r, d)
+        step = ((big.residue_size - 1) // (small.residue_size - 1)
+                * _embedding_exponent(small, big))
+        for a in random_elements(small, p * 1000 + r * 100 + s * 10 + d):
+            want = from_teichmuller_digits(big, [
+                big.zero() if t.is_zero() else big.xi**(small.dlog(t) * step)
+                for t in _digits_by_powering(a)])
+            assert embed(a, big) == want
+            assert unembed(want, small) == a
+
+
+def test_untabulated_ring_powers_lifts_frobenius_and_embed_target():
+    # GR(2^2, 22): the residue field is too big for a table, so lifts,
+    # Frobenius and embeddings into it work by powering and build none
+    spec = construct_ring(2, 2, 22)
+    assert spec.residue_size > _MAX_DLOG_TABLE
+    a, b = random_elements(spec, 22, n=2)
+    lift = teichmuller_lift(a)
+    assert lift.residue() == a.residue()
+    assert lift**spec.residue_size == lift
+    assert teichmuller_digits(b) == _digits_by_powering(b)
+    assert generalized_frobenius(b, 1) == from_teichmuller_digits(
+        spec, [d**2 for d in _digits_by_powering(b)])
+    small = construct_ring(2, 2, 2)
+    step = (spec.residue_size - 1) // 3 * _embedding_exponent(small, spec)
+    for c in random_elements(small, 2, n=3):
+        assert embed(c, spec) == from_teichmuller_digits(spec, [
+            spec.zero() if t.is_zero() else spec.xi**(small.dlog(t) * step)
+            for t in _digits_by_powering(c)])
+    assert spec._dlog is None
+    # discrete logs in it, and so unembedding out of it, are refused
+    with pytest.raises(BoundExceededError):
+        spec.dlog(spec.xi)
+    with pytest.raises(BoundExceededError):
+        unembed(embed(small.xi, spec), small)
 
 
 # -- Frobenius -------------------------------------------------------------------

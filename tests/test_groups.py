@@ -134,10 +134,11 @@ def test_parse_group_examples():
     assert parse_group("Z6") == AbelianGroup((6,))
     assert parse_group("Z2xZ4") == AbelianGroup((2, 4))
     assert parse_group("1") == AbelianGroup(())
+    assert parse_group("Z1") == AbelianGroup(())
 
 
 def test_parse_group_rejects_garbage():
-    for bad in ("Z0", "Z1", "S3", "Z2+Z4", ""):
+    for bad in ("Z0", "Z1xZ2", "Z2xZ1", "S3", "Z2+Z4", ""):
         with pytest.raises(DomainError):
             parse_group(bad)
 

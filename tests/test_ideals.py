@@ -1,13 +1,14 @@
+import itertools
 from functools import reduce
 
 import pytest
 
 from galcodes.errors import BoundExceededError, DomainError
 from galcodes.galois import construct_ring
-from galcodes.group_ring import GroupRing
+from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
-                             HERMITIAN, ExhaustiveGroupRing,
+                             HERMITIAN, ExhaustiveGroupRing, _scaled_idempotent,
                              construct_self_dual, enumerate_semisimple_selfdual,
                              exhaustive_bound)
 from helpers import engine
@@ -246,6 +247,28 @@ def test_semisimple_family_hermitian():
     fam = enumerate_semisimple_selfdual(2, 2, 2, AbelianGroup((5,)), form=HERMITIAN)
     assert fam.count == 3
     assert len(fam.representatives) == 3
+
+
+@pytest.mark.parametrize("p, r, s, factors, form", [
+    (2, 4, 1, (7,), EUCLIDEAN), (2, 2, 2, (9,), HERMITIAN), (5, 2, 1, (12,), EUCLIDEAN)])
+def test_semisimple_representatives_match_per_choice_construction(p, r, s, factors, form):
+    group = AbelianGroup(factors)
+    ctx = ambient(construct_ring(p, r, s), group)
+    parts = ctx.parts
+    if form == EUCLIDEAN:
+        singles, pairs = parts.euclidean_singles, parts.euclidean_pairs
+    else:
+        singles, pairs = parts.hermitian_singles, parts.hermitian_pairs
+    want = []
+    for choice in itertools.product(range(r + 1), repeat=len(pairs)):
+        gens = [_scaled_idempotent(ctx, form, singles, pairs, i, r // 2) for i in singles]
+        for (i, _), w in zip(pairs, choice):
+            for member, exp in ((0, w), (1, r - w)):
+                if exp < r:
+                    gens.append(_scaled_idempotent(ctx, form, singles, pairs, i, exp, member))
+        want.append(tuple(gens))
+    fam = enumerate_semisimple_selfdual(p, r, s, group, form)
+    assert fam.representatives == tuple(want)
 
 
 def test_semisimple_family_odd_r_is_empty():
