@@ -1,4 +1,4 @@
-"""Abelian codes as explicit ideals of GR(p^r, s)[G], exhaustively.
+"""Abelian codes as explicit ideals of GR(p^r, s)[G], held as Z_{p^r}-modules.
 
 An element is flattened to a vector of s*|G| coefficient digits mod p^r
 (blocks of s per group element, groups in lexicographic order).  The ideal
@@ -8,8 +8,11 @@ ring; each ideal is held in Howell normal form, the canonical echelon form
 over Z_{p^r}, so ideal identity is basis identity and the module size
 falls out of the pivot valuations.
 
-Everything here walks all p^(r*s*|G|) ring elements at some point, so the
-engine refuses rings larger than the exhaustive bound (environment
+Principal ideals, joins, duals, membership and self-duality are linear
+algebra over Z_{p^r}, polynomial in s*|G|, and run at any ring size.  Only
+the work that walks all p^(r*s*|G|) ring elements, enumerating the ideals
+(ideal_stream and everything built on it) and listing an ideal's
+elements, refuses rings larger than the exhaustive bound (environment
 variable GALCODES_MAX_RING_SIZE, default 2^16).
 
 Also hosts the two constructive results: a self-dual code built whenever
@@ -22,6 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, construct_ring, generalized_frobenius
@@ -58,7 +62,11 @@ def _validate_form(form: str, s: int) -> None:
 
 
 class ExhaustiveGroupRing:
-    """Flat-vector arithmetic for one group ring small enough to enumerate."""
+    """Flat-vector arithmetic for one group ring.
+
+    bound (default exhaustive_bound()) caps the ring size at which the
+    exponential operations, ideal enumeration and element listing, run.
+    """
 
     def __init__(self, ring: GroupRing, bound: int | None = None):
         spec = ring.coeff
@@ -73,10 +81,7 @@ class ExhaustiveGroupRing:
         self.m = spec.char
         self.n = spec.s * self.group.order
         self.ring_size = self.m**self.n
-        limit = exhaustive_bound() if bound is None else bound
-        if self.ring_size > limit:
-            raise BoundExceededError(
-                f"|ring| = {self.ring_size} exceeds the exhaustive bound {limit}")
+        self.bound = exhaustive_bound() if bound is None else bound
         self._group_index = {g: i for i, g in enumerate(self.group.elements())}
         self._perms = self._shift_permutations()
         self._ppow = [self.p**i for i in range(self.r + 1)]
@@ -84,15 +89,32 @@ class ExhaustiveGroupRing:
                           for u in range(1, self.m) if u % self.p}
         # x^s = -(low coefficients of the modulus)
         self._xtail = tuple(-c % self.m for c in spec.modulus[:-1])
-        self._xpow_blocks = self._residue_generator_powers()
-        self._conj_blocks = None
-        if self.s % 2 == 0:
-            self._conj_blocks = tuple(
-                generalized_frobenius(spec.element(b), self.s // 2).coeffs
-                for b in self._xpow_blocks)
+        # form(u, e_(g,j)) = u_g * y(x)^j, y the identity (Euclidean) or the
+        # order-2 Frobenius (Hermitian): y(x) is the step from j to j + 1
+        self._form_steps = {}
+        if self.s > 1:
+            x = spec.element((0, 1) + (0,) * (self.s - 2))
+            self._form_steps[EUCLIDEAN] = x.coeffs
+            if self.s % 2 == 0:
+                self._form_steps[HERMITIAN] = generalized_frobenius(x, self.s // 2).coeffs
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
+
+    def _require_enumerable(self) -> None:
+        """The one refusal: work that walks every ring element."""
+        if self.ring_size > self.bound:
+            raise BoundExceededError(
+                f"|ring| = {self.ring_size} exceeds the exhaustive bound {self.bound}")
+
+    def _check_ideal(self, code: "Ideal") -> None:
+        if code.engine is not self and code.engine.ring != self.ring:
+            raise DomainError(f"ideal of {code.engine.ring!r} used in {self.ring!r}")
+
+    def _check_vector(self, vec) -> None:
+        if len(vec) != self.n:
+            raise DomainError(
+                f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
 
     def _shift_permutations(self) -> tuple[tuple[int, ...], ...]:
         elems = self.group.elements()
@@ -106,10 +128,6 @@ class ExhaustiveGroupRing:
                     perm[target * s + j] = i * s + j
             perms.append(tuple(perm))
         return tuple(perms)
-
-    def _residue_generator_powers(self) -> tuple[tuple[int, ...], ...]:
-        out = [tuple(1 if j == k else 0 for j in range(self.s)) for k in range(self.s)]
-        return tuple(out)
 
     # -- element <-> vector ---------------------------------------------------
 
@@ -179,13 +197,17 @@ class ExhaustiveGroupRing:
         Echelon with pivot entries normalized to powers of p, spans
         saturated with p^(r-e) multiples of each pivot row, entries above
         a pivot reduced modulo its leading value.  Two row sets span the
-        same module iff their forms are identical.
+        same module iff their forms are identical.  Rows may be of any
+        common width, not only ring vectors.
         """
-        m, p, r, n = self.m, self.p, self.r, self.n
+        m, p, r = self.m, self.p, self.r
         ppow = self._ppow
         inv = self._unit_inv
-        pivots: list = [None] * n
         stack = [list(row) for row in rows if any(row)]
+        if not stack:
+            return ()
+        n = len(stack[0])
+        pivots: list = [None] * n
         while stack:
             row = stack.pop()
             c = 0
@@ -237,7 +259,11 @@ class ExhaustiveGroupRing:
         return Ideal(self, self.howell(rows))
 
     def principal_ideal(self, x) -> "Ideal":
-        vec = self.to_vector(x) if isinstance(x, GroupRingElement) else tuple(x)
+        if isinstance(x, GroupRingElement):
+            vec = self.to_vector(x)
+        else:
+            vec = tuple(x)
+            self._check_vector(vec)
         return self.ideal_from_rows(self.principal_rows(vec))
 
     def zero_ideal(self) -> "Ideal":
@@ -247,10 +273,17 @@ class ExhaustiveGroupRing:
         return self.principal_ideal(self.ring.one())
 
     def join(self, a: "Ideal", b: "Ideal") -> "Ideal":
+        self._check_ideal(a)
+        self._check_ideal(b)
         return self.ideal_from_rows(a.basis + b.basis)
 
     def ideal_stream(self):
-        """Every ideal exactly once: principal ideals, then join closure."""
+        """Every ideal exactly once: principal ideals, then join closure.
+
+        The principal scan walks every ring element, so rings above the
+        bound are refused (on the first next()) before any ideal is yielded.
+        """
+        self._require_enumerable()
         seen: dict = {}
         found: list[Ideal] = []
         for k in range(self.ring_size):
@@ -275,7 +308,7 @@ class ExhaustiveGroupRing:
 
     # -- forms and duality ------------------------------------------------------
 
-    def _block_mul(self, a, b) -> list[int]:
+    def _block_mul(self, a, b) -> tuple[int, ...]:
         m, s = self.m, self.s
         acc = [0] * (2 * s - 1)
         for i, ai in enumerate(a):
@@ -289,76 +322,70 @@ class ExhaustiveGroupRing:
                 acc[k] = 0
                 for j, t in enumerate(self._xtail):
                     acc[k - s + j] = (acc[k - s + j] + top * t) % m
-        return acc[:s]
-
-    def _conj_block(self, b) -> list[int]:
-        out = [0] * self.s
-        m = self.m
-        for j, d in enumerate(b):
-            if d:
-                col = self._conj_blocks[j]
-                for k in range(self.s):
-                    out[k] = (out[k] + d * col[k]) % m
-        return out
+        return tuple(acc[:s])
 
     def form_coefficients(self, row, form: str) -> tuple[tuple[int, ...], ...]:
         """Digits of form(row, e_i) for each unit vector e_i.
 
-        The form is Z_{p^r}-bilinear, so orthogonality of w against row
-        reduces to s digit sums over these coefficients.
+        The form is Z_{p^r}-bilinear, so digit d of form(row, w) is the dot
+        product of w with column d of these coefficients.
         """
         _validate_form(form, self.s)
         s = self.s
         out = []
-        for i in range(self.n):
-            g, j = divmod(i, s)
-            block = row[g * s:(g + 1) * s]
-            other = self._xpow_blocks[j] if form == EUCLIDEAN else self._conj_blocks[j]
-            out.append(tuple(self._block_mul(block, other)))
+        for base in range(0, self.n, s):
+            block = tuple(row[base:base + s])
+            out.append(block)
+            for _ in range(s - 1):
+                block = self._block_mul(block, self._form_steps[form])
+                out.append(block)
         return tuple(out)
-
-    def _orthogonal(self, coeffs, w) -> bool:
-        m = self.m
-        for d in range(self.s):
-            acc = 0
-            for i, wi in enumerate(w):
-                if wi:
-                    acc += wi * coeffs[i][d]
-            if acc % m:
-                return False
-        return True
 
     def dual(self, code: "Ideal", form: str = EUCLIDEAN) -> "Ideal":
         """Annihilator {w : form(u, w) = 0 for all u in the code}.
 
         The basis rows span the code over Z_{p^r} and already absorb all
-        monomial shifts (the code is an ideal), so checking w against the
-        rows alone is exhaustive.
+        monomial shifts (the code is an ideal), so the dual is the kernel
+        of w -> (form(u, w))_u over the k = rank*s digits of the basis rows
+        u.  With B the n x k matrix of form_coefficients, the Howell form
+        of [B | I_n] keeps the Howell property: its rows whose B part is
+        zero span the kernel, and their I_n parts are already its Howell
+        basis (J. A. Howell, "Spans in the module (Z_m)^s", 1986;
+        A. Storjohann and T. Mulders, "Fast algorithms for linear algebra
+        modulo N", ESA 1998).
         """
+        self._check_ideal(code)
         _validate_form(form, self.s)
         mats = [self.form_coefficients(row, form) for row in code.basis]
+        k = len(mats) * self.s
+        n = self.n
         rows = []
-        for k in range(self.ring_size):
-            w = self.decode_vector(k)
-            if all(self._orthogonal(mat, w) for mat in mats):
-                rows.append(w)
-        return self.ideal_from_rows(rows)
+        for i in range(n):
+            row = [d for mat in mats for d in mat[i]] + [0] * n
+            row[k + i] = 1
+            rows.append(row)
+        return Ideal(self, tuple(row[k:] for row in self.howell(rows) if not any(row[:k])))
 
     def is_self_orthogonal(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
+        self._check_ideal(code)
         _validate_form(form, self.s)
-        mats = [self.form_coefficients(row, form) for row in code.basis]
-        for i, mat in enumerate(mats):
-            for row in code.basis[i:]:
-                if not self._orthogonal(mat, row):
-                    return False
+        m = self.m
+        basis = code.basis
+        for i, row in enumerate(basis):
+            # the form is symmetric up to conjugation: pairs i <= j suffice
+            for col in zip(*self.form_coefficients(row, form)):
+                for w in basis[i:]:
+                    if sum(map(mul, w, col)) % m:
+                        return False
         return True
 
     def is_self_dual(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
         """size matches and the code sits inside its own annihilator.
 
         |C| * |dual C| = |ring| over these rings, so inclusion plus the
-        size condition pins C = dual(C) without scanning the ring.
+        size condition pins C = dual(C) without computing the dual.
         """
+        self._check_ideal(code)
         if code.size * code.size != self.ring_size:
             return False
         return self.is_self_orthogonal(code, form)
@@ -410,6 +437,7 @@ class Ideal:
     def contains_vector(self, vec) -> bool:
         engine = self.engine
         w = list(vec)
+        engine._check_vector(w)
         for row in self.basis:
             c = next(i for i, a in enumerate(row) if a)
             lead = row[c]
@@ -425,7 +453,11 @@ class Ideal:
         return self.contains_vector(self.engine.to_vector(x))
 
     def element_encodings(self) -> tuple[int, ...]:
-        """All member elements as digit encodings, sorted."""
+        """All member elements as digit encodings, sorted.
+
+        Refuses rings above the engine's bound, like ideal enumeration.
+        """
+        self.engine._require_enumerable()
         if self._encodings is None:
             engine = self.engine
             members = [tuple([0] * engine.n)]

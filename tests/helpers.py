@@ -1,10 +1,12 @@
-"""Shared test utilities: group generation and engine construction."""
+"""Shared test utilities: group generation, engine construction, oracles."""
 
 from functools import lru_cache
+from operator import mul
 
 from galcodes import AbelianGroup, construct_ring
+from galcodes.galois import generalized_frobenius
 from galcodes.group_ring import GroupRing
-from galcodes.ideals import ExhaustiveGroupRing
+from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing
 from galcodes.numth import factorize
 
 
@@ -55,3 +57,26 @@ def abelian_groups_up_to(bound: int):
 def engine(p: int, r: int, s: int, factors: tuple, bound: int | None = None):
     ring = GroupRing(construct_ring(p, r, s), AbelianGroup(factors))
     return ExhaustiveGroupRing(ring, bound)
+
+
+def dual_by_scan(eng, code, form=EUCLIDEAN):
+    """The dual from its definition, by scanning every ring element w.
+
+    w is kept when form(u, w) = sum_g u_g * y(w_g) vanishes for each basis
+    row u of the code, y the identity (Euclidean) or the order-2 Frobenius
+    (Hermitian).  The form is Z_{p^r}-linear in w, so digit d of form(u, w)
+    is the dot product of w with the digits d of form(u, e_i), taken here
+    with Galois-ring arithmetic.
+    """
+    spec, s = eng.spec, eng.s
+    ys = []
+    for j in range(s):
+        xj = spec.element(tuple(int(k == j) for k in range(s)))
+        ys.append(xj if form == EUCLIDEAN else generalized_frobenius(xj, s // 2))
+    cols = []
+    for u in code.basis:
+        blocks = [spec.element(u[g * s:(g + 1) * s]) for g in range(eng.group.order)]
+        cols.extend(zip(*[(b * y).coeffs for b in blocks for y in ys]))
+    rows = [w for w in map(eng.decode_vector, range(eng.ring_size))
+            if all(sum(map(mul, w, col)) % eng.m == 0 for col in cols)]
+    return eng.ideal_from_rows(rows)

@@ -1,8 +1,10 @@
 import itertools
+import random
 from functools import reduce
 
 import pytest
 
+from galcodes.counting import euclidean_semisimple_count, hermitian_semisimple_count
 from galcodes.errors import BoundExceededError, DomainError
 from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
@@ -11,7 +13,7 @@ from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
                              HERMITIAN, ExhaustiveGroupRing, _scaled_idempotent,
                              construct_self_dual, enumerate_semisimple_selfdual,
                              exhaustive_bound)
-from helpers import engine
+from helpers import dual_by_scan, engine
 
 
 def join_all(eng, gens):
@@ -37,8 +39,49 @@ def test_bound_env_override(monkeypatch):
 
 def test_engine_rejects_oversized_ring():
     ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
-    with pytest.raises(BoundExceededError):
-        ExhaustiveGroupRing(ring, bound=10)
+    eng = ExhaustiveGroupRing(ring, bound=10)
+    two = eng.principal_ideal((2, 0))
+    refused = [lambda: next(eng.ideal_stream()), eng.enumerate_ideals,
+               eng.self_dual_ideals, eng.count_self_dual, eng.exists_self_dual_brute,
+               two.element_encodings, two.elements]
+    for call in refused:
+        with pytest.raises(BoundExceededError, match="16 exceeds the exhaustive bound 10"):
+            call()
+    # the polynomial operations run on the same ring
+    assert eng.dual(two) == two
+    assert eng.is_self_dual(two)
+    assert eng.join(two, eng.unit_ideal()) == eng.unit_ideal()
+    assert two.contains(eng.from_vector((2, 2)))
+    assert [eng.to_vector(g) for g in two.generators()] == [(2, 0)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda eng, c: eng.join(eng.zero_ideal(), c),
+    lambda eng, c: eng.join(c, eng.zero_ideal()),
+    lambda eng, c: eng.dual(c),
+    lambda eng, c: eng.is_self_orthogonal(c),
+    lambda eng, c: eng.is_self_dual(c),
+], ids=["join-right", "join-left", "dual", "is_self_orthogonal", "is_self_dual"])
+def test_ideal_of_another_ring_is_refused(call):
+    eng, other = engine(2, 2, 1, (3,)), engine(2, 2, 1, (2,))
+    foreign = other.principal_ideal((2, 0))
+    assert other.is_self_orthogonal(foreign)
+    with pytest.raises(DomainError):
+        call(eng, foreign)
+    # a second engine over the same ring shares its ideals
+    twin = ExhaustiveGroupRing(other.ring)
+    call(twin, foreign)
+
+
+@pytest.mark.parametrize("call", [
+    lambda eng, vec: eng.principal_ideal(vec),
+    lambda eng, vec: eng.unit_ideal().contains_vector(vec),
+], ids=["principal_ideal", "contains_vector"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_vector_of_another_length_is_refused(call, length):
+    eng = engine(2, 2, 1, (3,))
+    with pytest.raises(DomainError):
+        call(eng, (2,) * length)
 
 
 # -- principal ideals --------------------------------------------------------------
@@ -140,6 +183,34 @@ def test_dual_involution_and_size_product():
                 d = eng.dual(c, form)
                 assert c.size * d.size == eng.ring_size
                 assert eng.dual(d, form) == c
+
+
+def _check_dual_against_scan(eng, code, form):
+    d = eng.dual(code, form)
+    assert d == dual_by_scan(eng, code, form)
+    assert code.size * d.size == eng.ring_size
+    assert eng.dual(d, form) == code
+    assert eng.howell(d.basis) == d.basis
+
+
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 3, 1, (2, 2)), (2, 2, 1, (6,)), (2, 3, 1, (4,)), (2, 2, 2, (3,)),
+    (2, 2, 1, (2, 2)), (3, 2, 1, (3,)), (2, 2, 2, (2,))])
+def test_kernel_dual_matches_scan_on_every_ideal(p, r, s, factors):
+    eng = engine(p, r, s, factors)
+    for form in [EUCLIDEAN] + ([HERMITIAN] if s % 2 == 0 else []):
+        for code in eng.enumerate_ideals():
+            _check_dual_against_scan(eng, code, form)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("p, r, s, factors", [(2, 2, 1, (7,)), (3, 3, 1, (3,))])
+def test_kernel_dual_matches_scan_on_seeded_picks(p, r, s, factors, seed):
+    eng = engine(p, r, s, factors)
+    rng = random.Random(seed)
+    for _ in range(3):
+        gens = [eng.ring.random_element(rng) * p**rng.randrange(r) for _ in range(2)]
+        _check_dual_against_scan(eng, join_all(eng, gens), EUCLIDEAN)
 
 
 def test_dual_is_inclusion_reversing():
@@ -269,6 +340,27 @@ def test_semisimple_representatives_match_per_choice_construction(p, r, s, facto
         want.append(tuple(gens))
     fam = enumerate_semisimple_selfdual(p, r, s, group, form)
     assert fam.representatives == tuple(want)
+
+
+@pytest.mark.parametrize("p, r, s, factors, form", [
+    (2, 2, 1, (15,), EUCLIDEAN), (2, 2, 2, (7,), HERMITIAN), (3, 2, 1, (13,), EUCLIDEAN),
+    (5, 2, 1, (12,), EUCLIDEAN), (2, 4, 1, (7,), EUCLIDEAN)])
+def test_semisimple_family_above_the_bound(p, r, s, factors, form):
+    group = AbelianGroup(factors)
+    eng = engine(p, r, s, factors)
+    assert eng.ring_size > eng.bound
+    found = set()
+    for gens in enumerate_semisimple_selfdual(p, r, s, group, form).representatives:
+        ideal = join_all(eng, gens)
+        assert eng.is_self_dual(ideal, form)
+        assert eng.dual(ideal, form) == ideal
+        found.add(ideal)
+    count = euclidean_semisimple_count if form == EUCLIDEAN else hermitian_semisimple_count
+    assert len(found) == count(p, r, s, group).count
+    with pytest.raises(BoundExceededError):
+        next(eng.ideal_stream())
+    with pytest.raises(BoundExceededError):
+        next(iter(found)).element_encodings()
 
 
 def test_semisimple_family_odd_r_is_empty():
