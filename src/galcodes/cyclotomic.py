@@ -194,6 +194,16 @@ class ClassPartition:
     def count_type_iii_h_pairs(self) -> int:
         return len(self.hermitian_pairs)
 
+    def layout(self, pairing: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(singles, pairs) of the 'euclidean' or 'hermitian' pairing."""
+        if pairing == "euclidean":
+            return self.euclidean_singles, self.euclidean_pairs
+        if pairing != "hermitian":
+            raise DomainError(f"unknown pairing {pairing!r}")
+        if self.s % 2:
+            raise DomainError("Hermitian pairing needs even degree s")
+        return self.hermitian_singles, self.hermitian_pairs
+
     def index_of(self, rep) -> int:
         for i, cls in enumerate(self.classes):
             if cls.rep == rep:

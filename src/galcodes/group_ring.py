@@ -14,10 +14,14 @@ sum_a c_a * zeta^gamma_h(a).  The value at h lands in the subring of
 degree s*nu, nu the size of the cyclotomic class of h, and the values on
 one class are Frobenius shifts of the value at its representative, so the
 whole ring splits into one Galois-ring component per class.  Components
-are indexed by class representatives; for paired classes (type III /
-type III') the two member values form an ordered pair.  The second member
-of a Hermitian pair is Frobenius-normalized (by the inverse half-degree
-power) so that the conjugate involution acts as a plain swap.
+are indexed by class representatives.
+
+Both pairings follow one rule, with h = 0 (Euclidean) or h = s/2
+(Hermitian): the class of a is paired with the class of -p^h * a, and
+when these differ (type III / type III') the two values form an ordered
+pair whose second member is the value at -p^h * a twisted by the
+Frobenius power -h.  The twist makes the pairing's involution (support
+reversal, conjugated when h = s/2) act on the pair as a plain swap.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import ClassPartition, CyclotomicClass, partition
+from .cyclotomic import CyclotomicClass, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
-from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
+from .groups import AbelianGroup, SylowDecomposition, character_exponent
 from .numth import multiplicative_order
 
 
@@ -375,6 +379,18 @@ def idft(spec: Spectrum) -> GroupRingElement:
     return ctx.ring.element(out)
 
 
+def _pairing_rule(ctx: AmbientDecomposition, pairing: str):
+    """(h, singles, pairs) of a pairing: h = 0 (Euclidean) or s/2 (Hermitian)."""
+    singles, pairs = ctx.parts.layout(pairing)
+    return (0 if pairing == "euclidean" else ctx.spec.s // 2), singles, pairs
+
+
+def _partner_point(ctx: AmbientDecomposition, h: int, a):
+    """-p^h * a, where the partner of the class of a starts."""
+    group = ctx.group
+    return group.neg(group.scale(pow(ctx.spec.p, h, max(ctx.exponent, 1)), a))
+
+
 def _class_component(ctx: AmbientDecomposition, values: dict, cls: CyclotomicClass,
                      at=None, twist: int = 0) -> GaloisRingElement:
     """Pull one spectral value down into the class's component ring."""
@@ -417,112 +433,79 @@ class DecomposedElement:
 
     def component_list(self) -> list:
         """Components flattened in partition order: singles, then pairs."""
-        parts = self.context.parts
-        if self.pairing == "euclidean":
-            return ([self.singles[i] for i in parts.euclidean_singles]
-                    + [self.pairs[i] for i, _ in parts.euclidean_pairs])
-        return ([self.singles[i] for i in parts.hermitian_singles]
-                + [self.pairs[i] for i, _ in parts.hermitian_pairs])
+        singles, pairs = self.context.parts.layout(self.pairing)
+        return [self.singles[i] for i in singles] + [self.pairs[i] for i, _ in pairs]
+
+
+def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
+               pairing: str) -> DecomposedElement:
+    """Component image under the pairing rule: each single class gives the
+    value at its representative a, each pair (value at a, value at
+    -p^h * a twisted by the Frobenius power -h)."""
+    if ctx is None:
+        ctx = ambient(x.ring.coeff, x.ring.group)
+    h, single_idx, pair_idx = _pairing_rule(ctx, pairing)
+    values = dft(x, ctx).values
+    classes = ctx.parts.classes
+    singles = {i: _class_component(ctx, values, classes[i]) for i in single_idx}
+    pairs = {}
+    for i, _ in pair_idx:
+        cls = classes[i]
+        pairs[i] = (_class_component(ctx, values, cls),
+                    _class_component(ctx, values, cls, at=_partner_point(ctx, h, cls.rep),
+                                     twist=-h))
+    return DecomposedElement(ctx, pairing, singles, pairs)
 
 
 def decompose_euclidean(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> DecomposedElement:
-    """Component image for the Euclidean pairing layout.
+    """Component image for the Euclidean pairing layout (h = 0).
 
     Type-I/II classes contribute the value at their representative a;
     type-III pairs contribute (value at a, value at -a).
     """
-    if ctx is None:
-        ctx = ambient(x.ring.coeff, x.ring.group)
-    values = dft(x, ctx).values
-    parts = ctx.parts
-    singles = {i: _class_component(ctx, values, parts.classes[i])
-               for i in parts.euclidean_singles}
-    pairs = {}
-    for i, _ in parts.euclidean_pairs:
-        cls = parts.classes[i]
-        first = _class_component(ctx, values, cls)
-        second = unembed(values[ctx.group.neg(cls.rep)], ctx.component_spec(cls.cardinality))
-        pairs[i] = (first, second)
-    return DecomposedElement(ctx, "euclidean", singles, pairs)
+    return _decompose(x, ctx, "euclidean")
 
 
 def decompose_hermitian(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> DecomposedElement:
-    """Component image for the Hermitian pairing layout (s even).
+    """Component image for the Hermitian pairing layout (s even, h = s/2).
 
     Type-II' classes contribute the value at their representative b;
     type-III' pairs contribute (value at b, w) where w is the value at
     -p^(s/2)*b twisted by the inverse half-degree Frobenius, the
     normalization that turns the conjugate involution into a plain swap.
     """
-    if ctx is None:
-        ctx = ambient(x.ring.coeff, x.ring.group)
-    if ctx.spec.s % 2:
-        raise DomainError("Hermitian decomposition needs even degree s")
-    values = dft(x, ctx).values
-    parts = ctx.parts
-    group = ctx.group
-    half = ctx.spec.s // 2
-    singles = {i: _class_component(ctx, values, parts.classes[i])
-               for i in parts.hermitian_singles}
-    pairs = {}
-    for i, _ in parts.hermitian_pairs:
-        cls = parts.classes[i]
-        partner_pt = group.neg(group.scale(pow(ctx.spec.p, half, max(ctx.exponent, 1)), cls.rep))
-        first = _class_component(ctx, values, cls)
-        second = _class_component(ctx, values, cls, at=partner_pt, twist=-half)
-        pairs[i] = (first, second)
-    return DecomposedElement(ctx, "hermitian", singles, pairs)
+    return _decompose(x, ctx, "hermitian")
 
 
-def _spread_class(ctx: AmbientDecomposition, out: dict, cls_points, value_big: GaloisRingElement) -> None:
-    """Fill a class orbit with Frobenius shifts of the value at its first point."""
+def _spread_class(ctx: AmbientDecomposition, out: dict, cls_points, value_big: GaloisRingElement,
+                  twist: int = 0) -> None:
+    """Fill a class orbit: point k gets value_big shifted by Frobenius twist + s*k."""
     s = ctx.spec.s
-    v = value_big
     for k, point in enumerate(cls_points):
-        out[point] = v if k == 0 else generalized_frobenius(value_big, s * k)
+        e = twist + s * k
+        out[point] = generalized_frobenius(value_big, e) if e else value_big
 
 
 def compose(dec: DecomposedElement) -> GroupRingElement:
     """Inverse of decompose_euclidean / decompose_hermitian."""
     ctx = dec.context
-    parts = ctx.parts
-    group = ctx.group
+    classes = ctx.parts.classes
+    h, single_idx, pair_idx = _pairing_rule(ctx, dec.pairing)
     values: dict = {}
-    if dec.pairing == "euclidean":
-        single_idx, pair_idx = parts.euclidean_singles, parts.euclidean_pairs
-    else:
-        single_idx, pair_idx = parts.hermitian_singles, parts.hermitian_pairs
     for i in single_idx:
-        cls = parts.classes[i]
-        _spread_class(ctx, values, cls.elements, embed(dec.singles[i], ctx.big))
-    half = ctx.spec.s // 2
+        _spread_class(ctx, values, classes[i].elements, embed(dec.singles[i], ctx.big))
     for i, j in pair_idx:
-        cls, partner = parts.classes[i], parts.classes[j]
+        cls, orbit = classes[i], classes[j].elements
         first, second = dec.pairs[i]
         _spread_class(ctx, values, cls.elements, embed(first, ctx.big))
-        if dec.pairing == "euclidean":
-            start = group.neg(cls.rep)
-            v = embed(second, ctx.big)
-        else:
-            start = group.neg(group.scale(pow(ctx.spec.p, half, max(ctx.exponent, 1)), cls.rep))
-            v = generalized_frobenius(embed(second, ctx.big), half % ctx.big.s)
-        pts = _orbit_from(group, ctx.spec.residue_size, start)
-        if set(pts) != set(partner.elements):
+        start = _partner_point(ctx, h, cls.rep)
+        if start not in orbit:
             raise InternalInvariantError("partner orbit mismatch")
-        _spread_class(ctx, values, pts, v)
-    if len(values) != group.order:
+        k = orbit.index(start)
+        _spread_class(ctx, values, orbit[k:] + orbit[:k], embed(second, ctx.big), twist=h)
+    if len(values) != ctx.group.order:
         raise InternalInvariantError("decomposition did not cover the group")
     return idft(Spectrum(ctx, values))
-
-
-def _orbit_from(group: AbelianGroup, q: int, start):
-    qr = q % group.exponent if group.exponent > 1 else 0
-    out = [start]
-    cur = group.scale(qr, start)
-    while cur != start:
-        out.append(cur)
-        cur = group.scale(qr, cur)
-    return tuple(out)
 
 
 def decompose_nested(x: GroupRingElement, ctx: AmbientDecomposition, pairing: str) -> DecomposedElement:
@@ -536,11 +519,9 @@ def decompose_nested(x: GroupRingElement, ctx: AmbientDecomposition, pairing: st
     if not isinstance(inner, GroupRing):
         raise DomainError("decompose_nested expects nested coefficients")
     p_group = x.ring.group
-    decompose = decompose_euclidean if pairing == "euclidean" else decompose_hermitian
-    per_b = {b: decompose(xb, ctx) for b, xb in x.coeffs.items()}
+    single_idx, pair_idx = ctx.parts.layout(pairing)
+    per_b = {b: _decompose(xb, ctx, pairing) for b, xb in x.coeffs.items()}
     parts = ctx.parts
-    single_idx = parts.euclidean_singles if pairing == "euclidean" else parts.hermitian_singles
-    pair_idx = parts.euclidean_pairs if pairing == "euclidean" else parts.hermitian_pairs
     singles = {}
     for i in single_idx:
         comp_ring = GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)

@@ -27,12 +27,12 @@ import os
 from dataclasses import dataclass
 from operator import mul
 
+from .counting import exists_self_dual
 from .errors import BoundExceededError, DomainError, InternalInvariantError
-from .galois import GaloisRingSpec, construct_ring, generalized_frobenius
+from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
 from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                         GroupRingElement, ambient, compose, compose_nested,
-                         sylow_merge)
+                         GroupRingElement, ambient, compose, sylow_merge)
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
@@ -308,22 +308,6 @@ class ExhaustiveGroupRing:
 
     # -- forms and duality ------------------------------------------------------
 
-    def _block_mul(self, a, b) -> tuple[int, ...]:
-        m, s = self.m, self.s
-        acc = [0] * (2 * s - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        acc[i + j] = (acc[i + j] + ai * bj) % m
-        for k in range(2 * s - 2, s - 1, -1):
-            top = acc[k]
-            if top:
-                acc[k] = 0
-                for j, t in enumerate(self._xtail):
-                    acc[k - s + j] = (acc[k - s + j] + top * t) % m
-        return tuple(acc[:s])
-
     def form_coefficients(self, row, form: str) -> tuple[tuple[int, ...], ...]:
         """Digits of form(row, e_i) for each unit vector e_i.
 
@@ -331,13 +315,13 @@ class ExhaustiveGroupRing:
         product of w with column d of these coefficients.
         """
         _validate_form(form, self.s)
-        s = self.s
+        s, modulus = self.s, self.spec.modulus
         out = []
         for base in range(0, self.n, s):
             block = tuple(row[base:base + s])
             out.append(block)
             for _ in range(s - 1):
-                block = self._block_mul(block, self._form_steps[form])
+                block = _poly_mul_mod(block, self._form_steps[form], modulus, self.m)
                 out.append(block)
         return tuple(out)
 
@@ -506,27 +490,18 @@ class Ideal:
 # -- constructive self-dual codes ----------------------------------------------
 
 
-def _existence_conditions_hold(p: int, r: int, group: AbelianGroup) -> bool:
-    return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
+def _compose_ints(ctx: AmbientDecomposition, pairing: str,
+                  singles: dict, pairs: dict) -> GroupRingElement:
+    """Pull integer components back to GR[A]: singles[i] at single slot i,
+    the pair pairs[i] at pair slot i, zero at every slot not listed."""
+    single_idx, pair_idx = ctx.parts.layout(pairing)
 
+    def at(i, value):
+        return ctx.component_spec(ctx.parts.classes[i].cardinality).from_int(value)
 
-def _component_rings(ctx: AmbientDecomposition, pairing: str, p_group: AbelianGroup):
-    parts = ctx.parts
-    if pairing == EUCLIDEAN:
-        singles, pairs = parts.euclidean_singles, parts.euclidean_pairs
-    else:
-        singles, pairs = parts.hermitian_singles, parts.hermitian_pairs
-    ring_of = {i: GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)
-               for i in itertools.chain(singles, (i for i, _ in pairs))}
-    return singles, pairs, ring_of
-
-
-def _nested_decomposed(ctx, pairing, singles, pairs, ring_of,
-                       single_value, pair_value) -> DecomposedElement:
-    """Assemble a componentwise element from per-slot value callbacks."""
-    svals = {i: single_value(i, ring_of[i]) for i in singles}
-    pvals = {i: pair_value(i, ring_of[i]) for i, _ in pairs}
-    return DecomposedElement(ctx, pairing, svals, pvals)
+    return compose(DecomposedElement(
+        ctx, pairing, {i: at(i, singles.get(i, 0)) for i in single_idx},
+        {i: tuple(at(i, v) for v in pairs.get(i, (0, 0))) for i, _ in pair_idx}))
 
 
 @dataclass(frozen=True)
@@ -550,15 +525,19 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     """A self-dual abelian code in GR(p^r, s)[G], when one exists.
 
     r even: the principal ideal of p^(r/2).  Otherwise p = 2 and |G| even
-    are required, and the code is assembled componentwise: each single
-    component K[P] carries 2^r' K[P] + 2^(r'-1) K[P] (Y^x + 1) with
-    r = 2r' - 1 and x of order 2 in P, while each paired component carries
-    (everything, zero).  The ideal is materialized when the ring is within
-    the exhaustive bound; the generators are returned either way.
+    are required, and the code is assembled componentwise over
+    GR[G] = (GR[A])[P]: each single component K[P] carries
+    2^r' K[P] + 2^(r'-1) K[P] (Y^x + 1) with r = 2r' - 1 and x of order 2
+    in P, while each paired component carries (everything, zero).  Both
+    generators are constant over P apart from the factor Y^x + 1, so each
+    is one composed element of GR[A] placed at Y^0 (and Y^x) and merged
+    back along the Sylow decomposition.  The ideal is materialized when
+    the ring is within the exhaustive bound; the generators are returned
+    either way.
     """
     _validate_form(form, s)
     spec = construct_ring(p, r, s)
-    if not _existence_conditions_hold(p, r, group):
+    if not exists_self_dual(p, r, group, form, s):
         raise DomainError(
             f"no self-dual code in GR({p}^{r},{s})[{group!r}]: "
             "needs r even, or p = 2 with |G| even")
@@ -569,22 +548,18 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         dec = sylow_decompose(group, p)
         p_group = dec.p_part
         ctx = ambient(spec, dec.coprime_part)
-        singles, pairs, ring_of = _component_rings(ctx, form, p_group)
+        singles, pairs = ctx.parts.layout(form)
         # an order-2 element of P; the factors are powers of 2 and at
         # least one is nontrivial since |G| is even
         x2 = tuple((f // 2 if k == 0 else 0) for k, f in enumerate(p_group.factors))
         rp = (r + 1) // 2
+        g1 = _compose_ints(ctx, form, {i: p**rp for i in singles}, {i: (1, 0) for i, _ in pairs})
+        g2 = _compose_ints(ctx, form, {i: p**(rp - 1) for i in singles}, {})
+        outer = GroupRing(ctx.ring, p_group)
         gens = []
-        g1 = _nested_decomposed(
-            ctx, form, singles, pairs, ring_of,
-            lambda i, kr: kr.one() * (kr.coeff.from_int(p**rp)),
-            lambda i, kr: (kr.one(), kr.zero()))
-        g2 = _nested_decomposed(
-            ctx, form, singles, pairs, ring_of,
-            lambda i, kr: (kr.monomial(x2) + kr.one()) * kr.coeff.from_int(p**(rp - 1)),
-            lambda i, kr: (kr.zero(), kr.zero()))
-        for dec_el in (g1, g2):
-            merged = sylow_merge(compose_nested(dec_el, p_group), dec)
+        for nested in (outer.element({p_group.identity: g1}),
+                       outer.element({p_group.identity: g2, x2: g2})):
+            merged = sylow_merge(nested, dec)
             if not merged.is_zero():
                 gens.append(merged)
     limit = exhaustive_bound() if bound is None else bound
@@ -616,23 +591,6 @@ class SemisimpleSelfDualFamily:
     representatives: tuple[tuple[GroupRingElement, ...], ...]
 
 
-def _scaled_idempotent(ctx: AmbientDecomposition, pairing: str, singles, pairs,
-                       slot: int, scale: int, pair_member: int | None = None) -> GroupRingElement:
-    """Pull p^scale at one component slot (zeros elsewhere) back to GR[A]."""
-    parts = ctx.parts
-    svals = {i: ctx.component_spec(parts.classes[i].cardinality).zero() for i in singles}
-    pvals = {i: [ctx.component_spec(parts.classes[i].cardinality).zero()] * 2
-             for i, _ in pairs}
-    spec_at = ctx.component_spec(parts.classes[slot].cardinality)
-    value = spec_at.from_int(ctx.spec.p**scale)
-    if pair_member is None:
-        svals[slot] = value
-    else:
-        pvals[slot][pair_member] = value
-    pvals = {i: tuple(v) for i, v in pvals.items()}
-    return compose(DecomposedElement(ctx, pairing, svals, pvals))
-
-
 def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
                                   form: str = EUCLIDEAN,
                                   max_representatives: int | None = 10000) -> SemisimpleSelfDualFamily:
@@ -643,11 +601,7 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     if group.order % p == 0 and group.order > 1:
         raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
     ctx = ambient(spec, group)
-    parts = ctx.parts
-    if form == EUCLIDEAN:
-        singles, pairs = parts.euclidean_singles, parts.euclidean_pairs
-    else:
-        singles, pairs = parts.hermitian_singles, parts.hermitian_pairs
+    singles, pairs = ctx.parts.layout(form)
     if r % 2:
         return SemisimpleSelfDualFamily(p, r, s, group, form, 0, ())
     count = (r + 1)**len(pairs)
@@ -655,13 +609,11 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     if max_representatives is None or count <= max_representatives:
         # compose is Z-linear, so p^exp at a slot pulls back to p^exp times
         # the slot's unit idempotent: one compose per slot, not per choice
-        single_gens = [_scaled_idempotent(ctx, form, singles, pairs, i, 0) * p**(r // 2)
-                       for i in singles]
+        single_gens = [_compose_ints(ctx, form, {i: p**(r // 2)}, {}) for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r
         ladders = []
         for i, _ in pairs:
-            units = [_scaled_idempotent(ctx, form, singles, pairs, i, 0, member)
-                     for member in (0, 1)]
+            units = [_compose_ints(ctx, form, {}, {i: unit}) for unit in ((1, 0), (0, 1))]
             ladders.append([[u * p**exp for exp in range(r)] for u in units])
         for choice in itertools.product(range(r + 1), repeat=len(pairs)):
             gens = list(single_gens)

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import DomainError
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -80,10 +82,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
-    """Write q = p**s for prime p, or raise."""
-    fac = factorize(q)
+    """Write q = p**s for prime p and s >= 1, or raise DomainError."""
+    fac = factorize(q) if q >= 2 else ()
     if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
+        raise DomainError(f"{q} is not a prime power")
     return fac[0]
 
 

@@ -5,7 +5,9 @@ from operator import mul
 
 from galcodes import AbelianGroup, construct_ring
 from galcodes.galois import generalized_frobenius
-from galcodes.group_ring import GroupRing
+from galcodes.group_ring import (DecomposedElement, GroupRing, ambient, compose_nested,
+                                 sylow_merge)
+from galcodes.groups import sylow_decompose
 from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing
 from galcodes.numth import factorize
 
@@ -80,3 +82,34 @@ def dual_by_scan(eng, code, form=EUCLIDEAN):
     rows = [w for w in map(eng.decode_vector, range(eng.ring_size))
             if all(sum(map(mul, w, col)) % eng.m == 0 for col in cols)]
     return eng.ideal_from_rows(rows)
+
+
+def construct_by_nested_assembly(p, r, s, group, form=EUCLIDEAN):
+    """Generators of the odd-r self-dual construction, assembled over P.
+
+    With G = A + P and r = 2r' - 1, the componentwise generators are
+    g1 = (2^r' at every single slot, (1, 0) at every pair) and
+    g2 = ((Y^x + 1) * 2^(r'-1) at every single slot, (0, 0) at every pair),
+    x of order 2 in P, each slot an element of (component ring)[P].  Each
+    is pulled back with compose_nested, one compose per element of P, and
+    merged along the Sylow decomposition; zero generators are dropped.
+    """
+    dec = sylow_decompose(group, p)
+    p_group = dec.p_part
+    ctx = ambient(construct_ring(p, r, s), dec.coprime_part)
+    singles, pairs = ctx.parts.layout(form)
+    x2 = tuple((f // 2 if k == 0 else 0) for k, f in enumerate(p_group.factors))
+    rp = (r + 1) // 2
+
+    def ring(i):
+        return GroupRing(ctx.component_spec(ctx.parts.classes[i].cardinality), p_group)
+
+    g1 = DecomposedElement(
+        ctx, form, {i: ring(i).one() * ring(i).coeff.from_int(p**rp) for i in singles},
+        {i: (ring(i).one(), ring(i).zero()) for i, _ in pairs})
+    g2 = DecomposedElement(
+        ctx, form, {i: (ring(i).monomial(x2) + ring(i).one()) * ring(i).coeff.from_int(p**(rp - 1))
+                    for i in singles},
+        {i: (ring(i).zero(), ring(i).zero()) for i, _ in pairs})
+    merged = (sylow_merge(compose_nested(g, p_group), dec) for g in (g1, g2))
+    return tuple(g for g in merged if not g.is_zero())

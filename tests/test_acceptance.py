@@ -393,11 +393,7 @@ def _hermitian_slots_orthogonal(parts, xd, ud) -> bool:
 
 def _zeroed_orthogonal_pair(rng, ctx, pairing, xd, ud):
     """Force the slot conditions by zeroing one side of every slot."""
-    parts = ctx.parts
-    if pairing == "euclidean":
-        singles, pairs = parts.euclidean_singles, parts.euclidean_pairs
-    else:
-        singles, pairs = parts.hermitian_singles, parts.hermitian_pairs
+    singles, pairs = ctx.parts.layout(pairing)
     sx, su = dict(xd.singles), dict(ud.singles)
     px = {i: list(v) for i, v in xd.pairs.items()}
     pu = {i: list(v) for i, v in ud.pairs.items()}

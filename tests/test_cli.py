@@ -178,6 +178,14 @@ def test_gr_info_json(capsys):
     assert doc["result"]["modulus"] == "x + 1"
 
 
+@pytest.mark.parametrize("q", ["6", "1", "0"])
+def test_classes_bad_q_exits_2(capsys, q):
+    code, out, err = run(capsys, "classes", "--group", "Z6", "--q", q)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {q} is not a prime power\n"
+
+
 def test_classes_json(capsys):
     doc = run_json(capsys, "classes", "--group", "Z3", "--q", "2", "--json")
     assert doc["result"]["classes"] == 2

@@ -110,6 +110,17 @@ def test_partition_is_a_partition():
         assert covered == set(range(len(part.classes)))
 
 
+def test_layout_names_the_two_pairings():
+    part = partition(AbelianGroup((15,)), 4)
+    assert part.layout("euclidean") == (part.euclidean_singles, part.euclidean_pairs)
+    assert part.layout("hermitian") == (part.hermitian_singles, part.hermitian_pairs)
+    for name in ("euclidian", "Euclidean", "none", ""):
+        with pytest.raises(DomainError, match="unknown pairing"):
+            part.layout(name)
+    with pytest.raises(DomainError, match="even degree"):
+        partition(AbelianGroup((7,)), 2).layout("hermitian")
+
+
 def test_partition_lookup():
     part = partition(AbelianGroup((7,)), 2)
     assert part.class_containing((4,)).rep == (1,)

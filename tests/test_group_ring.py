@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import (GroupRing, GroupRingElement, ambient,
+from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement, ambient,
                                  compose, compose_nested, conjugate,
                                  conjugate_involution,
                                  conjugate_involution_pairing,
@@ -391,6 +391,33 @@ def test_nested_decompose_round_trip_and_multiplicativity():
                 dxy = decompose_nested(x * y, ctx, pairing)
                 prod = dx.multiply(decompose_nested(y, ctx, pairing))
                 assert dxy.singles == prod.singles and dxy.pairs == prod.pairs
+
+
+def test_unknown_pairing_name_is_refused():
+    """Only 'euclidean' and 'hermitian' name a layout; a misspelling used to
+    take the Hermitian one."""
+    ctx = ambient(construct_ring(2, 2, 2), AbelianGroup((3,)))
+    p_group = AbelianGroup((2,))
+    x = GroupRing(ctx.ring, p_group).element(
+        {b: ctx.ring.random_element(random.Random(5)) for b in p_group.elements()})
+    with pytest.raises(DomainError, match="unknown pairing"):
+        decompose_nested(x, ctx, "euclidian")
+    good = decompose_euclidean(x.coefficient((0,)), ctx)
+    bad = DecomposedElement(ctx, "euclidian", good.singles, good.pairs)
+    with pytest.raises(DomainError, match="unknown pairing"):
+        compose(bad)
+    with pytest.raises(DomainError, match="unknown pairing"):
+        bad.component_list()
+    nested = decompose_nested(x, ctx, "euclidean")
+    with pytest.raises(DomainError, match="unknown pairing"):
+        compose_nested(DecomposedElement(ctx, "euclidian", nested.singles, nested.pairs),
+                       p_group)
+
+
+def test_hermitian_decomposition_needs_even_degree():
+    ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
+    with pytest.raises(DomainError, match="even degree"):
+        decompose_hermitian(ctx.ring.one(), ctx)
 
 
 # -- text format ----------------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
-                             HERMITIAN, ExhaustiveGroupRing, _scaled_idempotent,
+                             HERMITIAN, ExhaustiveGroupRing, _compose_ints,
                              construct_self_dual, enumerate_semisimple_selfdual,
                              exhaustive_bound)
-from helpers import dual_by_scan, engine
+from helpers import construct_by_nested_assembly, dual_by_scan, engine
 
 
 def join_all(eng, gens):
@@ -320,23 +320,40 @@ def test_semisimple_family_hermitian():
     assert len(fam.representatives) == 3
 
 
+# the odd-r constructions of the spectral benchmark, then five more shapes of P
+NESTED_CONSTRUCTS = [
+    (2, 1, 1, (6,), EUCLIDEAN), (2, 1, 1, (2, 7), EUCLIDEAN), (2, 3, 1, (14,), EUCLIDEAN),
+    (2, 1, 2, (2, 3), HERMITIAN), (2, 3, 2, (2, 5), HERMITIAN), (2, 1, 1, (4, 5), EUCLIDEAN),
+    (2, 1, 1, (2, 9), EUCLIDEAN), (2, 3, 1, (4, 3), EUCLIDEAN), (2, 1, 1, (2, 15), EUCLIDEAN),
+    (2, 1, 2, (2, 7), HERMITIAN), (2, 1, 1, (2, 2, 3), EUCLIDEAN),
+    (2, 1, 1, (2,), EUCLIDEAN), (2, 3, 1, (2, 2), EUCLIDEAN), (2, 1, 2, (4, 3), HERMITIAN),
+    (2, 1, 1, (8, 7), EUCLIDEAN), (2, 5, 1, (6,), EUCLIDEAN),
+]
+
+
+@pytest.mark.parametrize("p, r, s, factors, form", NESTED_CONSTRUCTS)
+def test_construct_matches_nested_assembly(p, r, s, factors, form):
+    group = AbelianGroup(factors)
+    out = construct_self_dual(p, r, s, group, form, bound=1)
+    assert out.ideal is None
+    assert out.generators == construct_by_nested_assembly(p, r, s, group, form)
+
+
 @pytest.mark.parametrize("p, r, s, factors, form", [
     (2, 4, 1, (7,), EUCLIDEAN), (2, 2, 2, (9,), HERMITIAN), (5, 2, 1, (12,), EUCLIDEAN)])
 def test_semisimple_representatives_match_per_choice_construction(p, r, s, factors, form):
     group = AbelianGroup(factors)
     ctx = ambient(construct_ring(p, r, s), group)
-    parts = ctx.parts
-    if form == EUCLIDEAN:
-        singles, pairs = parts.euclidean_singles, parts.euclidean_pairs
-    else:
-        singles, pairs = parts.hermitian_singles, parts.hermitian_pairs
+    singles, pairs = ctx.parts.layout(form)
     want = []
     for choice in itertools.product(range(r + 1), repeat=len(pairs)):
-        gens = [_scaled_idempotent(ctx, form, singles, pairs, i, r // 2) for i in singles]
+        # one compose per generator, at its exact scale
+        gens = [_compose_ints(ctx, form, {i: p**(r // 2)}, {}) for i in singles]
         for (i, _), w in zip(pairs, choice):
             for member, exp in ((0, w), (1, r - w)):
                 if exp < r:
-                    gens.append(_scaled_idempotent(ctx, form, singles, pairs, i, exp, member))
+                    pair = (p**exp, 0) if member == 0 else (0, p**exp)
+                    gens.append(_compose_ints(ctx, form, {}, {i: pair}))
         want.append(tuple(gens))
     fam = enumerate_semisimple_selfdual(p, r, s, group, form)
     assert fam.representatives == tuple(want)

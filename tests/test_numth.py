@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 
+from galcodes.errors import DomainError
 from galcodes.numth import (divisors, factorize, is_prime, lcm,
                             multiplicative_order, prime_power_split, valuation)
 
@@ -44,6 +45,12 @@ def test_prime_power_split():
     assert prime_power_split(7) == (7, 1)
     with pytest.raises(ValueError):
         prime_power_split(12)
+
+
+def test_prime_power_split_raises_domain_error():
+    for q in (12, 6, 1, 0, -4):
+        with pytest.raises(DomainError, match="not a prime power"):
+            prime_power_split(q)
 
 
 def test_multiplicative_order():
