@@ -12,8 +12,8 @@ import csv
 import sys
 from pathlib import Path
 
-from galcodes import (AbelianGroup, GroupRing, construct_ring, cyclic_count_n,
-                      euclidean_cyclic_count_n, exhaustive_bound,
+from galcodes import (AbelianGroup, BoundExceededError, GroupRing, construct_ring,
+                      cyclic_count_n, euclidean_cyclic_count_n,
                       hermitian_cyclic_count_n)
 from galcodes.ideals import ExhaustiveGroupRing
 
@@ -29,13 +29,14 @@ def rows(p: int, s: int, max_n: int):
 
 
 def recheck(p: int, s: int, n: int, nc: int, nec: int, nhc) -> bool:
-    """Enumeration oracle for one row; True when the ring was small enough."""
-    if (p * p) ** (s * n) > exhaustive_bound():
-        return False
+    """Enumeration oracle for one row; False when the ring exceeds the
+    exhaustive bound and enumeration refuses it."""
     group = AbelianGroup((n,) if n > 1 else ())
-    ring = GroupRing(construct_ring(p, 2, s), group)
-    eng = ExhaustiveGroupRing(ring)
-    codes = eng.enumerate_ideals()
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, 2, s), group))
+    try:
+        codes = eng.enumerate_ideals()
+    except BoundExceededError:
+        return False
     assert len(codes) == nc, (p, s, n, len(codes))
     found = sum(eng.is_self_dual(c) for c in codes)
     assert found == nec, (p, s, n, found)

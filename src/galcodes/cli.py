@@ -22,7 +22,7 @@ from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        hermitian_cyclic_count_n, hermitian_cyclic_count_p2,
                        hermitian_semisimple_count, is_principal_ideal_group_ring)
 from .cyclotomic import partition
-from .errors import DomainError
+from .errors import BoundExceededError, DomainError
 from .galois import construct_ring, element_text, modulus_text, ring_name
 from .group_ring import GroupRing
 from .group_ring import element_text as gr_element_text
@@ -257,55 +257,50 @@ _DECOMP_ORACLE = "decomposition enumeration"
 
 
 def _verify_checks(bound):
-    """Yield (check, params, formula_thunk, oracle_thunk, oracle_kind,
-    ring_size) in canonical order."""
-    groups = {"1": AbelianGroup(()), "Z2": AbelianGroup((2,)),
-              "Z3": AbelianGroup((3,)), "Z4": AbelianGroup((4,)),
-              "Z7": AbelianGroup((7,))}
-
-    def ring_size(p, r, s, group):
-        return p**(r * s * group.order)
-
+    """Yield (check, params, formula_thunk, oracle_thunk, oracle_kind) in
+    canonical order; each oracle runs under the bound."""
     for (p, s, a) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2),
                       (3, 1, 1), (3, 2, 1)]:
         group = AbelianGroup((p**a,))
         yield ("cyclic-count", {"p": p, "s": s, "a": a},
                lambda p=p, s=s, a=a: cyclic_count_p2(p, s, a),
                lambda p=p, s=s, g=group: len(_engine(p, 2, s, g, bound).enumerate_ideals()),
-               _JOIN_ORACLE, ring_size(p, 2, s, group))
+               _JOIN_ORACLE)
 
     for (p, s, a) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)]:
         group = AbelianGroup((p**a,))
         yield ("euclidean-cyclic-count", {"p": p, "s": s, "a": a},
                lambda p=p, s=s, a=a: euclidean_cyclic_count_p2(p, s, a),
                lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "euclidean", bound),
-               _JOIN_ORACLE, ring_size(p, 2, s, group))
+               _JOIN_ORACLE)
 
     for (p, s, a) in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]:
         group = AbelianGroup((p**a,))
         yield ("hermitian-cyclic-count", {"p": p, "s": s, "a": a},
                lambda p=p, s=s, a=a: hermitian_cyclic_count_p2(p, s, a),
                lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "hermitian", bound),
-               _JOIN_ORACLE, ring_size(p, 2, s, group))
+               _JOIN_ORACLE)
 
     for (p, r, s, gtext, dual) in [(2, 2, 1, "Z3", "euclidean"),
                                    (2, 2, 1, "Z7", "euclidean"),
                                    (3, 2, 1, "Z2", "euclidean"),
                                    (3, 1, 1, "Z2", "euclidean"),
                                    (2, 3, 1, "Z3", "euclidean"),
-                                   (2, 2, 2, "Z3", "hermitian")]:
-        group = groups[gtext]
+                                   (2, 2, 2, "Z3", "hermitian"),
+                                   (2, 2, 1, "Z15", "euclidean"),
+                                   (2, 2, 2, "Z7", "hermitian"),
+                                   (3, 2, 1, "Z13", "euclidean"),
+                                   (5, 2, 1, "Z12", "euclidean")]:
+        group = parse_group(gtext)
         semisimple = (euclidean_semisimple_count if dual == "euclidean"
                       else hermitian_semisimple_count)
         params = {"p": p, "r": r, "s": s, "group": gtext, "dual": dual}
-        yield ("semisimple-count", params,
-               lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
-               lambda p=p, r=r, s=s, g=group, d=dual: _brute_selfdual(p, r, s, g, d, bound),
-               _JOIN_ORACLE, ring_size(p, r, s, group))
-        yield ("semisimple-count", params,
-               lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
-               lambda p=p, r=r, s=s, g=group, d=dual: _decomposition_selfdual(p, r, s, g, d, bound),
-               _DECOMP_ORACLE, ring_size(p, r, s, group))
+        for kind, oracle in ((_JOIN_ORACLE, _brute_selfdual),
+                             (_DECOMP_ORACLE, _decomposition_selfdual)):
+            yield ("semisimple-count", params,
+                   lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
+                   lambda o=oracle, p=p, r=r, s=s, g=group, d=dual: o(p, r, s, g, d, bound),
+                   kind)
 
     for (p, r, s, gtext, dual) in [(2, 2, 1, "Z6", "euclidean"),
                                    (3, 2, 1, "Z3", "euclidean"),
@@ -318,34 +313,35 @@ def _verify_checks(bound):
         yield ("general-count", {"p": p, "r": r, "s": s, "group": gtext, "dual": dual},
                lambda f=general, p=p, r=r, s=s, d=dec: f(p, r, s, d.coprime_part, d.p_part, "closed").count,
                lambda p=p, r=r, s=s, g=group, d=dual: _brute_selfdual(p, r, s, g, d, bound),
-               _JOIN_ORACLE, ring_size(p, r, s, group))
+               _JOIN_ORACLE)
 
     for (p, s, n) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 6), (3, 1, 3)]:
         group = AbelianGroup((n,)) if n > 1 else AbelianGroup(())
         yield ("length-count", {"p": p, "s": s, "n": n, "dual": "euclidean"},
                lambda p=p, s=s, n=n: euclidean_cyclic_count_n(p, s, n).count,
                lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "euclidean", bound),
-               _JOIN_ORACLE, ring_size(p, 2, s, group))
+               _JOIN_ORACLE)
 
     for (p, r, gtext) in [(2, 1, "Z2"), (2, 1, "Z3"), (2, 2, "Z2"),
                           (2, 2, "Z3"), (3, 1, "Z2"), (3, 1, "Z3"),
                           (3, 2, "Z2"), (3, 2, "Z3")]:
-        group = groups[gtext]
+        group = parse_group(gtext)
         yield ("exists", {"p": p, "r": r, "s": 1, "group": gtext, "dual": "euclidean"},
                lambda p=p, r=r, g=group: int(exists_self_dual(p, r, g)),
                lambda p=p, r=r, g=group: int(_engine(p, r, 1, g, bound).exists_self_dual_brute("euclidean")),
-               _JOIN_ORACLE, ring_size(p, r, 1, group))
+               _JOIN_ORACLE)
 
 
 def _cmd_verify(args) -> int:
     bound = args.max_ring_size
     records = []
-    for check, params, formula, oracle, kind, size in _verify_checks(bound):
-        if size > bound:
-            continue
+    for check, params, formula, oracle, kind in _verify_checks(bound):
         t0 = time.monotonic()
+        try:
+            ov = oracle()
+        except BoundExceededError:
+            continue  # this oracle would walk more ring elements than the bound
         fv = formula()
-        ov = oracle()
         elapsed = time.monotonic() - t0
         records.append({"check": check, "parameters": params,
                         "formula": fv, "oracle": ov, "oracle_kind": kind,
@@ -447,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="formula-vs-oracle harness")
     verify.add_argument("--max-ring-size", type=int, default=4096,
-                        help="skip oracles on rings larger than this")
+                        help="skip oracles that would walk more ring elements than this")
     verify.add_argument("--timings", action="store_true",
                         help="append wall-clock times (non-deterministic)")
     verify.add_argument("--json", action="store_true")

@@ -18,29 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import bad_pair_indicator, even_pair_indicator
+from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicator,
+                         even_pair_indicator)
 from .errors import DomainError, InternalInvariantError, ProviderDomainError
 from .galois import construct_ring
 from .groups import AbelianGroup, format_group, order_census, sylow_decompose
 from .numth import multiplicative_order, valuation
 
-EUCLIDEAN = "euclidean"
-HERMITIAN = "hermitian"
-
 _TRIVIAL_GROUP = AbelianGroup(())
-
-
-def _validate_duality(duality: str, s: int) -> None:
-    if duality not in (EUCLIDEAN, HERMITIAN):
-        raise DomainError(f"unknown duality {duality!r}")
-    if duality == HERMITIAN and s % 2:
-        raise DomainError("Hermitian duality needs even degree s")
 
 
 def exists_self_dual(p: int, r: int, group: AbelianGroup,
                      duality: str = EUCLIDEAN, s: int = 1) -> bool:
     """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
-    _validate_duality(duality, s)
+    _pairing_twist(duality, s)
     return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
 
 
@@ -322,7 +313,7 @@ def _divisor_factor(p, r, s, d, count_d, duality, provider, p_group) -> DivisorF
 
 def _product_count(p, r, s, coprime_group, p_group, duality, provider) -> CountReport:
     if duality != TOTAL:
-        _validate_duality(duality, s)
+        _pairing_twist(duality, s)
     construct_ring(p, r, s)  # validates p prime, r/s positive
     if coprime_group.order % p == 0 and coprime_group.order > 1:
         raise DomainError(

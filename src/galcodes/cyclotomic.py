@@ -35,6 +35,21 @@ TYPE_III = "III"
 TYPE_II_H = "II'"
 TYPE_III_H = "III'"
 
+EUCLIDEAN = "euclidean"
+HERMITIAN = "hermitian"
+
+
+def _pairing_twist(pairing: str, s: int) -> int:
+    """h of a pairing over GR(p^r, s): 0 (Euclidean) or s/2 (Hermitian, s
+    even).  The one check of pairing names; anything else is refused."""
+    if pairing == EUCLIDEAN:
+        return 0
+    if pairing != HERMITIAN:
+        raise DomainError(f"unknown pairing {pairing!r}")
+    if s % 2:
+        raise DomainError("Hermitian pairing needs even degree s")
+    return s // 2
+
 
 class PairGoodness(enum.Enum):
     ODDLY_GOOD = "oddly_good"
@@ -196,12 +211,8 @@ class ClassPartition:
 
     def layout(self, pairing: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """(singles, pairs) of the 'euclidean' or 'hermitian' pairing."""
-        if pairing == "euclidean":
+        if _pairing_twist(pairing, self.s) == 0:
             return self.euclidean_singles, self.euclidean_pairs
-        if pairing != "hermitian":
-            raise DomainError(f"unknown pairing {pairing!r}")
-        if self.s % 2:
-            raise DomainError("Hermitian pairing needs even degree s")
         return self.hermitian_singles, self.hermitian_pairs
 
     def index_of(self, rep) -> int:

@@ -14,8 +14,10 @@ element has a unique expansion sum(a_i * p^i) with Teichmuller digits a_i.
 Each ring lazily builds one table of the powers xi^e, e < p^s - 1, and of
 their residues' discrete logs.  A Teichmuller digit is then a lookup by
 residue, the Frobenius a multiplication of digit exponents, and an
-embedding a rescaling of digit exponents; only xi itself, and work over
-residue fields too big to tabulate at all, are computed by powering.
+embedding a rescaling of digit exponents; only xi itself is computed by
+powering.  Residue fields above 2^21 elements get no table, so lifts,
+digits, discrete logs, the Frobenius and both sides of an embedding
+refuse them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .numth import factorize, is_prime
 
 # discrete logs in the Teichmuller set are done with a lookup table over
-# the residue field; refuse to build absurdly large ones (above this size
-# lifts, Frobenius and the target side of an embedding power instead)
+# the residue field; refuse to build absurdly large ones
 _MAX_DLOG_TABLE = 1 << 21
 
 
@@ -52,41 +53,12 @@ def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ..
     return tuple(t[:s])
 
 
-def _poly_reduce(t: list[int], modulus: tuple[int, ...], m: int) -> tuple[int, ...]:
-    s = len(modulus) - 1
-    t = [c % m for c in t]
-    for i in range(len(t) - 1, s - 1, -1):
-        c = t[i]
-        if c:
-            t[i] = 0
-            for j in range(s):
-                t[i - s + j] = (t[i - s + j] - c * modulus[j]) % m
-    t = t[:s] + [0] * (s - len(t))
-    return tuple(t[:s])
-
-
-def _poly_pow_mod(base: tuple[int, ...], e: int, modulus: tuple[int, ...], m: int) -> tuple[int, ...]:
-    s = len(modulus) - 1
-    acc = tuple([1] + [0] * (s - 1))
-    while e:
-        if e & 1:
-            acc = _poly_mul_mod(acc, base, modulus, m)
-        base = _poly_mul_mod(base, base, modulus, m)
-        e >>= 1
-    return acc
-
-
 def _x_has_full_order(modulus: tuple[int, ...], p: int, s: int, prime_divs: tuple[int, ...]) -> bool:
     """True when the class of x modulo (modulus, p) has order exactly p^s - 1."""
+    x = GaloisRingSpec(p, 1, s, modulus)._x()
     target = p**s - 1
-    x = _poly_reduce([0, 1] if s >= 1 else [0], modulus, p)
-    one = tuple([1] + [0] * (s - 1))
-    if _poly_pow_mod(x, target, modulus, p) != one:
-        return False
-    for q in prime_divs:
-        if _poly_pow_mod(x, target // q, modulus, p) == one:
-            return False
-    return True
+    one = x.spec.one()
+    return x**target == one and all(x**(target // q) != one for q in prime_divs)
 
 
 @lru_cache(maxsize=None)
@@ -165,13 +137,17 @@ class GaloisRingSpec:
         for index in range(self.size):
             yield self.from_index(index)
 
+    def _x(self) -> GaloisRingElement:
+        """The class of x modulo the ring's modulus."""
+        if self.s == 1:
+            return self.element((-self.modulus[0],))
+        return self.element((0, 1) + (0,) * (self.s - 2))
+
     @property
     def xi(self) -> GaloisRingElement:
         """Canonical Teichmuller generator: the lift of the class of x."""
         if self._xi is None:
-            x = self.element((0, 1) + (0,) * (self.s - 2)) if self.s > 1 else \
-                self.element((-self.modulus[0],))
-            self._xi = _lift_by_powering(x)
+            self._xi = _lift_by_powering(self._x())
         return self._xi
 
     def _table(self) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
@@ -180,7 +156,7 @@ class GaloisRingSpec:
             if self.residue_size > _MAX_DLOG_TABLE:
                 raise BoundExceededError(
                     f"discrete-log table for {ring_name(self)} would need "
-                    f"{self.residue_size} entries")
+                    f"{self.residue_size} entries, above the bound {_MAX_DLOG_TABLE}")
             p, m, modulus = self.p, self.char, self.modulus
             xi = self.xi.coeffs
             acc = self.one().coeffs
@@ -193,10 +169,6 @@ class GaloisRingSpec:
             self._xi_pows = tuple(pows)
             self._dlog = table
         return self._dlog, self._xi_pows
-
-    def _has_table(self) -> bool:
-        """Whether the residue field is small enough for _table()."""
-        return self.residue_size <= _MAX_DLOG_TABLE
 
     def dlog(self, t: GaloisRingElement) -> int:
         """Discrete log of a nonzero Teichmuller element with respect to xi."""
@@ -223,15 +195,13 @@ class GaloisRingSpec:
 
     def _from_digit_logs(self, logs) -> GaloisRingElement:
         """sum(xi^(e_i) * p^i) over the non-None exponents e_i."""
-        # the target of an embedding may be too big to tabulate: power there
-        pows = self._table()[1] if self._has_table() else None
+        pows = self._table()[1]
         p, m = self.p, self.char
         acc = [0] * self.s
         scale = 1
         for e in logs:
             if e is not None:
-                xe = pows[e] if pows is not None else (self.xi ** e).coeffs
-                for j, c in enumerate(xe):
+                for j, c in enumerate(pows[e]):
                     acc[j] += scale * c
             scale *= p
         return GaloisRingElement(self, tuple(c % m for c in acc))
@@ -295,14 +265,14 @@ class GaloisRingElement:
         if e < 0:
             raise DomainError("negative powers are not defined here")
         spec = self.spec
-        acc = spec.one()
-        base = self
+        modulus, m = spec.modulus, spec.char
+        acc, base = spec.one().coeffs, self.coeffs
         while e:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = _poly_mul_mod(acc, base, modulus, m)
+            base = _poly_mul_mod(base, base, modulus, m)
             e >>= 1
-        return acc
+        return GaloisRingElement(spec, acc)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GaloisRingElement)
@@ -336,7 +306,7 @@ class GaloisRingElement:
 
 
 def _lift_by_powering(a: GaloisRingElement) -> GaloisRingElement:
-    """Teichmuller lift by its definition, for xi itself and big residue fields.
+    """Teichmuller lift by its definition, for xi itself.
 
     Iterating t -> t^(p^s) gains one p-adic digit of stability per step,
     so exactly r - 1 iterations suffice.
@@ -347,48 +317,23 @@ def _lift_by_powering(a: GaloisRingElement) -> GaloisRingElement:
     return a
 
 
-def _digits_by_powering(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
-    """Teichmuller digits peeled low to high with powering lifts: a_0 is the
-    lift of a mod p and the recursion continues on (a - a_0) / p."""
-    spec = a.spec
-    p, m = spec.p, spec.char
-    digits = []
-    cur = a
-    for _ in range(spec.r):
-        d = _lift_by_powering(cur)
-        digits.append(d)
-        cur = GaloisRingElement(spec, tuple(((x - y) % m) // p for x, y in zip(cur.coeffs, d.coeffs)))
-    return tuple(digits)
-
-
 def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
     """The unique Teichmuller element congruent to a modulo p: xi^dlog(a mod p)
     for a unit, 0 otherwise."""
     spec = a.spec
-    if not spec._has_table():
-        return _lift_by_powering(a)
+    table, pows = spec._table()
     res = a.residue()
     if not any(res):
         return spec.zero()
-    table, pows = spec._table()
     return GaloisRingElement(spec, pows[table[res]])
 
 
 def teichmuller_digits(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
     """Digits (a_0, ..., a_{r-1}) with a = sum(a_i * p^i), each a Teichmuller element."""
     spec = a.spec
-    if not spec._has_table():
-        return _digits_by_powering(a)
     pows = spec._table()[1]
     return tuple(spec.zero() if e is None else GaloisRingElement(spec, pows[e])
                  for e in spec._digit_logs(a.coeffs))
-
-
-def from_teichmuller_digits(spec: GaloisRingSpec, digits) -> GaloisRingElement:
-    acc = spec.zero()
-    for i, d in enumerate(digits):
-        acc = acc + d * spec.p**i
-    return acc
 
 
 def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
@@ -402,8 +347,6 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
     if k == 0:
         return a
     e = spec.p**k
-    if not spec._has_table():
-        return from_teichmuller_digits(spec, [d**e for d in _digits_by_powering(a)])
     order = spec.residue_size - 1
     return spec._from_digit_logs([None if d is None else d * e % order
                                   for d in spec._digit_logs(a.coeffs)])

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicClass, partition
+from .cyclotomic import CyclotomicClass, _pairing_twist, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
@@ -311,14 +311,9 @@ class AmbientDecomposition:
             pows.append(pows[-1] * zeta)
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
-        self._component_specs: dict[int, GaloisRingSpec] = {}
 
     def component_spec(self, nu: int) -> GaloisRingSpec:
-        out = self._component_specs.get(nu)
-        if out is None:
-            out = construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
-            self._component_specs[nu] = out
-        return out
+        return construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +377,7 @@ def idft(spec: Spectrum) -> GroupRingElement:
 def _pairing_rule(ctx: AmbientDecomposition, pairing: str):
     """(h, singles, pairs) of a pairing: h = 0 (Euclidean) or s/2 (Hermitian)."""
     singles, pairs = ctx.parts.layout(pairing)
-    return (0 if pairing == "euclidean" else ctx.spec.s // 2), singles, pairs
+    return _pairing_twist(pairing, ctx.spec.s), singles, pairs
 
 
 def _partner_point(ctx: AmbientDecomposition, h: int, a):

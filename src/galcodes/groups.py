@@ -75,15 +75,15 @@ def element_order(group: AbelianGroup, a) -> int:
 
 def count_order_direct(group: AbelianGroup, d: int) -> int:
     """Count elements of order d by full scan.  Oracle for the formula path."""
-    if group.order > _DIRECT_COUNT_LIMIT:
-        raise BoundExceededError(f"direct scan over {group.order} elements refused")
-    return sum(1 for a in group.elements() if element_order(group, a) == d)
+    return order_census(group).get(d, 0)
 
 
 def order_census(group: AbelianGroup) -> dict[int, int]:
-    """Order -> element count, by one full scan."""
+    """Order -> element count, by one full scan of at most 10^6 elements."""
     if group.order > _DIRECT_COUNT_LIMIT:
-        raise BoundExceededError(f"direct scan over {group.order} elements refused")
+        raise BoundExceededError(
+            f"direct scan over {group.order} elements refused, "
+            f"above the bound {_DIRECT_COUNT_LIMIT}")
     out: dict[int, int] = {}
     for a in group.elements():
         d = element_order(group, a)

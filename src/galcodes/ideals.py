@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .counting import exists_self_dual
+from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
 from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
 from .groups import AbelianGroup, sylow_decompose
@@ -36,9 +37,6 @@ from .group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
-
-EUCLIDEAN = "euclidean"
-HERMITIAN = "hermitian"
 
 
 def exhaustive_bound() -> int:
@@ -52,13 +50,6 @@ def exhaustive_bound() -> int:
     if val < 1:
         raise DomainError(f"{BOUND_ENV_VAR} must be positive, got {val}")
     return val
-
-
-def _validate_form(form: str, s: int) -> None:
-    if form not in (EUCLIDEAN, HERMITIAN):
-        raise DomainError(f"unknown form {form!r}")
-    if form == HERMITIAN and s % 2:
-        raise DomainError("Hermitian form needs even degree s")
 
 
 class ExhaustiveGroupRing:
@@ -89,14 +80,10 @@ class ExhaustiveGroupRing:
                           for u in range(1, self.m) if u % self.p}
         # x^s = -(low coefficients of the modulus)
         self._xtail = tuple(-c % self.m for c in spec.modulus[:-1])
-        # form(u, e_(g,j)) = u_g * y(x)^j, y the identity (Euclidean) or the
-        # order-2 Frobenius (Hermitian): y(x) is the step from j to j + 1
-        self._form_steps = {}
-        if self.s > 1:
-            x = spec.element((0, 1) + (0,) * (self.s - 2))
-            self._form_steps[EUCLIDEAN] = x.coeffs
-            if self.s % 2 == 0:
-                self._form_steps[HERMITIAN] = generalized_frobenius(x, self.s // 2).coeffs
+        # form(u, e_(g,j)) = u_g * y(x)^j, y the Frobenius power h of the
+        # pairing: y(x) is the step from j to j + 1, keyed by h and made on
+        # first use, since the Hermitian step needs the ring's table
+        self._form_steps: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -314,14 +301,17 @@ class ExhaustiveGroupRing:
         The form is Z_{p^r}-bilinear, so digit d of form(row, w) is the dot
         product of w with column d of these coefficients.
         """
-        _validate_form(form, self.s)
+        h = _pairing_twist(form, self.s)
+        step = self._form_steps.get(h)
+        if step is None:
+            step = self._form_steps[h] = generalized_frobenius(self.spec._x(), h).coeffs
         s, modulus = self.s, self.spec.modulus
         out = []
         for base in range(0, self.n, s):
             block = tuple(row[base:base + s])
             out.append(block)
             for _ in range(s - 1):
-                block = _poly_mul_mod(block, self._form_steps[form], modulus, self.m)
+                block = _poly_mul_mod(block, step, modulus, self.m)
                 out.append(block)
         return tuple(out)
 
@@ -339,7 +329,7 @@ class ExhaustiveGroupRing:
         modulo N", ESA 1998).
         """
         self._check_ideal(code)
-        _validate_form(form, self.s)
+        _pairing_twist(form, self.s)
         mats = [self.form_coefficients(row, form) for row in code.basis]
         k = len(mats) * self.s
         n = self.n
@@ -352,7 +342,7 @@ class ExhaustiveGroupRing:
 
     def is_self_orthogonal(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
         self._check_ideal(code)
-        _validate_form(form, self.s)
+        _pairing_twist(form, self.s)
         m = self.m
         basis = code.basis
         for i, row in enumerate(basis):
@@ -535,7 +525,7 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     the ring is within the exhaustive bound; the generators are returned
     either way.
     """
-    _validate_form(form, s)
+    _pairing_twist(form, s)
     spec = construct_ring(p, r, s)
     if not exists_self_dual(p, r, group, form, s):
         raise DomainError(
@@ -596,7 +586,7 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
                                   max_representatives: int | None = 10000) -> SemisimpleSelfDualFamily:
     """Componentwise enumeration: singles are forced to p^(r/2) K, pairs
     range over the chain (p^i K, p^(r-i) K), i = 0..r."""
-    _validate_form(form, s)
+    _pairing_twist(form, s)
     spec = construct_ring(p, r, s)
     if group.order % p == 0 and group.order > 1:
         raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")

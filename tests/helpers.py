@@ -4,7 +4,7 @@ from functools import lru_cache
 from operator import mul
 
 from galcodes import AbelianGroup, construct_ring
-from galcodes.galois import generalized_frobenius
+from galcodes.galois import GaloisRingElement, _lift_by_powering, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, ambient, compose_nested,
                                  sylow_merge)
 from galcodes.groups import sylow_decompose
@@ -59,6 +59,29 @@ def abelian_groups_up_to(bound: int):
 def engine(p: int, r: int, s: int, factors: tuple, bound: int | None = None):
     ring = GroupRing(construct_ring(p, r, s), AbelianGroup(factors))
     return ExhaustiveGroupRing(ring, bound)
+
+
+def digits_by_powering(a):
+    """Teichmuller digits by their definition, the oracle for the table
+    lookups: a_0 is the powering lift of a mod p and the recursion
+    continues on (a - a_0) / p."""
+    spec = a.spec
+    p, m = spec.p, spec.char
+    digits = []
+    cur = a
+    for _ in range(spec.r):
+        d = _lift_by_powering(cur)
+        digits.append(d)
+        cur = GaloisRingElement(spec, tuple((x - y) % m // p for x, y in zip(cur.coeffs, d.coeffs)))
+    return tuple(digits)
+
+
+def from_teichmuller_digits(spec, digits):
+    """sum(a_i * p^i) over the digits a_i."""
+    acc = spec.zero()
+    for i, d in enumerate(digits):
+        acc = acc + d * spec.p**i
+    return acc
 
 
 def dual_by_scan(eng, code, form=EUCLIDEAN):

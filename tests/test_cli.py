@@ -3,6 +3,7 @@ import json
 import pytest
 
 from galcodes.cli import main
+from galcodes.groups import parse_group
 
 
 def run(capsys, *argv):
@@ -229,6 +230,35 @@ def test_verify_json(capsys):
         assert rec["status"] == "pass"
         assert rec["formula"] == rec["oracle"]
         assert "elapsed" not in rec
+
+
+SEMISIMPLE_ROWS = [(2, 2, 1, "Z3", "euclidean"), (2, 2, 1, "Z7", "euclidean"),
+                   (3, 2, 1, "Z2", "euclidean"), (3, 1, 1, "Z2", "euclidean"),
+                   (2, 3, 1, "Z3", "euclidean"), (2, 2, 2, "Z3", "hermitian"),
+                   (2, 2, 1, "Z15", "euclidean"), (2, 2, 2, "Z7", "hermitian"),
+                   (3, 2, 1, "Z13", "euclidean"), (5, 2, 1, "Z12", "euclidean")]
+
+
+def _ring_size(params):
+    """|GR(p^r, s)[G]| of a verify record; r defaults to 2, G to Z(p^a) or Z(n)."""
+    p, r, s = params["p"], params.get("r", 2), params["s"]
+    if "group" in params:
+        order = parse_group(params["group"]).order
+    else:
+        order = params["n"] if "n" in params else p**params["a"]
+    return p**(r * s * order)
+
+
+def test_verify_runs_decomposition_at_every_size(capsys):
+    doc = run_json(capsys, "verify", "--max-ring-size", "64", "--json")
+    assert doc["result"]["status"] == "pass"
+    recs = doc["breakdown"]
+    decomposed = [rec["parameters"] for rec in recs
+                  if rec["oracle_kind"] == "decomposition enumeration" and rec["status"] == "pass"]
+    assert [tuple(params.values()) for params in decomposed] == SEMISIMPLE_ROWS
+    assert max(map(_ring_size, decomposed)) == 5**24
+    joined = [rec["parameters"] for rec in recs if rec["oracle_kind"] == "join-closure brute force"]
+    assert joined and all(_ring_size(params) <= 64 for params in joined)
 
 
 def test_verify_timings_flag(capsys):

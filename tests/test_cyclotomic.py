@@ -9,8 +9,13 @@ from galcodes.cyclotomic import (PairGoodness, TYPE_I, TYPE_II, TYPE_II_H,
                                  classify_hermitian, classify_pair,
                                  classify_pair_scan, even_pair_indicator,
                                  partition)
+from galcodes.counting import exists_self_dual, hermitian_abelian_count
 from galcodes.errors import DomainError
+from galcodes.galois import construct_ring
+from galcodes.group_ring import GroupRing, ambient, decompose_nested
 from galcodes.groups import AbelianGroup
+from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual
+from helpers import engine
 
 
 # -- single classes ---------------------------------------------------------------
@@ -119,6 +124,36 @@ def test_layout_names_the_two_pairings():
             part.layout(name)
     with pytest.raises(DomainError, match="even degree"):
         partition(AbelianGroup((7,)), 2).layout("hermitian")
+
+
+Z3 = AbelianGroup((3,))
+
+
+def _decompose_nested(pairing, s):
+    ctx = ambient(construct_ring(2, 2, s), Z3)
+    return decompose_nested(GroupRing(ctx.ring, AbelianGroup((2,))).one(), ctx, pairing)
+
+
+# every entry point that takes a pairing name, called as call(pairing, s)
+PAIRING_CALLS = {
+    "exists_self_dual": lambda pairing, s: exists_self_dual(2, 2, Z3, pairing, s),
+    "hermitian_abelian_count": lambda pairing, s: hermitian_abelian_count(2, 2, s, Z3),
+    "ExhaustiveGroupRing.dual": lambda pairing, s: (
+        lambda eng: eng.dual(eng.unit_ideal(), pairing))(engine(2, 2, s, (3,))),
+    "construct_self_dual": lambda pairing, s: construct_self_dual(2, 2, s, Z3, pairing),
+    "enumerate_semisimple_selfdual": lambda pairing, s: enumerate_semisimple_selfdual(
+        2, 2, s, Z3, pairing),
+    "decompose_nested": _decompose_nested,
+}
+
+
+@pytest.mark.parametrize("name, pairing, s, message", [
+    (name, "euclidian", 2, "unknown pairing")
+    for name in PAIRING_CALLS if name != "hermitian_abelian_count"
+] + [(name, "hermitian", 1, "even degree") for name in PAIRING_CALLS])
+def test_pairing_names_are_checked_by_one_rule(name, pairing, s, message):
+    with pytest.raises(DomainError, match=message):
+        PAIRING_CALLS[name](pairing, s)
 
 
 def test_partition_lookup():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
-from galcodes.galois import (_MAX_DLOG_TABLE, _digits_by_powering,
-                             _embedding_exponent, _lift_by_powering, construct_ring,
-                             element_text, embed, from_teichmuller_digits,
-                             generalized_frobenius, modulus_text, parse_element,
-                             parse_ring_name, ring_name, root_of_unity,
+from galcodes.galois import (_MAX_DLOG_TABLE, _embedding_exponent,
+                             _lift_by_powering, _primitive_polynomial, construct_ring,
+                             element_text, embed, generalized_frobenius, modulus_text,
+                             parse_element, parse_ring_name, ring_name, root_of_unity,
                              teichmuller_digits, teichmuller_lift, unembed)
+from galcodes.numth import is_prime
+from helpers import digits_by_powering, from_teichmuller_digits
 
 # rings small enough for exhaustive element sweeps (p^(r*s) <= 6561)
 SMALL_SPECS = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2),
@@ -59,6 +60,29 @@ def test_modulus_reduction_is_primitive():
             seen.add(acc)
         assert acc == spec.one()
         assert len(seen) == order
+
+
+def _order_of_x(tail, p):
+    """Multiplicative order of x modulo (x^s + tail, p) by repeated
+    multiplication; 0 when no power up to p^s - 1 is 1."""
+    one = [1] + [0] * (len(tail) - 1)
+    t = one
+    for k in range(1, p**len(tail)):
+        top = t[-1]
+        t = [(c - top * f) % p for c, f in zip([0] + t[:-1], tail)]
+        if t == one:
+            return k
+    return 0
+
+
+def test_primitive_polynomial_is_the_smallest_full_order_tail():
+    for p in filter(is_prime, range(2, 730)):
+        s = 1
+        while p**s <= 729:
+            want = next(tail for tail in itertools.product(range(p), repeat=s)
+                        if _order_of_x(list(tail), p) == p**s - 1)
+            assert _primitive_polynomial(p, s) == want + (1,), (p, s)
+            s += 1
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -182,7 +206,7 @@ def test_table_lift_digits_and_frobenius_match_powering(args):
     p, r, s = args
     for a in random_elements(spec, p * 100 + r * 10 + s) + [spec.zero(), spec.xi]:
         assert teichmuller_lift(a) == _lift_by_powering(a)
-        digits = _digits_by_powering(a)
+        digits = digits_by_powering(a)
         assert teichmuller_digits(a) == digits
         for k in range(s):
             want = from_teichmuller_digits(spec, [d**(p**k) for d in digits])
@@ -202,35 +226,28 @@ def test_table_embed_matches_powering(args):
         for a in random_elements(small, p * 1000 + r * 100 + s * 10 + d):
             want = from_teichmuller_digits(big, [
                 big.zero() if t.is_zero() else big.xi**(small.dlog(t) * step)
-                for t in _digits_by_powering(a)])
+                for t in digits_by_powering(a)])
             assert embed(a, big) == want
             assert unembed(want, small) == a
 
 
-def test_untabulated_ring_powers_lifts_frobenius_and_embed_target():
-    # GR(2^2, 22): the residue field is too big for a table, so lifts,
-    # Frobenius and embeddings into it work by powering and build none
+def test_untabulated_ring_refuses_every_table_operation():
+    # GR(2^2, 22): the residue field, 2^22 elements, is above the table
+    # bound, so every operation that reads the table refuses and none is built
     spec = construct_ring(2, 2, 22)
-    assert spec.residue_size > _MAX_DLOG_TABLE
-    a, b = random_elements(spec, 22, n=2)
-    lift = teichmuller_lift(a)
-    assert lift.residue() == a.residue()
-    assert lift**spec.residue_size == lift
-    assert teichmuller_digits(b) == _digits_by_powering(b)
-    assert generalized_frobenius(b, 1) == from_teichmuller_digits(
-        spec, [d**2 for d in _digits_by_powering(b)])
+    assert spec.residue_size == 4194304 > _MAX_DLOG_TABLE == 2097152
+    a = random_elements(spec, 22, n=1)[0]
     small = construct_ring(2, 2, 2)
-    step = (spec.residue_size - 1) // 3 * _embedding_exponent(small, spec)
-    for c in random_elements(small, 2, n=3):
-        assert embed(c, spec) == from_teichmuller_digits(spec, [
-            spec.zero() if t.is_zero() else spec.xi**(small.dlog(t) * step)
-            for t in _digits_by_powering(c)])
+    refused = [lambda: teichmuller_lift(a), lambda: teichmuller_digits(a),
+               lambda: generalized_frobenius(a, 1), lambda: embed(small.xi, spec),
+               lambda: unembed(a, small), lambda: spec.dlog(spec.one())]
+    for call in refused:
+        with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
+            call()
     assert spec._dlog is None
-    # discrete logs in it, and so unembedding out of it, are refused
-    with pytest.raises(BoundExceededError):
-        spec.dlog(spec.xi)
-    with pytest.raises(BoundExceededError):
-        unembed(embed(small.xi, spec), small)
+    xi = spec.xi
+    assert xi**(spec.residue_size - 1) == spec.one()
+    assert xi.residue() == spec._x().residue()
 
 
 # -- Frobenius -------------------------------------------------------------------

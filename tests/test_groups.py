@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galcodes.errors import DomainError
+from galcodes.errors import BoundExceededError, DomainError
 from galcodes.groups import (AbelianGroup, character_exponent,
                              count_order_direct, count_order_formula,
                              element_order, element_text, format_group,
@@ -64,6 +64,14 @@ def test_census_covers_group():
         assert census[1] == 1
         for d, n in census.items():
             assert g.exponent % d == 0 and n > 0
+
+
+def test_census_refuses_above_its_bound():
+    g = AbelianGroup((1001, 1000))
+    for call in (lambda: order_census(g), lambda: count_order_direct(g, 7)):
+        with pytest.raises(BoundExceededError,
+                           match="1001000 elements refused, above the bound 1000000"):
+            call()
 
 
 # -- Sylow splitting ----------------------------------------------------------

@@ -55,6 +55,16 @@ def test_engine_rejects_oversized_ring():
     assert [eng.to_vector(g) for g in two.generators()] == [(2, 0)]
 
 
+def test_engine_above_the_table_bound_constructs():
+    # GR(2^1, 22) has a residue field too big for a Teichmuller table: the
+    # engine and its Euclidean dual need none, the Hermitian dual refuses
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 1, 22), AbelianGroup(())))
+    assert eng.dual(eng.unit_ideal()) == eng.zero_ideal()
+    assert eng.dual(eng.zero_ideal()) == eng.unit_ideal()
+    with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
+        eng.dual(eng.unit_ideal(), HERMITIAN)
+
+
 @pytest.mark.parametrize("call", [
     lambda eng, c: eng.join(eng.zero_ideal(), c),
     lambda eng, c: eng.join(c, eng.zero_ideal()),
