@@ -17,11 +17,9 @@ from .groups import (AbelianGroup, character_exponent, count_order_formula,
 from .cyclotomic import (CyclotomicClass, ClassPartition, PairGoodness,
                          bad_pair_indicator, classify_pair, even_pair_indicator,
                          partition)
-from .group_ring import (GroupRing, GroupRingElement, ambient, compose,
-                         compose_nested, conjugate, conjugate_involution,
-                         decompose_euclidean, decompose_hermitian,
-                         decompose_nested, dft, form_euclidean, form_hermitian,
-                         idft, involution, involution_pairing, sylow_merge,
+from .group_ring import (GroupRing, GroupRingElement, ambient, compose, conjugate,
+                         conjugate_involution, decompose_euclidean,
+                         decompose_hermitian, dft, idft, involution, sylow_merge,
                          sylow_split)
 from .ideals import (ExhaustiveGroupRing, Ideal, SelfDualConstruction,
                      SemisimpleSelfDualFamily, construct_self_dual,

@@ -8,7 +8,9 @@ good-pair classification of (d, p^s) or (d, p^(s/2))) dictates whether the
 factor counts all ideals, Euclidean self-dual ones, or Hermitian self-dual
 ones of the component.  The component base counts themselves come from a
 provider: closed forms exist for trivial P and for r = 2 with cyclic P;
-anything else is brute-forced within the exhaustive bound or rejected.
+anything else is brute-forced by the exhaustive engine, whose size rule
+alone decides whether the component ring is small enough, and refused
+with ProviderDomainError when it is not.
 
 All arithmetic is exact; every division in an exponent is asserted exact.
 """
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicator,
                          even_pair_indicator)
-from .errors import DomainError, InternalInvariantError, ProviderDomainError
+from .errors import (BoundExceededError, DomainError, InternalInvariantError,
+                     ProviderDomainError)
 from .galois import construct_ring
 from .groups import AbelianGroup, format_group, order_census, sylow_decompose
 from .numth import multiplicative_order, valuation
@@ -158,61 +161,42 @@ _BRUTE_CACHE: dict = {}
 
 
 class BruteForceProvider:
-    """Exhaustive enumeration of the component group ring, within bound."""
+    """Exhaustive enumeration of the component group ring; the engine's
+    size rule decides whether the ring is small enough."""
 
     name = "brute-force"
 
     def __init__(self, bound: int | None = None):
-        from .ideals import exhaustive_bound
-        self.bound = exhaustive_bound() if bound is None else bound
-
-    def _ring_size(self, p: int, r: int, s2: int, p_group: AbelianGroup) -> int:
-        return p**(r * s2 * p_group.order)
-
-    def supports(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> bool:
-        return self._ring_size(p, r, s2, p_group) <= self.bound
+        self.bound = bound
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
         from .group_ring import GroupRing
         from .ideals import ExhaustiveGroupRing
-        if not self.supports(p, r, s2, p_group, kind):
+        engine = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s2), p_group), self.bound)
+        try:
+            engine._require_enumerable()
+        except BoundExceededError:
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: ring size "
-                f"{self._ring_size(p, r, s2, p_group)} exceeds the bound {self.bound}")
+                f"{engine._size_text} exceeds the bound {engine.bound}") from None
         key = (p, r, s2, p_group.factors, kind)
         if key not in _BRUTE_CACHE:
-            engine = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s2), p_group),
-                                         self.bound)
             if kind == TOTAL:
-                value = len(engine.enumerate_ideals())
+                _BRUTE_CACHE[key] = len(engine.enumerate_ideals())
             else:
-                value = engine.count_self_dual(kind)
-            _BRUTE_CACHE[key] = value
+                _BRUTE_CACHE[key] = engine.count_self_dual(kind)
         return _BRUTE_CACHE[key]
 
 
 class AutoProvider:
-    """trivial, then closed-form, then brute force; first applicable wins."""
+    """trivial, then closed-form, each within its domain, then brute force,
+    which counts or refuses."""
 
     name = "auto"
 
     def __init__(self, bound: int | None = None):
         self.chain = (TrivialSylowProvider(), ClosedFormProvider(),
                       BruteForceProvider(bound))
-
-    def supports(self, p, r, s2, p_group, kind) -> bool:
-        return any(prov.supports(p, r, s2, p_group, kind) for prov in self.chain)
-
-    def select(self, p, r, s2, p_group, kind):
-        for prov in self.chain:
-            if prov.supports(p, r, s2, p_group, kind):
-                return prov
-        raise ProviderDomainError(
-            f"{_describe_base(p, r, s2, p_group, kind)} unavailable: no closed form "
-            "is known and the ring exceeds the brute-force bound")
-
-    def count(self, p, r, s2, p_group, kind) -> int:
-        return self.select(p, r, s2, p_group, kind).count(p, r, s2, p_group, kind)
 
 
 _PROVIDERS = {"auto": AutoProvider, "trivial": TrivialSylowProvider,
@@ -230,11 +214,18 @@ def get_provider(provider):
 
 
 def _query(provider, p, r, s2, p_group, kind):
-    """Resolve one base count, reporting which strategy produced it."""
-    if isinstance(provider, AutoProvider):
-        chosen = provider.select(p, r, s2, p_group, kind)
-        return chosen.count(p, r, s2, p_group, kind), chosen.name
-    return provider.count(p, r, s2, p_group, kind), provider.name
+    """Resolve one base count, reporting which strategy produced it.
+
+    A provider is a chain of one; in a longer chain every member but the
+    last is tried only within its domain, and the last counts or refuses.
+    """
+    chain = getattr(provider, "chain", (provider,))
+    for chosen in chain[:-1]:
+        if chosen.supports(p, r, s2, p_group, kind):
+            break
+    else:
+        chosen = chain[-1]
+    return chosen.count(p, r, s2, p_group, kind), chosen.name
 
 
 # -- the product formula ----------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .groups import AbelianGroup, element_order
+from .groups import AbelianGroup
 from .numth import multiplicative_order, prime_power_split
 
 TYPE_I = "I"
@@ -70,19 +70,6 @@ def classify_pair(j: int, q: int) -> PairGoodness:
     if e % 2 or pow(q, e // 2, j) != j - 1:
         return PairGoodness.BAD
     return PairGoodness.ODDLY_GOOD if (e // 2) % 2 else PairGoodness.EVENLY_GOOD
-
-
-def classify_pair_scan(j: int, q: int) -> PairGoodness:
-    """Direct scan of t = 1..2*ord_j(q); independent oracle for classify_pair."""
-    if j < 1:
-        raise DomainError(f"j must be positive, got {j}")
-    if math.gcd(j, q) != 1:
-        raise DomainError(f"gcd({j}, {q}) != 1")
-    e = multiplicative_order(q, j) if j > 1 else 1
-    for t in range(1, 2 * e + 1):
-        if (pow(q, t, j) + 1) % j == 0:
-            return PairGoodness.ODDLY_GOOD if t % 2 else PairGoodness.EVENLY_GOOD
-    return PairGoodness.BAD
 
 
 def bad_pair_indicator(j: int, q: int) -> int:
@@ -265,8 +252,3 @@ def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
 def partition(group: AbelianGroup, q: int) -> ClassPartition:
     """Partition the whole group into q-cyclotomic classes (cached)."""
     return _partition_cached(group.factors, q)
-
-
-def class_order(cls: CyclotomicClass) -> int:
-    """Common additive order of the members of the class."""
-    return element_order(cls.group, cls.rep)

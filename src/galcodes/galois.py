@@ -371,15 +371,15 @@ def _embedding_exponent(src: GaloisRingSpec, target: GaloisRingSpec) -> int:
     the source modulus mod p.  That element is where a ring homomorphism must
     send xi_src: the candidate K-th powers exhaust the subgroup of order
     q1 - 1, but only the conjugates of xi_src among them extend to a
-    homomorphism, and the plain j = 1 choice usually is not one."""
+    homomorphism, and the plain j = 1 choice usually is not one.  The
+    candidates are read off the target's table, so a target above the table
+    bound is refused before anything is computed or cached."""
     key = (src.p, src.r, src.s, target.s)
     if key not in _EMBED_EXPONENT:
+        pows = target._table()[1]
         step = (target.residue_size - 1) // (src.residue_size - 1)
-        base = target.xi ** step
-        cand = target.one()
         for j in range(src.residue_size - 1):
-            if j:
-                cand = cand * base
+            cand = GaloisRingElement(target, pows[j * step])
             acc = target.zero()
             for c in reversed(src.modulus):
                 acc = acc * cand + target.from_int(c)

@@ -188,33 +188,7 @@ class GroupRingElement:
         return "<" + " + ".join(parts) + ">"
 
 
-# -- pairings and involutions -------------------------------------------------
-
-def form_euclidean(u: GroupRingElement, v: GroupRingElement):
-    """sum_g u_g * v_g, valued in the coefficient ring."""
-    u._require_same_ring(v)
-    acc = u.ring.coeff.zero()
-    for g, c in u.coeffs.items():
-        d = v.coeffs.get(g)
-        if d is not None:
-            acc = acc + c * d
-    return acc
-
-
-def form_hermitian(u: GroupRingElement, v: GroupRingElement):
-    """sum_g u_g * conj(v_g) with conj the half-degree Frobenius (s even)."""
-    u._require_same_ring(v)
-    spec = u.ring.coeff
-    if not isinstance(spec, GaloisRingSpec) or spec.s % 2:
-        raise DomainError("Hermitian form needs Galois-ring coefficients of even degree")
-    half = spec.s // 2
-    acc = spec.zero()
-    for g, c in u.coeffs.items():
-        d = v.coeffs.get(g)
-        if d is not None:
-            acc = acc + c * generalized_frobenius(d, half)
-    return acc
-
+# -- involutions -------------------------------------------------------------
 
 def conjugate(a: GaloisRingElement) -> GaloisRingElement:
     """Half-degree Frobenius; the ring involution of GR(p^r, s) for s even."""
@@ -233,34 +207,6 @@ def conjugate_involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal with conjugated coefficients (coefficient degree even)."""
     neg = x.ring.group.neg
     return GroupRingElement(x.ring, {neg(g): conjugate(c) for g, c in x.coeffs.items()})
-
-
-def involution_pairing(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    """sum_b x_b * involution(y_b) for nested elements over P; valued in R."""
-    x._require_same_ring(y)
-    inner = x.ring.coeff
-    if not isinstance(inner, GroupRing):
-        raise DomainError("involution pairing expects nested coefficients")
-    acc = inner.zero()
-    for b, xb in x.coeffs.items():
-        yb = y.coeffs.get(b)
-        if yb is not None:
-            acc = acc + xb * involution(yb)
-    return acc
-
-
-def conjugate_involution_pairing(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
-    """sum_b x_b * conjugate_involution(y_b); valued in R."""
-    x._require_same_ring(y)
-    inner = x.ring.coeff
-    if not isinstance(inner, GroupRing):
-        raise DomainError("conjugate involution pairing expects nested coefficients")
-    acc = inner.zero()
-    for b, xb in x.coeffs.items():
-        yb = y.coeffs.get(b)
-        if yb is not None:
-            acc = acc + xb * conjugate_involution(yb)
-    return acc
 
 
 # -- Sylow re-indexing ---------------------------------------------------------
@@ -501,47 +447,6 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
     if len(values) != ctx.group.order:
         raise InternalInvariantError("decomposition did not cover the group")
     return idft(Spectrum(ctx, values))
-
-
-def decompose_nested(x: GroupRingElement, ctx: AmbientDecomposition, pairing: str) -> DecomposedElement:
-    """Componentwise image of an element of R[P], R = GR[A].
-
-    Coefficients over P are decomposed one by one and regrouped, so each
-    class contributes an element of (component ring)[P]; pairs contribute
-    ordered pairs of such elements.
-    """
-    inner = x.ring.coeff
-    if not isinstance(inner, GroupRing):
-        raise DomainError("decompose_nested expects nested coefficients")
-    p_group = x.ring.group
-    single_idx, pair_idx = ctx.parts.layout(pairing)
-    per_b = {b: _decompose(xb, ctx, pairing) for b, xb in x.coeffs.items()}
-    parts = ctx.parts
-    singles = {}
-    for i in single_idx:
-        comp_ring = GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)
-        singles[i] = comp_ring.element({b: d.singles[i] for b, d in per_b.items()})
-    pairs = {}
-    for i, _ in pair_idx:
-        comp_ring = GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)
-        pairs[i] = (comp_ring.element({b: d.pairs[i][0] for b, d in per_b.items()}),
-                    comp_ring.element({b: d.pairs[i][1] for b, d in per_b.items()}))
-    return DecomposedElement(ctx, pairing, singles, pairs)
-
-
-def compose_nested(dec: DecomposedElement, p_group: AbelianGroup) -> GroupRingElement:
-    """Inverse of decompose_nested."""
-    ctx = dec.context
-    inner = ctx.ring
-    outer = GroupRing(inner, p_group)
-    per_b: dict = {}
-    for b in p_group.elements():
-        singles = {i: v.coefficient(b) for i, v in dec.singles.items()}
-        pairs = {i: (v0.coefficient(b), v1.coefficient(b)) for i, (v0, v1) in dec.pairs.items()}
-        xb = compose(DecomposedElement(ctx, dec.pairing, singles, pairs))
-        if not xb.is_zero():
-            per_b[b] = xb
-    return GroupRingElement(outer, per_b)
 
 
 # -- text format ---------------------------------------------------------------

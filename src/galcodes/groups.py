@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import BoundExceededError, DomainError
-from .numth import divisors, factorize, lcm, valuation
+from .numth import factorize, lcm, valuation
 
 _DIRECT_COUNT_LIMIT = 10**6
 
@@ -71,11 +71,6 @@ class AbelianGroup:
 def element_order(group: AbelianGroup, a) -> int:
     """Additive order: lcm over coordinates of m_i / gcd(m_i, a_i)."""
     return reduce(lcm, (m // math.gcd(m, x) for x, m in zip(a, group.factors)), 1)
-
-
-def count_order_direct(group: AbelianGroup, d: int) -> int:
-    """Count elements of order d by full scan.  Oracle for the formula path."""
-    return order_census(group).get(d, 0)
 
 
 def order_census(group: AbelianGroup) -> dict[int, int]:
@@ -194,11 +189,6 @@ def character_exponent(group: AbelianGroup, h, b) -> int:
     """
     M = group.exponent
     return sum(x * y * (M // m) for x, y, m in zip(h, b, group.factors)) % M
-
-
-def group_divisor_orders(group: AbelianGroup) -> list[int]:
-    """Divisors of the exponent: the candidate element orders."""
-    return divisors(group.exponent)
 
 
 # -- text format -------------------------------------------------------------

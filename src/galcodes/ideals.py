@@ -57,6 +57,8 @@ class ExhaustiveGroupRing:
 
     bound (default exhaustive_bound()) caps the ring size at which the
     exponential operations, ideal enumeration and element listing, run.
+    _require_enumerable holds the one rule for that size: code that must
+    know whether a ring is small enough asks it rather than compare sizes.
     """
 
     def __init__(self, ring: GroupRing, bound: int | None = None):
@@ -73,8 +75,6 @@ class ExhaustiveGroupRing:
         self.n = spec.s * self.group.order
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
-        self._group_index = {g: i for i, g in enumerate(self.group.elements())}
-        self._perms = self._shift_permutations()
         self._ppow = [self.p**i for i in range(self.r + 1)]
         self._unit_inv = {u: pow(u, -1, self.m)
                           for u in range(1, self.m) if u % self.p}
@@ -84,15 +84,27 @@ class ExhaustiveGroupRing:
         # pairing: y(x) is the step from j to j + 1, keyed by h and made on
         # first use, since the Hermitian step needs the ring's table
         self._form_steps: dict[int, tuple[int, ...]] = {}
+        # the group tables are made on first use too: the shifts cost
+        # O(|G|^2), and constructing an engine to be refused must not
+        self._index: dict | None = None
+        self._shifts: tuple[tuple[int, ...], ...] | None = None
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
+
+    @property
+    def _size_text(self) -> str:
+        """|ring| in decimal while it fits 64 bits, else as p^e: by default
+        Python refuses to turn an integer of over 4300 digits into text."""
+        if self.ring_size.bit_length() <= 64:
+            return str(self.ring_size)
+        return f"{self.p}^{self.r * self.n}"
 
     def _require_enumerable(self) -> None:
         """The one refusal: work that walks every ring element."""
         if self.ring_size > self.bound:
             raise BoundExceededError(
-                f"|ring| = {self.ring_size} exceeds the exhaustive bound {self.bound}")
+                f"|ring| = {self._size_text} exceeds the exhaustive bound {self.bound}")
 
     def _check_ideal(self, code: "Ideal") -> None:
         if code.engine is not self and code.engine.ring != self.ring:
@@ -103,18 +115,28 @@ class ExhaustiveGroupRing:
             raise DomainError(
                 f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
 
-    def _shift_permutations(self) -> tuple[tuple[int, ...], ...]:
-        elems = self.group.elements()
-        s = self.s
-        perms = []
-        for g in elems:
-            perm = [0] * self.n
-            for i, h in enumerate(elems):
-                target = self._group_index[self.group.add(h, g)]
-                for j in range(s):
-                    perm[target * s + j] = i * s + j
-            perms.append(tuple(perm))
-        return tuple(perms)
+    def _group_index(self) -> dict:
+        """Group element -> its position in the lexicographic order."""
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.group.elements())}
+        return self._index
+
+    def _perms(self) -> tuple[tuple[int, ...], ...]:
+        """For each g, the digit permutation of multiplication by Y^g."""
+        if self._shifts is None:
+            index = self._group_index()
+            elems = self.group.elements()
+            s = self.s
+            perms = []
+            for g in elems:
+                perm = [0] * self.n
+                for i, h in enumerate(elems):
+                    target = index[self.group.add(h, g)]
+                    for j in range(s):
+                        perm[target * s + j] = i * s + j
+                perms.append(tuple(perm))
+            self._shifts = tuple(perms)
+        return self._shifts
 
     # -- element <-> vector ---------------------------------------------------
 
@@ -123,8 +145,9 @@ class ExhaustiveGroupRing:
             raise DomainError("element belongs to a different ring")
         vec = [0] * self.n
         s = self.s
+        index = self._group_index()
         for g, c in x.coeffs.items():
-            base = self._group_index[g] * s
+            base = index[g] * s
             for j, d in enumerate(c.coeffs):
                 vec[base + j] = d
         return tuple(vec)
@@ -132,7 +155,7 @@ class ExhaustiveGroupRing:
     def from_vector(self, vec) -> GroupRingElement:
         s = self.s
         coeffs = {}
-        for g, i in self._group_index.items():
+        for g, i in self._group_index().items():
             block = tuple(vec[i * s:(i + 1) * s])
             if any(block):
                 coeffs[g] = self.spec.element(block)
@@ -171,7 +194,7 @@ class ExhaustiveGroupRing:
         for _ in range(self.s - 1):
             xmults.append(self._mul_by_x(xmults[-1]))
         rows = []
-        for perm in self._perms:
+        for perm in self._perms():
             for base in xmults:
                 rows.append(tuple(base[k] for k in perm))
         return rows
@@ -522,8 +545,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     generators are constant over P apart from the factor Y^x + 1, so each
     is one composed element of GR[A] placed at Y^0 (and Y^x) and merged
     back along the Sylow decomposition.  The ideal is materialized when
-    the ring is within the exhaustive bound; the generators are returned
-    either way.
+    the engine's size rule accepts the ring under bound (default
+    exhaustive_bound()); the generators are returned either way.
     """
     _pairing_twist(form, s)
     spec = construct_ring(p, r, s)
@@ -552,14 +575,14 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
             merged = sylow_merge(nested, dec)
             if not merged.is_zero():
                 gens.append(merged)
-    limit = exhaustive_bound() if bound is None else bound
-    ideal = None
-    if spec.char**(s * group.order) <= limit:
-        engine = ExhaustiveGroupRing(ring, limit)
-        acc = engine.zero_ideal()
-        for g in gens:
-            acc = engine.join(acc, engine.principal_ideal(g))
-        ideal = acc
+    engine = ExhaustiveGroupRing(ring, bound)
+    try:
+        engine._require_enumerable()
+    except BoundExceededError:
+        return SelfDualConstruction(p, r, s, group, form, tuple(gens), None)
+    ideal = engine.zero_ideal()
+    for g in gens:
+        ideal = engine.join(ideal, engine.principal_ideal(g))
     return SelfDualConstruction(p, r, s, group, form, tuple(gens), ideal)
 
 

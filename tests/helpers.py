@@ -1,15 +1,24 @@
-"""Shared test utilities: group generation, engine construction, oracles."""
+"""Shared test utilities: group generation, engine construction, oracles.
 
+The oracles are the slow definitions that the library's fast paths
+replaced; they live here because only tests call them.
+"""
+
+import math
 from functools import lru_cache
 from operator import mul
 
 from galcodes import AbelianGroup, construct_ring
-from galcodes.galois import GaloisRingElement, _lift_by_powering, generalized_frobenius
-from galcodes.group_ring import (DecomposedElement, GroupRing, ambient, compose_nested,
-                                 sylow_merge)
-from galcodes.groups import sylow_decompose
+from galcodes.cyclotomic import PairGoodness
+from galcodes.errors import DomainError
+from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
+                             generalized_frobenius)
+from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
+                                 GroupRingElement, _decompose, ambient, compose,
+                                 conjugate_involution, involution, sylow_merge)
+from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing
-from galcodes.numth import factorize
+from galcodes.numth import divisors, factorize, multiplicative_order
 
 
 def partitions(n: int):
@@ -136,3 +145,136 @@ def construct_by_nested_assembly(p, r, s, group, form=EUCLIDEAN):
         {i: (ring(i).zero(), ring(i).zero()) for i, _ in pairs})
     merged = (sylow_merge(compose_nested(g, p_group), dec) for g in (g1, g2))
     return tuple(g for g in merged if not g.is_zero())
+
+
+# -- number-theoretic and group oracles ----------------------------------------
+
+def classify_pair_scan(j: int, q: int) -> PairGoodness:
+    """Direct scan of t = 1..2*ord_j(q); independent oracle for classify_pair."""
+    if j < 1:
+        raise DomainError(f"j must be positive, got {j}")
+    if math.gcd(j, q) != 1:
+        raise DomainError(f"gcd({j}, {q}) != 1")
+    e = multiplicative_order(q, j) if j > 1 else 1
+    for t in range(1, 2 * e + 1):
+        if (pow(q, t, j) + 1) % j == 0:
+            return PairGoodness.ODDLY_GOOD if t % 2 else PairGoodness.EVENLY_GOOD
+    return PairGoodness.BAD
+
+
+def class_order(cls) -> int:
+    """Common additive order of the members of a cyclotomic class."""
+    return element_order(cls.group, cls.rep)
+
+
+def count_order_direct(group: AbelianGroup, d: int) -> int:
+    """Count elements of order d by full scan.  Oracle for the formula path."""
+    return order_census(group).get(d, 0)
+
+
+def group_divisor_orders(group: AbelianGroup) -> list[int]:
+    """Divisors of the exponent: the candidate element orders."""
+    return divisors(group.exponent)
+
+
+# -- element-level forms and pairings -------------------------------------------
+# The engine reads both forms off ExhaustiveGroupRing.form_coefficients; these
+# are their definitions on GroupRingElement.
+
+def form_euclidean(u: GroupRingElement, v: GroupRingElement):
+    """sum_g u_g * v_g, valued in the coefficient ring."""
+    u._require_same_ring(v)
+    acc = u.ring.coeff.zero()
+    for g, c in u.coeffs.items():
+        d = v.coeffs.get(g)
+        if d is not None:
+            acc = acc + c * d
+    return acc
+
+
+def form_hermitian(u: GroupRingElement, v: GroupRingElement):
+    """sum_g u_g * conj(v_g) with conj the half-degree Frobenius (s even)."""
+    u._require_same_ring(v)
+    spec = u.ring.coeff
+    if not isinstance(spec, GaloisRingSpec) or spec.s % 2:
+        raise DomainError("Hermitian form needs Galois-ring coefficients of even degree")
+    half = spec.s // 2
+    acc = spec.zero()
+    for g, c in u.coeffs.items():
+        d = v.coeffs.get(g)
+        if d is not None:
+            acc = acc + c * generalized_frobenius(d, half)
+    return acc
+
+
+def involution_pairing(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
+    """sum_b x_b * involution(y_b) for nested elements over P; valued in R."""
+    x._require_same_ring(y)
+    inner = x.ring.coeff
+    if not isinstance(inner, GroupRing):
+        raise DomainError("involution pairing expects nested coefficients")
+    acc = inner.zero()
+    for b, xb in x.coeffs.items():
+        yb = y.coeffs.get(b)
+        if yb is not None:
+            acc = acc + xb * involution(yb)
+    return acc
+
+
+def conjugate_involution_pairing(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
+    """sum_b x_b * conjugate_involution(y_b); valued in R."""
+    x._require_same_ring(y)
+    inner = x.ring.coeff
+    if not isinstance(inner, GroupRing):
+        raise DomainError("conjugate involution pairing expects nested coefficients")
+    acc = inner.zero()
+    for b, xb in x.coeffs.items():
+        yb = y.coeffs.get(b)
+        if yb is not None:
+            acc = acc + xb * conjugate_involution(yb)
+    return acc
+
+
+# -- the nested decomposition -------------------------------------------------------
+# The library composes the odd-r constructions in GR[A] directly; these apply
+# the decomposition coefficientwise over R[P], R = GR[A].
+
+def decompose_nested(x: GroupRingElement, ctx: AmbientDecomposition, pairing: str) -> DecomposedElement:
+    """Componentwise image of an element of R[P], R = GR[A].
+
+    Coefficients over P are decomposed one by one and regrouped, so each
+    class contributes an element of (component ring)[P]; pairs contribute
+    ordered pairs of such elements.
+    """
+    inner = x.ring.coeff
+    if not isinstance(inner, GroupRing):
+        raise DomainError("decompose_nested expects nested coefficients")
+    p_group = x.ring.group
+    single_idx, pair_idx = ctx.parts.layout(pairing)
+    per_b = {b: _decompose(xb, ctx, pairing) for b, xb in x.coeffs.items()}
+    parts = ctx.parts
+    singles = {}
+    for i in single_idx:
+        comp_ring = GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)
+        singles[i] = comp_ring.element({b: d.singles[i] for b, d in per_b.items()})
+    pairs = {}
+    for i, _ in pair_idx:
+        comp_ring = GroupRing(ctx.component_spec(parts.classes[i].cardinality), p_group)
+        pairs[i] = (comp_ring.element({b: d.pairs[i][0] for b, d in per_b.items()}),
+                    comp_ring.element({b: d.pairs[i][1] for b, d in per_b.items()}))
+    return DecomposedElement(ctx, pairing, singles, pairs)
+
+
+def compose_nested(dec: DecomposedElement, p_group: AbelianGroup) -> GroupRingElement:
+    """Inverse of decompose_nested."""
+    ctx = dec.context
+    inner = ctx.ring
+    outer = GroupRing(inner, p_group)
+    per_b: dict = {}
+    for b in p_group.elements():
+        singles = {i: v.coefficient(b) for i, v in dec.singles.items()}
+        pairs = {i: (v0.coefficient(b), v1.coefficient(b)) for i, (v0, v1) in dec.pairs.items()}
+        xb = compose(DecomposedElement(ctx, dec.pairing, singles, pairs))
+        if not xb.is_zero():
+            per_b[b] = xb
+    return GroupRingElement(outer, per_b)

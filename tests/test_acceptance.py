@@ -18,22 +18,21 @@ from contextlib import contextmanager
 import pytest
 
 from galcodes import (AbelianGroup, DomainError, GroupRing, PairGoodness,
-                      ambient, classify_pair, compose, compose_nested,
-                      construct_ring, construct_self_dual, cyclic_count_p2,
-                      decompose_euclidean, decompose_hermitian,
-                      decompose_nested, dft, enumerate_semisimple_selfdual,
-                      euclidean_abelian_count, euclidean_cyclic_count_n,
-                      euclidean_cyclic_count_p2, euclidean_semisimple_count,
-                      exists_self_dual, exhaustive_bound, form_euclidean,
-                      form_hermitian, hermitian_cyclic_count_p2, idft,
-                      involution, involution_pairing, partition,
-                      sylow_decompose, sylow_merge, sylow_split)
+                      ambient, classify_pair, compose, construct_ring,
+                      construct_self_dual, cyclic_count_p2,
+                      decompose_euclidean, decompose_hermitian, dft,
+                      enumerate_semisimple_selfdual, euclidean_abelian_count,
+                      euclidean_cyclic_count_n, euclidean_cyclic_count_p2,
+                      euclidean_semisimple_count, exists_self_dual,
+                      exhaustive_bound, hermitian_cyclic_count_p2, idft,
+                      involution, partition, sylow_decompose, sylow_merge,
+                      sylow_split)
 from galcodes.cyclotomic import TYPE_II, TYPE_III, TYPE_III_H, TYPE_II_H, TYPE_I
-from galcodes.group_ring import (DecomposedElement, conjugate_involution,
-                                 conjugate_involution_pairing)
-from galcodes.groups import (count_order_direct, count_order_formula,
-                             element_order, group_divisor_orders)
-from helpers import abelian_groups_up_to, engine
+from galcodes.group_ring import DecomposedElement, conjugate_involution
+from galcodes.groups import count_order_formula, element_order
+from helpers import (abelian_groups_up_to, compose_nested, conjugate_involution_pairing,
+                     count_order_direct, decompose_nested, engine, form_euclidean,
+                     form_hermitian, group_divisor_orders, involution_pairing)
 
 SEED = 20260819
 

@@ -5,17 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from galcodes.cyclotomic import (PairGoodness, TYPE_I, TYPE_II, TYPE_II_H,
                                  TYPE_III, TYPE_III_H, bad_pair_indicator,
-                                 class_of, class_order, classify_euclidean,
+                                 class_of, classify_euclidean,
                                  classify_hermitian, classify_pair,
-                                 classify_pair_scan, even_pair_indicator,
-                                 partition)
+                                 even_pair_indicator, partition)
 from galcodes.counting import exists_self_dual, hermitian_abelian_count
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring
-from galcodes.group_ring import GroupRing, ambient, decompose_nested
+from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual
-from helpers import engine
+from helpers import class_order, classify_pair_scan, decompose_nested, engine
 
 
 # -- single classes ---------------------------------------------------------------

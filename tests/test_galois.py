@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
-from galcodes.galois import (_MAX_DLOG_TABLE, _embedding_exponent,
-                             _lift_by_powering, _primitive_polynomial, construct_ring,
-                             element_text, embed, generalized_frobenius, modulus_text,
+from galcodes.galois import (_EMBED_EXPONENT, _MAX_DLOG_TABLE, GaloisRingSpec,
+                             _embedding_exponent, _lift_by_powering,
+                             _primitive_polynomial, construct_ring, element_text,
+                             embed, generalized_frobenius, modulus_text,
                              parse_element, parse_ring_name, ring_name, root_of_unity,
                              teichmuller_digits, teichmuller_lift, unembed)
 from galcodes.numth import is_prime
@@ -248,6 +249,23 @@ def test_untabulated_ring_refuses_every_table_operation():
     xi = spec.xi
     assert xi**(spec.residue_size - 1) == spec.one()
     assert xi.residue() == spec._x().residue()
+
+
+@pytest.mark.parametrize("direction", ["embed", "unembed"])
+def test_embedding_above_the_table_bound_refuses_before_caching(direction, monkeypatch):
+    # a fresh GR(2^2, 22) and no cached exponent, so that nothing another
+    # test left behind can stand in for the work the refusal must skip
+    big = GaloisRingSpec(2, 2, 22, construct_ring(2, 2, 22).modulus)
+    small = construct_ring(2, 2, 2)
+    monkeypatch.delitem(_EMBED_EXPONENT, (2, 2, 2, 22), raising=False)
+    before = dict(_EMBED_EXPONENT)
+    with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
+        if direction == "embed":
+            embed(small.xi, big)
+        else:
+            unembed(big.one(), small)
+    assert _EMBED_EXPONENT == before
+    assert big._xi is None
 
 
 # -- Frobenius -------------------------------------------------------------------

@@ -7,15 +7,13 @@ from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement, ambient,
-                                 compose, compose_nested, conjugate,
-                                 conjugate_involution,
-                                 conjugate_involution_pairing,
-                                 decompose_euclidean, decompose_hermitian,
-                                 decompose_nested, dft, element_text,
-                                 form_euclidean, form_hermitian, idft,
-                                 involution, involution_pairing, parse_element,
+                                 compose, conjugate, conjugate_involution,
+                                 decompose_euclidean, decompose_hermitian, dft,
+                                 element_text, idft, involution, parse_element,
                                  sylow_merge, sylow_split)
 from galcodes.groups import AbelianGroup, sylow_decompose
+from helpers import (compose_nested, conjugate_involution_pairing, decompose_nested,
+                     form_euclidean, form_hermitian, involution_pairing)
 
 Z4 = construct_ring(2, 2, 1)
 Z2_GROUP = AbelianGroup((2,))

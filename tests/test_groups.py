@@ -3,11 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from galcodes.errors import BoundExceededError, DomainError
 from galcodes.groups import (AbelianGroup, character_exponent,
-                             count_order_direct, count_order_formula,
-                             element_order, element_text, format_group,
-                             group_divisor_orders, order_census, parse_group,
+                             count_order_formula, element_order, element_text,
+                             format_group, order_census, parse_group,
                              parse_group_element, sylow_decompose)
-from helpers import abelian_groups_up_to
+from helpers import abelian_groups_up_to, count_order_direct, group_divisor_orders
 
 
 def test_group_basics():
