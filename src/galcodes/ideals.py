@@ -76,8 +76,9 @@ class ExhaustiveGroupRing:
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
         self._ppow = [self.p**i for i in range(self.r + 1)]
-        self._unit_inv = {u: pow(u, -1, self.m)
-                          for u in range(1, self.m) if u % self.p}
+        # unit inverses mod p^r, filled as the echelon step meets them:
+        # a full table costs O(p^r), and constructing an engine must not
+        self._unit_inv: dict[int, int] = {}
         # x^s = -(low coefficients of the modulus)
         self._xtail = tuple(-c % self.m for c in spec.modulus[:-1])
         # form(u, e_(g,j)) = u_g * y(x)^j, y the Frobenius power h of the
@@ -231,7 +232,9 @@ class ExhaustiveGroupRing:
                 v //= p
                 e += 1
             if v != 1:
-                u = inv[v]
+                u = inv.get(v)
+                if u is None:
+                    u = inv[v] = pow(v, -1, m)
                 row = [a * u % m for a in row]
             cur = pivots[c]
             if cur is None:

@@ -128,16 +128,18 @@ def test_cached_brute_count_is_refused_under_a_smaller_bound():
         BruteForceProvider(bound=64).count(2, 2, 1, group, "euclidean")
 
 
-@pytest.mark.parametrize("p_group, size", [("Z64xZ64", "2^12288"), ("Z64xZ128", "2^24576")])
-def test_auto_fall_through_refuses_fast_naming_size_and_bound(monkeypatch, p_group, size):
-    # GR(2^3,1)[P] has no closed form; the brute-force engine refuses it at
-    # once, and names sizes too long to print in decimal as powers
+@pytest.mark.parametrize("r, p_group, size", [
+    (3, "Z64xZ64", "2^12288"), (3, "Z64xZ128", "2^24576"), (40, "Z2", "2^80")])
+def test_auto_fall_through_refuses_fast_naming_size_and_bound(monkeypatch, r, p_group, size):
+    # GR(2^r,1)[P] has no closed form; the brute-force engine refuses it at
+    # once, whether |P| or p^r is large, and names sizes too long to print
+    # in decimal as powers
     monkeypatch.delenv("GALCODES_MAX_RING_SIZE", raising=False)
     start = time.perf_counter()
     with pytest.raises(ProviderDomainError) as err:
-        euclidean_abelian_count(2, 3, 1, TRIVIAL, parse_group(p_group))
+        euclidean_abelian_count(2, r, 1, TRIVIAL, parse_group(p_group))
     assert time.perf_counter() - start < 1
-    assert (f"GR(2^3,1)[{p_group}] unavailable: ring size {size} exceeds the bound 65536"
+    assert (f"GR(2^{r},1)[{p_group}] unavailable: ring size {size} exceeds the bound 65536"
             in str(err.value))
 
 

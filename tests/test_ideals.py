@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -292,6 +293,17 @@ def test_construct_beyond_bound_returns_generators_only():
     out = construct_self_dual(2, 2, 1, AbelianGroup((2,)), bound=8)
     assert out.ideal is None
     assert len(out.generators) == 1
+
+
+def test_construct_large_r_returns_generators_at_once(monkeypatch):
+    # p^r = 2^41: the engine's size rule refuses without walking Z_{p^r}
+    monkeypatch.delenv(BOUND_ENV_VAR, raising=False)
+    group = AbelianGroup((2,))
+    start = time.perf_counter()
+    out = construct_self_dual(2, 41, 1, group)
+    assert time.perf_counter() - start < 1
+    assert out.ideal is None
+    assert out.generators == construct_by_nested_assembly(2, 41, 1, group, EUCLIDEAN)
 
 
 def test_construct_odd_r_nontrivial_coprime_part():
