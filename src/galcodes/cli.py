@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from functools import reduce
 
 from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
@@ -119,18 +120,31 @@ def _breakdown_rows(report):
             for f in report.factors]
 
 
+@contextmanager
+def _uncapped_int_text():
+    """Lift the int -> str digit cap (4300, where the build has one) in the block."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(cap)
+
+
 def _cmd_count(args) -> int:
     group, coprime, p_part = _split_group(args.p, args.group)
     report = _count_report(args.p, args.r, args.s, coprime, p_part,
                            args.dual, args.provider)
-    if args.json:
-        _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                    "group": format_group(group), "dual": args.dual,
-                    "provider": args.provider},
-                   {"count": report.count, "provider": report.provider},
-                   _breakdown_rows(report))
-    else:
-        print(report.count)
+    with _uncapped_int_text():
+        if args.json:
+            _emit_json({"p": args.p, "r": args.r, "s": args.s,
+                        "group": format_group(group), "dual": args.dual,
+                        "provider": args.provider},
+                       {"count": report.count, "provider": report.provider},
+                       _breakdown_rows(report))
+        else:
+            print(report.count)
     return 0
 
 

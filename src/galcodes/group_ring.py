@@ -22,6 +22,11 @@ when these differ (type III / type III') the two values form an ordered
 pair whose second member is the value at -p^h * a twisted by the
 Frobenius power -h.  The twist makes the pairing's involution (support
 reversal, conjugated when h = s/2) act on the pair as a plain swap.
+
+class_idempotents tabulates the primitive idempotent e_C of each class C
+(transform 1 on C, 0 elsewhere) on first use, in one sweep that costs one
+idft; the table holds at most #classes * |A| coefficients and lives as long
+as its ambient context.  An integer c at the slot of C pulls back to c * e_C.
 """
 
 from __future__ import annotations
@@ -257,6 +262,7 @@ class AmbientDecomposition:
             pows.append(pows[-1] * zeta)
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
+        self._idempotents = None  # built by class_idempotents on first use
 
     def component_spec(self, nu: int) -> GaloisRingSpec:
         return construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
@@ -318,6 +324,23 @@ def idft(spec: Spectrum) -> GroupRingElement:
             acc = acc + v * ctx.zeta_pows[e]
         out[a] = unembed(acc * ctx.inv_group_order, ctx.spec)
     return ctx.ring.element(out)
+
+
+def class_idempotents(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
+    """The idempotent e_C of each class C, in partition order: its
+    coefficient at a is |A|^(-1) * sum over h in C of zeta^(-gamma_h(a))."""
+    if ctx._idempotents is None:
+        group, M, zero = ctx.group, ctx.exponent, ctx.big.zero()
+        table = []
+        for cls in ctx.parts.classes:
+            coeffs = {}
+            for a in group.elements():
+                acc = sum((ctx.zeta_pows[-character_exponent(group, h, a) % M]
+                           for h in cls.elements), zero)
+                coeffs[a] = unembed(acc * ctx.inv_group_order, ctx.spec)
+            table.append(ctx.ring.element(coeffs))
+        ctx._idempotents = tuple(table)
+    return ctx._idempotents
 
 
 def _pairing_rule(ctx: AmbientDecomposition, pairing: str):

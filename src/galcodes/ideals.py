@@ -32,8 +32,8 @@ from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-e
 from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
 from .groups import AbelianGroup, sylow_decompose
-from .group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                         GroupRingElement, ambient, compose, sylow_merge)
+from .group_ring import (GroupRing, GroupRingElement, ambient, class_idempotents,
+                         sylow_merge)
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
@@ -506,20 +506,6 @@ class Ideal:
 # -- constructive self-dual codes ----------------------------------------------
 
 
-def _compose_ints(ctx: AmbientDecomposition, pairing: str,
-                  singles: dict, pairs: dict) -> GroupRingElement:
-    """Pull integer components back to GR[A]: singles[i] at single slot i,
-    the pair pairs[i] at pair slot i, zero at every slot not listed."""
-    single_idx, pair_idx = ctx.parts.layout(pairing)
-
-    def at(i, value):
-        return ctx.component_spec(ctx.parts.classes[i].cardinality).from_int(value)
-
-    return compose(DecomposedElement(
-        ctx, pairing, {i: at(i, singles.get(i, 0)) for i in single_idx},
-        {i: tuple(at(i, v) for v in pairs.get(i, (0, 0))) for i, _ in pair_idx}))
-
-
 @dataclass(frozen=True)
 class SelfDualConstruction:
     """Output of construct_self_dual: generators, and the ideal if small enough."""
@@ -546,8 +532,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     2^r' K[P] + 2^(r'-1) K[P] (Y^x + 1) with r = 2r' - 1 and x of order 2
     in P, while each paired component carries (everything, zero).  Both
     generators are constant over P apart from the factor Y^x + 1, so each
-    is one composed element of GR[A] placed at Y^0 (and Y^x) and merged
-    back along the Sylow decomposition.  The ideal is materialized when
+    is one sum of class idempotents of GR[A], placed at Y^0 (and Y^x) and
+    merged back along the Sylow decomposition.  The ideal is materialized when
     the engine's size rule accepts the ring under bound (default
     exhaustive_bound()); the generators are returned either way.
     """
@@ -569,8 +555,9 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         # least one is nontrivial since |G| is even
         x2 = tuple((f // 2 if k == 0 else 0) for k, f in enumerate(p_group.factors))
         rp = (r + 1) // 2
-        g1 = _compose_ints(ctx, form, {i: p**rp for i in singles}, {i: (1, 0) for i, _ in pairs})
-        g2 = _compose_ints(ctx, form, {i: p**(rp - 1) for i in singles}, {})
+        e = class_idempotents(ctx)
+        g2 = sum((e[i] for i in singles), ctx.ring.zero()) * p**(rp - 1)
+        g1 = g2 * p + sum((e[i] for i, _ in pairs), ctx.ring.zero())
         outer = GroupRing(ctx.ring, p_group)
         gens = []
         for nested in (outer.element({p_group.identity: g1}),
@@ -623,14 +610,10 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     count = (r + 1)**len(pairs)
     reps = []
     if max_representatives is None or count <= max_representatives:
-        # compose is Z-linear, so p^exp at a slot pulls back to p^exp times
-        # the slot's unit idempotent: one compose per slot, not per choice
-        single_gens = [_compose_ints(ctx, form, {i: p**(r // 2)}, {}) for i in singles]
+        e = class_idempotents(ctx)
+        single_gens = [e[i] * p**(r // 2) for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r
-        ladders = []
-        for i, _ in pairs:
-            units = [_compose_ints(ctx, form, {}, {i: unit}) for unit in ((1, 0), (0, 1))]
-            ladders.append([[u * p**exp for exp in range(r)] for u in units])
+        ladders = [[[e[k] * p**exp for exp in range(r)] for k in pair] for pair in pairs]
         for choice in itertools.product(range(r + 1), repeat=len(pairs)):
             gens = list(single_gens)
             for ladder, w in zip(ladders, choice):

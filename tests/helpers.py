@@ -116,6 +116,20 @@ def dual_by_scan(eng, code, form=EUCLIDEAN):
     return eng.ideal_from_rows(rows)
 
 
+def compose_ints_by_transform(ctx, pairing, singles, pairs):
+    """Integer components pulled back to GR[A] through compose, the oracle
+    for sums of class idempotents: singles[i] at single slot i, the pair
+    pairs[i] at pair slot i, zero at every slot not listed."""
+    single_idx, pair_idx = ctx.parts.layout(pairing)
+
+    def at(i, value):
+        return ctx.component_spec(ctx.parts.classes[i].cardinality).from_int(value)
+
+    return compose(DecomposedElement(
+        ctx, pairing, {i: at(i, singles.get(i, 0)) for i in single_idx},
+        {i: tuple(at(i, v) for v in pairs.get(i, (0, 0))) for i, _ in pair_idx}))
+
+
 def construct_by_nested_assembly(p, r, s, group, form=EUCLIDEAN):
     """Generators of the odd-r self-dual construction, assembled over P.
 

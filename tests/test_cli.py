@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
-from galcodes.cli import main
-from galcodes.groups import parse_group
+from galcodes.cli import _uncapped_int_text, main
+from galcodes.counting import abelian_count
+from galcodes.groups import AbelianGroup, parse_group
 
 
 def run(capsys, *argv):
@@ -34,6 +36,24 @@ def test_count_total(capsys):
                        "--group", "Z2", "--dual", "none")
     assert code == 0
     assert out == "7\n"
+
+
+def test_count_above_the_int_text_cap(capsys):
+    # the count has 5292 digits, over the interpreter's default cap of 4300
+    group = "x".join(["Z3"] * 8)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    argv = ("count", "--p", "2", "--r", "40", "--group", group, "--dual", "none")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    code, json_out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    # the cap is lifted for the output only
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+    want = abelian_count(2, 40, 1, AbelianGroup((3,) * 8)).count
+    with _uncapped_int_text():
+        assert len(str(want)) > 4300
+        assert out == f"{want}\n"
+        assert json.loads(json_out)["result"]["count"] == want
 
 
 def test_count_trivial_group_z1(capsys):

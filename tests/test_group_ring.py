@@ -6,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement, ambient,
+from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
+                                 _ambient_cached, ambient, class_idempotents,
                                  compose, conjugate, conjugate_involution,
                                  decompose_euclidean, decompose_hermitian, dft,
                                  element_text, idft, involution, parse_element,
                                  sylow_merge, sylow_split)
 from galcodes.groups import AbelianGroup, sylow_decompose
-from helpers import (compose_nested, conjugate_involution_pairing, decompose_nested,
-                     form_euclidean, form_hermitian, involution_pairing)
+from helpers import (compose_ints_by_transform, compose_nested, conjugate_involution_pairing,
+                     decompose_nested, form_euclidean, form_hermitian, involution_pairing)
 
 Z4 = construct_ring(2, 2, 1)
 Z2_GROUP = AbelianGroup((2,))
@@ -416,6 +417,80 @@ def test_hermitian_decomposition_needs_even_degree():
     ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
     with pytest.raises(DomainError, match="even degree"):
         decompose_hermitian(ctx.ring.one(), ctx)
+
+
+# -- class idempotents ----------------------------------------------------------------------------
+
+# the ambient contexts of the spectral benchmark: its round-trip rings and
+# families, and the coprime parts of its odd-r constructions
+TABLE_CONTEXTS = sorted({
+    (2, 2, 1, (3,)), (2, 2, 1, (7,)), (2, 2, 2, (3,)), (2, 2, 2, (5,)), (3, 2, 1, (4,)),
+    (3, 2, 2, (4,)), (2, 2, 1, (9,)), (5, 2, 1, (3,)), (3, 2, 1, (8,)), (2, 4, 2, (3, 3)),
+    (2, 3, 1, (5,)), (2, 1, 1, (7,)),
+    (2, 2, 1, (15,)), (2, 4, 1, (7,)), (3, 2, 2, (5,)), (2, 2, 2, (7,)), (3, 2, 1, (13,)),
+    (5, 2, 1, (12,)), (2, 2, 2, (9,)),
+    *((p, r, s, sylow_decompose(AbelianGroup(g), p).coprime_part.factors)
+      for p, r, s, g in ((2, 1, 1, (6,)), (2, 1, 1, (2, 7)), (2, 3, 1, (14,)),
+                         (2, 1, 2, (2, 3)), (2, 3, 2, (2, 5)), (2, 1, 1, (4, 5)),
+                         (2, 1, 1, (2, 9)), (2, 3, 1, (4, 3)), (2, 1, 1, (2, 15)),
+                         (2, 1, 2, (2, 7)), (2, 1, 1, (2, 2, 3)))),
+})
+TABLE_LAYOUTS = [(case, layout) for case in TABLE_CONTEXTS
+                 for layout in (("euclidean", "hermitian") if case[2] % 2 == 0 else ("euclidean",))]
+
+
+def table_ctx(p, r, s, factors):
+    return ambient(construct_ring(p, r, s), AbelianGroup(factors))
+
+
+@pytest.mark.parametrize("case, layout", TABLE_LAYOUTS)
+def test_class_idempotents_are_the_transform_units(case, layout):
+    ctx = table_ctx(*case)
+    table = class_idempotents(ctx)
+    assert len(table) == len(ctx.parts.classes)
+    singles, pairs = ctx.parts.layout(layout)
+    for i in singles:
+        assert table[i] == compose_ints_by_transform(ctx, layout, {i: 1}, {})
+    for i, j in pairs:
+        assert table[i] == compose_ints_by_transform(ctx, layout, {}, {i: (1, 0)})
+        assert table[j] == compose_ints_by_transform(ctx, layout, {}, {i: (0, 1)})
+
+
+@pytest.mark.parametrize("case, layout", TABLE_LAYOUTS)
+def test_class_idempotent_decomposes_to_its_unit_slot(case, layout):
+    ctx = table_ctx(*case)
+    table = class_idempotents(ctx)
+    singles, pairs = ctx.parts.layout(layout)
+
+    def at(i, hit):
+        spec = ctx.component_spec(ctx.parts.classes[i].cardinality)
+        return spec.one() if hit else spec.zero()
+
+    decompose = decompose_euclidean if layout == "euclidean" else decompose_hermitian
+    for k, e in enumerate(table):
+        want = DecomposedElement(ctx, layout, {i: at(i, i == k) for i in singles},
+                                 {i: (at(i, i == k), at(i, j == k)) for i, j in pairs})
+        assert decompose(e, ctx) == want
+
+
+@pytest.mark.parametrize("case", TABLE_CONTEXTS)
+def test_class_idempotents_are_orthogonal_and_sum_to_one(case):
+    ctx = table_ctx(*case)
+    table = class_idempotents(ctx)
+    for i, e in enumerate(table):
+        for j, f in enumerate(table):
+            assert e * f == (e if i == j else ctx.ring.zero())
+    assert sum(table, ctx.ring.zero()) == ctx.ring.one()
+
+
+def test_class_idempotents_are_built_on_first_use_and_kept():
+    # the uncached constructor behind ambient(), so no earlier test built the table
+    ctx = _ambient_cached.__wrapped__(2, 2, 1, (7,))
+    assert ctx._idempotents is None
+    table = class_idempotents(ctx)
+    assert class_idempotents(ctx) is table
+    assert ctx._idempotents is table
+    assert class_idempotents(table_ctx(2, 2, 1, (7,))) is class_idempotents(table_ctx(2, 2, 1, (7,)))
 
 
 # -- text format ----------------------------------------------------------------------------------

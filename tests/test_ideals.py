@@ -11,10 +11,10 @@ from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
-                             HERMITIAN, ExhaustiveGroupRing, _compose_ints,
-                             construct_self_dual, enumerate_semisimple_selfdual,
-                             exhaustive_bound)
-from helpers import construct_by_nested_assembly, dual_by_scan, engine
+                             HERMITIAN, ExhaustiveGroupRing, construct_self_dual,
+                             enumerate_semisimple_selfdual, exhaustive_bound)
+from helpers import (compose_ints_by_transform, construct_by_nested_assembly, dual_by_scan,
+                     engine)
 
 
 def join_all(eng, gens):
@@ -369,13 +369,13 @@ def test_semisimple_representatives_match_per_choice_construction(p, r, s, facto
     singles, pairs = ctx.parts.layout(form)
     want = []
     for choice in itertools.product(range(r + 1), repeat=len(pairs)):
-        # one compose per generator, at its exact scale
-        gens = [_compose_ints(ctx, form, {i: p**(r // 2)}, {}) for i in singles]
+        # one transform per generator, at its exact scale
+        gens = [compose_ints_by_transform(ctx, form, {i: p**(r // 2)}, {}) for i in singles]
         for (i, _), w in zip(pairs, choice):
             for member, exp in ((0, w), (1, r - w)):
                 if exp < r:
                     pair = (p**exp, 0) if member == 0 else (0, p**exp)
-                    gens.append(_compose_ints(ctx, form, {}, {i: pair}))
+                    gens.append(compose_ints_by_transform(ctx, form, {}, {i: pair}))
         want.append(tuple(gens))
     fam = enumerate_semisimple_selfdual(p, r, s, group, form)
     assert fam.representatives == tuple(want)
