@@ -353,8 +353,11 @@ def _cmd_verify(args) -> int:
         t0 = time.monotonic()
         try:
             ov = oracle()
-        except BoundExceededError:
-            continue  # this oracle would walk more ring elements than the bound
+        except BoundExceededError as exc:
+            # this oracle would walk more ring elements than the bound
+            records.append({"check": check, "parameters": params, "oracle_kind": kind,
+                            "status": "skip", "reason": str(exc)})
+            continue
         fv = formula()
         elapsed = time.monotonic() - t0
         records.append({"check": check, "parameters": params,
@@ -362,25 +365,31 @@ def _cmd_verify(args) -> int:
                         "status": "pass" if fv == ov else "fail",
                         "elapsed": elapsed})
     failed = sum(1 for rec in records if rec["status"] == "fail")
+    skipped = sum(1 for rec in records if rec["status"] == "skip")
+    ran = len(records) - skipped
     if args.json:
         for rec in records:
             if not args.timings:
-                del rec["elapsed"]
+                rec.pop("elapsed", None)
         _emit_json({"max_ring_size": bound},
-                   {"total": len(records), "passed": len(records) - failed,
-                    "failed": failed,
+                   {"total": len(records), "passed": ran - failed,
+                    "failed": failed, "skipped": skipped,
                     "status": "fail" if failed else "pass"},
                    records)
     else:
         for rec in records:
             pstr = " ".join(f"{k}={v}" for k, v in rec["parameters"].items())
+            if rec["status"] == "skip":
+                print(f'SKIP {rec["check"]} {pstr} oracle="{rec["oracle_kind"]}": '
+                      f'{rec["reason"]}')
+                continue
             line = (f'{rec["status"].upper():4s} {rec["check"]} {pstr} '
                     f'formula={rec["formula"]} oracle={rec["oracle"]} '
                     f'oracle="{rec["oracle_kind"]}"')
             if args.timings:
                 line += f' elapsed={rec["elapsed"]:.2f}s'
             print(line)
-        print(f"{len(records) - failed}/{len(records)} checks passed")
+        print(f"{ran - failed}/{ran} checks passed, {skipped} skipped")
     return 1 if failed else 0
 
 

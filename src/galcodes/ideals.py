@@ -13,7 +13,11 @@ algebra over Z_{p^r}, polynomial in s*|G|, and run at any ring size.  Only
 the work that walks all p^(r*s*|G|) ring elements, enumerating the ideals
 (ideal_stream and everything built on it) and listing an ideal's
 elements, refuses rings larger than the exhaustive bound (environment
-variable GALCODES_MAX_RING_SIZE, default 2^16).
+variable GALCODES_MAX_RING_SIZE, default 2^16).  The enumeration takes
+one principal ideal per orbit of generators under the unit scalars of
+Z_{p^r} and the shifts Y^g, since an orbit spans one ideal, and closes
+the found ideals under joins with principal ideals only, since every
+ideal is a sum of principal ideals.
 
 Also hosts the two constructive results: a self-dual code built whenever
 the existence criterion allows one, and the componentwise enumeration of
@@ -123,19 +127,21 @@ class ExhaustiveGroupRing:
         return self._index
 
     def _perms(self) -> tuple[tuple[int, ...], ...]:
-        """For each g, the digit permutation of multiplication by Y^g."""
+        """For each g, the digit permutation of multiplication by Y^g.
+
+        Entry t of the permutation of g is the digit that lands at t: the
+        block of group element t - g, found factor by factor by rotating
+        that factor's coordinate of the lexicographic index.
+        """
         if self._shifts is None:
-            index = self._group_index()
-            elems = self.group.elements()
+            factors = self.group.factors
             s = self.s
             perms = []
-            for g in elems:
-                perm = [0] * self.n
-                for i, h in enumerate(elems):
-                    target = index[self.group.add(h, g)]
-                    for j in range(s):
-                        perm[target * s + j] = i * s + j
-                perms.append(tuple(perm))
+            for g in self.group.elements():
+                blocks = [0]
+                for f, c in zip(factors, g):
+                    blocks = [b * f + (d - c) % f for b in blocks for d in range(f)]
+                perms.append(tuple(b * s + j for b in blocks for j in range(s)))
             self._shifts = tuple(perms)
         return self._shifts
 
@@ -290,29 +296,58 @@ class ExhaustiveGroupRing:
         self._check_ideal(b)
         return self.ideal_from_rows(a.basis + b.basis)
 
+    def _orbit_least(self, vec, moves) -> bool:
+        """True when no u * Y^g * vec has a smaller encoding than vec.
+
+        moves lists the (perm, u) pairs of the unit scalars and shifts,
+        the identity left out.  Digits are compared from the most
+        significant down, so most candidates are settled by the first.
+        """
+        m = self.m
+        top = range(self.n - 1, -1, -1)
+        for perm, u in moves:
+            for i in top:
+                a = u * vec[perm[i]] % m
+                if a != vec[i]:
+                    if a < vec[i]:
+                        return False
+                    break
+        return True
+
     def ideal_stream(self):
         """Every ideal exactly once: principal ideals, then join closure.
 
-        The principal scan walks every ring element, so rings above the
-        bound are refused (on the first next()) before any ideal is yielded.
+        Every u * Y^g * v, u a unit of Z_{p^r}, spans the ideal of v, so
+        the scan takes the principal ideal of v only when v has the least
+        encoding in that orbit; the least generator of each principal
+        ideal always has, so the principal ideals come in the order of a
+        full scan.  Every ideal is the sum of the principal ideals of its
+        basis rows, so the closure joins each found ideal with the
+        principal ideals only.  The scan walks every ring element, so
+        rings above the bound are refused (on the first next()) before
+        any ideal is yielded.
         """
         self._require_enumerable()
-        seen: dict = {}
-        found: list[Ideal] = []
+        units = [u for u in range(1, self.m) if u % self.p]
+        # the first pair is (Y^0, 1), which fixes every vector
+        moves = [(perm, u) for perm in self._perms() for u in units][1:]
+        seen: set = set()
+        principal: list[Ideal] = []
         for k in range(self.ring_size):
-            ideal = self.principal_ideal(self.decode_vector(k))
+            vec = self.decode_vector(k)
+            if not self._orbit_least(vec, moves):
+                continue
+            ideal = self.principal_ideal(vec)
             if ideal.basis not in seen:
-                seen[ideal.basis] = ideal
-                found.append(ideal)
+                seen.add(ideal.basis)
+                principal.append(ideal)
                 yield ideal
-        i = 0
-        while i < len(found):
-            a = found[i]
-            i += 1
-            for j in range(len(found)):
-                joined = self.join(a, found[j])
+        found = list(principal)
+        for a in found:  # found grows as the loop runs
+            for b in principal:
+                joined = self.join(a, b)
                 if joined.basis not in seen:
-                    seen[joined.basis] = joined
+                    seen.add(joined.basis)
                     found.append(joined)
                     yield joined
 

@@ -70,6 +70,71 @@ def engine(p: int, r: int, s: int, factors: tuple, bound: int | None = None):
     return ExhaustiveGroupRing(ring, bound)
 
 
+# -- ideal enumeration oracles ----------------------------------------------------
+
+def perms_by_group_add(eng):
+    """For each g, the digit permutation of multiplication by Y^g, built
+    from group addition and an index lookup per pair (g, h): the oracle
+    for the engine's index arithmetic."""
+    elems = eng.group.elements()
+    index = {g: i for i, g in enumerate(elems)}
+    s = eng.s
+    perms = []
+    for g in elems:
+        perm = [0] * eng.n
+        for i, h in enumerate(elems):
+            target = index[eng.group.add(h, g)]
+            for j in range(s):
+                perm[target * s + j] = i * s + j
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+def ideals_by_full_scan(eng):
+    """Every ideal by the definition: the principal ideal of every ring
+    element in encoding order, then joins of every pair of found ideals
+    until nothing new appears.  Returns the Howell bases as two lists:
+    the principal ideals in order of first appearance, then the rest."""
+    seen = set()
+    found = []
+    for k in range(eng.ring_size):
+        ideal = eng.principal_ideal(eng.decode_vector(k))
+        if ideal.basis not in seen:
+            seen.add(ideal.basis)
+            found.append(ideal)
+    principal = len(found)
+    i = 0
+    while i < len(found):
+        a = found[i]
+        i += 1
+        for j in range(len(found)):
+            joined = eng.join(a, found[j])
+            if joined.basis not in seen:
+                seen.add(joined.basis)
+                found.append(joined)
+    bases = [c.basis for c in found]
+    return bases[:principal], bases[principal:]
+
+
+def orbit_least_vectors(eng):
+    """The least-encoded vector of each orbit of Z_{p^r}^x x G acting by
+    u * Y^g, in encoding order, found by marking every orbit in full."""
+    units = [u for u in range(1, eng.m) if u % eng.p]
+    perms = perms_by_group_add(eng)
+    marked = set()
+    least = []
+    for k in range(eng.ring_size):
+        if k in marked:
+            continue
+        vec = eng.decode_vector(k)
+        least.append(vec)
+        for perm in perms:
+            shifted = [vec[i] for i in perm]
+            for u in units:
+                marked.add(eng.encode_vector([u * d % eng.m for d in shifted]))
+    return least
+
+
 def digits_by_powering(a):
     """Teichmuller digits by their definition, the oracle for the table
     lookups: a_0 is the powering lift of a mod p and the recursion

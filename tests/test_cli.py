@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -234,19 +235,32 @@ def test_verify_small_bound(capsys):
     code, out, _ = run(capsys, "verify", "--max-ring-size", "1024")
     assert code == 0
     lines = out.splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    total = lines[-1]
-    assert total.endswith("checks passed")
-    passed, _, ran = total.split()[0].partition("/")
-    assert passed == ran and int(passed) > 20
+    passed = [line for line in lines[:-1] if line.startswith("PASS")]
+    skipped = [line for line in lines[:-1] if line.startswith("SKIP")]
+    assert len(passed) + len(skipped) == len(lines) - 1
+    assert len(passed) > 20 and skipped
+    for line in skipped:
+        size, bound = re.search(r"\|ring\| = (\d+) exceeds the exhaustive bound (\d+)$",
+                                line).groups()
+        assert int(size) > int(bound) == 1024
+    assert lines[-1] == f"{len(passed)}/{len(passed)} checks passed, {len(skipped)} skipped"
 
 
 def test_verify_json(capsys):
     doc = run_json(capsys, "verify", "--max-ring-size", "256", "--json")
-    assert doc["result"]["failed"] == 0
-    assert doc["result"]["status"] == "pass"
-    assert doc["result"]["total"] == len(doc["breakdown"])
+    result = doc["result"]
+    assert result["failed"] == 0
+    assert result["status"] == "pass"
+    assert result["total"] == len(doc["breakdown"])
+    skipped = [rec for rec in doc["breakdown"] if rec["status"] == "skip"]
+    assert result["skipped"] == len(skipped) > 0
+    assert result["passed"] == result["total"] - result["skipped"]
     for rec in doc["breakdown"]:
+        if rec["status"] == "skip":
+            assert rec["reason"].endswith("exceeds the exhaustive bound 256")
+            assert _ring_size(rec["parameters"]) > 256
+            assert "formula" not in rec and "oracle" not in rec
+            continue
         assert rec["status"] == "pass"
         assert rec["formula"] == rec["oracle"]
         assert "elapsed" not in rec
@@ -277,8 +291,10 @@ def test_verify_runs_decomposition_at_every_size(capsys):
                   if rec["oracle_kind"] == "decomposition enumeration" and rec["status"] == "pass"]
     assert [tuple(params.values()) for params in decomposed] == SEMISIMPLE_ROWS
     assert max(map(_ring_size, decomposed)) == 5**24
-    joined = [rec["parameters"] for rec in recs if rec["oracle_kind"] == "join-closure brute force"]
-    assert joined and all(_ring_size(params) <= 64 for params in joined)
+    joined = [rec for rec in recs if rec["oracle_kind"] == "join-closure brute force"]
+    assert all((_ring_size(rec["parameters"]) <= 64) == (rec["status"] == "pass")
+               for rec in joined)
+    assert any(rec["status"] == "pass" for rec in joined)
 
 
 def test_verify_timings_flag(capsys):

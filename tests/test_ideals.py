@@ -13,8 +13,9 @@ from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
                              HERMITIAN, ExhaustiveGroupRing, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
-from helpers import (compose_ints_by_transform, construct_by_nested_assembly, dual_by_scan,
-                     engine)
+from helpers import (abelian_groups_up_to, compose_ints_by_transform,
+                     construct_by_nested_assembly, dual_by_scan, engine, ideals_by_full_scan,
+                     orbit_least_vectors, perms_by_group_add)
 
 
 def join_all(eng, gens):
@@ -172,6 +173,58 @@ def test_howell_basis_is_canonical():
         assert forward.basis == backward.basis
         a, b = eng.principal_ideal(x), eng.principal_ideal(y)
         assert eng.join(a, b) == eng.join(b, a) == forward
+
+
+# every ring of at most 2^12 elements with p in {2, 3}, r <= 3 and s <= 2,
+# then the rings of the ideal_enum benchmark that lie above 2^12
+STREAM_RINGS = [(p, r, s, group.factors)
+                for p in (2, 3) for r in (1, 2, 3) for s in (1, 2)
+                for group in abelian_groups_up_to(12)
+                if p**(r * s * group.order) <= 1 << 12]
+STREAM_RINGS += [ring for ring in [
+    (2, 2, 1, (7,)), (2, 2, 2, (3,)), (3, 3, 1, (3,)), (2, 3, 1, (2, 2)), (2, 2, 1, (3, 2)),
+    (2, 3, 1, (4,)), (2, 2, 1, (2, 2)), (3, 2, 1, (3,)), (2, 2, 2, (2,)), (2, 2, 1, (4,)),
+    (2, 2, 1, (5,))] if ring not in STREAM_RINGS]
+
+
+def ring_id(ring):
+    p, r, s, factors = ring
+    return f"GR({p}^{r},{s})[{'x'.join(f'Z{f}' for f in factors) or '1'}]"
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS])
+def test_stream_matches_full_scan(p, r, s, factors):
+    eng = engine(p, r, s, factors)
+    principal, rest = ideals_by_full_scan(eng)
+    got = [c.basis for c in eng.ideal_stream()]
+    assert len(set(got)) == len(got)
+    assert got[:len(principal)] == principal
+    assert set(got) == set(principal) | set(rest)
+
+
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 2, 1, (3, 2)), (3, 3, 1, (3,)), (2, 3, 1, (2, 2))])
+def test_scan_takes_one_principal_ideal_per_orbit(p, r, s, factors, monkeypatch):
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), AbelianGroup(factors)))
+    principal_ideal = eng.principal_ideal
+    calls = []
+
+    def spy(vec):
+        calls.append(tuple(vec))
+        return principal_ideal(vec)
+
+    monkeypatch.setattr(eng, "principal_ideal", spy)
+    for _ in eng.ideal_stream():
+        pass
+    assert calls == orbit_least_vectors(eng)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("factors", [(), (2,), (5,), (4,), (2, 2), (3, 2), (2, 4), (3, 3, 2)])
+def test_shift_permutations_match_group_addition(factors, s):
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, s), AbelianGroup(factors)))
+    assert eng._perms() == perms_by_group_add(eng)
 
 
 # -- duals -----------------------------------------------------------------------------
