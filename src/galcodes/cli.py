@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from functools import reduce
 
 from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        euclidean_abelian_count, euclidean_cyclic_count_n,
@@ -29,8 +28,7 @@ from .group_ring import GroupRing
 from .group_ring import element_text as gr_element_text
 from .groups import (AbelianGroup, element_text as group_element_text,
                      format_group, parse_group, sylow_decompose)
-from .ideals import (ExhaustiveGroupRing, construct_self_dual,
-                     enumerate_semisimple_selfdual, exhaustive_bound)
+from .ideals import ExhaustiveGroupRing, construct_self_dual, enumerate_semisimple_selfdual
 from .numth import prime_power_split
 
 
@@ -258,8 +256,8 @@ def _decomposition_selfdual(p, r, s, group, form, bound):
     eng = _engine(p, r, s, group, bound)
     found = set()
     for gens in fam.representatives:
-        ideal = reduce(eng.join, (eng.principal_ideal(g) for g in gens),
-                       eng.zero_ideal())
+        ideal = eng.ideal_from_rows(
+            [row for g in gens for row in eng.principal_rows(eng.to_vector(g))])
         if not eng.is_self_dual(ideal, form):
             return -1
         found.add(ideal)

@@ -27,6 +27,9 @@ class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, in one sweep that costs one
 idft; the table holds at most #classes * |A| coefficients and lives as long
 as its ambient context.  An integer c at the slot of C pulls back to c * e_C.
+The slots of a pairing (component rings, orbits, partner orbits rotated to
+start at -p^h * a) are built once per context by _slots, which checks that
+they cover the group; decompose and compose only read them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicClass, _pairing_twist, partition
+from .cyclotomic import _pairing_twist, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
@@ -263,6 +266,7 @@ class AmbientDecomposition:
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
         self._idempotents = None  # built by class_idempotents on first use
+        self._slots: dict = {}  # pairing -> its slots, built by _slots on first use
 
     def component_spec(self, nu: int) -> GaloisRingSpec:
         return construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
@@ -343,26 +347,34 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]
     return ctx._idempotents
 
 
-def _pairing_rule(ctx: AmbientDecomposition, pairing: str):
-    """(h, singles, pairs) of a pairing: h = 0 (Euclidean) or s/2 (Hermitian)."""
-    singles, pairs = ctx.parts.layout(pairing)
-    return _pairing_twist(pairing, ctx.spec.s), singles, pairs
-
-
-def _partner_point(ctx: AmbientDecomposition, h: int, a):
-    """-p^h * a, where the partner of the class of a starts."""
-    group = ctx.group
-    return group.neg(group.scale(pow(ctx.spec.p, h, max(ctx.exponent, 1)), a))
-
-
-def _class_component(ctx: AmbientDecomposition, values: dict, cls: CyclotomicClass,
-                     at=None, twist: int = 0) -> GaloisRingElement:
-    """Pull one spectral value down into the class's component ring."""
-    h = cls.rep if at is None else at
-    v = values[h]
-    if twist:
-        v = generalized_frobenius(v, twist % ctx.big.s)
-    return unembed(v, ctx.component_spec(cls.cardinality))
+def _slots(ctx: AmbientDecomposition, pairing: str):
+    """(h, singles, pairs) of a pairing, built on first use and kept on the
+    context.  A single is (class index, component ring, orbit); a pair is
+    (class index, component ring, orbit, partner orbit rotated to start at
+    -p^h * rep, the point whose value the pair stores).  The orbits must
+    cover the group, which is checked here, once per context and pairing."""
+    slots = ctx._slots.get(pairing)
+    if slots is None:
+        h = _pairing_twist(pairing, ctx.spec.s)
+        single_idx, pair_idx = ctx.parts.layout(pairing)
+        group, classes = ctx.group, ctx.parts.classes
+        scale = pow(ctx.spec.p, h, max(ctx.exponent, 1))
+        singles = tuple((i, ctx.component_spec(classes[i].cardinality), classes[i].elements)
+                        for i in single_idx)
+        pairs = []
+        for i, j in pair_idx:
+            cls, orbit = classes[i], classes[j].elements
+            start = group.neg(group.scale(scale, cls.rep))
+            if start not in orbit:
+                raise InternalInvariantError("partner orbit mismatch")
+            k = orbit.index(start)
+            pairs.append((i, ctx.component_spec(cls.cardinality), cls.elements,
+                          orbit[k:] + orbit[:k]))
+        points = {a for slot in singles + tuple(pairs) for orbit in slot[2:] for a in orbit}
+        if len(points) != group.order:
+            raise InternalInvariantError("decomposition did not cover the group")
+        slots = ctx._slots[pairing] = (h, singles, tuple(pairs))
+    return slots
 
 
 @dataclass(frozen=True)
@@ -408,16 +420,15 @@ def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
     -p^h * a twisted by the Frobenius power -h)."""
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
-    h, single_idx, pair_idx = _pairing_rule(ctx, pairing)
+    h, single_slots, pair_slots = _slots(ctx, pairing)
     values = dft(x, ctx).values
-    classes = ctx.parts.classes
-    singles = {i: _class_component(ctx, values, classes[i]) for i in single_idx}
+    singles = {i: unembed(values[orbit[0]], spec) for i, spec, orbit in single_slots}
     pairs = {}
-    for i, _ in pair_idx:
-        cls = classes[i]
-        pairs[i] = (_class_component(ctx, values, cls),
-                    _class_component(ctx, values, cls, at=_partner_point(ctx, h, cls.rep),
-                                     twist=-h))
+    for i, spec, orbit, partner in pair_slots:
+        second = values[partner[0]]
+        if h:
+            second = generalized_frobenius(second, -h % ctx.big.s)
+        pairs[i] = (unembed(values[orbit[0]], spec), unembed(second, spec))
     return DecomposedElement(ctx, pairing, singles, pairs)
 
 
@@ -441,34 +452,23 @@ def decompose_hermitian(x: GroupRingElement, ctx: AmbientDecomposition | None = 
     return _decompose(x, ctx, "hermitian")
 
 
-def _spread_class(ctx: AmbientDecomposition, out: dict, cls_points, value_big: GaloisRingElement,
-                  twist: int = 0) -> None:
-    """Fill a class orbit: point k gets value_big shifted by Frobenius twist + s*k."""
-    s = ctx.spec.s
-    for k, point in enumerate(cls_points):
-        e = twist + s * k
-        out[point] = generalized_frobenius(value_big, e) if e else value_big
-
-
 def compose(dec: DecomposedElement) -> GroupRingElement:
-    """Inverse of decompose_euclidean / decompose_hermitian."""
+    """Inverse of decompose_euclidean / decompose_hermitian: point k of an
+    orbit gets the slot value shifted by Frobenius s*k, plus h on the
+    partner orbit of a pair."""
     ctx = dec.context
-    classes = ctx.parts.classes
-    h, single_idx, pair_idx = _pairing_rule(ctx, dec.pairing)
-    values: dict = {}
-    for i in single_idx:
-        _spread_class(ctx, values, classes[i].elements, embed(dec.singles[i], ctx.big))
-    for i, j in pair_idx:
-        cls, orbit = classes[i], classes[j].elements
+    h, single_slots, pair_slots = _slots(ctx, dec.pairing)
+    spreads = [(orbit, dec.singles[i], 0) for i, _, orbit in single_slots]
+    for i, _, orbit, partner in pair_slots:
         first, second = dec.pairs[i]
-        _spread_class(ctx, values, cls.elements, embed(first, ctx.big))
-        start = _partner_point(ctx, h, cls.rep)
-        if start not in orbit:
-            raise InternalInvariantError("partner orbit mismatch")
-        k = orbit.index(start)
-        _spread_class(ctx, values, orbit[k:] + orbit[:k], embed(second, ctx.big), twist=h)
-    if len(values) != ctx.group.order:
-        raise InternalInvariantError("decomposition did not cover the group")
+        spreads += [(orbit, first, 0), (partner, second, h)]
+    s = ctx.spec.s
+    values: dict = {}
+    for orbit, value, twist in spreads:
+        value_big = embed(value, ctx.big)
+        for k, point in enumerate(orbit):
+            e = twist + s * k
+            values[point] = generalized_frobenius(value_big, e) if e else value_big
     return idft(Spectrum(ctx, values))
 
 

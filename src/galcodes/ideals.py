@@ -5,8 +5,9 @@ An element is flattened to a vector of s*|G| coefficient digits mod p^r
 generated by v is the span over Z_{p^r} of {x^j * Y^g * v}, since the
 powers of the residue generator form a module basis of the coefficient
 ring; each ideal is held in Howell normal form, the canonical echelon form
-over Z_{p^r}, so ideal identity is basis identity and the module size
-falls out of the pivot valuations.
+over Z_{p^r}, so ideal identity is basis identity.  Every pivot is a power
+p^e, so the module size is the product of p^r / p^e over the basis rows,
+and x^j * v is read off the block step of the Euclidean form coefficients.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r}, polynomial in s*|G|, and run at any ring size.  Only
@@ -83,8 +84,6 @@ class ExhaustiveGroupRing:
         # unit inverses mod p^r, filled as the echelon step meets them:
         # a full table costs O(p^r), and constructing an engine must not
         self._unit_inv: dict[int, int] = {}
-        # x^s = -(low coefficients of the modulus)
-        self._xtail = tuple(-c % self.m for c in spec.modulus[:-1])
         # form(u, e_(g,j)) = u_g * y(x)^j, y the Frobenius power h of the
         # pairing: y(x) is the step from j to j + 1, keyed by h and made on
         # first use, since the Hermitian step needs the ring's table
@@ -182,24 +181,18 @@ class ExhaustiveGroupRing:
             out = out * self.m + d
         return out
 
-    def _mul_by_x(self, vec) -> tuple[int, ...]:
-        """Multiply every coefficient block by the residue generator."""
-        m, s = self.m, self.s
-        out = []
-        for base in range(0, self.n, s):
-            top = vec[base + s - 1]
-            block = [0] + list(vec[base:base + s - 1])
-            if top:
-                for j, t in enumerate(self._xtail):
-                    block[j] = (block[j] + top * t) % m
-            out.extend(block)
-        return tuple(out)
-
     def principal_rows(self, vec) -> list[tuple[int, ...]]:
-        """Module generators of the ideal (vec): all x^j * Y^g * vec."""
+        """Module generators of the ideal (vec): all x^j * Y^g * vec.
+
+        Coefficient j of block g of the Euclidean form coefficients is x^j
+        times block g of vec, so x^j * vec is every s-th of them; with
+        s = 1 there is only vec.
+        """
+        s = self.s
         xmults = [tuple(vec)]
-        for _ in range(self.s - 1):
-            xmults.append(self._mul_by_x(xmults[-1]))
+        if s > 1:
+            blocks = self.form_coefficients(vec, EUCLIDEAN)
+            xmults = [tuple(itertools.chain.from_iterable(blocks[j::s])) for j in range(s)]
         rows = []
         for perm in self._perms():
             for base in xmults:
@@ -436,7 +429,11 @@ class ExhaustiveGroupRing:
 
 
 class Ideal:
-    """An ideal held by its Howell basis; identity is basis identity."""
+    """An ideal held by its Howell basis; identity is basis identity.
+
+    The basis must come from howell or dual, whose pivots are all powers
+    p^e: a row has m // p^e multiples, and the size is their product.
+    """
 
     __slots__ = ("engine", "basis", "_size", "_generators", "_encodings")
 
@@ -445,12 +442,7 @@ class Ideal:
         self.basis = basis
         size = 1
         for row in basis:
-            lead = row[next(i for i, a in enumerate(row) if a)]
-            e = 0
-            while lead % engine.p == 0:
-                lead //= engine.p
-                e += 1
-            size *= engine._ppow[engine.r - e]
+            size *= engine.m // row[next(i for i, a in enumerate(row) if a)]
         self._size = size
         self._generators = None
         self._encodings = None
@@ -498,16 +490,11 @@ class Ideal:
             members = [tuple([0] * engine.n)]
             for row in self.basis:
                 lead = row[next(i for i, a in enumerate(row) if a)]
-                e = 0
-                while lead % engine.p == 0:
-                    lead //= engine.p
-                    e += 1
-                reps = range(engine._ppow[engine.r - e])
                 members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
-                           for v in members for k in reps]
+                           for v in members for k in range(engine.m // lead)]
             self._encodings = tuple(sorted(engine.encode_vector(v) for v in members))
-            if len(self._encodings) != self._size:
-                raise InternalInvariantError("size disagrees with element expansion")
+            if len(set(self._encodings)) != self._size:
+                raise InternalInvariantError("size disagrees with the distinct members")
         return self._encodings
 
     def elements(self) -> list[GroupRingElement]:
@@ -605,9 +592,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         engine._require_enumerable()
     except BoundExceededError:
         return SelfDualConstruction(p, r, s, group, form, tuple(gens), None)
-    ideal = engine.zero_ideal()
-    for g in gens:
-        ideal = engine.join(ideal, engine.principal_ideal(g))
+    ideal = engine.ideal_from_rows(
+        [row for g in gens for row in engine.principal_rows(engine.to_vector(g))])
     return SelfDualConstruction(p, r, s, group, form, tuple(gens), ideal)
 
 

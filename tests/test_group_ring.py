@@ -7,7 +7,7 @@ from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
-                                 _ambient_cached, ambient, class_idempotents,
+                                 _ambient_cached, _slots, ambient, class_idempotents,
                                  compose, conjugate, conjugate_involution,
                                  decompose_euclidean, decompose_hermitian, dft,
                                  element_text, idft, involution, parse_element,
@@ -491,6 +491,61 @@ def test_class_idempotents_are_built_on_first_use_and_kept():
     assert class_idempotents(ctx) is table
     assert ctx._idempotents is table
     assert class_idempotents(table_ctx(2, 2, 1, (7,))) is class_idempotents(table_ctx(2, 2, 1, (7,)))
+
+
+# -- pairing slots ------------------------------------------------------------------------------
+
+# the round-trip rings of the spectral benchmark and the trivial group
+SLOT_CONTEXTS = [(2, 2, 1, (3,)), (2, 2, 1, (7,)), (2, 2, 2, (3,)), (2, 2, 2, (5,)),
+                 (3, 2, 1, (4,)), (3, 2, 2, (4,)), (2, 2, 1, (9,)), (5, 2, 1, (3,)),
+                 (3, 2, 1, (8,)), (2, 4, 2, (3, 3)), (2, 3, 1, (5,)), (2, 1, 1, (7,)),
+                 (2, 2, 1, ()), (3, 2, 2, ())]
+SLOT_LAYOUTS = [(case, layout) for case in SLOT_CONTEXTS
+                for layout in (("euclidean", "hermitian") if case[2] % 2 == 0 else ("euclidean",))]
+
+
+@pytest.mark.parametrize("case, layout", SLOT_LAYOUTS)
+def test_slots_split_the_group_by_the_pairing_rule(case, layout):
+    p, r, s, _ = case
+    ctx = table_ctx(*case)
+    h, singles, pairs = slots = _slots(ctx, layout)
+    assert h == (0 if layout == "euclidean" else s // 2)
+    group, classes = ctx.group, ctx.parts.classes
+    single_idx, pair_idx = ctx.parts.layout(layout)
+    assert [i for i, _, _ in singles] == list(single_idx)
+    assert [i for i, *_ in pairs] == [i for i, _ in pair_idx]
+    orbits = [orbit for _, _, orbit in singles]
+    for (i, spec, orbit, partner), (_, j) in zip(pairs, pair_idx):
+        assert spec == construct_ring(p, r, s * classes[i].cardinality)
+        assert orbit == classes[i].elements
+        # the partner orbit, rotated to start at -p^h * rep
+        assert partner[0] == group.neg(group.scale(p**h, classes[i].rep))
+        k = classes[j].elements.index(partner[0])
+        assert partner == classes[j].elements[k:] + classes[j].elements[:k]
+        orbits += [orbit, partner]
+    for i, spec, orbit in singles:
+        assert spec == construct_ring(p, r, s * len(orbit))
+        assert orbit == classes[i].elements
+    points = [a for orbit in orbits for a in orbit]
+    assert sorted(points) == sorted(group.elements())  # each element in one orbit
+    x = ctx.ring.random_element(random.Random(len(points)))
+    decompose = decompose_euclidean if layout == "euclidean" else decompose_hermitian
+    for _ in range(2):  # each round trip reads the same slots
+        assert compose(decompose(x, ctx)) == x
+        assert ctx._slots[layout] is slots and _slots(ctx, layout) is slots
+
+
+def test_slots_are_built_on_first_use_and_kept():
+    # the uncached constructor behind ambient(), so no earlier test built slots
+    ctx = _ambient_cached.__wrapped__(2, 2, 2, (5,))
+    assert ctx._slots == {}
+    x = ctx.ring.random_element(random.Random(3))
+    dec = decompose_hermitian(x, ctx)
+    assert list(ctx._slots) == ["hermitian"]
+    slots = ctx._slots["hermitian"]
+    assert compose(dec) == x and decompose_hermitian(x, ctx) == dec
+    assert ctx._slots["hermitian"] is slots
+    assert list(ctx._slots) == ["hermitian"]
 
 
 # -- text format ----------------------------------------------------------------------------------

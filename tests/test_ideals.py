@@ -6,12 +6,12 @@ from functools import reduce
 import pytest
 
 from galcodes.counting import euclidean_semisimple_count, hermitian_semisimple_count
-from galcodes.errors import BoundExceededError, DomainError
+from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
-                             HERMITIAN, ExhaustiveGroupRing, construct_self_dual,
+                             HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from helpers import (abelian_groups_up_to, compose_ints_by_transform,
                      construct_by_nested_assembly, dual_by_scan, engine, ideals_by_full_scan,
@@ -173,6 +173,39 @@ def test_howell_basis_is_canonical():
         assert forward.basis == backward.basis
         a, b = eng.principal_ideal(x), eng.principal_ideal(y)
         assert eng.join(a, b) == eng.join(b, a) == forward
+
+
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 2, 1, (3,)), (2, 2, 2, (3,)), (2, 2, 3, (2,)), (3, 2, 2, (2,)), (3, 1, 2, (2, 2))])
+def test_principal_rows_are_the_monomial_multiples(p, r, s, factors):
+    eng = engine(p, r, s, factors)
+    x = eng.spec._x()
+    rng = random.Random(p * 100 + s)
+    for _ in range(5):
+        v = eng.ring.random_element(rng)
+        want = [eng.to_vector((v * x**j).shift(g))
+                for g in eng.group.elements() for j in range(s)]
+        assert eng.principal_rows(eng.to_vector(v)) == want
+
+
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 2, 1, (2, 2)), (2, 3, 1, (4,)), (2, 2, 2, (3,)), (3, 2, 1, (3,))])
+def test_size_is_the_member_count(p, r, s, factors):
+    """size, read off the Howell pivots, equals a count of the ring
+    elements that contains_vector accepts, for every ideal and its dual."""
+    eng = engine(p, r, s, factors)
+    vectors = [eng.decode_vector(k) for k in range(eng.ring_size)]
+    for ideal in eng.ideal_stream():
+        for code in (ideal, eng.dual(ideal)):
+            assert code.size == sum(map(code.contains_vector, vectors))
+
+
+def test_element_expansion_refuses_a_basis_that_is_not_howell():
+    eng = engine(2, 2, 1, (2,))
+    # (2, 0) is already twice (1, 0): the pivot rule counts 4 * 2 members
+    # where the expansion finds 4 distinct ones
+    with pytest.raises(InternalInvariantError, match="distinct members"):
+        Ideal(eng, ((1, 0), (2, 0))).element_encodings()
 
 
 # every ring of at most 2^12 elements with p in {2, 3}, r <= 3 and s <= 2,
