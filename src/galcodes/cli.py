@@ -21,7 +21,7 @@ from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        exists_self_dual, hermitian_abelian_count,
                        hermitian_cyclic_count_n, hermitian_cyclic_count_p2,
                        hermitian_semisimple_count, is_principal_ideal_group_ring)
-from .cyclotomic import partition
+from .cyclotomic import TYPE_III_H, partition
 from .errors import BoundExceededError, DomainError
 from .galois import construct_ring, element_text, modulus_text, ring_name
 from .group_ring import GroupRing
@@ -76,11 +76,11 @@ def _cmd_classes(args) -> int:
                "elements": [group_element_text(g) for g in c.elements],
                "cardinality": c.cardinality,
                "euclidean_type": c.euclidean_type}
+        partner = c.euclidean_partner
         if s % 2 == 0:
             row["hermitian_type"] = c.hermitian_type
-        partner = c.euclidean_partner
-        if s % 2 == 0 and c.hermitian_type == "III'":
-            partner = c.hermitian_partner
+            if c.hermitian_type == TYPE_III_H:
+                partner = c.hermitian_partner
         row["partner"] = group_element_text(partner) if partner else "-"
         rows.append(row)
     if args.json:

@@ -143,16 +143,6 @@ def class_of(group: AbelianGroup, q: int, a) -> CyclotomicClass:
     return CyclotomicClass(group, q, orbit[0], orbit, etype, htype, epartner, hpartner)
 
 
-def classify_euclidean(cls: CyclotomicClass) -> str:
-    return cls.euclidean_type
-
-
-def classify_hermitian(cls: CyclotomicClass) -> str:
-    if cls.hermitian_type is None:
-        raise DomainError("Hermitian types need q = p^s with s even")
-    return cls.hermitian_type
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     """All q-cyclotomic classes of a group, with both pairing layouts.
@@ -174,46 +164,11 @@ class ClassPartition:
     hermitian_singles: tuple[int, ...]
     hermitian_pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def count_type_i(self) -> int:
-        return sum(1 for i in self.euclidean_singles
-                   if self.classes[i].euclidean_type == TYPE_I)
-
-    @property
-    def count_type_ii(self) -> int:
-        return sum(1 for i in self.euclidean_singles
-                   if self.classes[i].euclidean_type == TYPE_II)
-
-    @property
-    def count_type_iii_pairs(self) -> int:
-        return len(self.euclidean_pairs)
-
-    @property
-    def count_type_ii_h(self) -> int:
-        return len(self.hermitian_singles)
-
-    @property
-    def count_type_iii_h_pairs(self) -> int:
-        return len(self.hermitian_pairs)
-
     def layout(self, pairing: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """(singles, pairs) of the 'euclidean' or 'hermitian' pairing."""
         if _pairing_twist(pairing, self.s) == 0:
             return self.euclidean_singles, self.euclidean_pairs
         return self.hermitian_singles, self.hermitian_pairs
-
-    def index_of(self, rep) -> int:
-        for i, cls in enumerate(self.classes):
-            if cls.rep == rep:
-                return i
-        raise DomainError(f"{rep} is not a class representative")
-
-    def class_containing(self, a) -> CyclotomicClass:
-        a = self.group.element(a)
-        for cls in self.classes:
-            if a in cls.elements:
-                return cls
-        raise DomainError(f"{a} not found in any class")
 
 
 @lru_cache(maxsize=None)

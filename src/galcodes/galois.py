@@ -287,10 +287,6 @@ class GaloisRingElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_unit(self) -> bool:
-        p = self.spec.p
-        return any(c % p for c in self.coeffs)
-
     def residue(self) -> tuple[int, ...]:
         """Image in the residue field F_{p^s}, as a coefficient tuple mod p."""
         p = self.spec.p

@@ -84,14 +84,6 @@ class GroupRing:
                 clean[g] = c
         return GroupRingElement(self, clean)
 
-    def from_coeff_list(self, cs) -> GroupRingElement:
-        """Coefficients aligned with the lexicographic element order."""
-        elems = self.group.elements()
-        cs = list(cs)
-        if len(cs) != len(elems):
-            raise DomainError(f"expected {len(elems)} coefficients, got {len(cs)}")
-        return self.element(dict(zip(elems, cs)))
-
     def random_element(self, rng) -> GroupRingElement:
         spec = self.coeff
         if isinstance(spec, GroupRing):

@@ -58,9 +58,6 @@ class AbelianGroup:
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
 
-    def sub(self, a, b) -> tuple[int, ...]:
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.factors))
-
     def neg(self, a) -> tuple[int, ...]:
         return tuple(-x % m for x, m in zip(a, self.factors))
 
@@ -217,17 +214,3 @@ def format_group(group: AbelianGroup) -> str:
 
 def element_text(a) -> str:
     return "(" + ",".join(str(c) for c in a) + ")"
-
-
-def parse_group_element(group: AbelianGroup, text: str) -> tuple[int, ...]:
-    t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise DomainError(f"bad group element {text!r}")
-    inner = t[1:-1].strip()
-    parts = [] if inner == "" else inner.split(",")
-    if len(parts) != len(group.factors):
-        raise DomainError(f"expected {len(group.factors)} coordinates in {text!r}")
-    try:
-        return group.element(int(c) for c in parts)
-    except ValueError as exc:
-        raise DomainError(f"bad group element {text!r}: {exc}") from None

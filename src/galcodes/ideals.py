@@ -8,6 +8,10 @@ ring; each ideal is held in Howell normal form, the canonical echelon form
 over Z_{p^r}, so ideal identity is basis identity.  Every pivot is a power
 p^e, so the module size is the product of p^r / p^e over the basis rows,
 and x^j * v is read off the block step of the Euclidean form coefficients.
+The tables this needs (group positions, the shifts Y^g as digit
+permutations, form steps, unit inverses) are module caches keyed by what
+each depends on, shared by every engine, so an engine is a plain view of
+one ring and a bound.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r}, polynomial in s*|G|, and run at any ring size.  Only
@@ -30,6 +34,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .counting import exists_self_dual
@@ -57,6 +62,47 @@ def exhaustive_bound() -> int:
     return val
 
 
+# -- tables shared by the engines, each keyed by exactly what it depends on ------
+
+
+@lru_cache(maxsize=None)
+def _group_index(factors: tuple[int, ...]) -> dict:
+    """Group element -> its position in the lexicographic order."""
+    return {g: i for i, g in enumerate(AbelianGroup(factors).elements())}
+
+
+@lru_cache(maxsize=None)
+def _shift_perms(factors: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
+    """For each g, the digit permutation of multiplication by Y^g.
+
+    Entry t of the permutation of g is the digit that lands at t: the
+    block of group element t - g, found factor by factor by rotating
+    that factor's coordinate of the lexicographic index.
+    """
+    perms = []
+    for g in AbelianGroup(factors).elements():
+        blocks = [0]
+        for f, c in zip(factors, g):
+            blocks = [b * f + (d - c) % f for b in blocks for d in range(f)]
+        perms.append(tuple(b * s + j for b in blocks for j in range(s)))
+    return tuple(perms)
+
+
+@lru_cache(maxsize=None)
+def _form_step(spec: GaloisRingSpec, h: int) -> tuple[int, ...]:
+    """Digits of y(x) = Frobenius^h(x): form(u, e_(g,j)) = u_g * y(x)^j, so
+    y(x) is the step from j to j + 1 (the Hermitian one needs the ring's
+    Teichmuller table, hence made on first use)."""
+    return generalized_frobenius(spec._x(), h).coeffs
+
+
+@lru_cache(maxsize=None)
+def _unit_inverses(m: int) -> dict[int, int]:
+    """Memo of unit inverses mod m, filled by howell as it meets pivots: a
+    full table would cost O(m)."""
+    return {}
+
+
 class ExhaustiveGroupRing:
     """Flat-vector arithmetic for one group ring.
 
@@ -81,17 +127,6 @@ class ExhaustiveGroupRing:
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
         self._ppow = [self.p**i for i in range(self.r + 1)]
-        # unit inverses mod p^r, filled as the echelon step meets them:
-        # a full table costs O(p^r), and constructing an engine must not
-        self._unit_inv: dict[int, int] = {}
-        # form(u, e_(g,j)) = u_g * y(x)^j, y the Frobenius power h of the
-        # pairing: y(x) is the step from j to j + 1, keyed by h and made on
-        # first use, since the Hermitian step needs the ring's table
-        self._form_steps: dict[int, tuple[int, ...]] = {}
-        # the group tables are made on first use too: the shifts cost
-        # O(|G|^2), and constructing an engine to be refused must not
-        self._index: dict | None = None
-        self._shifts: tuple[tuple[int, ...], ...] | None = None
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -119,31 +154,6 @@ class ExhaustiveGroupRing:
             raise DomainError(
                 f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
 
-    def _group_index(self) -> dict:
-        """Group element -> its position in the lexicographic order."""
-        if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.group.elements())}
-        return self._index
-
-    def _perms(self) -> tuple[tuple[int, ...], ...]:
-        """For each g, the digit permutation of multiplication by Y^g.
-
-        Entry t of the permutation of g is the digit that lands at t: the
-        block of group element t - g, found factor by factor by rotating
-        that factor's coordinate of the lexicographic index.
-        """
-        if self._shifts is None:
-            factors = self.group.factors
-            s = self.s
-            perms = []
-            for g in self.group.elements():
-                blocks = [0]
-                for f, c in zip(factors, g):
-                    blocks = [b * f + (d - c) % f for b in blocks for d in range(f)]
-                perms.append(tuple(b * s + j for b in blocks for j in range(s)))
-            self._shifts = tuple(perms)
-        return self._shifts
-
     # -- element <-> vector ---------------------------------------------------
 
     def to_vector(self, x: GroupRingElement) -> tuple[int, ...]:
@@ -151,7 +161,7 @@ class ExhaustiveGroupRing:
             raise DomainError("element belongs to a different ring")
         vec = [0] * self.n
         s = self.s
-        index = self._group_index()
+        index = _group_index(self.group.factors)
         for g, c in x.coeffs.items():
             base = index[g] * s
             for j, d in enumerate(c.coeffs):
@@ -161,7 +171,7 @@ class ExhaustiveGroupRing:
     def from_vector(self, vec) -> GroupRingElement:
         s = self.s
         coeffs = {}
-        for g, i in self._group_index().items():
+        for g, i in _group_index(self.group.factors).items():
             block = tuple(vec[i * s:(i + 1) * s])
             if any(block):
                 coeffs[g] = self.spec.element(block)
@@ -194,7 +204,7 @@ class ExhaustiveGroupRing:
             blocks = self.form_coefficients(vec, EUCLIDEAN)
             xmults = [tuple(itertools.chain.from_iterable(blocks[j::s])) for j in range(s)]
         rows = []
-        for perm in self._perms():
+        for perm in _shift_perms(self.group.factors, s):
             for base in xmults:
                 rows.append(tuple(base[k] for k in perm))
         return rows
@@ -212,7 +222,7 @@ class ExhaustiveGroupRing:
         """
         m, p, r = self.m, self.p, self.r
         ppow = self._ppow
-        inv = self._unit_inv
+        inv = _unit_inverses(m)
         stack = [list(row) for row in rows if any(row)]
         if not stack:
             return ()
@@ -236,20 +246,15 @@ class ExhaustiveGroupRing:
                     u = inv[v] = pow(v, -1, m)
                 row = [a * u % m for a in row]
             cur = pivots[c]
-            if cur is None:
+            if cur is None or row[c] < cur[c]:
+                # an empty slot, or a strictly smaller valuation, takes the pivot
                 pivots[c] = row
                 if e:
                     extra = [a * ppow[r - e] % m for a in row]
                     if any(extra):
                         stack.append(extra)
-                continue
-            if row[c] < cur[c]:
-                # strictly smaller valuation takes over the pivot slot
-                pivots[c] = row
-                if e:
-                    extra = [a * ppow[r - e] % m for a in row]
-                    if any(extra):
-                        stack.append(extra)
+                if cur is None:
+                    continue
                 row, cur = cur, row
             q = row[c] // cur[c]
             new = [(a - q * b) % m for a, b in zip(row, cur)]
@@ -323,7 +328,8 @@ class ExhaustiveGroupRing:
         self._require_enumerable()
         units = [u for u in range(1, self.m) if u % self.p]
         # the first pair is (Y^0, 1), which fixes every vector
-        moves = [(perm, u) for perm in self._perms() for u in units][1:]
+        moves = [(perm, u) for perm in _shift_perms(self.group.factors, self.s)
+                 for u in units][1:]
         seen: set = set()
         principal: list[Ideal] = []
         for k in range(self.ring_size):
@@ -355,10 +361,7 @@ class ExhaustiveGroupRing:
         The form is Z_{p^r}-bilinear, so digit d of form(row, w) is the dot
         product of w with column d of these coefficients.
         """
-        h = _pairing_twist(form, self.s)
-        step = self._form_steps.get(h)
-        if step is None:
-            step = self._form_steps[h] = generalized_frobenius(self.spec._x(), h).coeffs
+        step = _form_step(self.spec, _pairing_twist(form, self.s))
         s, modulus = self.s, self.spec.modulus
         out = []
         for base in range(0, self.n, s):
@@ -539,9 +542,6 @@ class SelfDualConstruction:
     form: str
     generators: tuple[GroupRingElement, ...]
     ideal: Ideal | None
-
-    def generator_count(self) -> int:
-        return len(self.generators)
 
 
 def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,

@@ -89,14 +89,6 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return fac[0]
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def multiplicative_order(q: int, n: int) -> int:
     """Least k >= 1 with q**k == 1 (mod n).  Order modulo 1 is 1."""
     if n == 1:

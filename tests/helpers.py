@@ -18,7 +18,7 @@ from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupR
                                  conjugate_involution, involution, sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing
-from galcodes.numth import divisors, factorize, multiplicative_order
+from galcodes.numth import factorize, multiplicative_order
 
 
 def partitions(n: int):
@@ -135,6 +135,23 @@ def orbit_least_vectors(eng):
     return least
 
 
+# -- ring elements -----------------------------------------------------------------
+
+def is_unit(a: GaloisRingElement) -> bool:
+    """A Galois-ring element is a unit iff its residue mod p is nonzero."""
+    return any(c % a.spec.p for c in a.coeffs)
+
+
+def from_coeff_list(ring: GroupRing, cs) -> GroupRingElement:
+    """The element whose coefficients, in the lexicographic order of the
+    group elements, are cs."""
+    elems = ring.group.elements()
+    cs = list(cs)
+    if len(cs) != len(elems):
+        raise DomainError(f"expected {len(elems)} coefficients, got {len(cs)}")
+    return ring.element(dict(zip(elems, cs)))
+
+
 def digits_by_powering(a):
     """Teichmuller digits by their definition, the oracle for the table
     lookups: a_0 is the powering lift of a mod p and the recursion
@@ -239,6 +256,20 @@ def classify_pair_scan(j: int, q: int) -> PairGoodness:
         if (pow(q, t, j) + 1) % j == 0:
             return PairGoodness.ODDLY_GOOD if t % 2 else PairGoodness.EVENLY_GOOD
     return PairGoodness.BAD
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    out = [1]
+    for p, e in factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def class_containing(part, a):
+    """The class of the partition part that holds the group element a."""
+    a = part.group.element(a)
+    return next(cls for cls in part.classes if a in cls.elements)
 
 
 def class_order(cls) -> int:

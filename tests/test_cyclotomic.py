@@ -1,20 +1,20 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galcodes.cyclotomic import (PairGoodness, TYPE_I, TYPE_II, TYPE_II_H,
-                                 TYPE_III, TYPE_III_H, bad_pair_indicator,
-                                 class_of, classify_euclidean,
-                                 classify_hermitian, classify_pair,
-                                 even_pair_indicator, partition)
+from galcodes.cyclotomic import (EUCLIDEAN, HERMITIAN, PairGoodness, TYPE_I, TYPE_II,
+                                 TYPE_II_H, TYPE_III, TYPE_III_H, bad_pair_indicator,
+                                 class_of, classify_pair, even_pair_indicator, partition)
 from galcodes.counting import exists_self_dual, hermitian_abelian_count
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual
-from helpers import class_order, classify_pair_scan, decompose_nested, engine
+from helpers import (class_containing, class_order, classify_pair_scan, decompose_nested,
+                     engine)
 
 
 # -- single classes ---------------------------------------------------------------
@@ -67,9 +67,9 @@ def test_hermitian_needs_even_s():
     z7 = AbelianGroup((7,))
     cls = class_of(z7, 2, (1,))
     assert cls.hermitian_type is None
-    with pytest.raises(DomainError):
-        classify_hermitian(cls)
-    assert classify_euclidean(cls) == TYPE_III
+    assert cls.euclidean_type == TYPE_III
+    with pytest.raises(DomainError, match="even degree"):
+        partition(z7, 2).layout(HERMITIAN)
 
 
 def test_class_of_rejects_noncoprime():
@@ -79,26 +79,32 @@ def test_class_of_rejects_noncoprime():
 
 # -- partitions ---------------------------------------------------------------------
 
+def layout_types(part, pairing):
+    """The types of the pairing's single classes, counted, and its number
+    of pairs, each pair holding two classes of that pairing's type III."""
+    singles, pairs = part.layout(pairing)
+    attr = "euclidean_type" if pairing == EUCLIDEAN else "hermitian_type"
+    third = TYPE_III if pairing == EUCLIDEAN else TYPE_III_H
+    assert all(getattr(part.classes[i], attr) == third for pair in pairs for i in pair)
+    return Counter(getattr(part.classes[i], attr) for i in singles), len(pairs)
+
+
 def test_partition_z7():
     part = partition(AbelianGroup((7,)), 2)
     assert len(part.classes) == 3
-    assert part.count_type_i == 1
-    assert part.count_type_ii == 0
-    assert part.count_type_iii_pairs == 1
+    assert layout_types(part, EUCLIDEAN) == ({TYPE_I: 1}, 1)
 
 
 def test_partition_trivial_group():
     part = partition(AbelianGroup(()), 4)
     assert len(part.classes) == 1
-    assert part.count_type_i == 1
-    assert part.count_type_ii_h == 1
+    assert layout_types(part, EUCLIDEAN) == ({TYPE_I: 1}, 0)
+    assert layout_types(part, HERMITIAN) == ({TYPE_II_H: 1}, 0)
 
 
 def test_partition_z3():
     part = partition(AbelianGroup((3,)), 2)
-    assert part.count_type_i == 1
-    assert part.count_type_ii == 1
-    assert part.count_type_iii_pairs == 0
+    assert layout_types(part, EUCLIDEAN) == ({TYPE_I: 1, TYPE_II: 1}, 0)
 
 
 def test_partition_is_a_partition():
@@ -157,10 +163,9 @@ def test_pairing_names_are_checked_by_one_rule(name, pairing, s, message):
 
 def test_partition_lookup():
     part = partition(AbelianGroup((7,)), 2)
-    assert part.class_containing((4,)).rep == (1,)
-    assert part.index_of((1,)) == part.classes.index(part.class_containing((2,)))
-    with pytest.raises(DomainError):
-        part.index_of((4,))
+    assert class_containing(part, (4,)).rep == (1,)
+    assert class_containing(part, (2,)) is class_containing(part, (1,))
+    assert [c.rep for c in part.classes] == [(0,), (1,), (3,)]
 
 
 def test_equal_order_classes_share_type_and_size():
@@ -215,11 +220,7 @@ def test_odd_goodness_forces_no_type_iii():
     """When every element order j of the group is oddly good for q, the
     partition has no type-III pairs; evenly good forces no type II beyond
     order <= 2; spot checks on both directions."""
-    part = partition(AbelianGroup((5,)), 2)  # 5 evenly good for 2
-    assert part.count_type_iii_pairs == 0
-    assert part.count_type_ii == 1
-    part = partition(AbelianGroup((7,)), 2)  # 7 bad for 2
-    assert part.count_type_ii == 0
-    assert part.count_type_iii_pairs == 1
-    part = partition(AbelianGroup((3,)), 2)  # 3 oddly good for 2
-    assert part.count_type_iii_pairs == 0
+    # 5 evenly good for 2, 7 bad for 2, 3 oddly good for 2
+    assert layout_types(partition(AbelianGroup((5,)), 2), EUCLIDEAN) == ({TYPE_I: 1, TYPE_II: 1}, 0)
+    assert layout_types(partition(AbelianGroup((7,)), 2), EUCLIDEAN) == ({TYPE_I: 1}, 1)
+    assert layout_types(partition(AbelianGroup((3,)), 2), EUCLIDEAN)[1] == 0

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes.errors import BoundExceededError, DomainError
-from galcodes.groups import (AbelianGroup, character_exponent,
-                             count_order_formula, element_order, element_text,
-                             format_group, order_census, parse_group,
-                             parse_group_element, sylow_decompose)
+from galcodes.groups import (AbelianGroup, character_exponent, count_order_formula,
+                             element_order, format_group, order_census, parse_group,
+                             sylow_decompose)
 from helpers import abelian_groups_up_to, count_order_direct, group_divisor_orders
 
 
@@ -154,13 +153,3 @@ def test_format_parse_round_trip():
     for factors in [(), (5,), (2, 4), (2, 2, 2)]:
         g = AbelianGroup(factors)
         assert parse_group(format_group(g)) == g
-
-
-def test_element_text_round_trip():
-    g = AbelianGroup((2, 4))
-    for x in g.elements():
-        assert parse_group_element(g, element_text(x)) == x
-    with pytest.raises(DomainError):
-        parse_group_element(g, "(1)")
-    with pytest.raises(DomainError):
-        parse_group_element(g, "1,2")

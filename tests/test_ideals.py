@@ -5,13 +5,15 @@ from functools import reduce
 
 import pytest
 
+from galcodes import ideals
 from galcodes.counting import euclidean_semisimple_count, hermitian_semisimple_count
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
-from galcodes.galois import construct_ring
+from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
-                             HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
+                             HERMITIAN, ExhaustiveGroupRing, Ideal, _form_step, _group_index,
+                             _shift_perms, _unit_inverses, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from helpers import (abelian_groups_up_to, compose_ints_by_transform,
                      construct_by_nested_assembly, dual_by_scan, engine, ideals_by_full_scan,
@@ -257,7 +259,67 @@ def test_scan_takes_one_principal_ideal_per_orbit(p, r, s, factors, monkeypatch)
 @pytest.mark.parametrize("factors", [(), (2,), (5,), (4,), (2, 2), (3, 2), (2, 4), (3, 3, 2)])
 def test_shift_permutations_match_group_addition(factors, s):
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, s), AbelianGroup(factors)))
-    assert eng._perms() == perms_by_group_add(eng)
+    assert _shift_perms(eng.group.factors, eng.s) == perms_by_group_add(eng)
+
+
+# -- tables shared by the engines ---------------------------------------------------------
+
+TABLES = (_group_index, _shift_perms, _form_step, _unit_inverses)
+
+
+def test_engines_over_one_group_and_s_share_the_shift_table(monkeypatch):
+    seen = []
+
+    def spy(factors, s):
+        seen.append(_shift_perms(factors, s))
+        return seen[-1]
+
+    monkeypatch.setattr(ideals, "_shift_perms", spy)
+    group = AbelianGroup((2, 3))
+    for p, r, s in [(2, 1, 1), (2, 3, 1), (5, 2, 1), (2, 2, 2)]:
+        eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group))
+        eng.principal_rows((1,) + (0,) * (eng.n - 1))
+    assert seen[0] is seen[1] is seen[2]
+    assert seen[3] is not seen[0]
+    assert [len(perms[0]) for perms in seen] == [6, 6, 6, 12]
+
+
+@pytest.mark.parametrize("p, r, s, factors, form", [(2, 1, 1, (2, 7), EUCLIDEAN),
+                                                     (2, 1, 2, (2, 3), HERMITIAN)])
+def test_a_second_construction_rebuilds_no_table(p, r, s, factors, form):
+    first = construct_self_dual(p, r, s, AbelianGroup(factors), form)
+    misses = [table.cache_info().misses for table in TABLES]
+    second = construct_self_dual(p, r, s, AbelianGroup(factors), form)
+    assert [table.cache_info().misses for table in TABLES] == misses
+    assert second == first
+
+
+@pytest.mark.parametrize("p, r, factors", [(2, 41, (2,)), (2, 1, (64, 128))])
+def test_building_a_refused_engine_fills_no_table(p, r, factors):
+    entries = [table.cache_info().currsize for table in TABLES]
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, 1), AbelianGroup(factors)))
+    with pytest.raises(BoundExceededError):
+        eng._require_enumerable()
+    assert [table.cache_info().currsize for table in TABLES] == entries
+
+
+@pytest.mark.parametrize("p, r, s", [(2, 2, 2), (3, 2, 2), (2, 1, 4)])
+def test_form_step_is_the_frobenius_power_of_x(p, r, s):
+    spec = construct_ring(p, r, s)
+    for h in (0, s // 2):
+        assert _form_step(spec, h) == generalized_frobenius(spec._x(), h).coeffs
+    assert _form_step(spec, 0) != _form_step(spec, s // 2)
+
+
+@pytest.mark.parametrize("p, r, s, factors", [(3, 3, 1, (3,)), (2, 3, 1, (2, 2)),
+                                              (2, 2, 2, (3,))])
+def test_unit_inverses_are_inverses_after_a_stream(p, r, s, factors):
+    eng = engine(p, r, s, factors)
+    for _ in eng.ideal_stream():
+        pass
+    inv = _unit_inverses(eng.m)
+    assert inv
+    assert all(v * u % eng.m == 1 for v, u in inv.items())
 
 
 # -- duals -----------------------------------------------------------------------------
@@ -359,7 +421,7 @@ def test_construct_even_r_example():
     three = eng.ring.element({(0,): eng.spec.from_int(3)})
     assert out.ideal == eng.principal_ideal(three)
     assert eng.is_self_dual(out.ideal)
-    assert out.generator_count() == 1
+    assert len(out.generators) == 1
 
 
 def test_construct_odd_r_example():

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 
 from galcodes.errors import DomainError
-from galcodes.numth import (divisors, factorize, is_prime, lcm,
-                            multiplicative_order, prime_power_split, valuation)
+from galcodes.numth import (factorize, is_prime, lcm, multiplicative_order,
+                            prime_power_split, valuation)
+from helpers import divisors
 
 
 def test_is_prime_small():
