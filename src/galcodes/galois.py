@@ -6,6 +6,12 @@ primitive (its root generates the multiplicative group of F_{p^s}),
 lifted coefficient-by-coefficient into Z_{p^r}.  Elements are stored as
 coefficient tuples, lowest degree first, entries reduced into [0, p^r).
 
+The search for f skips every constant term a0 for which (-1)^s * a0, the
+norm of a root of f, is not a primitive root mod p: the norm of a
+generator of F_{p^s}^* generates F_p^*.  Only candidates that cannot be
+primitive are dropped, so f is the one a full scan finds, without the
+scan's up to p^s order tests.
+
 The class of x need not itself be a root of unity once lifted, so the
 canonical Teichmuller generator xi is obtained by iterating t -> t^(p^s)
 on the class of x; xi has exact multiplicative order p^s - 1 and every
@@ -67,15 +73,23 @@ def _primitive_polynomial(p: int, s: int) -> tuple[int, ...]:
 
     A monic f of degree s with f(0) != 0 is primitive iff x has order
     p^s - 1 modulo (f, p): any factorization would force the order of x
-    below p^s - 1, so no separate irreducibility test is needed.
+    below p^s - 1, so no separate irreducibility test is needed.  The
+    norm of a root of f is (-1)^s * f(0), and the norm of a generator has
+    order p - 1 (Lidl-Niederreiter, Finite Fields, ch. 3), so only
+    constant terms with that norm are tried.  This rule drops no primitive
+    candidate, so the smallest one is still found first.
     """
     prime_divs = tuple(q for q, _ in factorize(p**s - 1)) if p**s > 2 else ()
-    for tail in itertools.product(range(p), repeat=s):
-        if tail[0] == 0:
+    # every prime divisor of p - 1 divides p^s - 1
+    norm_divs = [q for q in prime_divs if (p - 1) % q == 0]
+    for a0 in range(1, p):
+        norm = (-1)**s * a0 % p
+        if any(pow(norm, (p - 1) // q, p) == 1 for q in norm_divs):
             continue
-        modulus = tail + (1,)
-        if _x_has_full_order(modulus, p, s, prime_divs):
-            return modulus
+        for rest in itertools.product(range(p), repeat=s - 1):
+            modulus = (a0,) + rest + (1,)
+            if _x_has_full_order(modulus, p, s, prime_divs):
+                return modulus
     raise InternalInvariantError(f"no primitive polynomial of degree {s} over F_{p}")
 
 

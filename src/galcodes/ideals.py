@@ -153,6 +153,9 @@ class ExhaustiveGroupRing:
         if len(vec) != self.n:
             raise DomainError(
                 f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
+        for d in vec:
+            if not 0 <= d < self.m:
+                raise DomainError(f"digit {d} of a vector over Z_{self.m} is not in [0, {self.m})")
 
     # -- element <-> vector ---------------------------------------------------
 
@@ -246,15 +249,18 @@ class ExhaustiveGroupRing:
                     u = inv[v] = pow(v, -1, m)
                 row = [a * u % m for a in row]
             cur = pivots[c]
-            if cur is None or row[c] < cur[c]:
-                # an empty slot, or a strictly smaller valuation, takes the pivot
+            if cur is None:
                 pivots[c] = row
                 if e:
                     extra = [a * ppow[r - e] % m for a in row]
                     if any(extra):
                         stack.append(extra)
-                if cur is None:
-                    continue
+                continue
+            if row[c] < cur[c]:
+                # a smaller valuation e takes the slot from cur (valuation e'),
+                # pushing no saturation row: p^(r-e) * row is p^(r-e') * (cur - new)
+                # for new below, and both lie in the span of the later pivots
+                pivots[c] = row
                 row, cur = cur, row
             q = row[c] // cur[c]
             new = [(a - q * b) % m for a, b in zip(row, cur)]

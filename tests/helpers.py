@@ -4,6 +4,7 @@ The oracles are the slow definitions that the library's fast paths
 replaced; they live here because only tests call them.
 """
 
+import itertools
 import math
 from functools import lru_cache
 from operator import mul
@@ -12,7 +13,7 @@ from galcodes import AbelianGroup, construct_ring
 from galcodes.cyclotomic import PairGoodness
 from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
-                             generalized_frobenius)
+                             _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
                                  GroupRingElement, _decompose, ambient, compose,
                                  conjugate_involution, involution, sylow_merge)
@@ -116,6 +117,57 @@ def ideals_by_full_scan(eng):
     return bases[:principal], bases[principal:]
 
 
+def howell_saturating_takeovers(eng, rows):
+    """Howell form that pushes a row's p^(r-e) saturation multiple both
+    when it fills an empty pivot slot and when it takes over an occupied
+    one.  The oracle for eng.howell, which pushes it only in the first
+    case."""
+    m, p, r = eng.m, eng.p, eng.r
+    stack = [list(row) for row in rows if any(row)]
+    if not stack:
+        return ()
+    n = len(stack[0])
+    pivots: list = [None] * n
+    while stack:
+        row = stack.pop()
+        c = 0
+        while c < n and not row[c]:
+            c += 1
+        if c == n:
+            continue
+        v = row[c]
+        e = 0
+        while v % p == 0:
+            v //= p
+            e += 1
+        if v != 1:
+            u = pow(v, -1, m)
+            row = [a * u % m for a in row]
+        cur = pivots[c]
+        if cur is None or row[c] < cur[c]:
+            pivots[c] = row
+            if e:
+                extra = [a * p**(r - e) % m for a in row]
+                if any(extra):
+                    stack.append(extra)
+            if cur is None:
+                continue
+            row, cur = cur, row
+        q = row[c] // cur[c]
+        new = [(a - q * b) % m for a, b in zip(row, cur)]
+        if any(new):
+            stack.append(new)
+    out = [pivots[c] for c in range(n) if pivots[c] is not None]
+    cols = [next(i for i, a in enumerate(row) if a) for row in out]
+    for k in range(len(out)):
+        lead = out[k][cols[k]]
+        for j in range(k):
+            q = out[j][cols[k]] // lead
+            if q:
+                out[j] = [(a - q * b) % m for a, b in zip(out[j], out[k])]
+    return tuple(tuple(row) for row in out)
+
+
 def orbit_least_vectors(eng):
     """The least-encoded vector of each orbit of Z_{p^r}^x x G acting by
     u * Y^g, in encoding order, found by marking every orbit in full."""
@@ -150,6 +202,22 @@ def from_coeff_list(ring: GroupRing, cs) -> GroupRingElement:
     if len(cs) != len(elems):
         raise DomainError(f"expected {len(elems)} coefficients, got {len(cs)}")
     return ring.element(dict(zip(elems, cs)))
+
+
+def primitive_polynomial_by_scan(p: int, s: int) -> tuple[int, ...]:
+    """The smallest primitive monic polynomial by the full scan: every
+    coefficient tuple with a nonzero constant term, lowest degree first,
+    in lexicographic order, each given the order test of x.  The oracle
+    for the search that skips constant terms whose norm is not a
+    primitive root."""
+    prime_divs = tuple(q for q, _ in factorize(p**s - 1)) if p**s > 2 else ()
+    for tail in itertools.product(range(p), repeat=s):
+        if tail[0] == 0:
+            continue
+        modulus = tail + (1,)
+        if _x_has_full_order(modulus, p, s, prime_divs):
+            return modulus
+    raise AssertionError(f"no primitive polynomial of degree {s} over F_{p}")
 
 
 def digits_by_powering(a):

@@ -89,6 +89,13 @@ def test_gr_info_plain(capsys):
     ]
 
 
+def test_gr_info_far_above_the_old_scan(capsys):
+    # the full scan for this modulus took about 10 s
+    code, out, _ = run(capsys, "gr", "info", "--p", "7", "--r", "2", "--s", "6")
+    assert code == 0
+    assert "modulus: x^6 + x^5 + x^4 + 3" in out.splitlines()
+
+
 def test_classes_plain(capsys):
     code, out, _ = run(capsys, "classes", "--group", "Z7", "--q", "2")
     assert code == 0

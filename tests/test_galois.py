@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galcodes import galois
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import (_EMBED_EXPONENT, _MAX_DLOG_TABLE, GaloisRingSpec,
                              _embedding_exponent, _lift_by_powering,
@@ -12,7 +13,8 @@ from galcodes.galois import (_EMBED_EXPONENT, _MAX_DLOG_TABLE, GaloisRingSpec,
                              parse_element, parse_ring_name, ring_name, root_of_unity,
                              teichmuller_digits, teichmuller_lift, unembed)
 from galcodes.numth import is_prime
-from helpers import digits_by_powering, from_teichmuller_digits, is_unit
+from helpers import (digits_by_powering, from_teichmuller_digits, is_unit,
+                     primitive_polynomial_by_scan)
 
 # rings small enough for exhaustive element sweeps (p^(r*s) <= 6561)
 SMALL_SPECS = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2),
@@ -84,6 +86,41 @@ def test_primitive_polynomial_is_the_smallest_full_order_tail():
                         if _order_of_x(list(tail), p) == p**s - 1)
             assert _primitive_polynomial(p, s) == want + (1,), (p, s)
             s += 1
+
+
+def test_primitive_polynomial_matches_the_full_scan():
+    # every prime p and degree s with p^s <= 2 * 10^4
+    for p in filter(is_prime, range(2, 20001)):
+        s = 1
+        while p**s <= 20000:
+            assert _primitive_polynomial(p, s) == primitive_polynomial_by_scan(p, s), (p, s)
+            s += 1
+
+
+@pytest.mark.parametrize("p, s, modulus", [
+    (5, 8, (2, 0, 0, 0, 0, 0, 2, 1, 1)),
+    (7, 6, (3, 0, 0, 0, 1, 1, 1)),
+    (11, 5, (3, 0, 0, 1, 1, 1)),
+])
+def test_moduli_beyond_the_scan_oracle_are_pinned(p, s, modulus):
+    # found by the full scan, which took 6-36 s on each of these
+    assert construct_ring(p, 2, s).modulus == modulus
+
+
+def test_search_tries_only_constant_terms_of_primitive_norm(monkeypatch):
+    tried = []
+    full_order = galois._x_has_full_order
+
+    def spy(modulus, *args):
+        tried.append(modulus)
+        return full_order(modulus, *args)
+
+    monkeypatch.setattr(galois, "_x_has_full_order", spy)
+    # bypass the cache, which may already hold (5, 8)
+    assert _primitive_polynomial.__wrapped__(5, 8) == (2, 0, 0, 0, 0, 0, 2, 1, 1)
+    # 2 is the least primitive root mod 5; the full scan made 78137 tests
+    assert len(tried) < 100
+    assert {modulus[0] for modulus in tried} == {2}
 
 
 # -- arithmetic -----------------------------------------------------------------

@@ -16,8 +16,9 @@ from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
                              _shift_perms, _unit_inverses, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from helpers import (abelian_groups_up_to, compose_ints_by_transform,
-                     construct_by_nested_assembly, dual_by_scan, engine, ideals_by_full_scan,
-                     orbit_least_vectors, perms_by_group_add)
+                     construct_by_nested_assembly, dual_by_scan, engine,
+                     howell_saturating_takeovers, ideals_by_full_scan, orbit_least_vectors,
+                     perms_by_group_add)
 
 
 def join_all(eng, gens):
@@ -87,15 +88,27 @@ def test_ideal_of_another_ring_is_refused(call):
     call(twin, foreign)
 
 
-@pytest.mark.parametrize("call", [
+VECTOR_CALLS = pytest.mark.parametrize("call", [
     lambda eng, vec: eng.principal_ideal(vec),
     lambda eng, vec: eng.unit_ideal().contains_vector(vec),
 ], ids=["principal_ideal", "contains_vector"])
+
+
+@VECTOR_CALLS
 @pytest.mark.parametrize("length", [2, 4])
 def test_vector_of_another_length_is_refused(call, length):
     eng = engine(2, 2, 1, (3,))
     with pytest.raises(DomainError):
         call(eng, (2,) * length)
+
+
+@VECTOR_CALLS
+@pytest.mark.parametrize("vec", [(4, 0), (5, 0), (-1, 0)])
+def test_digit_outside_the_coefficient_ring_is_refused(call, vec):
+    # (4, 0) once gave the basis ((4, 0), (0, 4)), which is not Howell
+    eng = engine(2, 2, 1, (2,))
+    with pytest.raises(DomainError, match=rf"digit {vec[0]} of a vector over Z_4 is not in \[0, 4\)"):
+        call(eng, vec)
 
 
 # -- principal ideals --------------------------------------------------------------
@@ -210,16 +223,18 @@ def test_element_expansion_refuses_a_basis_that_is_not_howell():
         Ideal(eng, ((1, 0), (2, 0))).element_encodings()
 
 
+# the rings of the ideal_enum benchmark
+IDEAL_ENUM_RINGS = [
+    (2, 2, 1, (7,)), (2, 2, 2, (3,)), (3, 3, 1, (3,)), (2, 3, 1, (2, 2)), (2, 2, 1, (3, 2)),
+    (2, 3, 1, (4,)), (2, 2, 1, (2, 2)), (3, 2, 1, (3,)), (2, 2, 2, (2,)), (2, 2, 1, (4,)),
+    (2, 2, 1, (5,))]
 # every ring of at most 2^12 elements with p in {2, 3}, r <= 3 and s <= 2,
-# then the rings of the ideal_enum benchmark that lie above 2^12
+# then the ideal_enum rings that lie above 2^12
 STREAM_RINGS = [(p, r, s, group.factors)
                 for p in (2, 3) for r in (1, 2, 3) for s in (1, 2)
                 for group in abelian_groups_up_to(12)
                 if p**(r * s * group.order) <= 1 << 12]
-STREAM_RINGS += [ring for ring in [
-    (2, 2, 1, (7,)), (2, 2, 2, (3,)), (3, 3, 1, (3,)), (2, 3, 1, (2, 2)), (2, 2, 1, (3, 2)),
-    (2, 3, 1, (4,)), (2, 2, 1, (2, 2)), (3, 2, 1, (3,)), (2, 2, 2, (2,)), (2, 2, 1, (4,)),
-    (2, 2, 1, (5,))] if ring not in STREAM_RINGS]
+STREAM_RINGS += [ring for ring in IDEAL_ENUM_RINGS if ring not in STREAM_RINGS]
 
 
 def ring_id(ring):
@@ -236,6 +251,33 @@ def test_stream_matches_full_scan(p, r, s, factors):
     assert len(set(got)) == len(got)
     assert got[:len(principal)] == principal
     assert set(got) == set(principal) | set(rest)
+
+
+HOWELL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p, r", HOWELL_MODULI, ids=[f"Z{p**r}" for p, r in HOWELL_MODULI])
+def test_howell_matches_the_takeover_saturating_form(p, r):
+    """17000 seeded row sets per modulus, 102000 in all.  Entries lean to
+    multiples of p, so that over Z8, Z16 and Z27 rows of smaller valuation
+    often take over an occupied pivot slot."""
+    eng = engine(p, r, 1, ())
+    m = p**r
+    rng = random.Random(m)
+    for _ in range(17000):
+        width, count = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [tuple(rng.randrange(m) * p**rng.choice((0, 0, 1, r - 1)) % m
+                      for _ in range(width)) for _ in range(count)]
+        assert eng.howell(rows) == howell_saturating_takeovers(eng, rows), rows
+
+
+@pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
+                         ids=[ring_id(ring) for ring in IDEAL_ENUM_RINGS])
+def test_stream_bases_match_the_takeover_saturating_form(p, r, s, factors, monkeypatch):
+    eng = engine(p, r, s, factors)
+    got = [c.basis for c in eng.ideal_stream()]
+    monkeypatch.setattr(ExhaustiveGroupRing, "howell", howell_saturating_takeovers)
+    assert got == [c.basis for c in eng.ideal_stream()]
 
 
 @pytest.mark.parametrize("p, r, s, factors", [
