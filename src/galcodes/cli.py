@@ -21,7 +21,7 @@ from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        exists_self_dual, hermitian_abelian_count,
                        hermitian_cyclic_count_n, hermitian_cyclic_count_p2,
                        hermitian_semisimple_count, is_principal_ideal_group_ring)
-from .cyclotomic import TYPE_III_H, partition
+from .cyclotomic import partition
 from .errors import BoundExceededError, DomainError
 from .galois import construct_ring, element_text, modulus_text, ring_name
 from .group_ring import GroupRing
@@ -70,31 +70,30 @@ def _cmd_classes(args) -> int:
     p, s = prime_power_split(q)
     group = parse_group(args.group)
     parts = partition(group, q)
+
+    def partner_text(rep):
+        return "-" if rep is None else group_element_text(rep)
+
     rows = []
     for c in parts.classes:
         row = {"representative": group_element_text(c.rep),
                "elements": [group_element_text(g) for g in c.elements],
                "cardinality": c.cardinality,
-               "euclidean_type": c.euclidean_type}
-        partner = c.euclidean_partner
+               "euclidean_type": c.euclidean_type,
+               "partner": partner_text(c.euclidean_partner)}
         if s % 2 == 0:
             row["hermitian_type"] = c.hermitian_type
-            if c.hermitian_type == TYPE_III_H:
-                partner = c.hermitian_partner
-        row["partner"] = group_element_text(partner) if partner else "-"
+            row["hermitian_partner"] = partner_text(c.hermitian_partner)
         rows.append(row)
     if args.json:
         _emit_json({"group": format_group(group), "q": q},
                    {"classes": len(rows)}, rows)
     else:
         for row in rows:
-            cells = [row["representative"],
-                     ",".join(row["elements"]),
-                     str(row["cardinality"]),
-                     row["euclidean_type"]]
+            cells = [row["representative"], ",".join(row["elements"]),
+                     str(row["cardinality"]), row["euclidean_type"], row["partner"]]
             if "hermitian_type" in row:
-                cells.append(row["hermitian_type"])
-            cells.append(row["partner"])
+                cells += [row["hermitian_type"], row["hermitian_partner"]]
             print(" ".join(cells))
     return 0
 

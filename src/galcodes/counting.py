@@ -281,23 +281,18 @@ def _divisor_factor(p, r, s, d, count_d, duality, provider, p_group) -> DivisorF
     q = p**s
     nu = multiplicative_order(q, d)
     if duality == TOTAL:
-        kind, degree, exponent, slot = TOTAL, s * nu, _exact_div(count_d, nu), "component"
-    elif duality == EUCLIDEAN:
-        if bad_pair_indicator(d, q):
-            kind, degree = TOTAL, s * nu
-            exponent, slot = _exact_div(count_d, 2 * nu), "pair"
-        elif nu == 1:
-            kind, degree, exponent, slot = EUCLIDEAN, s, count_d, "single"
-        else:
-            kind, degree = HERMITIAN, s * nu
-            exponent, slot = _exact_div(count_d, nu), "conjugate-single"
+        kind, exponent, slot = TOTAL, _exact_div(count_d, nu), "component"
     else:
-        if even_pair_indicator(d, p**(s // 2)):
-            kind, degree = TOTAL, s * nu
-            exponent, slot = _exact_div(count_d, 2 * nu), "pair"
+        h = _pairing_twist(duality, s)
+        # order-d classes are type III when (d, q) is bad, and type III'
+        # when (d, p^h) is not oddly good
+        if bad_pair_indicator(d, q) if h == 0 else even_pair_indicator(d, p**h):
+            kind, exponent, slot = TOTAL, _exact_div(count_d, 2 * nu), "pair"
+        elif h == 0 and nu == 1:
+            kind, exponent, slot = EUCLIDEAN, count_d, "single"
         else:
-            kind, degree = HERMITIAN, s * nu
-            exponent, slot = _exact_div(count_d, nu), "conjugate-single"
+            kind, exponent, slot = HERMITIAN, _exact_div(count_d, nu), "conjugate-single"
+    degree = s * nu
     value, via = _query(provider, p, r, degree, p_group, kind)
     return DivisorFactor(d, count_d, nu, slot, kind, degree, exponent, value, via)
 

@@ -1,16 +1,13 @@
 """q-cyclotomic classes of a finite abelian group and their duality types.
 
-For q = p^s coprime to |A|, the class of a is the orbit {q^i * a}.  Under
-the Euclidean pairing a class is
-
-  type I   if a = -a,
-  type II  if -a lies in the class but a != -a,
-  type III otherwise (classes then pair off under negation).
-
-When s is even there is a second taxonomy for the Hermitian pairing:
-
-  type II'  if -p^(s/2) * a lies in the class,
-  type III' otherwise (classes pair off under a -> -p^(s/2) * a).
+For q = p^s coprime to |A|, the class of a is the orbit {q^i * a}.  Both
+pairings follow one rule, with twist h = 0 (Euclidean) or h = s/2
+(Hermitian, s even): the class of a pairs with the class of -p^h * a,
+which only _partner_point computes.  The paper's types name the outcomes:
+a class that is its own partner is type I (-a = a) or II when h = 0, and
+type II' when h = s/2; a class paired with another is type III or III'.
+class_of owns the precondition that |A| is coprime to p; every class,
+partition and ambient decomposition is built through it.
 
 'Good pair' classification: (j, q) is good when j divides q^t + 1 for some
 t >= 1; all solutions t share the parity of the least one, splitting good
@@ -118,6 +115,19 @@ def _orbit(group: AbelianGroup, q: int, a) -> tuple[tuple[int, ...], ...]:
     return tuple(out[i:] + out[:i])
 
 
+def _partner_point(group: AbelianGroup, p: int, h: int, a) -> tuple[int, ...]:
+    """-p^h * a, the point whose class pairs with the class of a under the
+    pairing of twist h."""
+    return group.neg(group.scale(pow(p, h, max(group.exponent, 1)), a))
+
+
+def _partner(group: AbelianGroup, q: int, p: int, h: int, orbit) -> tuple[int, ...] | None:
+    """Representative of the class paired with orbit under twist h, or None
+    when the class is its own partner."""
+    b = _partner_point(group, p, h, orbit[0])
+    return None if b in orbit else min(_orbit(group, q, b))
+
+
 def class_of(group: AbelianGroup, q: int, a) -> CyclotomicClass:
     """The q-cyclotomic class of a, fully classified."""
     p, s = prime_power_split(q)
@@ -125,33 +135,28 @@ def class_of(group: AbelianGroup, q: int, a) -> CyclotomicClass:
         raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
     a = group.element(a)
     orbit = _orbit(group, q, a)
-    members = set(orbit)
-    neg = group.neg(a)
-    if neg == a:
-        etype, epartner = TYPE_I, None
-    elif neg in members:
-        etype, epartner = TYPE_II, None
-    else:
-        etype, epartner = TYPE_III, min(_orbit(group, q, neg))
+    epartner = _partner(group, q, p, 0, orbit)
+    etype = TYPE_III if epartner is not None else TYPE_I if group.neg(a) == a else TYPE_II
     htype = hpartner = None
     if s % 2 == 0:
-        conj = group.neg(group.scale(pow(p, s // 2, max(group.exponent, 1)), a))
-        if conj in members:
-            htype = TYPE_II_H
-        else:
-            htype, hpartner = TYPE_III_H, min(_orbit(group, q, conj))
+        hpartner = _partner(group, q, p, s // 2, orbit)
+        htype = TYPE_II_H if hpartner is None else TYPE_III_H
     return CyclotomicClass(group, q, orbit[0], orbit, etype, htype, epartner, hpartner)
+
+
+Layout = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """All q-cyclotomic classes of a group, with both pairing layouts.
+    """All q-cyclotomic classes of a group, with the layout of each pairing.
 
-    classes are sorted by representative.  euclidean_singles lists the
-    indices of type-I classes then type-II classes; euclidean_pairs holds
-    (primary, partner) index pairs for type III, primary being the class
-    with the smaller representative.  The hermitian fields are analogous
-    (empty when s is odd, where no Hermitian structure exists).
+    classes are sorted by representative.  The layout of a pairing is
+    (singles, pairs): singles are the indices of the classes that are their
+    own partner, type I before type II (the Hermitian ones, all type II',
+    in class order); pairs are (primary, partner) index pairs, primary
+    being the class with the smaller representative.  _layouts holds the
+    Euclidean layout, then the Hermitian one when s is even.
     """
 
     group: AbelianGroup
@@ -159,24 +164,17 @@ class ClassPartition:
     s: int
     q: int
     classes: tuple[CyclotomicClass, ...]
-    euclidean_singles: tuple[int, ...]
-    euclidean_pairs: tuple[tuple[int, int], ...]
-    hermitian_singles: tuple[int, ...]
-    hermitian_pairs: tuple[tuple[int, int], ...]
+    _layouts: tuple[Layout, ...]
 
-    def layout(self, pairing: str) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    def layout(self, pairing: str) -> Layout:
         """(singles, pairs) of the 'euclidean' or 'hermitian' pairing."""
-        if _pairing_twist(pairing, self.s) == 0:
-            return self.euclidean_singles, self.euclidean_pairs
-        return self.hermitian_singles, self.hermitian_pairs
+        return self._layouts[1 if _pairing_twist(pairing, self.s) else 0]
 
 
 @lru_cache(maxsize=None)
 def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
     group = AbelianGroup(factors)
     p, s = prime_power_split(q)
-    if math.gcd(group.order, p) != 1:
-        raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
     classes: list[CyclotomicClass] = []
     seen: set[tuple[int, ...]] = set()
     for a in group.elements():
@@ -188,20 +186,18 @@ def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
     classes.sort(key=lambda c: c.rep)
     index = {c.rep: i for i, c in enumerate(classes)}
 
-    e_singles = [i for i, c in enumerate(classes) if c.euclidean_type == TYPE_I]
-    e_singles += [i for i, c in enumerate(classes) if c.euclidean_type == TYPE_II]
-    e_pairs = [(i, index[c.euclidean_partner]) for i, c in enumerate(classes)
-               if c.euclidean_type == TYPE_III and c.rep < c.euclidean_partner]
-
-    h_singles: list[int] = []
-    h_pairs: list[tuple[int, int]] = []
+    taxonomies = [[(c.euclidean_type, c.euclidean_partner) for c in classes]]
     if s % 2 == 0:
-        h_singles = [i for i, c in enumerate(classes) if c.hermitian_type == TYPE_II_H]
-        h_pairs = [(i, index[c.hermitian_partner]) for i, c in enumerate(classes)
-                   if c.hermitian_type == TYPE_III_H and c.rep < c.hermitian_partner]
-    return ClassPartition(group, p, s, q, tuple(classes),
-                          tuple(e_singles), tuple(e_pairs),
-                          tuple(h_singles), tuple(h_pairs))
+        taxonomies.append([(c.hermitian_type, c.hermitian_partner) for c in classes])
+    layouts = []
+    for taxonomy in taxonomies:
+        # a stable sort by type name puts type I before type II
+        singles = sorted((i for i, (_, b) in enumerate(taxonomy) if b is None),
+                         key=lambda i: taxonomy[i][0])
+        pairs = tuple((i, index[b]) for i, (_, b) in enumerate(taxonomy)
+                      if b is not None and classes[i].rep < b)
+        layouts.append((tuple(singles), pairs))
+    return ClassPartition(group, p, s, q, tuple(classes), tuple(layouts))
 
 
 def partition(group: AbelianGroup, q: int) -> ClassPartition:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import _pairing_twist, partition
+from .cyclotomic import _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
@@ -242,8 +242,6 @@ class AmbientDecomposition:
     """Cached spectral data for GR(p^r, s)[A], |A| coprime to p."""
 
     def __init__(self, spec: GaloisRingSpec, group: AbelianGroup):
-        if group.order % spec.p == 0 and group.order > 1:
-            raise DomainError(f"|A| = {group.order} is not coprime to p = {spec.p}")
         self.spec = spec
         self.group = group
         self.ring = GroupRing(spec, group)
@@ -350,13 +348,12 @@ def _slots(ctx: AmbientDecomposition, pairing: str):
         h = _pairing_twist(pairing, ctx.spec.s)
         single_idx, pair_idx = ctx.parts.layout(pairing)
         group, classes = ctx.group, ctx.parts.classes
-        scale = pow(ctx.spec.p, h, max(ctx.exponent, 1))
         singles = tuple((i, ctx.component_spec(classes[i].cardinality), classes[i].elements)
                         for i in single_idx)
         pairs = []
         for i, j in pair_idx:
             cls, orbit = classes[i], classes[j].elements
-            start = group.neg(group.scale(scale, cls.rep))
+            start = _partner_point(group, ctx.spec.p, h, cls.rep)
             if start not in orbit:
                 raise InternalInvariantError("partner orbit mismatch")
             k = orbit.index(start)

@@ -47,6 +47,7 @@ from .group_ring import (GroupRing, GroupRingElement, ambient, class_idempotents
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
+MAX_REPRESENTATIVES = 10000
 
 
 def exhaustive_bound() -> int:
@@ -622,21 +623,18 @@ class SemisimpleSelfDualFamily:
 
 
 def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
-                                  form: str = EUCLIDEAN,
-                                  max_representatives: int | None = 10000) -> SemisimpleSelfDualFamily:
+                                  form: str = EUCLIDEAN) -> SemisimpleSelfDualFamily:
     """Componentwise enumeration: singles are forced to p^(r/2) K, pairs
-    range over the chain (p^i K, p^(r-i) K), i = 0..r."""
+    range over the chain (p^i K, p^(r-i) K), i = 0..r.  Families of more
+    than MAX_REPRESENTATIVES codes are counted but not listed."""
     _pairing_twist(form, s)
-    spec = construct_ring(p, r, s)
-    if group.order % p == 0 and group.order > 1:
-        raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
-    ctx = ambient(spec, group)
+    ctx = ambient(construct_ring(p, r, s), group)
     singles, pairs = ctx.parts.layout(form)
     if r % 2:
         return SemisimpleSelfDualFamily(p, r, s, group, form, 0, ())
     count = (r + 1)**len(pairs)
     reps = []
-    if max_representatives is None or count <= max_representatives:
+    if count <= MAX_REPRESENTATIVES:
         e = class_idempotents(ctx)
         single_gens = [e[i] * p**(r // 2) for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r

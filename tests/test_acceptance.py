@@ -361,12 +361,13 @@ def _shift_components(d: DecomposedElement, t) -> DecomposedElement:
 
 
 def _euclidean_slots_orthogonal(parts, xd, ud) -> bool:
-    for i in parts.euclidean_singles:
+    singles, pairs = parts.layout("euclidean")
+    for i in singles:
         form = (form_hermitian if parts.classes[i].euclidean_type == TYPE_II
                 else form_euclidean)
         if not form(xd.singles[i], ud.singles[i]).is_zero():
             return False
-    for i, _ in parts.euclidean_pairs:
+    for i, _ in pairs:
         x1, x2 = xd.pairs[i]
         u1, u2 = ud.pairs[i]
         if not form_euclidean(x1, u2).is_zero():
@@ -377,10 +378,11 @@ def _euclidean_slots_orthogonal(parts, xd, ud) -> bool:
 
 
 def _hermitian_slots_orthogonal(parts, xd, ud) -> bool:
-    for i in parts.hermitian_singles:
+    singles, pairs = parts.layout("hermitian")
+    for i in singles:
         if not form_hermitian(xd.singles[i], ud.singles[i]).is_zero():
             return False
-    for i, _ in parts.hermitian_pairs:
+    for i, _ in pairs:
         x1, x2 = xd.pairs[i]
         u1, u2 = ud.pairs[i]
         if not form_euclidean(x1, u2).is_zero():

@@ -110,9 +110,25 @@ def test_classes_hermitian_columns(capsys):
     code, out, _ = run(capsys, "classes", "--group", "Z5", "--q", "4")
     assert code == 0
     assert out.splitlines() == [
-        "(0) (0) 1 I II' -",
-        "(1) (1),(4) 2 II III' (2)",
-        "(2) (2),(3) 2 II III' (1)",
+        "(0) (0) 1 I - II' -",
+        "(1) (1),(4) 2 II - III' (2)",
+        "(2) (2),(3) 2 II - III' (1)",
+    ]
+
+
+def test_classes_each_pairing_prints_its_own_partner(capsys):
+    code, out, _ = run(capsys, "classes", "--group", "Z15", "--q", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "(0) (0) 1 I - II' -",
+        "(1) (1),(4) 2 III (11) III' (7)",
+        "(2) (2),(8) 2 III (7) III' (11)",
+        "(3) (3),(12) 2 II - III' (6)",
+        "(5) (5) 1 III (10) II' -",
+        "(6) (6),(9) 2 II - III' (3)",
+        "(7) (7),(13) 2 III (2) III' (1)",
+        "(10) (10) 1 III (5) II' -",
+        "(11) (11),(14) 2 III (1) III' (2)",
     ]
 
 
@@ -220,6 +236,16 @@ def test_classes_json(capsys):
     assert doc["result"]["classes"] == 2
     assert doc["breakdown"][0]["euclidean_type"] == "I"
     assert doc["breakdown"][1]["euclidean_type"] == "II"
+    assert "hermitian_partner" not in doc["breakdown"][1]
+
+
+def test_classes_json_partners(capsys):
+    doc = run_json(capsys, "classes", "--group", "Z15", "--q", "4", "--json")
+    row = doc["breakdown"][1]
+    assert (row["representative"], row["euclidean_type"], row["partner"]) == ("(1)", "III", "(11)")
+    assert (row["hermitian_type"], row["hermitian_partner"]) == ("III'", "(7)")
+    row = doc["breakdown"][4]
+    assert (row["representative"], row["partner"], row["hermitian_partner"]) == ("(5)", "(10)", "-")
 
 
 def test_construct_json(capsys):

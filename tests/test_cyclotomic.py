@@ -7,14 +7,15 @@ from hypothesis import given, settings, strategies as st
 from galcodes.cyclotomic import (EUCLIDEAN, HERMITIAN, PairGoodness, TYPE_I, TYPE_II,
                                  TYPE_II_H, TYPE_III, TYPE_III_H, bad_pair_indicator,
                                  class_of, classify_pair, even_pair_indicator, partition)
-from galcodes.counting import exists_self_dual, hermitian_abelian_count
+from galcodes.counting import (euclidean_abelian_count, exists_self_dual,
+                               hermitian_abelian_count)
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual
-from helpers import (class_containing, class_order, classify_pair_scan, decompose_nested,
-                     engine)
+from helpers import (abelian_groups_up_to, class_containing, class_order, classify_pair_scan,
+                     decompose_nested, engine)
 
 
 # -- single classes ---------------------------------------------------------------
@@ -73,8 +74,14 @@ def test_hermitian_needs_even_s():
 
 
 def test_class_of_rejects_noncoprime():
-    with pytest.raises(DomainError):
-        class_of(AbelianGroup((6,)), 2, (1,))
+    """class_of owns the check; every entry point on the class path
+    reaches it and raises its message."""
+    z6 = AbelianGroup((6,))
+    for call in (lambda: class_of(z6, 2, (1,)), lambda: partition(z6, 4),
+                 lambda: ambient(construct_ring(2, 2, 1), z6),
+                 lambda: enumerate_semisimple_selfdual(2, 2, 1, z6)):
+        with pytest.raises(DomainError, match=r"^\|A\| = 6 is not coprime to p = 2$"):
+            call()
 
 
 # -- partitions ---------------------------------------------------------------------
@@ -114,21 +121,38 @@ def test_partition_is_a_partition():
         union = [a for c in part.classes for a in c.elements]
         assert len(union) == g.order
         assert set(union) == set(g.elements())
-        covered = set(part.euclidean_singles)
-        for i, j in part.euclidean_pairs:
+        singles, pairs = part.layout(EUCLIDEAN)
+        covered = set(singles)
+        for i, j in pairs:
             covered.update((i, j))
         assert covered == set(range(len(part.classes)))
 
 
 def test_layout_names_the_two_pairings():
     part = partition(AbelianGroup((15,)), 4)
-    assert part.layout("euclidean") == (part.euclidean_singles, part.euclidean_pairs)
-    assert part.layout("hermitian") == (part.hermitian_singles, part.hermitian_pairs)
+    assert part.layout("euclidean") == ((0, 3, 5), ((1, 8), (2, 6), (4, 7)))
+    assert part.layout("hermitian") == ((0, 4, 7), ((1, 6), (2, 8), (3, 5)))
     for name in ("euclidian", "Euclidean", "none", ""):
         with pytest.raises(DomainError, match="unknown pairing"):
             part.layout(name)
     with pytest.raises(DomainError, match="even degree"):
         partition(AbelianGroup((7,)), 2).layout("hermitian")
+
+
+@pytest.mark.parametrize("factors, q, pairing, singles, pairs", [
+    # Euclidean singles: type I classes, then type II, each in class order
+    ((12,), 5, EUCLIDEAN, (0, 5, 2, 4), ((1, 6), (3, 7))),
+    # Hermitian singles in class order, although (3) and (6) are fixed by
+    # a -> -2a and (1), (2) are not
+    ((9,), 4, HERMITIAN, (0, 1, 2, 3, 4), ()),
+    ((4,), 9, EUCLIDEAN, (0, 2), ((1, 3),)),
+    # class order, not type I first: (2) has Euclidean type I
+    ((4,), 9, HERMITIAN, (0, 1, 2, 3), ()),
+])
+def test_layout_order_of_singles(factors, q, pairing, singles, pairs):
+    part = partition(AbelianGroup(factors), q)
+    assert part.layout(pairing) == (singles, pairs)
+    assert hash(part) == hash(partition(AbelianGroup(factors), q))
 
 
 Z3 = AbelianGroup((3,))
@@ -224,3 +248,37 @@ def test_odd_goodness_forces_no_type_iii():
     assert layout_types(partition(AbelianGroup((5,)), 2), EUCLIDEAN) == ({TYPE_I: 1, TYPE_II: 1}, 0)
     assert layout_types(partition(AbelianGroup((7,)), 2), EUCLIDEAN) == ({TYPE_I: 1}, 1)
     assert layout_types(partition(AbelianGroup((3,)), 2), EUCLIDEAN)[1] == 0
+
+
+SLOT_OF_TYPE = {TYPE_I: "single", TYPE_II: "conjugate-single", TYPE_II_H: "conjugate-single",
+                TYPE_III: "pair", TYPE_III_H: "pair"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_layouts_match_the_product_formula(p):
+    """The orbit definition against the indicator theorem: for every group
+    of order <= 64 coprime to p, s <= 4 and both pairings, the single
+    classes and the pairs of order d in the layout are the slots the
+    formula's factor for d counts in its exponent, and each class of
+    order d has that factor's orbit size and the slot its type names."""
+    counts = {EUCLIDEAN: euclidean_abelian_count, HERMITIAN: hermitian_abelian_count}
+    cases = 0
+    for group in abelian_groups_up_to(64):
+        if group.order % p == 0:
+            continue
+        for s in range(1, 5):
+            part = partition(group, p**s)
+            for pairing in (EUCLIDEAN, HERMITIAN)[:2 - s % 2]:
+                singles, pairs = part.layout(pairing)
+                factors = counts[pairing](p, 2, s, group, provider="trivial").factors
+                assert Counter(class_order(part.classes[i]) for i in singles) == Counter(
+                    {f.divisor: f.exponent for f in factors if f.slot_type != "pair"})
+                assert Counter(class_order(part.classes[i]) for i, _ in pairs) == Counter(
+                    {f.divisor: f.exponent for f in factors if f.slot_type == "pair"})
+                by_order = {f.divisor: f for f in factors}
+                for c in part.classes:
+                    f = by_order[class_order(c)]
+                    ctype = c.euclidean_type if pairing == EUCLIDEAN else c.hermitian_type
+                    assert (c.cardinality, SLOT_OF_TYPE[ctype]) == (f.orbit_size, f.slot_type)
+                cases += 1
+    assert cases >= 200  # 234, 462 and 588 for p = 2, 3, 5

@@ -340,7 +340,7 @@ def test_involution_acts_by_slot_type():
             x = ctx.ring.random_element(rng)
             d = decompose_euclidean(x, ctx)
             di = decompose_euclidean(involution(x), ctx)
-            for i in ctx.parts.euclidean_singles:
+            for i in ctx.parts.layout("euclidean")[0]:
                 if ctx.parts.classes[i].euclidean_type == TYPE_I:
                     assert di.singles[i] == d.singles[i]
                 else:
@@ -361,7 +361,7 @@ def test_conjugate_involution_acts_by_slot_type():
             x = ctx.ring.random_element(rng)
             d = decompose_hermitian(x, ctx)
             di = decompose_hermitian(conjugate_involution(x), ctx)
-            for i in ctx.parts.hermitian_singles:
+            for i in ctx.parts.layout("hermitian")[0]:
                 assert di.singles[i] == conjugate(d.singles[i])
             for i in d.pairs:
                 assert di.pairs[i] == (d.pairs[i][1], d.pairs[i][0])

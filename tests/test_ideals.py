@@ -11,7 +11,7 @@ from galcodes.errors import BoundExceededError, DomainError, InternalInvariantEr
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
-from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN,
+from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, _form_step, _group_index,
                              _shift_perms, _unit_inverses, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
@@ -599,9 +599,9 @@ def test_semisimple_family_odd_r_is_empty():
 
 
 def test_semisimple_family_representative_cap():
-    fam = enumerate_semisimple_selfdual(2, 2, 1, AbelianGroup((7,)),
-                                        max_representatives=1)
-    assert fam.count == 3
+    # Z127 splits into 9 pairs of classes of size 7 over F_2
+    fam = enumerate_semisimple_selfdual(2, 2, 1, AbelianGroup((127,)))
+    assert fam.count == 3**9 > MAX_REPRESENTATIVES
     assert fam.representatives == ()
 
 
