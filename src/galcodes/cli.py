@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from functools import lru_cache, partial
 
 from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        euclidean_abelian_count, euclidean_cyclic_count_n,
@@ -240,19 +241,11 @@ def _cmd_table(args) -> int:
 
 # -- verify ------------------------------------------------------------------------
 
-def _engine(p, r, s, group, bound):
-    return ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
-
-
-def _brute_selfdual(p, r, s, group, form, bound):
-    return _engine(p, r, s, group, bound).count_self_dual(form)
-
-
 def _decomposition_selfdual(p, r, s, group, form, bound):
     """Materialize each representative generator list and count the distinct
     self-dual ideals they span; raises through if one fails the duality check."""
     fam = enumerate_semisimple_selfdual(p, r, s, group, form)
-    eng = _engine(p, r, s, group, bound)
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
     found = set()
     for gens in fam.representatives:
         ideal = eng.ideal_from_rows(
@@ -266,31 +259,42 @@ def _decomposition_selfdual(p, r, s, group, form, bound):
 _JOIN_ORACLE = "join-closure brute force"
 _DECOMP_ORACLE = "decomposition enumeration"
 
+# (p, s, largest n) of the length tables: every n <= 8 whose ring
+# GR(p^2, s)[Z_n] has at most 3^12 elements
+_LENGTH_TABLES = [(2, 1, 8), (2, 2, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)]
+
 
 def _verify_checks(bound):
     """Yield (check, params, formula_thunk, oracle_thunk, oracle_kind) in
-    canonical order; each oracle runs under the bound."""
-    for (p, s, a) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2),
-                      (3, 1, 1), (3, 2, 1)]:
-        group = AbelianGroup((p**a,))
-        yield ("cyclic-count", {"p": p, "s": s, "a": a},
-               lambda p=p, s=s, a=a: cyclic_count_p2(p, s, a),
-               lambda p=p, s=s, g=group: len(_engine(p, 2, s, g, bound).enumerate_ideals()),
-               _JOIN_ORACLE)
+    canonical order; each oracle runs under the bound.  The join-closure
+    oracles share one enumeration per ring, held for this run only."""
 
-    for (p, s, a) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)]:
-        group = AbelianGroup((p**a,))
-        yield ("euclidean-cyclic-count", {"p": p, "s": s, "a": a},
-               lambda p=p, s=s, a=a: euclidean_cyclic_count_p2(p, s, a),
-               lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "euclidean", bound),
-               _JOIN_ORACLE)
+    @lru_cache(maxsize=None)
+    def enumerated(p, r, s, group):
+        eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
+        return eng, eng.enumerate_ideals()
 
-    for (p, s, a) in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]:
-        group = AbelianGroup((p**a,))
-        yield ("hermitian-cyclic-count", {"p": p, "s": s, "a": a},
-               lambda p=p, s=s, a=a: hermitian_cyclic_count_p2(p, s, a),
-               lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "hermitian", bound),
-               _JOIN_ORACLE)
+    def brute(p, r, s, group, dual):
+        """All ideals for dual="none", else those self-dual for that form."""
+        eng, ideals = enumerated(p, r, s, group)
+        if dual == "none":
+            return len(ideals)
+        return sum(1 for c in ideals if eng.is_self_dual(c, dual))
+
+    decomposed = partial(_decomposition_selfdual, bound=bound)
+
+    for check, closed, dual, rows in (
+            ("cyclic-count", cyclic_count_p2, "none",
+             [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 1)]),
+            ("euclidean-cyclic-count", euclidean_cyclic_count_p2, "euclidean",
+             [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)]),
+            ("hermitian-cyclic-count", hermitian_cyclic_count_p2, "hermitian",
+             [(2, 2, 1), (2, 2, 2), (3, 2, 1)])):
+        for (p, s, a) in rows:
+            yield (check, {"p": p, "s": s, "a": a},
+                   lambda f=closed, p=p, s=s, a=a: f(p, s, a),
+                   lambda p=p, s=s, a=a, d=dual: brute(p, 2, s, AbelianGroup((p**a,)), d),
+                   _JOIN_ORACLE)
 
     for (p, r, s, gtext, dual) in [(2, 2, 1, "Z3", "euclidean"),
                                    (2, 2, 1, "Z7", "euclidean"),
@@ -306,11 +310,10 @@ def _verify_checks(bound):
         semisimple = (euclidean_semisimple_count if dual == "euclidean"
                       else hermitian_semisimple_count)
         params = {"p": p, "r": r, "s": s, "group": gtext, "dual": dual}
-        for kind, oracle in ((_JOIN_ORACLE, _brute_selfdual),
-                             (_DECOMP_ORACLE, _decomposition_selfdual)):
+        for kind, oracle in ((_JOIN_ORACLE, brute), (_DECOMP_ORACLE, decomposed)):
             yield ("semisimple-count", params,
                    lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
-                   lambda o=oracle, p=p, r=r, s=s, g=group, d=dual: o(p, r, s, g, d, bound),
+                   lambda o=oracle, p=p, r=r, s=s, g=group, d=dual: o(p, r, s, g, d),
                    kind)
 
     for (p, r, s, gtext, dual) in [(2, 2, 1, "Z6", "euclidean"),
@@ -323,15 +326,20 @@ def _verify_checks(bound):
                    else hermitian_abelian_count)
         yield ("general-count", {"p": p, "r": r, "s": s, "group": gtext, "dual": dual},
                lambda f=general, p=p, r=r, s=s, d=dec: f(p, r, s, d.coprime_part, d.p_part, "closed").count,
-               lambda p=p, r=r, s=s, g=group, d=dual: _brute_selfdual(p, r, s, g, d, bound),
+               lambda p=p, r=r, s=s, g=group, d=dual: brute(p, r, s, g, d),
                _JOIN_ORACLE)
 
-    for (p, s, n) in [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 6), (3, 1, 3)]:
-        group = AbelianGroup((n,)) if n > 1 else AbelianGroup(())
-        yield ("length-count", {"p": p, "s": s, "n": n, "dual": "euclidean"},
-               lambda p=p, s=s, n=n: euclidean_cyclic_count_n(p, s, n).count,
-               lambda p=p, s=s, g=group: _brute_selfdual(p, 2, s, g, "euclidean", bound),
-               _JOIN_ORACLE)
+    for (p, s, top) in _LENGTH_TABLES:
+        counts = [("none", cyclic_count_n), ("euclidean", euclidean_cyclic_count_n)]
+        if s % 2 == 0:
+            counts.append(("hermitian", hermitian_cyclic_count_n))
+        for n in range(1, top + 1):
+            group = AbelianGroup((n,) if n > 1 else ())
+            for dual, closed in counts:
+                yield ("length-count", {"p": p, "s": s, "n": n, "dual": dual},
+                       lambda f=closed, p=p, s=s, n=n: f(p, s, n).count,
+                       lambda p=p, s=s, g=group, d=dual: brute(p, 2, s, g, d),
+                       _JOIN_ORACLE)
 
     for (p, r, gtext) in [(2, 1, "Z2"), (2, 1, "Z3"), (2, 2, "Z2"),
                           (2, 2, "Z3"), (3, 1, "Z2"), (3, 1, "Z3"),
@@ -339,7 +347,7 @@ def _verify_checks(bound):
         group = parse_group(gtext)
         yield ("exists", {"p": p, "r": r, "s": 1, "group": gtext, "dual": "euclidean"},
                lambda p=p, r=r, g=group: int(exists_self_dual(p, r, g)),
-               lambda p=p, r=r, g=group: int(_engine(p, r, 1, g, bound).exists_self_dual_brute("euclidean")),
+               lambda p=p, r=r, g=group: int(brute(p, r, 1, g, "euclidean") > 0),
                _JOIN_ORACLE)
 
 

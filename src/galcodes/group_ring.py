@@ -24,9 +24,10 @@ Frobenius power -h.  The twist makes the pairing's involution (support
 reversal, conjugated when h = s/2) act on the pair as a plain swap.
 
 class_idempotents tabulates the primitive idempotent e_C of each class C
-(transform 1 on C, 0 elsewhere) on first use, in one sweep that costs one
-idft; the table holds at most #classes * |A| coefficients and lives as long
-as its ambient context.  An integer c at the slot of C pulls back to c * e_C.
+(transform 1 on C, 0 elsewhere) on first use, by one idft per class given
+only that class's points, so the whole table costs one full idft; it holds
+at most #classes * |A| coefficients and lives as long as its ambient
+context.  An integer c at the slot of C pulls back to c * e_C.
 The slots of a pairing (component rings, orbits, partner orbits rotated to
 start at -p^h * a) are built once per context by _slots, which checks that
 they cover the group; decompose and compose only read them.
@@ -321,19 +322,12 @@ def idft(spec: Spectrum) -> GroupRingElement:
 
 
 def class_idempotents(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
-    """The idempotent e_C of each class C, in partition order: its
-    coefficient at a is |A|^(-1) * sum over h in C of zeta^(-gamma_h(a))."""
+    """The idempotent e_C of each class C, in partition order: the inverse
+    transform of 1 on C, given only C's points, so each costs |A| * |C|."""
     if ctx._idempotents is None:
-        group, M, zero = ctx.group, ctx.exponent, ctx.big.zero()
-        table = []
-        for cls in ctx.parts.classes:
-            coeffs = {}
-            for a in group.elements():
-                acc = sum((ctx.zeta_pows[-character_exponent(group, h, a) % M]
-                           for h in cls.elements), zero)
-                coeffs[a] = unembed(acc * ctx.inv_group_order, ctx.spec)
-            table.append(ctx.ring.element(coeffs))
-        ctx._idempotents = tuple(table)
+        one = ctx.big.one()
+        ctx._idempotents = tuple(idft(Spectrum(ctx, {h: one for h in cls.elements}))
+                                 for cls in ctx.parts.classes)
     return ctx._idempotents
 
 

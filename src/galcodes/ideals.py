@@ -55,12 +55,9 @@ def exhaustive_bound() -> int:
     if raw is None:
         return DEFAULT_BOUND
     try:
-        val = int(raw)
+        return int(raw)
     except ValueError:
         raise DomainError(f"{BOUND_ENV_VAR}={raw!r} is not an integer") from None
-    if val < 1:
-        raise DomainError(f"{BOUND_ENV_VAR} must be positive, got {val}")
-    return val
 
 
 # -- tables shared by the engines, each keyed by exactly what it depends on ------
@@ -108,7 +105,8 @@ class ExhaustiveGroupRing:
     """Flat-vector arithmetic for one group ring.
 
     bound (default exhaustive_bound()) caps the ring size at which the
-    exponential operations, ideal enumeration and element listing, run.
+    exponential operations, ideal enumeration and element listing, run;
+    a bound below 1 is refused here, whatever its source.
     _require_enumerable holds the one rule for that size: code that must
     know whether a ring is small enough asks it rather than compare sizes.
     """
@@ -127,6 +125,8 @@ class ExhaustiveGroupRing:
         self.n = spec.s * self.group.order
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
+        if self.bound < 1:
+            raise DomainError(f"the exhaustive bound must be at least 1, got {self.bound}")
         self._ppow = [self.p**i for i in range(self.r + 1)]
 
     def __repr__(self) -> str:
@@ -428,14 +428,8 @@ class ExhaustiveGroupRing:
             return False
         return self.is_self_orthogonal(code, form)
 
-    def self_dual_ideals(self, form: str = EUCLIDEAN) -> tuple["Ideal", ...]:
-        return tuple(c for c in self.enumerate_ideals() if self.is_self_dual(c, form))
-
     def count_self_dual(self, form: str = EUCLIDEAN) -> int:
         return sum(1 for c in self.ideal_stream() if self.is_self_dual(c, form))
-
-    def exists_self_dual_brute(self, form: str = EUCLIDEAN) -> bool:
-        return any(self.is_self_dual(c, form) for c in self.ideal_stream())
 
 
 class Ideal:

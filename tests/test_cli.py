@@ -7,6 +7,7 @@ import pytest
 from galcodes.cli import _uncapped_int_text, main
 from galcodes.counting import abelian_count
 from galcodes.groups import AbelianGroup, parse_group
+from galcodes.ideals import ExhaustiveGroupRing
 
 
 def run(capsys, *argv):
@@ -306,14 +307,21 @@ SEMISIMPLE_ROWS = [(2, 2, 1, "Z3", "euclidean"), (2, 2, 1, "Z7", "euclidean"),
                    (3, 2, 1, "Z13", "euclidean"), (5, 2, 1, "Z12", "euclidean")]
 
 
-def _ring_size(params):
-    """|GR(p^r, s)[G]| of a verify record; r defaults to 2, G to Z(p^a) or Z(n)."""
+def _ring(params):
+    """(p, r, s, factors of G) of a verify record; r defaults to 2, G to Z(p^a) or Z(n)."""
     p, r, s = params["p"], params.get("r", 2), params["s"]
     if "group" in params:
-        order = parse_group(params["group"]).order
+        factors = parse_group(params["group"]).factors
     else:
         order = params["n"] if "n" in params else p**params["a"]
-    return p**(r * s * order)
+        factors = (order,) if order > 1 else ()
+    return p, r, s, factors
+
+
+def _ring_size(params):
+    """|GR(p^r, s)[G]| of a verify record."""
+    p, r, s, factors = _ring(params)
+    return p**(r * s * AbelianGroup(factors).order)
 
 
 def test_verify_runs_decomposition_at_every_size(capsys):
@@ -328,6 +336,40 @@ def test_verify_runs_decomposition_at_every_size(capsys):
     assert all((_ring_size(rec["parameters"]) <= 64) == (rec["status"] == "pass")
                for rec in joined)
     assert any(rec["status"] == "pass" for rec in joined)
+
+
+def test_verify_enumerates_each_ring_once(capsys, monkeypatch):
+    seen = []
+    enumerate_ideals = ExhaustiveGroupRing.enumerate_ideals
+
+    def spy(eng):
+        ideals = enumerate_ideals(eng)  # a refused ring raises before it is counted
+        seen.append((eng.p, eng.r, eng.s, eng.group.factors))
+        return ideals
+
+    monkeypatch.setattr(ExhaustiveGroupRing, "enumerate_ideals", spy)
+    doc = run_json(capsys, "verify", "--max-ring-size", "4096", "--json")
+    assert doc["result"]["status"] == "pass"
+    joined = {_ring(rec["parameters"]) for rec in doc["breakdown"]
+              if rec["oracle_kind"] == "join-closure brute force" and rec["status"] == "pass"}
+    assert sorted(seen) == sorted(joined)
+
+
+# (p, s) -> largest n of the length tables that verify rechecks
+LENGTH_TABLES = {(2, 1): 8, (2, 2): 4, (3, 1): 6, (3, 2): 3, (5, 1): 4}
+
+
+def test_verify_length_rows_cover_the_tables(capsys):
+    doc = run_json(capsys, "verify", "--max-ring-size", "4096", "--json")
+    rows = [rec for rec in doc["breakdown"] if rec["check"] == "length-count"]
+    want = [(p, s, n, dual) for (p, s), top in LENGTH_TABLES.items()
+            for n in range(1, top + 1)
+            for dual in ("none", "euclidean", "hermitian")[:3 if s % 2 == 0 else 2]]
+    assert [tuple(rec["parameters"].values()) for rec in rows] == want
+    assert all(p**(2 * s * n) <= 3**12 for p, s, n, _ in want)
+    passed = [tuple(rec["parameters"].values()) for rec in rows if rec["status"] == "pass"]
+    # run_json saw exit 0, so every other row is a skip
+    assert passed == [(p, s, n, d) for p, s, n, d in want if p**(2 * s * n) <= 4096]
 
 
 def test_verify_timings_flag(capsys):
@@ -356,6 +398,14 @@ def test_malformed_group_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_refuses_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "verify", "--max-ring-size", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the exhaustive bound must be at least 1, got {bound}\n"
 
 
 def test_table_rejects_other_r(capsys):

@@ -6,7 +6,8 @@ from functools import reduce
 import pytest
 
 from galcodes import ideals
-from galcodes.counting import euclidean_semisimple_count, hermitian_semisimple_count
+from galcodes.counting import (BruteForceProvider, euclidean_semisimple_count,
+                               hermitian_semisimple_count)
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import GroupRing, ambient
@@ -37,17 +38,29 @@ def test_bound_env_override(monkeypatch):
     monkeypatch.setenv(BOUND_ENV_VAR, "garbage")
     with pytest.raises(DomainError):
         exhaustive_bound()
+    # the environment's value meets the engine's rule like any other bound
     monkeypatch.setenv(BOUND_ENV_VAR, "0")
-    with pytest.raises(DomainError):
-        exhaustive_bound()
+    ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
+    with pytest.raises(DomainError, match="exhaustive bound must be at least 1, got 0"):
+        ExhaustiveGroupRing(ring)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_engine_refuses_bound_below_one(bound):
+    ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
+    with pytest.raises(DomainError, match=f"exhaustive bound must be at least 1, got {bound}"):
+        ExhaustiveGroupRing(ring, bound)
+    with pytest.raises(DomainError, match=f"got {bound}"):
+        construct_self_dual(2, 2, 1, AbelianGroup((2,)), bound=bound)
+    with pytest.raises(DomainError, match=f"got {bound}"):
+        BruteForceProvider(bound).count(2, 2, 1, AbelianGroup((2,)), EUCLIDEAN)
 
 
 def test_engine_rejects_oversized_ring():
     ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
     eng = ExhaustiveGroupRing(ring, bound=10)
     two = eng.principal_ideal((2, 0))
-    refused = [lambda: next(eng.ideal_stream()), eng.enumerate_ideals,
-               eng.self_dual_ideals, eng.count_self_dual, eng.exists_self_dual_brute,
+    refused = [lambda: next(eng.ideal_stream()), eng.enumerate_ideals, eng.count_self_dual,
                two.element_encodings, two.elements]
     for call in refused:
         with pytest.raises(BoundExceededError, match="16 exceeds the exhaustive bound 10"):
@@ -439,11 +452,11 @@ def test_is_self_dual_examples():
 
 def test_self_dual_listing_matches_count():
     eng = engine(2, 2, 1, (2,))
-    listed = eng.self_dual_ideals()
+    listed = [c for c in eng.ideal_stream() if eng.is_self_dual(c)]
     assert len(listed) == eng.count_self_dual() == 1
-    assert eng.exists_self_dual_brute()
+    assert listed == [eng.principal_ideal((2, 0))]
     odd = engine(3, 1, 1, (2,))
-    assert not odd.exists_self_dual_brute()
+    assert not any(odd.is_self_dual(c) for c in odd.ideal_stream())
     assert odd.count_self_dual() == 0
 
 
