@@ -22,7 +22,10 @@ variable GALCODES_MAX_RING_SIZE, default 2^16).  The enumeration takes
 one principal ideal per orbit of generators under the unit scalars of
 Z_{p^r} and the shifts Y^g, since an orbit spans one ideal, and closes
 the found ideals under joins with principal ideals only, since every
-ideal is a sum of principal ideals.
+ideal is a sum of principal ideals.  The join I + (v) depends only on the
+coset v + I, and reduction by a Howell basis gives each coset one
+remainder, so the closure joins each found ideal once per remainder of
+the principal generators, and not at all when the remainder is zero.
 
 Also hosts the two constructive results: a self-dual code built whenever
 the existence criterion allows one, and the componentwise enumeration of
@@ -328,9 +331,13 @@ class ExhaustiveGroupRing:
         ideal always has, so the principal ideals come in the order of a
         full scan.  Every ideal is the sum of the principal ideals of its
         basis rows, so the closure joins each found ideal with the
-        principal ideals only.  The scan walks every ring element, so
-        rings above the bound are refused (on the first next()) before
-        any ideal is yielded.
+        principal ideals only.  a + (v) depends only on the coset v + a,
+        whose Howell remainder is unique, so a is joined with (v) only when
+        that remainder is nonzero and new for a: the skipped joins give a
+        itself or an ideal an earlier join gave, and the ideals come in the
+        order of joining a with every principal ideal.  The scan walks every
+        ring element, so rings above the bound are refused (on the first
+        next()) before any ideal is yielded.
         """
         self._require_enumerable()
         units = [u for u in range(1, self.m) if u % self.p]
@@ -338,19 +345,26 @@ class ExhaustiveGroupRing:
         moves = [(perm, u) for perm in _shift_perms(self.group.factors, self.s)
                  for u in units][1:]
         seen: set = set()
-        principal: list[Ideal] = []
-        for k in range(self.ring_size):
-            vec = self.decode_vector(k)
+        principal: list[tuple[tuple[int, ...], Ideal]] = []
+        # product walks the digits most significant first: reversed, its
+        # tuples come in encoding order
+        for digits in itertools.product(range(self.m), repeat=self.n):
+            vec = digits[::-1]
             if not self._orbit_least(vec, moves):
                 continue
             ideal = self.principal_ideal(vec)
             if ideal.basis not in seen:
                 seen.add(ideal.basis)
-                principal.append(ideal)
+                principal.append((vec, ideal))
                 yield ideal
-        found = list(principal)
+        found = [ideal for _, ideal in principal]
         for a in found:  # found grows as the loop runs
-            for b in principal:
+            cosets = set()
+            for vec, b in principal:
+                rem = a.remainder(vec)
+                if rem in cosets or not any(rem):
+                    continue
+                cosets.add(rem)
                 joined = self.join(a, b)
                 if joined.basis not in seen:
                     seen.add(joined.basis)
@@ -444,15 +458,17 @@ class Ideal:
     def __init__(self, engine: ExhaustiveGroupRing, basis):
         self.engine = engine
         self.basis = basis
-        size = 1
-        for row in basis:
-            size *= engine.m // row[next(i for i, a in enumerate(row) if a)]
-        self._size = size
+        self._size = None
         self._generators = None
         self._encodings = None
 
     @property
     def size(self) -> int:
+        if self._size is None:
+            size = 1
+            for row in self.basis:
+                size *= self.engine.m // row[next(i for i, a in enumerate(row) if a)]
+            self._size = size
         return self._size
 
     def __eq__(self, other: object) -> bool:
@@ -465,20 +481,22 @@ class Ideal:
     def __repr__(self) -> str:
         return f"Ideal(size={self.size}, rank={len(self.basis)})"
 
-    def contains_vector(self, vec) -> bool:
-        engine = self.engine
-        w = list(vec)
-        engine._check_vector(w)
+    def remainder(self, vec) -> tuple[int, ...]:
+        """vec reduced by the basis rows in pivot order, each pivot digit
+        taken below its lead.  The Howell property makes this one
+        representative per coset vec + I, zero exactly on I."""
+        m = self.engine.m
+        w = vec
         for row in self.basis:
             c = next(i for i, a in enumerate(row) if a)
-            lead = row[c]
-            a = w[c]
-            if a % lead:
-                return False
-            q = a // lead
+            q = w[c] // row[c]
             if q:
-                w = [(x - q * y) % engine.m for x, y in zip(w, row)]
-        return not any(w)
+                w = tuple((x - q * y) % m for x, y in zip(w, row))
+        return tuple(w)
+
+    def contains_vector(self, vec) -> bool:
+        self.engine._check_vector(vec)
+        return not any(self.remainder(vec))
 
     def contains(self, x: GroupRingElement) -> bool:
         return self.contains_vector(self.engine.to_vector(x))
@@ -497,7 +515,7 @@ class Ideal:
                 members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
                            for v in members for k in range(engine.m // lead)]
             self._encodings = tuple(sorted(engine.encode_vector(v) for v in members))
-            if len(set(self._encodings)) != self._size:
+            if len(set(self._encodings)) != self.size:
                 raise InternalInvariantError("size disagrees with the distinct members")
         return self._encodings
 

@@ -18,7 +18,7 @@ from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupR
                                  GroupRingElement, _decompose, ambient, compose,
                                  conjugate_involution, involution, sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
-from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing
+from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing, Ideal, exhaustive_bound
 from galcodes.numth import factorize, multiplicative_order
 
 
@@ -65,8 +65,15 @@ def abelian_groups_up_to(bound: int):
         yield from abelian_groups_of_order(n)
 
 
-@lru_cache(maxsize=None)
 def engine(p: int, r: int, s: int, factors: tuple, bound: int | None = None):
+    """The engine of GR(p^r, s)[factors], cached per ring and bound.  A
+    bound of None is read from the environment before the cache is
+    asked, so a cached engine never carries a stale bound."""
+    return _cached_engine(p, r, s, factors, exhaustive_bound() if bound is None else bound)
+
+
+@lru_cache(maxsize=None)
+def _cached_engine(p: int, r: int, s: int, factors: tuple, bound: int):
     ring = GroupRing(construct_ring(p, r, s), AbelianGroup(factors))
     return ExhaustiveGroupRing(ring, bound)
 
@@ -115,6 +122,23 @@ def ideals_by_full_scan(eng):
                 found.append(joined)
     bases = [c.basis for c in found]
     return bases[:principal], bases[principal:]
+
+
+def ideals_by_principal_joins(eng, principal):
+    """The join closure without the coset rule: each found ideal, in order
+    of discovery, joined with every principal ideal, the principal ideals
+    (Howell bases, in scan order) coming first.  The oracle for the order
+    in which ideal_stream yields its bases."""
+    principal = [Ideal(eng, basis) for basis in principal]
+    seen = {c.basis for c in principal}
+    found = list(principal)
+    for a in found:
+        for b in principal:
+            joined = eng.join(a, b)
+            if joined.basis not in seen:
+                seen.add(joined.basis)
+                found.append(joined)
+    return [c.basis for c in found]
 
 
 def howell_saturating_takeovers(eng, rows):

@@ -18,8 +18,8 @@ from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRES
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from helpers import (abelian_groups_up_to, compose_ints_by_transform,
                      construct_by_nested_assembly, dual_by_scan, engine,
-                     howell_saturating_takeovers, ideals_by_full_scan, orbit_least_vectors,
-                     perms_by_group_add)
+                     howell_saturating_takeovers, ideals_by_full_scan, ideals_by_principal_joins,
+                     orbit_least_vectors, perms_by_group_add)
 
 
 def join_all(eng, gens):
@@ -43,6 +43,15 @@ def test_bound_env_override(monkeypatch):
     ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
     with pytest.raises(DomainError, match="exhaustive bound must be at least 1, got 0"):
         ExhaustiveGroupRing(ring)
+
+
+def test_cached_engine_reads_the_bound_set_after_caching(monkeypatch):
+    # the test helper caches engines; a bound left to the environment is
+    # read on every call, not when the ring was first cached
+    assert next(engine(2, 2, 1, (2,)).ideal_stream()) is not None
+    monkeypatch.setenv(BOUND_ENV_VAR, "8")
+    with pytest.raises(BoundExceededError, match="16 exceeds the exhaustive bound 8"):
+        next(engine(2, 2, 1, (2,)).ideal_stream())
 
 
 @pytest.mark.parametrize("bound", [0, -3])
@@ -228,6 +237,26 @@ def test_size_is_the_member_count(p, r, s, factors):
             assert code.size == sum(map(code.contains_vector, vectors))
 
 
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 2, 1, (2, 2)), (2, 3, 1, (2,)), (3, 2, 1, (3,)), (2, 2, 2, (2,)), (2, 3, 1, (4,))],
+    ids=["Z4[Z2xZ2]", "Z8[Z2]", "Z9[Z3]", "GR(2^2,2)[Z2]", "Z8[Z4]"])
+def test_remainder_picks_one_representative_per_coset(p, r, s, factors):
+    """For every ideal I: v - remainder(v) lies in I, the remainders of all
+    ring vectors take |R|/|I| values, and a remainder is zero exactly on
+    the members, as contains_vector and the listed elements say."""
+    eng = engine(p, r, s, factors)
+    vectors = [eng.decode_vector(k) for k in range(eng.ring_size)]
+    for ideal in eng.ideal_stream():
+        members = set(ideal.element_encodings())
+        rems = set()
+        for k, v in enumerate(vectors):
+            rem = ideal.remainder(v)
+            rems.add(rem)
+            assert eng.encode_vector([(a - b) % eng.m for a, b in zip(v, rem)]) in members
+            assert (not any(rem)) == ideal.contains_vector(v) == (k in members)
+        assert len(rems) * ideal.size == eng.ring_size
+
+
 def test_element_expansion_refuses_a_basis_that_is_not_howell():
     eng = engine(2, 2, 1, (2,))
     # (2, 0) is already twice (1, 0): the pivot rule counts 4 * 2 members
@@ -264,6 +293,7 @@ def test_stream_matches_full_scan(p, r, s, factors):
     assert len(set(got)) == len(got)
     assert got[:len(principal)] == principal
     assert set(got) == set(principal) | set(rest)
+    assert got == ideals_by_principal_joins(eng, principal)
 
 
 HOWELL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
