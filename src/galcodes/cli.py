@@ -131,6 +131,7 @@ def _uncapped_int_text():
 
 
 def _cmd_count(args) -> int:
+    construct_ring(args.p, args.r, args.s)  # refuses bad (p, r, s) before the Sylow split
     group, coprime, p_part = _split_group(args.p, args.group)
     report = _count_report(args.p, args.r, args.s, coprime, p_part,
                            args.dual, args.provider)
@@ -248,8 +249,7 @@ def _decomposition_selfdual(p, r, s, group, form, bound):
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
     found = set()
     for gens in fam.representatives:
-        ideal = eng.ideal_from_rows(
-            [row for g in gens for row in eng.principal_rows(eng.to_vector(g))])
+        ideal = eng.generated_ideal(gens)
         if not eng.is_self_dual(ideal, form):
             return -1
         found.add(ideal)

@@ -24,7 +24,7 @@ from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicato
                          even_pair_indicator)
 from .errors import (BoundExceededError, DomainError, InternalInvariantError,
                      ProviderDomainError)
-from .galois import construct_ring
+from .galois import _check_ring, construct_ring
 from .groups import AbelianGroup, format_group, order_census, sylow_decompose
 from .numth import multiplicative_order, valuation
 
@@ -34,6 +34,7 @@ _TRIVIAL_GROUP = AbelianGroup(())
 def exists_self_dual(p: int, r: int, group: AbelianGroup,
                      duality: str = EUCLIDEAN, s: int = 1) -> bool:
     """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
+    _check_ring(p, r, s)
     _pairing_twist(duality, s)
     return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
 
@@ -41,6 +42,7 @@ def exists_self_dual(p: int, r: int, group: AbelianGroup,
 def is_principal_ideal_group_ring(p: int, r: int, group: AbelianGroup) -> bool:
     """GR(p^r, s)[G] is a principal ideal ring iff the Sylow p-part of G is
     cyclic (r = 1) or trivial (r >= 2); independent of s."""
+    _check_ring(p, r, 1)
     if r == 1:
         return len(sylow_decompose(group, p).p_part.factors) <= 1
     return math.gcd(p, group.order) == 1
@@ -359,6 +361,7 @@ def hermitian_semisimple_count(p: int, r: int, s: int,
 # -- arbitrary cyclic length over GR(p^2, s) --------------------------------------
 
 def _split_length(p: int, s: int, n: int) -> tuple[AbelianGroup, AbelianGroup]:
+    _check_ring(p, 2, s)
     if n < 1:
         raise DomainError(f"length must be positive, got {n}")
     a = valuation(n, p)

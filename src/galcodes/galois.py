@@ -362,13 +362,18 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
                                   for d in spec._digit_logs(a.coeffs)])
 
 
-@lru_cache(maxsize=None)
-def construct_ring(p: int, r: int, s: int) -> GaloisRingSpec:
-    """Build (and cache) the canonical GR(p^r, s)."""
+def _check_ring(p: int, r: int, s: int) -> None:
+    """The rule for GR(p^r, s) to exist: p prime, r >= 1 and s >= 1."""
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     if r < 1 or s < 1:
         raise DomainError(f"need r >= 1 and s >= 1, got r = {r}, s = {s}")
+
+
+@lru_cache(maxsize=None)
+def construct_ring(p: int, r: int, s: int) -> GaloisRingSpec:
+    """Build (and cache) the canonical GR(p^r, s)."""
+    _check_ring(p, r, s)
     base = _primitive_polynomial(p, s)
     return GaloisRingSpec(p, r, s, base)
 

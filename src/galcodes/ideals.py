@@ -4,28 +4,26 @@ An element is flattened to a vector of s*|G| coefficient digits mod p^r
 (blocks of s per group element, groups in lexicographic order).  The ideal
 generated by v is the span over Z_{p^r} of {x^j * Y^g * v}, since the
 powers of the residue generator form a module basis of the coefficient
-ring; each ideal is held in Howell normal form, the canonical echelon form
-over Z_{p^r}, so ideal identity is basis identity.  Every pivot is a power
-p^e, so the module size is the product of p^r / p^e over the basis rows,
-and x^j * v is read off the block step of the Euclidean form coefficients.
-The tables this needs (group positions, the shifts Y^g as digit
-permutations, form steps, unit inverses) are module caches keyed by what
-each depends on, shared by every engine, so an engine is a plain view of
-one ring and a bound.
+ring.  Each ideal is held by its Howell basis (linalg.howell), so ideal
+identity is basis identity; x^j * v is read off the block step of the
+Euclidean form coefficients.  The tables this needs (group positions, the
+shifts Y^g as digit permutations, form steps) are module caches keyed by
+what each depends on, shared by every engine, so an engine is a plain view
+of one ring and a bound.
 
 Principal ideals, joins, duals, membership and self-duality are linear
-algebra over Z_{p^r}, polynomial in s*|G|, and run at any ring size.  Only
-the work that walks all p^(r*s*|G|) ring elements, enumerating the ideals
-(ideal_stream and everything built on it) and listing an ideal's
-elements, refuses rings larger than the exhaustive bound (environment
-variable GALCODES_MAX_RING_SIZE, default 2^16).  The enumeration takes
-one principal ideal per orbit of generators under the unit scalars of
-Z_{p^r} and the shifts Y^g, since an orbit spans one ideal, and closes
-the found ideals under joins with principal ideals only, since every
-ideal is a sum of principal ideals.  The join I + (v) depends only on the
-coset v + I, and reduction by a Howell basis gives each coset one
-remainder, so the closure joins each found ideal once per remainder of
-the principal generators, and not at all when the remainder is zero.
+algebra over Z_{p^r} (linalg), polynomial in s*|G|, and run at any ring
+size.  Only the work that walks all p^(r*s*|G|) ring elements, enumerating
+the ideals (ideal_stream and everything built on it) and listing an
+ideal's elements, refuses rings larger than the exhaustive bound
+(environment variable GALCODES_MAX_RING_SIZE, default 2^16).  The
+enumeration takes one principal ideal per orbit of generators under the
+unit scalars of Z_{p^r} and the shifts Y^g, since an orbit spans one
+ideal, and closes the found ideals under joins with principal ideals only,
+since every ideal is a sum of principal ideals.  The join I + (v) depends
+only on the coset v + I, which linalg.remainder reduces to one remainder
+by the basis of I, so the closure joins each found ideal once per
+remainder of the principal generators, and not at all when it is zero.
 
 Also hosts the two constructive results: a self-dual code built whenever
 the existence criterion allows one, and the componentwise enumeration of
@@ -47,6 +45,7 @@ from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_f
 from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, ambient, class_idempotents,
                          sylow_merge)
+from .linalg import howell, kernel, pivot, remainder
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
@@ -97,13 +96,6 @@ def _form_step(spec: GaloisRingSpec, h: int) -> tuple[int, ...]:
     return generalized_frobenius(spec._x(), h).coeffs
 
 
-@lru_cache(maxsize=None)
-def _unit_inverses(m: int) -> dict[int, int]:
-    """Memo of unit inverses mod m, filled by howell as it meets pivots: a
-    full table would cost O(m)."""
-    return {}
-
-
 class ExhaustiveGroupRing:
     """Flat-vector arithmetic for one group ring.
 
@@ -130,7 +122,6 @@ class ExhaustiveGroupRing:
         self.bound = exhaustive_bound() if bound is None else bound
         if self.bound < 1:
             raise DomainError(f"the exhaustive bound must be at least 1, got {self.bound}")
-        self._ppow = [self.p**i for i in range(self.r + 1)]
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -216,74 +207,18 @@ class ExhaustiveGroupRing:
                 rows.append(tuple(base[k] for k in perm))
         return rows
 
-    # -- Howell normal form ---------------------------------------------------
-
     def howell(self, rows) -> tuple[tuple[int, ...], ...]:
-        """Canonical basis of the Z_{p^r}-span of rows.
-
-        Echelon with pivot entries normalized to powers of p, spans
-        saturated with p^(r-e) multiples of each pivot row, entries above
-        a pivot reduced modulo its leading value.  Two row sets span the
-        same module iff their forms are identical.  Rows may be of any
-        common width, not only ring vectors.
-        """
-        m, p, r = self.m, self.p, self.r
-        ppow = self._ppow
-        inv = _unit_inverses(m)
-        stack = [list(row) for row in rows if any(row)]
-        if not stack:
-            return ()
-        n = len(stack[0])
-        pivots: list = [None] * n
-        while stack:
-            row = stack.pop()
-            c = 0
-            while c < n and not row[c]:
-                c += 1
-            if c == n:
-                continue
-            v = row[c]
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            if v != 1:
-                u = inv.get(v)
-                if u is None:
-                    u = inv[v] = pow(v, -1, m)
-                row = [a * u % m for a in row]
-            cur = pivots[c]
-            if cur is None:
-                pivots[c] = row
-                if e:
-                    extra = [a * ppow[r - e] % m for a in row]
-                    if any(extra):
-                        stack.append(extra)
-                continue
-            if row[c] < cur[c]:
-                # a smaller valuation e takes the slot from cur (valuation e'),
-                # pushing no saturation row: p^(r-e) * row is p^(r-e') * (cur - new)
-                # for new below, and both lie in the span of the later pivots
-                pivots[c] = row
-                row, cur = cur, row
-            q = row[c] // cur[c]
-            new = [(a - q * b) % m for a, b in zip(row, cur)]
-            if any(new):
-                stack.append(new)
-        out = [pivots[c] for c in range(n) if pivots[c] is not None]
-        cols = [next(i for i, a in enumerate(row) if a) for row in out]
-        for k in range(len(out)):
-            lead = out[k][cols[k]]
-            for j in range(k):
-                q = out[j][cols[k]] // lead
-                if q:
-                    out[j] = [(a - q * b) % m for a, b in zip(out[j], out[k])]
-        return tuple(tuple(row) for row in out)
+        return howell(rows, self.p, self.r)
 
     # -- ideals ----------------------------------------------------------------
 
     def ideal_from_rows(self, rows) -> "Ideal":
         return Ideal(self, self.howell(rows))
+
+    def generated_ideal(self, elements) -> "Ideal":
+        """The ideal generated by these group-ring elements."""
+        return self.ideal_from_rows(
+            [row for x in elements for row in self.principal_rows(self.to_vector(x))])
 
     def principal_ideal(self, x) -> "Ideal":
         if isinstance(x, GroupRingElement):
@@ -361,7 +296,7 @@ class ExhaustiveGroupRing:
         for a in found:  # found grows as the loop runs
             cosets = set()
             for vec, b in principal:
-                rem = a.remainder(vec)
+                rem = remainder(a.basis, vec, self.m)
                 if rem in cosets or not any(rem):
                     continue
                 cosets.add(rem)
@@ -399,24 +334,13 @@ class ExhaustiveGroupRing:
         The basis rows span the code over Z_{p^r} and already absorb all
         monomial shifts (the code is an ideal), so the dual is the kernel
         of w -> (form(u, w))_u over the k = rank*s digits of the basis rows
-        u.  With B the n x k matrix of form_coefficients, the Howell form
-        of [B | I_n] keeps the Howell property: its rows whose B part is
-        zero span the kernel, and their I_n parts are already its Howell
-        basis (J. A. Howell, "Spans in the module (Z_m)^s", 1986;
-        A. Storjohann and T. Mulders, "Fast algorithms for linear algebra
-        modulo N", ESA 1998).
+        u: the left kernel of the n x k matrix of form_coefficients.
         """
         self._check_ideal(code)
         _pairing_twist(form, self.s)
         mats = [self.form_coefficients(row, form) for row in code.basis]
-        k = len(mats) * self.s
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = [d for mat in mats for d in mat[i]] + [0] * n
-            row[k + i] = 1
-            rows.append(row)
-        return Ideal(self, tuple(row[k:] for row in self.howell(rows) if not any(row[:k])))
+        matrix = [[d for mat in mats for d in mat[i]] for i in range(self.n)]
+        return Ideal(self, kernel(matrix, self.p, self.r))
 
     def is_self_orthogonal(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
         self._check_ideal(code)
@@ -449,8 +373,8 @@ class ExhaustiveGroupRing:
 class Ideal:
     """An ideal held by its Howell basis; identity is basis identity.
 
-    The basis must come from howell or dual, whose pivots are all powers
-    p^e: a row has m // p^e multiples, and the size is their product.
+    The basis must be a Howell basis (linalg): a row with pivot p^e has
+    m // p^e multiples, and the size is their product.
     """
 
     __slots__ = ("engine", "basis", "_size", "_generators", "_encodings")
@@ -467,7 +391,7 @@ class Ideal:
         if self._size is None:
             size = 1
             for row in self.basis:
-                size *= self.engine.m // row[next(i for i, a in enumerate(row) if a)]
+                size *= self.engine.m // row[pivot(row)]
             self._size = size
         return self._size
 
@@ -481,22 +405,9 @@ class Ideal:
     def __repr__(self) -> str:
         return f"Ideal(size={self.size}, rank={len(self.basis)})"
 
-    def remainder(self, vec) -> tuple[int, ...]:
-        """vec reduced by the basis rows in pivot order, each pivot digit
-        taken below its lead.  The Howell property makes this one
-        representative per coset vec + I, zero exactly on I."""
-        m = self.engine.m
-        w = vec
-        for row in self.basis:
-            c = next(i for i, a in enumerate(row) if a)
-            q = w[c] // row[c]
-            if q:
-                w = tuple((x - q * y) % m for x, y in zip(w, row))
-        return tuple(w)
-
     def contains_vector(self, vec) -> bool:
         self.engine._check_vector(vec)
-        return not any(self.remainder(vec))
+        return not any(remainder(self.basis, vec, self.engine.m))
 
     def contains(self, x: GroupRingElement) -> bool:
         return self.contains_vector(self.engine.to_vector(x))
@@ -511,7 +422,7 @@ class Ideal:
             engine = self.engine
             members = [tuple([0] * engine.n)]
             for row in self.basis:
-                lead = row[next(i for i, a in enumerate(row) if a)]
+                lead = row[pivot(row)]
                 members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
                            for v in members for k in range(engine.m // lead)]
             self._encodings = tuple(sorted(engine.encode_vector(v) for v in members))
@@ -611,9 +522,7 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         engine._require_enumerable()
     except BoundExceededError:
         return SelfDualConstruction(p, r, s, group, form, tuple(gens), None)
-    ideal = engine.ideal_from_rows(
-        [row for g in gens for row in engine.principal_rows(engine.to_vector(g))])
-    return SelfDualConstruction(p, r, s, group, form, tuple(gens), ideal)
+    return SelfDualConstruction(p, r, s, group, form, tuple(gens), engine.generated_ideal(gens))
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,9 @@ def multiplicative_order(q: int, n: int) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n; n must be nonzero."""
-    if n == 0:
-        raise ValueError("0 has infinite valuation")
+    """Largest e with p**e dividing n; n must be nonzero and p >= 2."""
+    if n == 0 or p < 2:
+        raise ValueError(f"no valuation of {n} at {p}: needs n != 0 and p >= 2")
     e = 0
     while n % p == 0:
         n //= p

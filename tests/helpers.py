@@ -141,12 +141,12 @@ def ideals_by_principal_joins(eng, principal):
     return [c.basis for c in found]
 
 
-def howell_saturating_takeovers(eng, rows):
-    """Howell form that pushes a row's p^(r-e) saturation multiple both
-    when it fills an empty pivot slot and when it takes over an occupied
-    one.  The oracle for eng.howell, which pushes it only in the first
-    case."""
-    m, p, r = eng.m, eng.p, eng.r
+def howell_saturating_takeovers(rows, p, r):
+    """Howell form over Z_{p^r} that pushes a row's p^(r-e) saturation
+    multiple both when it fills an empty pivot slot and when it takes over
+    an occupied one.  The oracle for linalg.howell, which pushes it only in
+    the first case."""
+    m = p**r
     stack = [list(row) for row in rows if any(row)]
     if not stack:
         return ()

@@ -1,6 +1,9 @@
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -433,3 +436,26 @@ def test_noncoprime_hermitian_usage(capsys):
                        "--group", "Z3", "--dual", "hermitian")
     assert code == 2
     assert "even degree" in err
+
+
+COMMANDS = {"count": ("count", "--group", "Z3"), "table": ("table", "--lengths", "1..2"),
+            "exists": ("exists", "--group", "Z2", "--json")}
+BAD_RINGS = [(name, ("--p", p, "--r", "2"), f"p = {p} is not prime")
+             for name in COMMANDS for p in ("-1", "0", "1", "4")]
+BAD_RINGS += [(name, ("--p", "2", "--r", "0"), "need r >= 1 and s >= 1, got r = 0, s = 1")
+              for name in ("count", "exists")]
+BAD_RINGS += [("table", ("--p", "2", "--s", "0"), "need r >= 1 and s >= 1, got r = 2, s = 0")]
+
+
+@pytest.mark.parametrize("name, ring, message", BAD_RINGS,
+                         ids=[f"{name}:{ring[0][2:]}={ring[1]},{ring[2][2:]}={ring[3]}"
+                              for name, ring, _ in BAD_RINGS])
+def test_bad_ring_parameters_exit_2(name, ring, message):
+    """Refused by construct_ring's rule before any Sylow split.  Run in a
+    child process under a timeout, because p < 2 used to loop forever."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "galcodes.cli", *COMMANDS[name], *ring],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")

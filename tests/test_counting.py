@@ -47,6 +47,22 @@ def test_principal_ideal_ring_examples():
     assert is_principal_ideal_group_ring(5, 1, AbelianGroup((10,)))
 
 
+@pytest.mark.parametrize("p, r", [(-1, 2), (0, 2), (1, 2), (4, 2), (1, 1), (2, 0)])
+def test_predicates_and_length_counts_refuse_bad_rings(p, r):
+    """construct_ring's rule runs before any Sylow split: p < 2 used to
+    loop forever in the split, p = 0 divided by zero, and p = 4 or r = 0
+    got an answer."""
+    message = f"p = {p} is not prime" if r else "need r >= 1 and s >= 1"
+    for call in (lambda: exists_self_dual(p, r, AbelianGroup((6,))),
+                 lambda: is_principal_ideal_group_ring(p, r, AbelianGroup((6,)))):
+        with pytest.raises(DomainError, match=message):
+            call()
+    if r == 2:
+        for count_n in (cyclic_count_n, euclidean_cyclic_count_n):
+            with pytest.raises(DomainError, match=message):
+                count_n(p, 1, 6)
+
+
 # -- closed forms ----------------------------------------------------------------
 
 def test_cyclic_count_closed_forms():

@@ -14,8 +14,9 @@ from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, _form_step, _group_index,
-                             _shift_perms, _unit_inverses, construct_self_dual,
-                             enumerate_semisimple_selfdual, exhaustive_bound)
+                             _shift_perms, construct_self_dual, enumerate_semisimple_selfdual,
+                             exhaustive_bound)
+from galcodes.linalg import _unit_inverses, howell, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform,
                      construct_by_nested_assembly, dual_by_scan, engine,
                      howell_saturating_takeovers, ideals_by_full_scan, ideals_by_principal_joins,
@@ -250,7 +251,7 @@ def test_remainder_picks_one_representative_per_coset(p, r, s, factors):
         members = set(ideal.element_encodings())
         rems = set()
         for k, v in enumerate(vectors):
-            rem = ideal.remainder(v)
+            rem = remainder(ideal.basis, v, eng.m)
             rems.add(rem)
             assert eng.encode_vector([(a - b) % eng.m for a, b in zip(v, rem)]) in members
             assert (not any(rem)) == ideal.contains_vector(v) == (k in members)
@@ -304,14 +305,13 @@ def test_howell_matches_the_takeover_saturating_form(p, r):
     """17000 seeded row sets per modulus, 102000 in all.  Entries lean to
     multiples of p, so that over Z8, Z16 and Z27 rows of smaller valuation
     often take over an occupied pivot slot."""
-    eng = engine(p, r, 1, ())
     m = p**r
     rng = random.Random(m)
     for _ in range(17000):
         width, count = rng.randint(1, 5), rng.randint(1, 5)
         rows = [tuple(rng.randrange(m) * p**rng.choice((0, 0, 1, r - 1)) % m
                       for _ in range(width)) for _ in range(count)]
-        assert eng.howell(rows) == howell_saturating_takeovers(eng, rows), rows
+        assert howell(rows, p, r) == howell_saturating_takeovers(rows, p, r), rows
 
 
 @pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
@@ -319,7 +319,8 @@ def test_howell_matches_the_takeover_saturating_form(p, r):
 def test_stream_bases_match_the_takeover_saturating_form(p, r, s, factors, monkeypatch):
     eng = engine(p, r, s, factors)
     got = [c.basis for c in eng.ideal_stream()]
-    monkeypatch.setattr(ExhaustiveGroupRing, "howell", howell_saturating_takeovers)
+    monkeypatch.setattr(ExhaustiveGroupRing, "howell",
+                        lambda eng, rows: howell_saturating_takeovers(rows, eng.p, eng.r))
     assert got == [c.basis for c in eng.ideal_stream()]
 
 

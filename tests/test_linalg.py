@@ -1,0 +1,63 @@
+import itertools
+import random
+
+import pytest
+
+from galcodes.linalg import howell, kernel, pivot
+
+MODULI = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def size(basis, m):
+    out = 1
+    for row in basis:
+        out *= m // row[pivot(row)]
+    return out
+
+
+def annihilates(w, mat, m):
+    return all(sum(a * row[j] for a, row in zip(w, mat)) % m == 0 for j in range(len(mat[0])))
+
+
+def random_matrix(rng, p, r, n, k):
+    """Entries lean to multiples of p, so that the kernel has torsion rows."""
+    m = p**r
+    return [tuple(rng.randrange(m) * p**rng.choice((0, 0, 1, r - 1)) % m for _ in range(k))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("p, r", MODULI, ids=[f"Z{p**r}" for p, r in MODULI])
+def test_kernel_annihilates_and_has_the_index_of_the_image(p, r):
+    """On 300 seeded n x k matrices per modulus: every kernel row w has
+    w * B = 0, the kernel is its own Howell form, and |kernel| * |image|
+    = m^n, the image being the row span of B."""
+    m = p**r
+    rng = random.Random(m)
+    for _ in range(300):
+        n, k = rng.randint(1, 7), rng.randint(0, 6)
+        mat = random_matrix(rng, p, r, n, k)
+        ker = kernel(mat, p, r)
+        assert all(len(w) == n and annihilates(w, mat, m) for w in ker), mat
+        assert howell(ker, p, r) == ker, mat
+        assert size(ker, m) * size(howell(mat, p, r), m) == m**n, mat
+
+
+# (p, r, n): every row count with m^n <= 4096
+SCAN_SHAPES = [(p, r, n) for p, r in MODULI for n in range(1, 7) if (p**r)**n <= 4096]
+
+
+@pytest.mark.parametrize("p, r, n", SCAN_SHAPES,
+                         ids=[f"Z{p**r}-n{n}" for p, r, n in SCAN_SHAPES])
+def test_kernel_equals_the_scanned_kernel(p, r, n):
+    """kernel(B) is the Howell form of the vectors that a scan of all m^n
+    vectors finds annihilating B, and has as many elements."""
+    m = p**r
+    rng = random.Random(1000 * m + n)
+    for k in range(4):
+        for _ in range(3):
+            mat = random_matrix(rng, p, r, n, k)
+            scanned = [w for w in itertools.product(range(m), repeat=n)
+                       if annihilates(w, mat, m)]
+            ker = kernel(mat, p, r)
+            assert ker == howell(scanned, p, r), mat
+            assert size(ker, m) == len(scanned), mat

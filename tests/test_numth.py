@@ -74,5 +74,8 @@ def test_multiplicative_order_is_minimal(j, q):
 def test_valuation_and_lcm():
     assert valuation(24, 2) == 3
     assert valuation(7, 2) == 0
+    for n, p in [(6, 1), (6, 0), (6, -1), (0, 2)]:
+        with pytest.raises(ValueError):
+            valuation(n, p)
     assert lcm(4, 6) == 12
     assert lcm(1, 1) == 1
