@@ -249,7 +249,7 @@ def _decomposition_selfdual(p, r, s, group, form, bound):
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
     found = set()
     for gens in fam.representatives:
-        ideal = eng.generated_ideal(gens)
+        ideal = eng.generated_ideal(map(eng.to_vector, gens))
         if not eng.is_self_dual(ideal, form):
             return -1
         found.add(ideal)

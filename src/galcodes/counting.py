@@ -125,6 +125,7 @@ class TrivialSylowProvider:
         return p_group.order == 1
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
+        _check_ring(p, r, s2)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
@@ -145,6 +146,7 @@ class ClosedFormProvider:
         return r == 2 and len(p_group.factors) <= 1
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
+        _check_ring(p, r, s2)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "

@@ -23,11 +23,16 @@ pair whose second member is the value at -p^h * a twisted by the
 Frobenius power -h.  The twist makes the pairing's involution (support
 reversal, conjugated when h = s/2) act on the pair as a plain swap.
 
+Elements are also read as digit vectors (s digits per group element, in
+lexicographic order), the working form of the constructions: the Sylow
+re-indexing is one digit permutation per (group, p, s), kept for the life
+of the process like the engines' shift permutations.
+
 class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, by one idft per class given
 only that class's points, so the whole table costs one full idft; it holds
-at most #classes * |A| coefficients and lives as long as its ambient
-context.  An integer c at the slot of C pulls back to c * e_C.
+the digit vectors, at most #classes * s * |A| digits, and lives as long as
+its ambient context.  An integer c at the slot of C pulls back to c * e_C.
 The slots of a pairing (component rings, orbits, partner orbits rotated to
 start at -p^h * a) are built once per context by _slots, which checks that
 they cover the group; decompose and compose only read them.
@@ -42,7 +47,7 @@ from .cyclotomic import _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
-from .groups import AbelianGroup, SylowDecomposition, character_exponent
+from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
 from .numth import multiplicative_order
 
 
@@ -159,22 +164,6 @@ class GroupRingElement:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __pow__(self, e: int) -> "GroupRingElement":
-        acc = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def shift(self, g) -> "GroupRingElement":
-        """Multiplication by the monomial Y^g."""
-        g = self.ring.group.element(g)
-        add = self.ring.group.add
-        return GroupRingElement(self.ring, {add(h, g): c for h, c in self.coeffs.items()})
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupRingElement)
                 and self.ring == other.ring and self.coeffs == other.coeffs)
@@ -210,18 +199,85 @@ def conjugate_involution(x: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(x.ring, {neg(g): conjugate(c) for g, c in x.coeffs.items()})
 
 
+# -- digit vectors ---------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _group_index(factors: tuple[int, ...]) -> dict:
+    """Group element -> its position in the lexicographic order."""
+    return {g: i for i, g in enumerate(AbelianGroup(factors).elements())}
+
+
+def _width(coeff) -> int:
+    """Digits of one coefficient: s, or s * |group| per nesting level."""
+    if isinstance(coeff, GroupRing):
+        return _width(coeff.coeff) * coeff.group.order
+    return coeff.s
+
+
+def _to_vector(x: GroupRingElement) -> tuple[int, ...]:
+    """The digits of x: one block per group element in lexicographic
+    order, each the coefficient's digits (its own vector when nested)."""
+    coeff = x.ring.coeff
+    nested = isinstance(coeff, GroupRing)
+    w = _width(coeff)
+    vec = [0] * (w * x.ring.group.order)
+    index = _group_index(x.ring.group.factors)
+    for g, c in x.coeffs.items():
+        base = index[g] * w
+        vec[base:base + w] = _to_vector(c) if nested else c.coeffs
+    return tuple(vec)
+
+
+def _from_vector(ring: GroupRing, vec) -> GroupRingElement:
+    """Inverse of _to_vector; the digits must already lie in [0, p^r)."""
+    coeff = ring.coeff
+    nested = isinstance(coeff, GroupRing)
+    w = _width(coeff)
+    coeffs = {}
+    for g, i in _group_index(ring.group.factors).items():
+        block = tuple(vec[i * w:(i + 1) * w])
+        if any(block):
+            coeffs[g] = _from_vector(coeff, block) if nested else GaloisRingElement(coeff, block)
+    return GroupRingElement(ring, coeffs)
+
+
 # -- Sylow re-indexing ---------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _sylow_perm(factors: tuple[int, ...], p: int, s: int) -> tuple[int, ...]:
+    """The re-indexing GR[G] -> (GR[A])[P], G = A + P, as a digit permutation.
+
+    s is the width of one coefficient of GR[G] (_width).  The nested vector
+    has one block of s * |A| digits per element b of P in lexicographic
+    order, the digits of the coefficient of Y^b in GR[A]; entry t is the
+    digit of the vector of GR[G] that lands at t, the one of block a + b
+    for the point (b, a) of t.  sylow_split gathers through it and
+    sylow_merge scatters back, so the re-indexing has this one owner.
+    """
+    dec = sylow_decompose(AbelianGroup(factors), p)
+    index = _group_index(factors)
+    return tuple(index[dec.join(a, b)] * s + j
+                 for b in dec.p_part.elements() for a in dec.coprime_part.elements()
+                 for j in range(s))
+
+
+def _sylow_merge_vector(nested, dec: SylowDecomposition, s: int) -> list[int]:
+    """The digits of GR[G] whose Sylow re-indexing is the nested vector."""
+    vec = [0] * len(nested)
+    for d, k in zip(nested, _sylow_perm(dec.group.factors, dec.p, s)):
+        vec[k] = d
+    return vec
+
 
 def sylow_split(u: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
     """Re-index GR[G] as (GR[A])[P]: coefficient of Y^b at Y^a is u_{a+b}."""
-    spec = u.ring.coeff
-    inner = GroupRing(spec, dec.coprime_part)
-    outer = GroupRing(inner, dec.p_part)
-    buckets: dict = {}
-    for g, c in u.coeffs.items():
-        a, b = dec.split(g)
-        buckets.setdefault(b, {})[a] = c
-    return GroupRingElement(outer, {b: GroupRingElement(inner, cs) for b, cs in buckets.items()})
+    coeff = u.ring.coeff
+    outer = GroupRing(GroupRing(coeff, dec.coprime_part), dec.p_part)
+    vec = _to_vector(u)
+    perm = _sylow_perm(dec.group.factors, dec.p, _width(coeff))
+    return _from_vector(outer, [vec[k] for k in perm])
 
 
 def sylow_merge(x: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
@@ -229,12 +285,8 @@ def sylow_merge(x: GroupRingElement, dec: SylowDecomposition) -> GroupRingElemen
     inner = x.ring.coeff
     if not isinstance(inner, GroupRing):
         raise DomainError("sylow_merge expects nested coefficients")
-    ring = GroupRing(inner.coeff, dec.group)
-    out: dict = {}
-    for b, xb in x.coeffs.items():
-        for a, c in xb.coeffs.items():
-            out[dec.join(a, b)] = c
-    return GroupRingElement(ring, out)
+    return _from_vector(GroupRing(inner.coeff, dec.group),
+                        _sylow_merge_vector(_to_vector(x), dec, _width(inner.coeff)))
 
 
 # -- character transform and component decomposition ---------------------------
@@ -321,12 +373,13 @@ def idft(spec: Spectrum) -> GroupRingElement:
     return ctx.ring.element(out)
 
 
-def class_idempotents(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
-    """The idempotent e_C of each class C, in partition order: the inverse
-    transform of 1 on C, given only C's points, so each costs |A| * |C|."""
+def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
+    """The idempotent e_C of each class C, in partition order, as the digit
+    vector of an element of GR[A]: the inverse transform of 1 on C, given
+    only C's points, so each costs |A| * |C|."""
     if ctx._idempotents is None:
         one = ctx.big.one()
-        ctx._idempotents = tuple(idft(Spectrum(ctx, {h: one for h in cls.elements}))
+        ctx._idempotents = tuple(_to_vector(idft(Spectrum(ctx, {h: one for h in cls.elements})))
                                  for cls in ctx.parts.classes)
     return ctx._idempotents
 
@@ -381,19 +434,6 @@ class DecomposedElement:
         pairs = {i: (a * other.pairs[i][0], b * other.pairs[i][1])
                  for i, (a, b) in self.pairs.items()}
         return DecomposedElement(self.context, self.pairing, singles, pairs)
-
-    def add(self, other: "DecomposedElement") -> "DecomposedElement":
-        if self.context is not other.context or self.pairing != other.pairing:
-            raise DomainError("mismatched decompositions")
-        singles = {i: a + other.singles[i] for i, a in self.singles.items()}
-        pairs = {i: (a + other.pairs[i][0], b + other.pairs[i][1])
-                 for i, (a, b) in self.pairs.items()}
-        return DecomposedElement(self.context, self.pairing, singles, pairs)
-
-    def component_list(self) -> list:
-        """Components flattened in partition order: singles, then pairs."""
-        singles, pairs = self.context.parts.layout(self.pairing)
-        return [self.singles[i] for i in singles] + [self.pairs[i] for i, _ in pairs]
 
 
 def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import BoundExceededError, DomainError
-from .numth import factorize, lcm, valuation
+from .numth import factorize, is_prime, lcm, valuation
 
 _DIRECT_COUNT_LIMIT = 10**6
 
@@ -154,7 +154,10 @@ class SylowDecomposition:
 
 
 def sylow_decompose(group: AbelianGroup, p: int) -> SylowDecomposition:
-    """Split each cyclic factor by CRT into its p-part and coprime part."""
+    """Split each cyclic factor by CRT into its p-part and coprime part;
+    p must be prime."""
+    if not is_prime(p):
+        raise DomainError(f"p = {p} is not prime")
     a_factors, p_factors = [], []
     a_slots, p_slots, crt = [], [], []
     for i, m in enumerate(group.factors):

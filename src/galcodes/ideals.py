@@ -27,7 +27,10 @@ remainder of the principal generators, and not at all when it is zero.
 
 Also hosts the two constructive results: a self-dual code built whenever
 the existence criterion allows one, and the componentwise enumeration of
-self-dual codes when |G| is coprime to p.
+self-dual codes when |G| is coprime to p.  Both work on digit vectors,
+sums and p-power multiples of the class idempotents, re-indexed along P
+by the Sylow digit permutation, and make group-ring elements only of
+their outputs.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-e
 from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
 from .groups import AbelianGroup, sylow_decompose
-from .group_ring import (GroupRing, GroupRingElement, ambient, class_idempotents,
-                         sylow_merge)
+from .group_ring import (GroupRing, GroupRingElement, _from_vector, _group_index,
+                         _sylow_merge_vector, _to_vector, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
 
 DEFAULT_BOUND = 1 << 16
@@ -63,12 +66,6 @@ def exhaustive_bound() -> int:
 
 
 # -- tables shared by the engines, each keyed by exactly what it depends on ------
-
-
-@lru_cache(maxsize=None)
-def _group_index(factors: tuple[int, ...]) -> dict:
-    """Group element -> its position in the lexicographic order."""
-    return {g: i for i, g in enumerate(AbelianGroup(factors).elements())}
 
 
 @lru_cache(maxsize=None)
@@ -157,23 +154,10 @@ class ExhaustiveGroupRing:
     def to_vector(self, x: GroupRingElement) -> tuple[int, ...]:
         if x.ring != self.ring:
             raise DomainError("element belongs to a different ring")
-        vec = [0] * self.n
-        s = self.s
-        index = _group_index(self.group.factors)
-        for g, c in x.coeffs.items():
-            base = index[g] * s
-            for j, d in enumerate(c.coeffs):
-                vec[base + j] = d
-        return tuple(vec)
+        return _to_vector(x)
 
     def from_vector(self, vec) -> GroupRingElement:
-        s = self.s
-        coeffs = {}
-        for g, i in _group_index(self.group.factors).items():
-            block = tuple(vec[i * s:(i + 1) * s])
-            if any(block):
-                coeffs[g] = self.spec.element(block)
-        return GroupRingElement(self.ring, coeffs)
+        return _from_vector(self.ring, vec)
 
     def decode_vector(self, k: int) -> tuple[int, ...]:
         m = self.m
@@ -215,10 +199,9 @@ class ExhaustiveGroupRing:
     def ideal_from_rows(self, rows) -> "Ideal":
         return Ideal(self, self.howell(rows))
 
-    def generated_ideal(self, elements) -> "Ideal":
-        """The ideal generated by these group-ring elements."""
-        return self.ideal_from_rows(
-            [row for x in elements for row in self.principal_rows(self.to_vector(x))])
+    def generated_ideal(self, vectors) -> "Ideal":
+        """The ideal generated by the elements with these digit vectors."""
+        return self.ideal_from_rows([row for v in vectors for row in self.principal_rows(v)])
 
     def principal_ideal(self, x) -> "Ideal":
         if isinstance(x, GroupRingElement):
@@ -474,6 +457,14 @@ class SelfDualConstruction:
     ideal: Ideal | None
 
 
+def _idempotent_sum(e, indices, scale: int, m: int) -> list[int]:
+    """scale * (sum of the idempotents e[i], i in indices), digitwise mod m."""
+    total = [0] * len(e[0])
+    for i in indices:
+        total = [a + b for a, b in zip(total, e[i])]
+    return [scale * a % m for a in total]
+
+
 def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
                         form: str = EUCLIDEAN, bound: int | None = None) -> SelfDualConstruction:
     """A self-dual abelian code in GR(p^r, s)[G], when one exists.
@@ -485,7 +476,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     in P, while each paired component carries (everything, zero).  Both
     generators are constant over P apart from the factor Y^x + 1, so each
     is one sum of class idempotents of GR[A], placed at Y^0 (and Y^x) and
-    merged back along the Sylow decomposition.  The ideal is materialized when
+    merged back along the Sylow decomposition.  All of this is digit
+    vectors; zero generators are dropped.  The ideal is materialized when
     the engine's size rule accepts the ring under bound (default
     exhaustive_bound()); the generators are returned either way.
     """
@@ -495,9 +487,9 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         raise DomainError(
             f"no self-dual code in GR({p}^{r},{s})[{group!r}]: "
             "needs r even, or p = 2 with |G| even")
-    ring = GroupRing(spec, group)
+    engine = ExhaustiveGroupRing(GroupRing(spec, group), bound)
     if r % 2 == 0:
-        gens = [ring.one() * (p**(r // 2))]
+        vecs = [[p**(r // 2)] + [0] * (engine.n - 1)]
     else:
         dec = sylow_decompose(group, p)
         p_group = dec.p_part
@@ -507,22 +499,22 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         # least one is nontrivial since |G| is even
         x2 = tuple((f // 2 if k == 0 else 0) for k, f in enumerate(p_group.factors))
         rp = (r + 1) // 2
-        e = class_idempotents(ctx)
-        g2 = sum((e[i] for i in singles), ctx.ring.zero()) * p**(rp - 1)
-        g1 = g2 * p + sum((e[i] for i, _ in pairs), ctx.ring.zero())
-        outer = GroupRing(ctx.ring, p_group)
-        gens = []
-        for nested in (outer.element({p_group.identity: g1}),
-                       outer.element({p_group.identity: g2, x2: g2})):
-            merged = sylow_merge(nested, dec)
-            if not merged.is_zero():
-                gens.append(merged)
-    engine = ExhaustiveGroupRing(ring, bound)
+        e, m = class_idempotents(ctx), spec.char
+        g2 = _idempotent_sum(e, singles, p**(rp - 1), m)
+        g1 = [(p * a + b) % m for a, b in zip(g2, _idempotent_sum(e, (i for i, _ in pairs), 1, m))]
+        # the nested vectors over P: block b is the coefficient of Y^b in GR[A]
+        width = len(g1)
+        nested1 = g1 + [0] * (engine.n - width)
+        nested2 = g2 + [0] * (engine.n - width)
+        k = _group_index(p_group.factors)[x2] * width
+        nested2[k:k + width] = g2
+        vecs = [v for v in (_sylow_merge_vector(x, dec, s) for x in (nested1, nested2)) if any(v)]
+    gens = tuple(engine.from_vector(v) for v in vecs)
     try:
         engine._require_enumerable()
     except BoundExceededError:
-        return SelfDualConstruction(p, r, s, group, form, tuple(gens), None)
-    return SelfDualConstruction(p, r, s, group, form, tuple(gens), engine.generated_ideal(gens))
+        return SelfDualConstruction(p, r, s, group, form, gens, None)
+    return SelfDualConstruction(p, r, s, group, form, gens, engine.generated_ideal(vecs))
 
 
 @dataclass(frozen=True)
@@ -556,10 +548,14 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     count = (r + 1)**len(pairs)
     reps = []
     if count <= MAX_REPRESENTATIVES:
-        e = class_idempotents(ctx)
-        single_gens = [e[i] * p**(r // 2) for i in singles]
+        e, m = class_idempotents(ctx), ctx.spec.char
+
+        def scaled(i: int, exp: int) -> GroupRingElement:
+            return _from_vector(ctx.ring, [d * p**exp % m for d in e[i]])
+
+        single_gens = [scaled(i, r // 2) for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r
-        ladders = [[[e[k] * p**exp for exp in range(r)] for k in pair] for pair in pairs]
+        ladders = [[[scaled(k, exp) for exp in range(r)] for k in pair] for pair in pairs]
         for choice in itertools.product(range(r + 1), repeat=len(pairs)):
             gens = list(single_gens)
             for ladder, w in zip(ladders, choice):

@@ -9,16 +9,17 @@ import math
 from functools import lru_cache
 from operator import mul
 
-from galcodes import AbelianGroup, construct_ring
+from galcodes import AbelianGroup, construct_ring, exists_self_dual
 from galcodes.cyclotomic import PairGoodness
 from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
                              _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                                 GroupRingElement, _decompose, ambient, compose,
-                                 conjugate_involution, involution, sylow_merge)
+                                 GroupRingElement, Spectrum, _decompose, ambient, compose,
+                                 conjugate_involution, idft, involution, sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
-from galcodes.ideals import EUCLIDEAN, ExhaustiveGroupRing, Ideal, exhaustive_bound
+from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
+                             _pairing_twist, exhaustive_bound)
 from galcodes.numth import factorize, multiplicative_order
 
 
@@ -480,3 +481,107 @@ def compose_nested(dec: DecomposedElement, p_group: AbelianGroup) -> GroupRingEl
         if not xb.is_zero():
             per_b[b] = xb
     return GroupRingElement(outer, per_b)
+
+
+# -- element methods only the tests use ---------------------------------------------
+
+def shift(x: GroupRingElement, g) -> GroupRingElement:
+    """Multiplication by the monomial Y^g."""
+    g = x.ring.group.element(g)
+    add = x.ring.group.add
+    return GroupRingElement(x.ring, {add(h, g): c for h, c in x.coeffs.items()})
+
+
+def decomposed_add(a: DecomposedElement, b: DecomposedElement) -> DecomposedElement:
+    """Componentwise sum of two images under one context and pairing."""
+    if a.context is not b.context or a.pairing != b.pairing:
+        raise DomainError("mismatched decompositions")
+    singles = {i: x + b.singles[i] for i, x in a.singles.items()}
+    pairs = {i: (x + b.pairs[i][0], y + b.pairs[i][1]) for i, (x, y) in a.pairs.items()}
+    return DecomposedElement(a.context, a.pairing, singles, pairs)
+
+
+def component_list(d: DecomposedElement) -> list:
+    """Components flattened in partition order: singles, then pairs."""
+    singles, pairs = d.context.parts.layout(d.pairing)
+    return [d.singles[i] for i in singles] + [d.pairs[i] for i, _ in pairs]
+
+
+# -- element-level constructions ------------------------------------------------------
+# The library builds these on digit vectors; these are the element-level
+# definitions they replaced, kept as oracles.
+
+def sylow_split_by_elements(u: GroupRingElement, dec) -> GroupRingElement:
+    """Re-index GR[G] as (GR[A])[P] element by element: the coefficient of
+    Y^b at Y^a is u_{a+b}."""
+    inner = GroupRing(u.ring.coeff, dec.coprime_part)
+    outer = GroupRing(inner, dec.p_part)
+    buckets: dict = {}
+    for g, c in u.coeffs.items():
+        a, b = dec.split(g)
+        buckets.setdefault(b, {})[a] = c
+    return GroupRingElement(outer, {b: GroupRingElement(inner, cs) for b, cs in buckets.items()})
+
+
+def sylow_merge_by_elements(x: GroupRingElement, dec) -> GroupRingElement:
+    """Inverse of sylow_split_by_elements, by dec.join."""
+    inner = x.ring.coeff
+    out: dict = {}
+    for b, xb in x.coeffs.items():
+        for a, c in xb.coeffs.items():
+            out[dec.join(a, b)] = c
+    return GroupRingElement(GroupRing(inner.coeff, dec.group), out)
+
+
+def idempotents_by_elements(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
+    """The class idempotents as elements: the inverse transform of 1 on each class."""
+    one = ctx.big.one()
+    return tuple(idft(Spectrum(ctx, {h: one for h in cls.elements}))
+                 for cls in ctx.parts.classes)
+
+
+def construct_by_elements(p, r, s, group, form=EUCLIDEAN):
+    """Generators of construct_self_dual by group-ring arithmetic: idempotent
+    sums and p-power scalings in GR[A], placed over P and merged back with
+    sylow_merge_by_elements; zero generators are dropped."""
+    spec = construct_ring(p, r, s)
+    if not exists_self_dual(p, r, group, form, s):
+        raise DomainError("no self-dual code")
+    ring = GroupRing(spec, group)
+    if r % 2 == 0:
+        return (ring.one() * (p**(r // 2)),)
+    dec = sylow_decompose(group, p)
+    p_group = dec.p_part
+    ctx = ambient(spec, dec.coprime_part)
+    singles, pairs = ctx.parts.layout(form)
+    x2 = tuple((f // 2 if k == 0 else 0) for k, f in enumerate(p_group.factors))
+    rp = (r + 1) // 2
+    e = idempotents_by_elements(ctx)
+    g2 = sum((e[i] for i in singles), ctx.ring.zero()) * p**(rp - 1)
+    g1 = g2 * p + sum((e[i] for i, _ in pairs), ctx.ring.zero())
+    outer = GroupRing(ctx.ring, p_group)
+    merged = (sylow_merge_by_elements(nested, dec)
+              for nested in (outer.element({p_group.identity: g1}),
+                             outer.element({p_group.identity: g2, x2: g2})))
+    return tuple(g for g in merged if not g.is_zero())
+
+
+def semisimple_by_elements(p, r, s, group, form=EUCLIDEAN):
+    """Representatives of enumerate_semisimple_selfdual by group-ring
+    arithmetic: each single's idempotent times p^(r/2), each pair's
+    idempotents times p^w and p^(r-w), a member dropped at p^r."""
+    _pairing_twist(form, s)
+    ctx = ambient(construct_ring(p, r, s), group)
+    singles, pairs = ctx.parts.layout(form)
+    if r % 2 or (r + 1)**len(pairs) > MAX_REPRESENTATIVES:
+        return ()
+    e = idempotents_by_elements(ctx)
+    reps = []
+    for choice in itertools.product(range(r + 1), repeat=len(pairs)):
+        gens = [e[i] * p**(r // 2) for i in singles]
+        for pair, w in zip(pairs, choice):
+            for k, exp in zip(pair, (w, r - w)):
+                if exp < r:
+                    gens.append(e[k] * p**exp)
+        reps.append(tuple(gens))
+    return tuple(reps)

@@ -130,6 +130,21 @@ def test_closed_provider_rejects_noncyclic_sylow():
         abelian_count(2, 2, 1, TRIVIAL, AbelianGroup((2, 2)), provider="closed")
 
 
+@pytest.mark.parametrize("provider", [TrivialSylowProvider(), ClosedFormProvider()])
+@pytest.mark.parametrize("p, r, p_group, message", [
+    (1, 2, (), "p = 1 is not prime"), (4, 2, (), "p = 4 is not prime"),
+    (4, 2, (4,), "p = 4 is not prime"), (1, 2, (2,), "p = 1 is not prime"),
+    (2, 0, (), "need r >= 1"), (2, 0, (2,), "need r >= 1")])
+def test_closed_providers_refuse_a_ring_that_does_not_exist(provider, p, r, p_group, message):
+    """The ring check comes before the provider's own domain: "GR(4^2,1)"
+    used to get 3 from the trivial provider and 29 from the closed forms,
+    and p = 1 reached valuation's ValueError."""
+    for kind in ("total", "euclidean"):
+        with pytest.raises(DomainError, match=message) as err:
+            provider.count(p, r, 1, AbelianGroup(p_group), kind)
+        assert not isinstance(err.value, ProviderDomainError)
+
+
 def test_brute_provider_respects_bound():
     with pytest.raises(ProviderDomainError) as err:
         abelian_count(2, 2, 1, TRIVIAL, AbelianGroup((16,)),

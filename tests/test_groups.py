@@ -86,6 +86,12 @@ def test_sylow_trivial_p_part():
     assert dec.coprime_part == AbelianGroup((7,))
 
 
+@pytest.mark.parametrize("p", [-2, 0, 1, 4, 6, 9])
+def test_sylow_decompose_refuses_a_non_prime(p):
+    with pytest.raises(DomainError, match=f"p = {p} is not prime"):
+        sylow_decompose(AbelianGroup((8,)), p)
+
+
 def test_sylow_split_join_bijection():
     for factors in [(12,), (2, 4), (6, 10), (8, 3), (2, 2, 9)]:
         g = AbelianGroup(factors)

@@ -10,17 +10,17 @@ from galcodes.counting import (BruteForceProvider, euclidean_semisimple_count,
                                hermitian_semisimple_count)
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import GroupRing, ambient
+from galcodes.group_ring import GroupRing, _sylow_perm, ambient, element_text
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, _form_step, _group_index,
                              _shift_perms, construct_self_dual, enumerate_semisimple_selfdual,
                              exhaustive_bound)
 from galcodes.linalg import _unit_inverses, howell, remainder
-from helpers import (abelian_groups_up_to, compose_ints_by_transform,
-                     construct_by_nested_assembly, dual_by_scan, engine,
+from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
+                     construct_by_nested_assembly, dual_by_scan, engine, semisimple_by_elements,
                      howell_saturating_takeovers, ideals_by_full_scan, ideals_by_principal_joins,
-                     orbit_least_vectors, perms_by_group_add)
+                     orbit_least_vectors, perms_by_group_add, shift)
 
 
 def join_all(eng, gens):
@@ -221,7 +221,7 @@ def test_principal_rows_are_the_monomial_multiples(p, r, s, factors):
     rng = random.Random(p * 100 + s)
     for _ in range(5):
         v = eng.ring.random_element(rng)
-        want = [eng.to_vector((v * x**j).shift(g))
+        want = [eng.to_vector(shift(v * x**j, g))
                 for g in eng.group.elements() for j in range(s)]
         assert eng.principal_rows(eng.to_vector(v)) == want
 
@@ -350,7 +350,7 @@ def test_shift_permutations_match_group_addition(factors, s):
 
 # -- tables shared by the engines ---------------------------------------------------------
 
-TABLES = (_group_index, _shift_perms, _form_step, _unit_inverses)
+TABLES = (_group_index, _shift_perms, _form_step, _unit_inverses, _sylow_perm)
 
 
 def test_engines_over_one_group_and_s_share_the_shift_table(monkeypatch):
@@ -593,6 +593,63 @@ def test_construct_matches_nested_assembly(p, r, s, factors, form):
     out = construct_self_dual(p, r, s, group, form, bound=1)
     assert out.ideal is None
     assert out.generators == construct_by_nested_assembly(p, r, s, group, form)
+
+
+def both_forms(cases):
+    """Each case in its own form, then in the other one too when s is even."""
+    out = []
+    for p, r, s, factors, form in cases:
+        out.append((p, r, s, factors, form))
+        if s % 2 == 0:
+            out.append((p, r, s, factors, HERMITIAN if form == EUCLIDEAN else EUCLIDEAN))
+    return out
+
+
+EVEN_R_CONSTRUCTS = [
+    (2, 2, 1, (6,), EUCLIDEAN), (3, 2, 1, (4,), EUCLIDEAN), (2, 2, 2, (3,), EUCLIDEAN),
+    (5, 2, 1, (3,), EUCLIDEAN), (2, 4, 1, (2, 2), EUCLIDEAN), (3, 2, 2, (2, 3), HERMITIAN),
+]
+# the odd-r constructions and the semisimple families of the spectral benchmark
+SPECTRAL_CONSTRUCTS = NESTED_CONSTRUCTS[:11]
+SPECTRAL_FAMILIES = [
+    (2, 2, 1, (7,), EUCLIDEAN), (2, 2, 1, (15,), EUCLIDEAN), (2, 4, 1, (7,), EUCLIDEAN),
+    (3, 2, 2, (5,), HERMITIAN), (2, 2, 2, (7,), HERMITIAN), (3, 2, 1, (13,), EUCLIDEAN),
+    (5, 2, 1, (12,), EUCLIDEAN), (2, 2, 2, (9,), HERMITIAN),
+]
+
+
+def texts(gens):
+    return [element_text(g) for g in gens]
+
+
+@pytest.mark.parametrize("p, r, s, factors, form",
+                         both_forms(SPECTRAL_CONSTRUCTS + EVEN_R_CONSTRUCTS))
+def test_construct_on_vectors_matches_the_element_level_construction(p, r, s, factors, form):
+    group = AbelianGroup(factors)
+    want = construct_by_elements(p, r, s, group, form)
+    if r % 2:
+        assert texts(construct_by_nested_assembly(p, r, s, group, form)) == texts(want)
+    eng = engine(p, r, s, factors, bound=1 << 200)
+    want_ideal = eng.ideal_from_rows(
+        [row for g in want for row in eng.principal_rows(eng.to_vector(g))])
+    assert want_ideal == join_all(eng, want)
+    for bound in (None, 1 << 200):
+        out = construct_self_dual(p, r, s, group, form, bound=bound)
+        assert texts(out.generators) == texts(want)
+        assert out.generators == want
+        if eng.ring_size <= (exhaustive_bound() if bound is None else bound):
+            assert out.ideal.basis == want_ideal.basis
+        else:
+            assert out.ideal is None
+
+
+@pytest.mark.parametrize("p, r, s, factors, form", both_forms(SPECTRAL_FAMILIES))
+def test_semisimple_family_on_vectors_matches_the_element_level_family(p, r, s, factors, form):
+    fam = enumerate_semisimple_selfdual(p, r, s, AbelianGroup(factors), form)
+    want = semisimple_by_elements(p, r, s, AbelianGroup(factors), form)
+    assert fam.count == len(want) > 0
+    assert [texts(gens) for gens in fam.representatives] == [texts(gens) for gens in want]
+    assert fam.representatives == want
 
 
 @pytest.mark.parametrize("p, r, s, factors, form", [
