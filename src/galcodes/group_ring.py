@@ -1,11 +1,11 @@
 """Group rings over Galois rings, their pairings, and spectral decompositions.
 
-An element of GR(p^r, s)[G] is a finitely supported map g -> coefficient
-with convolution product.  The coefficient ring is duck-typed (anything
-with zero()/one() whose elements support +, *, unary -) so the same class
-also covers nested rings R[P] with R itself a group ring; that nesting is
-produced by sylow_split, which re-indexes GR[G] as (GR[A])[P] along the
-Sylow decomposition G = A + P.
+An element of GR(p^r, s)[G] is a map g -> coefficient with convolution
+product, stored as its digit vector: s digits in [0, p^r) per group
+element, in lexicographic order.  The coefficient ring may itself be a
+group ring, whose whole vector is then one coefficient's digits; that
+nesting is produced by sylow_split, which re-indexes GR[G] as (GR[A])[P]
+along the Sylow decomposition G = A + P.
 
 For A of order coprime to p, evaluation at characters diagonalizes GR[A]:
 with M = exponent(A), mu = ord_M(p^s), zeta a root of unity of order M in
@@ -23,10 +23,9 @@ pair whose second member is the value at -p^h * a twisted by the
 Frobenius power -h.  The twist makes the pairing's involution (support
 reversal, conjugated when h = s/2) act on the pair as a plain swap.
 
-Elements are also read as digit vectors (s digits per group element, in
-lexicographic order), the working form of the constructions: the Sylow
-re-indexing is one digit permutation per (group, p, s), kept for the life
-of the process like the engines' shift permutations.
+The digit vector is also the working form of the constructions: the
+Sylow re-indexing is one digit permutation per (group, p, s), kept for
+the life of the process like the engines' shift permutations.
 
 class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, by one idft per class given
@@ -41,7 +40,7 @@ they cover the group; decompose and compose only read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cyclotomic import _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
@@ -52,13 +51,21 @@ from .numth import multiplicative_order
 
 
 class GroupRing:
-    """The ring coeff[G]; coeff is a GaloisRingSpec or another GroupRing."""
+    """The ring coeff[G]; coeff is a GaloisRingSpec or another GroupRing.
+    One coefficient has block digits (s, or the inner ring's width), one
+    element width = block * |G|, each digit taken mod char = p^r."""
 
-    __slots__ = ("coeff", "group")
+    __slots__ = ("coeff", "group", "block", "width", "char", "_coefficient")
 
     def __init__(self, coeff, group: AbelianGroup):
         self.coeff = coeff
         self.group = group
+        nested = isinstance(coeff, GroupRing)
+        self.block = coeff.width if nested else coeff.s
+        self.width = self.block * group.order
+        self.char = coeff.char
+        # digits of one block -> that coefficient
+        self._coefficient = partial(GroupRingElement if nested else GaloisRingElement, coeff)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupRing)
@@ -71,53 +78,74 @@ class GroupRing:
         return f"{self.coeff!r}[{self.group!r}]"
 
     def zero(self) -> GroupRingElement:
-        return GroupRingElement(self, {})
+        return GroupRingElement(self, (0,) * self.width)
 
     def one(self) -> GroupRingElement:
-        return GroupRingElement(self, {self.group.identity: self.coeff.one()})
+        return self.monomial(self.group.identity)
 
     def monomial(self, g, c=None) -> GroupRingElement:
         """c * Y^g (c defaults to 1)."""
-        g = self.group.element(g)
         c = self.coeff.one() if c is None else c
         return self.element({g: c})
 
     def element(self, coeffs: dict) -> GroupRingElement:
-        clean = {}
-        for g, c in coeffs.items():
-            g = self.group.element(g)
-            if not c.is_zero():
-                clean[g] = c
-        return GroupRingElement(self, clean)
+        """The element with these coefficients, each from the coefficient ring."""
+        for c in coeffs.values():
+            if _owner(c) != self.coeff:
+                raise DomainError(f"coefficient of {_owner(c)} used in {self!r}, "
+                                  f"whose coefficients lie in {self.coeff!r}")
+        return self._assemble((self.group.element(g), c) for g, c in coeffs.items())
+
+    def _assemble(self, terms) -> GroupRingElement:
+        """The element with the (group element, coefficient) terms, both
+        already checked; each coefficient's digits fill its block."""
+        vec = [0] * self.width
+        index, w = _group_index(self.group.factors), self.block
+        for g, c in terms:
+            k = index[g] * w
+            vec[k:k + w] = c.coeffs
+        return GroupRingElement(self, tuple(vec))
 
     def random_element(self, rng) -> GroupRingElement:
-        spec = self.coeff
-        if isinstance(spec, GroupRing):
-            return self.element({g: spec.random_element(rng) for g in self.group.elements()})
-        return self.element({
-            g: spec.element(tuple(rng.randrange(spec.char) for _ in range(spec.s)))
-            for g in self.group.elements()})
+        return GroupRingElement(self, tuple(rng.randrange(self.char) for _ in range(self.width)))
+
+
+def _owner(x):
+    """The ring x belongs to, or the name of its type when x is no ring element."""
+    if isinstance(x, GroupRingElement):
+        return x.ring
+    return x.spec if isinstance(x, GaloisRingElement) else type(x).__name__
 
 
 class GroupRingElement:
-    """Immutable sparse element of a GroupRing."""
+    """Immutable element of a GroupRing: coeffs is its digit vector, one
+    block of ring.block digits per group element in lexicographic order,
+    each read like GaloisRingElement.coeffs."""
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: GroupRing, coeffs: dict):
+    def __init__(self, ring: GroupRing, coeffs: tuple[int, ...]):
         self.ring = ring
         self.coeffs = coeffs
 
+    def terms(self):
+        """(g, coefficient) for each nonzero coefficient, g in lexicographic order."""
+        w = self.ring.block
+        for g, i in _group_index(self.ring.group.factors).items():
+            block = self.coeffs[i * w:(i + 1) * w]
+            if any(block):
+                yield g, self.ring._coefficient(block)
+
     def coefficient(self, g):
-        g = self.ring.group.element(g)
-        c = self.coeffs.get(g)
-        return c if c is not None else self.ring.coeff.zero()
+        w = self.ring.block
+        k = _group_index(self.ring.group.factors)[self.ring.group.element(g)] * w
+        return self.ring._coefficient(self.coeffs[k:k + w])
 
     def support(self):
-        return sorted(self.coeffs)
+        return [g for g, _ in self.terms()]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.coeffs)
 
     def _require_same_ring(self, other: "GroupRingElement") -> None:
         if self.ring != other.ring:
@@ -125,57 +153,51 @@ class GroupRingElement:
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._require_same_ring(other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc = out.get(g)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = acc
-        return GroupRingElement(self.ring, out)
+        m = self.ring.char
+        return GroupRingElement(self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.ring, {g: -c for g, c in self.coeffs.items()})
+        m = self.ring.char
+        return GroupRingElement(self.ring, tuple(-a % m for a in self.coeffs))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, GroupRingElement) and isinstance(other.ring.coeff, type(self.ring.coeff)):
-            self._require_same_ring(other)
-            add = self.ring.group.add
-            out: dict = {}
-            for g1, c1 in self.coeffs.items():
-                for g2, c2 in other.coeffs.items():
-                    g = add(g1, g2)
-                    prod = c1 * c2
-                    acc = out.get(g)
-                    acc = prod if acc is None else acc + prod
-                    if acc.is_zero():
-                        out.pop(g, None)
-                    else:
-                        out[g] = acc
-            return GroupRingElement(self.ring, out)
-        # scalar from the coefficient ring, or an int
-        scaled = {g: c * other for g, c in self.coeffs.items()}
-        return GroupRingElement(self.ring, {g: c for g, c in scaled.items() if not c.is_zero()})
+        """Product with an element of the same ring (convolution), a
+        coefficient-ring element or an int (scaling every coefficient)."""
+        ring = self.ring
+        if isinstance(other, int):
+            m = ring.char
+            return GroupRingElement(ring, tuple(a * other % m for a in self.coeffs))
+        owner = _owner(other)
+        if owner == ring.coeff:
+            return ring._assemble((g, c * other) for g, c in self.terms())
+        if owner != ring:
+            raise DomainError(f"cannot multiply an element of {ring!r} by one of {owner}")
+        add = ring.group.add
+        out: dict = {}
+        for g1, c1 in self.terms():
+            for g2, c2 in other.terms():
+                g = add(g1, g2)
+                prod = c1 * c2
+                acc = out.get(g)
+                out[g] = prod if acc is None else acc + prod
+        return ring._assemble(out.items())
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GroupRingElement)
                 and self.ring == other.ring and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.coeffs.items())))
+        return hash((self.ring, self.coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "<0>"
-        parts = [f"{c!r}*Y{g}" for g, c in sorted(self.coeffs.items())]
-        return "<" + " + ".join(parts) + ">"
+        return "<" + " + ".join(f"{c!r}*Y{g}" for g, c in self.terms()) + ">"
 
 
 # -- involutions -------------------------------------------------------------
@@ -190,56 +212,22 @@ def conjugate(a: GaloisRingElement) -> GaloisRingElement:
 def involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal Y^g -> Y^(-g), coefficients untouched."""
     neg = x.ring.group.neg
-    return GroupRingElement(x.ring, {neg(g): c for g, c in x.coeffs.items()})
+    return x.ring._assemble((neg(g), c) for g, c in x.terms())
 
 
 def conjugate_involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal with conjugated coefficients (coefficient degree even)."""
     neg = x.ring.group.neg
-    return GroupRingElement(x.ring, {neg(g): conjugate(c) for g, c in x.coeffs.items()})
+    return x.ring._assemble((neg(g), conjugate(c)) for g, c in x.terms())
 
 
-# -- digit vectors ---------------------------------------------------------------
+# -- digit layout ----------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _group_index(factors: tuple[int, ...]) -> dict:
     """Group element -> its position in the lexicographic order."""
     return {g: i for i, g in enumerate(AbelianGroup(factors).elements())}
-
-
-def _width(coeff) -> int:
-    """Digits of one coefficient: s, or s * |group| per nesting level."""
-    if isinstance(coeff, GroupRing):
-        return _width(coeff.coeff) * coeff.group.order
-    return coeff.s
-
-
-def _to_vector(x: GroupRingElement) -> tuple[int, ...]:
-    """The digits of x: one block per group element in lexicographic
-    order, each the coefficient's digits (its own vector when nested)."""
-    coeff = x.ring.coeff
-    nested = isinstance(coeff, GroupRing)
-    w = _width(coeff)
-    vec = [0] * (w * x.ring.group.order)
-    index = _group_index(x.ring.group.factors)
-    for g, c in x.coeffs.items():
-        base = index[g] * w
-        vec[base:base + w] = _to_vector(c) if nested else c.coeffs
-    return tuple(vec)
-
-
-def _from_vector(ring: GroupRing, vec) -> GroupRingElement:
-    """Inverse of _to_vector; the digits must already lie in [0, p^r)."""
-    coeff = ring.coeff
-    nested = isinstance(coeff, GroupRing)
-    w = _width(coeff)
-    coeffs = {}
-    for g, i in _group_index(ring.group.factors).items():
-        block = tuple(vec[i * w:(i + 1) * w])
-        if any(block):
-            coeffs[g] = _from_vector(coeff, block) if nested else GaloisRingElement(coeff, block)
-    return GroupRingElement(ring, coeffs)
 
 
 # -- Sylow re-indexing ---------------------------------------------------------
@@ -249,7 +237,7 @@ def _from_vector(ring: GroupRing, vec) -> GroupRingElement:
 def _sylow_perm(factors: tuple[int, ...], p: int, s: int) -> tuple[int, ...]:
     """The re-indexing GR[G] -> (GR[A])[P], G = A + P, as a digit permutation.
 
-    s is the width of one coefficient of GR[G] (_width).  The nested vector
+    s is the block of GR[G], the digits of one coefficient.  The nested vector
     has one block of s * |A| digits per element b of P in lexicographic
     order, the digits of the coefficient of Y^b in GR[A]; entry t is the
     digit of the vector of GR[G] that lands at t, the one of block a + b
@@ -273,11 +261,12 @@ def _sylow_merge_vector(nested, dec: SylowDecomposition, s: int) -> list[int]:
 
 def sylow_split(u: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
     """Re-index GR[G] as (GR[A])[P]: coefficient of Y^b at Y^a is u_{a+b}."""
-    coeff = u.ring.coeff
-    outer = GroupRing(GroupRing(coeff, dec.coprime_part), dec.p_part)
-    vec = _to_vector(u)
-    perm = _sylow_perm(dec.group.factors, dec.p, _width(coeff))
-    return _from_vector(outer, [vec[k] for k in perm])
+    ring = u.ring
+    if ring.group != dec.group:
+        raise DomainError(f"element of {ring!r} split along the decomposition of {dec.group!r}")
+    outer = GroupRing(GroupRing(ring.coeff, dec.coprime_part), dec.p_part)
+    perm = _sylow_perm(dec.group.factors, dec.p, ring.block)
+    return GroupRingElement(outer, tuple(u.coeffs[k] for k in perm))
 
 
 def sylow_merge(x: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
@@ -285,8 +274,10 @@ def sylow_merge(x: GroupRingElement, dec: SylowDecomposition) -> GroupRingElemen
     inner = x.ring.coeff
     if not isinstance(inner, GroupRing):
         raise DomainError("sylow_merge expects nested coefficients")
-    return _from_vector(GroupRing(inner.coeff, dec.group),
-                        _sylow_merge_vector(_to_vector(x), dec, _width(inner.coeff)))
+    if x.ring.group != dec.p_part or inner.group != dec.coprime_part:
+        raise DomainError(f"element of {x.ring!r} merged along the decomposition of {dec.group!r}")
+    return GroupRingElement(GroupRing(inner.coeff, dec.group),
+                            tuple(_sylow_merge_vector(x.coeffs, dec, inner.block)))
 
 
 # -- character transform and component decomposition ---------------------------
@@ -343,7 +334,7 @@ def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> Spectru
     if x.ring != ctx.ring:
         raise DomainError("element does not belong to the decomposed ring")
     group, big, zeta_pows = ctx.group, ctx.big, ctx.zeta_pows
-    lifted = [(a, embed(c, big)) for a, c in x.coeffs.items()]
+    lifted = [(a, embed(c, big)) for a, c in x.terms()]
     values = {}
     for h in group.elements():
         acc = big.zero()
@@ -363,14 +354,14 @@ def idft(spec: Spectrum) -> GroupRingElement:
     ctx = spec.context
     group = ctx.group
     M = ctx.exponent
-    out = {}
+    vec: list[int] = []
     for a in group.elements():
         acc = ctx.big.zero()
         for h, v in spec.values.items():
             e = (-character_exponent(group, h, a)) % M
             acc = acc + v * ctx.zeta_pows[e]
-        out[a] = unembed(acc * ctx.inv_group_order, ctx.spec)
-    return ctx.ring.element(out)
+        vec += unembed(acc * ctx.inv_group_order, ctx.spec).coeffs
+    return GroupRingElement(ctx.ring, tuple(vec))
 
 
 def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
@@ -379,7 +370,7 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     only C's points, so each costs |A| * |C|."""
     if ctx._idempotents is None:
         one = ctx.big.one()
-        ctx._idempotents = tuple(_to_vector(idft(Spectrum(ctx, {h: one for h in cls.elements})))
+        ctx._idempotents = tuple(idft(Spectrum(ctx, {h: one for h in cls.elements})).coeffs
                                  for cls in ctx.parts.classes)
     return ctx._idempotents
 

@@ -1,7 +1,7 @@
 """Abelian codes as explicit ideals of GR(p^r, s)[G], held as Z_{p^r}-modules.
 
-An element is flattened to a vector of s*|G| coefficient digits mod p^r
-(blocks of s per group element, groups in lexicographic order).  The ideal
+An element's coeffs are its s*|G| coefficient digits mod p^r (blocks of s
+per group element, groups in lexicographic order).  The ideal
 generated by v is the span over Z_{p^r} of {x^j * Y^g * v}, since the
 powers of the residue generator form a module basis of the coefficient
 ring.  Each ideal is held by its Howell basis (linalg.howell), so ideal
@@ -46,8 +46,8 @@ from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-e
 from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
 from .groups import AbelianGroup, sylow_decompose
-from .group_ring import (GroupRing, GroupRingElement, _from_vector, _group_index,
-                         _sylow_merge_vector, _to_vector, ambient, class_idempotents)
+from .group_ring import (GroupRing, GroupRingElement, _group_index, _sylow_merge_vector,
+                         ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
 
 DEFAULT_BOUND = 1 << 16
@@ -114,7 +114,7 @@ class ExhaustiveGroupRing:
         self.p = spec.p
         self.r = spec.r
         self.m = spec.char
-        self.n = spec.s * self.group.order
+        self.n = ring.width
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
         if self.bound < 1:
@@ -154,10 +154,12 @@ class ExhaustiveGroupRing:
     def to_vector(self, x: GroupRingElement) -> tuple[int, ...]:
         if x.ring != self.ring:
             raise DomainError("element belongs to a different ring")
-        return _to_vector(x)
+        return x.coeffs
 
     def from_vector(self, vec) -> GroupRingElement:
-        return _from_vector(self.ring, vec)
+        vec = tuple(vec)
+        self._check_vector(vec)
+        return GroupRingElement(self.ring, vec)
 
     def decode_vector(self, k: int) -> tuple[int, ...]:
         m = self.m
@@ -551,7 +553,7 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
         e, m = class_idempotents(ctx), ctx.spec.char
 
         def scaled(i: int, exp: int) -> GroupRingElement:
-            return _from_vector(ctx.ring, [d * p**exp % m for d in e[i]])
+            return GroupRingElement(ctx.ring, tuple(d * p**exp % m for d in e[i]))
 
         single_gens = [scaled(i, r // 2) for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r

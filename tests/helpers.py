@@ -16,7 +16,8 @@ from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powerin
                              _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
                                  GroupRingElement, Spectrum, _decompose, ambient, compose,
-                                 conjugate_involution, idft, involution, sylow_merge)
+                                 conjugate, conjugate_involution, idft, involution,
+                                 sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
                              _pairing_twist, exhaustive_bound)
@@ -388,10 +389,8 @@ def form_euclidean(u: GroupRingElement, v: GroupRingElement):
     """sum_g u_g * v_g, valued in the coefficient ring."""
     u._require_same_ring(v)
     acc = u.ring.coeff.zero()
-    for g, c in u.coeffs.items():
-        d = v.coeffs.get(g)
-        if d is not None:
-            acc = acc + c * d
+    for g, c in u.terms():
+        acc = acc + c * v.coefficient(g)
     return acc
 
 
@@ -403,10 +402,8 @@ def form_hermitian(u: GroupRingElement, v: GroupRingElement):
         raise DomainError("Hermitian form needs Galois-ring coefficients of even degree")
     half = spec.s // 2
     acc = spec.zero()
-    for g, c in u.coeffs.items():
-        d = v.coeffs.get(g)
-        if d is not None:
-            acc = acc + c * generalized_frobenius(d, half)
+    for g, c in u.terms():
+        acc = acc + c * generalized_frobenius(v.coefficient(g), half)
     return acc
 
 
@@ -417,10 +414,8 @@ def involution_pairing(x: GroupRingElement, y: GroupRingElement) -> GroupRingEle
     if not isinstance(inner, GroupRing):
         raise DomainError("involution pairing expects nested coefficients")
     acc = inner.zero()
-    for b, xb in x.coeffs.items():
-        yb = y.coeffs.get(b)
-        if yb is not None:
-            acc = acc + xb * involution(yb)
+    for b, xb in x.terms():
+        acc = acc + xb * involution(y.coefficient(b))
     return acc
 
 
@@ -431,10 +426,8 @@ def conjugate_involution_pairing(x: GroupRingElement, y: GroupRingElement) -> Gr
     if not isinstance(inner, GroupRing):
         raise DomainError("conjugate involution pairing expects nested coefficients")
     acc = inner.zero()
-    for b, xb in x.coeffs.items():
-        yb = y.coeffs.get(b)
-        if yb is not None:
-            acc = acc + xb * conjugate_involution(yb)
+    for b, xb in x.terms():
+        acc = acc + xb * conjugate_involution(y.coefficient(b))
     return acc
 
 
@@ -454,7 +447,7 @@ def decompose_nested(x: GroupRingElement, ctx: AmbientDecomposition, pairing: st
         raise DomainError("decompose_nested expects nested coefficients")
     p_group = x.ring.group
     single_idx, pair_idx = ctx.parts.layout(pairing)
-    per_b = {b: _decompose(xb, ctx, pairing) for b, xb in x.coeffs.items()}
+    per_b = {b: _decompose(xb, ctx, pairing) for b, xb in x.terms()}
     parts = ctx.parts
     singles = {}
     for i in single_idx:
@@ -478,9 +471,8 @@ def compose_nested(dec: DecomposedElement, p_group: AbelianGroup) -> GroupRingEl
         singles = {i: v.coefficient(b) for i, v in dec.singles.items()}
         pairs = {i: (v0.coefficient(b), v1.coefficient(b)) for i, (v0, v1) in dec.pairs.items()}
         xb = compose(DecomposedElement(ctx, dec.pairing, singles, pairs))
-        if not xb.is_zero():
-            per_b[b] = xb
-    return GroupRingElement(outer, per_b)
+        per_b[b] = xb
+    return outer.element(per_b)
 
 
 # -- element methods only the tests use ---------------------------------------------
@@ -489,7 +481,7 @@ def shift(x: GroupRingElement, g) -> GroupRingElement:
     """Multiplication by the monomial Y^g."""
     g = x.ring.group.element(g)
     add = x.ring.group.add
-    return GroupRingElement(x.ring, {add(h, g): c for h, c in x.coeffs.items()})
+    return x.ring.element({add(h, g): c for h, c in x.terms()})
 
 
 def decomposed_add(a: DecomposedElement, b: DecomposedElement) -> DecomposedElement:
@@ -517,20 +509,20 @@ def sylow_split_by_elements(u: GroupRingElement, dec) -> GroupRingElement:
     inner = GroupRing(u.ring.coeff, dec.coprime_part)
     outer = GroupRing(inner, dec.p_part)
     buckets: dict = {}
-    for g, c in u.coeffs.items():
+    for g, c in u.terms():
         a, b = dec.split(g)
         buckets.setdefault(b, {})[a] = c
-    return GroupRingElement(outer, {b: GroupRingElement(inner, cs) for b, cs in buckets.items()})
+    return outer.element({b: inner.element(cs) for b, cs in buckets.items()})
 
 
 def sylow_merge_by_elements(x: GroupRingElement, dec) -> GroupRingElement:
     """Inverse of sylow_split_by_elements, by dec.join."""
     inner = x.ring.coeff
     out: dict = {}
-    for b, xb in x.coeffs.items():
-        for a, c in xb.coeffs.items():
+    for b, xb in x.terms():
+        for a, c in xb.terms():
             out[dec.join(a, b)] = c
-    return GroupRingElement(GroupRing(inner.coeff, dec.group), out)
+    return GroupRing(inner.coeff, dec.group).element(out)
 
 
 def idempotents_by_elements(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
@@ -585,3 +577,96 @@ def semisimple_by_elements(p, r, s, group, form=EUCLIDEAN):
                     gens.append(e[k] * p**exp)
         reps.append(tuple(gens))
     return tuple(reps)
+
+
+# -- the dict-based element ----------------------------------------------------------
+# GroupRingElement stores its digit vector; this is the sparse map it
+# replaced, kept as the oracle for its arithmetic, equality and text.
+
+class DictElement:
+    """A group-ring element as a map g -> nonzero coefficient, each
+    coefficient a GaloisRingElement or, over a nested ring, a DictElement."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: GroupRing, coeffs: dict):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    @classmethod
+    def of(cls, x: GroupRingElement) -> "DictElement":
+        """The map of x's nonzero coefficients, converted at every level."""
+        return cls(x.ring, {g: cls.of(c) if isinstance(c, GroupRingElement) else c
+                            for g, c in x.terms()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _require_same_ring(self, other: "DictElement") -> None:
+        if self.ring != other.ring:
+            raise DomainError("mixed group rings")
+
+    def __add__(self, other: "DictElement") -> "DictElement":
+        self._require_same_ring(other)
+        out = dict(self.coeffs)
+        for g, c in other.coeffs.items():
+            acc = out.get(g)
+            acc = c if acc is None else acc + c
+            if acc.is_zero():
+                out.pop(g, None)
+            else:
+                out[g] = acc
+        return DictElement(self.ring, out)
+
+    def __neg__(self) -> "DictElement":
+        return DictElement(self.ring, {g: -c for g, c in self.coeffs.items()})
+
+    def __sub__(self, other: "DictElement") -> "DictElement":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, DictElement) and other.ring == self.ring:
+            add = self.ring.group.add
+            out: dict = {}
+            for g1, c1 in self.coeffs.items():
+                for g2, c2 in other.coeffs.items():
+                    g = add(g1, g2)
+                    prod = c1 * c2
+                    acc = out.get(g)
+                    acc = prod if acc is None else acc + prod
+                    if acc.is_zero():
+                        out.pop(g, None)
+                    else:
+                        out[g] = acc
+            return DictElement(self.ring, out)
+        # scalar from the coefficient ring, or an int
+        scaled = {g: c * other for g, c in self.coeffs.items()}
+        return DictElement(self.ring, {g: c for g, c in scaled.items() if not c.is_zero()})
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DictElement)
+                and self.ring == other.ring and self.coeffs == other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, frozenset(self.coeffs.items())))
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "<0>"
+        parts = [f"{c!r}*Y{g}" for g, c in sorted(self.coeffs.items())]
+        return "<" + " + ".join(parts) + ">"
+
+
+def dict_involution(x: DictElement) -> DictElement:
+    """Support reversal Y^g -> Y^(-g), coefficients untouched."""
+    neg = x.ring.group.neg
+    return DictElement(x.ring, {neg(g): c for g, c in x.coeffs.items()})
+
+
+def dict_conjugate_involution(x: DictElement) -> DictElement:
+    """Support reversal with conjugated coefficients (coefficient degree even)."""
+    neg = x.ring.group.neg
+    return DictElement(x.ring, {neg(g): conjugate(c) for g, c in x.coeffs.items()})

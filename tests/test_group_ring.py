@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
-                                 _ambient_cached, _from_vector, _slots, _sylow_perm, _to_vector,
+                                 _ambient_cached, _slots, _sylow_perm,
                                  ambient, class_idempotents, compose, conjugate,
                                  conjugate_involution, decompose_euclidean,
                                  decompose_hermitian, dft, element_text, idft, involution,
@@ -15,7 +16,8 @@ from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
 from galcodes.groups import AbelianGroup, sylow_decompose
 from helpers import (class_containing, component_list, compose_ints_by_transform,
                      compose_nested, conjugate_involution_pairing, decompose_nested,
-                     decomposed_add, form_euclidean, form_hermitian, from_coeff_list,
+                     decomposed_add, DictElement, dict_conjugate_involution,
+                     dict_involution, form_euclidean, form_hermitian, from_coeff_list,
                      idempotents_by_elements, involution_pairing, shift,
                      sylow_merge_by_elements, sylow_split_by_elements)
 
@@ -65,6 +67,51 @@ def test_mixed_ring_rejected():
     b = rand_ring(2, 2, 1, (5,)).one()
     with pytest.raises(DomainError):
         a + b
+
+
+def test_product_refuses_an_element_of_a_mixed_ring():
+    """Z4[Z2] and (Z4[Z3])[Z2] share the outer group but neither ring is
+    the other's coefficient ring, so the product is refused both ways."""
+    x = GroupRing(Z4, Z2_GROUP).one()
+    y = GroupRing(GroupRing(Z4, AbelianGroup((3,))), Z2_GROUP).one()
+    with pytest.raises(DomainError, match=r"GR\(2\^2,1\)\[Z2\] by one of GR\(2\^2,1\)\[Z3\]\[Z2\]"):
+        x * y
+    with pytest.raises(DomainError, match=r"GR\(2\^2,1\)\[Z3\]\[Z2\] by one of GR\(2\^2,1\)\[Z2\]"):
+        y * x
+    for other in (2.0, "2", Z2_GROUP):
+        with pytest.raises(DomainError):
+            x * other
+        with pytest.raises(DomainError):
+            other * x
+
+
+def test_product_takes_the_coefficient_ring_and_ints():
+    inner = GroupRing(Z4, AbelianGroup((3,)))
+    outer = GroupRing(inner, Z2_GROUP)
+    c = inner.element({(0,): Z4.one(), (1,): Z4.from_int(3)})
+    y = outer.element({(0,): inner.one(), (1,): c})
+    assert y * c == outer.element({(0,): c, (1,): c * c})
+    # c's own product takes only elements of c's ring, its coefficient
+    # ring, or ints
+    with pytest.raises(DomainError):
+        c * y
+    assert y * 3 == 3 * y == outer.element({(0,): inner.one() * 3, (1,): c * 3})
+    assert (y * 4).is_zero()
+
+
+def test_element_refuses_foreign_coefficients():
+    with pytest.raises(DomainError, match=r"GR\(2\^2,2\) used in GR\(2\^2,1\)\[Z2\]"):
+        GroupRing(Z4, Z2_GROUP).element({(0,): construct_ring(2, 2, 2).one()})
+    inner = GroupRing(Z4, AbelianGroup((3,)))
+    outer = GroupRing(inner, Z2_GROUP)
+    with pytest.raises(DomainError, match=r"GR\(2\^2,1\)\[Z5\] used in GR\(2\^2,1\)\[Z3\]\[Z2\]"):
+        outer.element({(0,): GroupRing(Z4, AbelianGroup((5,))).one()})
+    with pytest.raises(DomainError, match=r"GR\(2\^2,1\) used in"):
+        outer.element({(1,): Z4.one()})
+    with pytest.raises(DomainError, match="int used in"):
+        outer.monomial((1,), 1)
+    with pytest.raises(DomainError):
+        GroupRing(Z4, Z2_GROUP).monomial((0,), GroupRing(Z4, Z2_GROUP).one())
 
 
 def test_shift():
@@ -197,6 +244,21 @@ def test_sylow_permutation_is_the_element_level_reindexing(p, factors, s):
         y = nested.ring.random_element(rng)
         assert sylow_merge(y, dec) == sylow_merge_by_elements(y, dec)
         assert sylow_split(sylow_merge(y, dec), dec) == y
+
+
+def test_sylow_split_and_merge_refuse_another_group():
+    """The decomposition of Z6 does not fit Z2[Z10], nor (Z2[Z5])[Z2]
+    and (Z2[Z3])[Z4], whose inner or outer group is not its part."""
+    dec = sylow_decompose(AbelianGroup((6,)), 2)
+    z2 = construct_ring(2, 1, 1)
+    with pytest.raises(DomainError, match="Z10.*Z6"):
+        sylow_split(GroupRing(z2, AbelianGroup((10,))).one(), dec)
+    for inner, outer in (((5,), (2,)), ((3,), (4,)), ((2,), (3,))):
+        nested = GroupRing(GroupRing(z2, AbelianGroup(inner)), AbelianGroup(outer))
+        with pytest.raises(DomainError, match="Z6"):
+            sylow_merge(nested.one(), dec)
+    x = GroupRing(z2, AbelianGroup((6,))).one()
+    assert sylow_merge(sylow_split(x, dec), dec) == x
 
 
 def test_sylow_split_is_a_ring_isomorphism():
@@ -472,10 +534,10 @@ def test_class_idempotents_are_the_transform_units(case, layout):
     assert len(table) == len(ctx.parts.classes)
     singles, pairs = ctx.parts.layout(layout)
     for i in singles:
-        assert table[i] == _to_vector(compose_ints_by_transform(ctx, layout, {i: 1}, {}))
+        assert table[i] == compose_ints_by_transform(ctx, layout, {i: 1}, {}).coeffs
     for i, j in pairs:
-        assert table[i] == _to_vector(compose_ints_by_transform(ctx, layout, {}, {i: (1, 0)}))
-        assert table[j] == _to_vector(compose_ints_by_transform(ctx, layout, {}, {i: (0, 1)}))
+        assert table[i] == compose_ints_by_transform(ctx, layout, {}, {i: (1, 0)}).coeffs
+        assert table[j] == compose_ints_by_transform(ctx, layout, {}, {i: (0, 1)}).coeffs
 
 
 @pytest.mark.parametrize("case, layout", TABLE_LAYOUTS)
@@ -490,7 +552,7 @@ def test_class_idempotent_decomposes_to_its_unit_slot(case, layout):
 
     decompose = decompose_euclidean if layout == "euclidean" else decompose_hermitian
     for k, vec in enumerate(table):
-        e = _from_vector(ctx.ring, vec)
+        e = GroupRingElement(ctx.ring, vec)
         want = DecomposedElement(ctx, layout, {i: at(i, i == k) for i in singles},
                                  {i: (at(i, i == k), at(i, j == k)) for i, j in pairs})
         assert decompose(e, ctx) == want
@@ -499,7 +561,7 @@ def test_class_idempotent_decomposes_to_its_unit_slot(case, layout):
 @pytest.mark.parametrize("case", TABLE_CONTEXTS)
 def test_class_idempotents_are_orthogonal_and_sum_to_one(case):
     ctx = table_ctx(*case)
-    table = [_from_vector(ctx.ring, vec) for vec in class_idempotents(ctx)]
+    table = [GroupRingElement(ctx.ring, vec) for vec in class_idempotents(ctx)]
     assert table == list(idempotents_by_elements(ctx))
     for i, e in enumerate(table):
         for j, f in enumerate(table):
@@ -588,3 +650,105 @@ def test_element_text_example():
     assert element_text(x) == "1;2"
     with pytest.raises(DomainError):
         parse_element(ring, "1;2;3")
+
+
+# -- digit storage against the dict-based element ---------------------------------------------
+
+def test_ring_layout():
+    flat = rand_ring(3, 2, 2, (2, 2))
+    assert (flat.block, flat.width, flat.char) == (2, 8, 9)
+    nested = GroupRing(flat, AbelianGroup((3,)))
+    assert (nested.block, nested.width, nested.char) == (8, 24, 9)
+    assert len(nested.zero().coeffs) == len(nested.one().coeffs) == 24
+    assert nested.one().coeffs == (1,) + (0,) * 23
+
+
+def test_terms_are_the_nonzero_blocks_in_order():
+    ring = GroupRing(Z4, AbelianGroup((4,)))
+    x = ring.element({(3,): Z4.from_int(2), (1,): Z4.one(), (2,): Z4.zero()})
+    assert x.coeffs == (0, 1, 0, 2)
+    assert list(x.terms()) == [((1,), Z4.one()), ((3,), Z4.from_int(2))]
+    assert x.support() == [(1,), (3,)]
+    assert x.coefficient((2,)) == Z4.zero() and x.coefficient((7,)) == Z4.from_int(2)
+    assert list(ring.zero().terms()) == []
+
+
+FLAT_RINGS = [(2, 1, 1, (2, 4)), (2, 2, 1, (3,)), (2, 3, 1, (2, 4)), (2, 2, 2, (3,)),
+              (2, 1, 2, (2, 2)), (2, 3, 2, (2,)), (3, 1, 1, (3, 3)), (3, 2, 1, (3, 3)),
+              (3, 1, 2, (4,)), (3, 3, 2, (2,)), (3, 3, 1, (5,))]
+# (p, r, s, G): split along G = A + P into (GR[A])[P]
+NESTED_RINGS = [(2, 2, 1, (6,)), (3, 2, 1, (6,)), (2, 1, 2, (2, 2, 3)), (3, 1, 2, (3, 4))]
+
+
+def sample_elements(ring, rng, split=None):
+    """Random, sparse and zero elements of ring, split along the Sylow
+    decomposition split when it is given."""
+    def draw():
+        x = ring.random_element(rng)
+        return x if split is None else sylow_split(x, split)
+
+    out = [draw() for _ in range(4)]
+    x = out[0]
+    sparse = x.ring.element({g: c for k, (g, c) in enumerate(x.terms()) if k % 3 == 0})
+    return out + [sparse, sparse * 2, x - x]
+
+
+def as_oracle_scalar(c):
+    return DictElement.of(c) if isinstance(c, GroupRingElement) else c
+
+
+def check_against_dict_element(xs, conjugate_too):
+    oracles = [DictElement.of(x) for x in xs]
+    for x, ox in zip(xs, oracles):
+        assert repr(x) == repr(ox)
+        assert DictElement.of(-x) == -ox
+        assert DictElement.of(involution(x)) == dict_involution(ox)
+        if conjugate_too:
+            assert DictElement.of(conjugate_involution(x)) == dict_conjugate_involution(ox)
+        for k in (0, 1, 3, -1, x.ring.char + 2):
+            assert DictElement.of(x * k) == DictElement.of(k * x) == ox * k
+        c = xs[0].coefficient(x.ring.group.identity)
+        assert DictElement.of(x * c) == ox * as_oracle_scalar(c)
+        if not isinstance(c, GroupRingElement):
+            assert DictElement.of(c * x) == ox * c
+        rebuilt = x.ring.element(dict(x.terms()))
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+        for y, oy in zip(xs, oracles):
+            assert DictElement.of(x + y) == ox + oy
+            assert DictElement.of(x - y) == ox - oy
+            assert DictElement.of(x * y) == ox * oy
+            assert repr(x * y) == repr(ox * oy)
+            assert (x == y) == (ox == oy)
+    assert len(set(xs)) == len(set(oracles))
+
+
+@pytest.mark.parametrize("p, r, s, factors", FLAT_RINGS)
+def test_flat_elements_match_the_dict_element(p, r, s, factors):
+    ring = rand_ring(p, r, s, factors)
+    rng = random.Random(p * 1000 + r * 100 + s * 10 + len(factors))
+    check_against_dict_element(sample_elements(ring, rng), s % 2 == 0)
+
+
+@pytest.mark.parametrize("p, r, s, factors", NESTED_RINGS)
+def test_nested_elements_match_the_dict_element(p, r, s, factors):
+    ring = rand_ring(p, r, s, factors)
+    dec = sylow_decompose(ring.group, p)
+    xs = sample_elements(ring, random.Random(p * 100 + r * 10 + s), dec)
+    assert xs[0].ring == GroupRing(GroupRing(ring.coeff, dec.coprime_part), dec.p_part)
+    check_against_dict_element(xs, False)
+
+
+def test_random_element_draws_are_pinned():
+    """The digests of seeded draws taken when elements were stored as
+    dicts of coefficients, drawn coefficient by coefficient: one draw of
+    width digits makes the same elements, nested ones included."""
+    rings = [rand_ring(p, r, s, f) for p, r, s, f in
+             [(2, 1, 1, (2, 4)), (2, 3, 2, (3,)), (3, 2, 1, (3, 3)), (3, 1, 2, (4,))]]
+    rings.append(GroupRing(rand_ring(2, 2, 1, (3,)), Z2_GROUP))
+    rings.append(GroupRing(rand_ring(3, 1, 2, (2,)), AbelianGroup((3,))))
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for ring in rings:
+        for _ in range(5):
+            digest.update((repr(ring.random_element(rng)) + "\n").encode())
+    assert digest.hexdigest() == "9cfe580f2c6f869a220f0bd64ec2c5a3ae5b45c3cd3a7593f5eef0499241f921"

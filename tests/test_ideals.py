@@ -114,7 +114,8 @@ def test_ideal_of_another_ring_is_refused(call):
 VECTOR_CALLS = pytest.mark.parametrize("call", [
     lambda eng, vec: eng.principal_ideal(vec),
     lambda eng, vec: eng.unit_ideal().contains_vector(vec),
-], ids=["principal_ideal", "contains_vector"])
+    lambda eng, vec: eng.from_vector(vec),
+], ids=["principal_ideal", "contains_vector", "from_vector"])
 
 
 @VECTOR_CALLS
