@@ -1,11 +1,17 @@
 """Group rings over Galois rings, their pairings, and spectral decompositions.
 
-An element of GR(p^r, s)[G] is a map g -> coefficient with convolution
-product, stored as its digit vector: s digits in [0, p^r) per group
-element, in lexicographic order.  The coefficient ring may itself be a
-group ring, whose whole vector is then one coefficient's digits; that
-nesting is produced by sylow_split, which re-indexes GR[G] as (GR[A])[P]
-along the Sylow decomposition G = A + P.
+An element of GR(p^r, s)[G] is a map g -> coefficient, stored as its
+digit vector: s digits in [0, p^r) per group element, in lexicographic
+order.  The coefficient ring may itself be a group ring, whose whole
+vector is then one coefficient's digits; that nesting is produced by
+sylow_split, which re-indexes GR[G] as (GR[A])[P] along the Sylow
+decomposition G = A + P; (GR[A])[P] has the digits of the flat ring GR[P x A].
+
+This module owns every digit table (group positions, the shifts Y^g as
+digit permutations, the block steps, the Sylow re-indexing), each cached
+by what it depends on, and the one product kernel _monomial_rows: x * y
+sums y's digits times the rows x^j * Y^g * x, and a coefficient c, read
+as c * Y^0, weights only the first block.
 
 For A of order coprime to p, evaluation at characters diagonalizes GR[A]:
 with M = exponent(A), mu = ord_M(p^s), zeta a root of unity of order M in
@@ -23,10 +29,6 @@ pair whose second member is the value at -p^h * a twisted by the
 Frobenius power -h.  The twist makes the pairing's involution (support
 reversal, conjugated when h = s/2) act on the pair as a plain swap.
 
-The digit vector is also the working form of the constructions: the
-Sylow re-indexing is one digit permutation per (group, p, s), kept for
-the life of the process like the engines' shift permutations.
-
 class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, by one idft per class given
 only that class's points, so the whole table costs one full idft; it holds
@@ -41,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 
 from .cyclotomic import _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
-from .galois import (GaloisRingElement, GaloisRingSpec, construct_ring, embed,
+from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
 from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
 from .numth import multiplicative_order
@@ -53,9 +56,10 @@ from .numth import multiplicative_order
 class GroupRing:
     """The ring coeff[G]; coeff is a GaloisRingSpec or another GroupRing.
     One coefficient has block digits (s, or the inner ring's width), one
-    element width = block * |G|, each digit taken mod char = p^r."""
+    element width = block * |G|, each digit taken mod char = p^r.  _flat
+    is (spec, factors) of the flat ring with the same digits."""
 
-    __slots__ = ("coeff", "group", "block", "width", "char", "_coefficient")
+    __slots__ = ("coeff", "group", "block", "width", "char", "_coefficient", "_flat")
 
     def __init__(self, coeff, group: AbelianGroup):
         self.coeff = coeff
@@ -64,6 +68,8 @@ class GroupRing:
         self.block = coeff.width if nested else coeff.s
         self.width = self.block * group.order
         self.char = coeff.char
+        spec, inner = coeff._flat if nested else (coeff, ())
+        self._flat = (spec, group.factors + inner)
         # digits of one block -> that coefficient
         self._coefficient = partial(GroupRingElement if nested else GaloisRingElement, coeff)
 
@@ -147,9 +153,10 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def _require_same_ring(self, other: "GroupRingElement") -> None:
-        if self.ring != other.ring:
-            raise DomainError("mixed group rings")
+    def _require_same_ring(self, other) -> None:
+        owner = _owner(other)
+        if owner != self.ring:
+            raise DomainError(f"cannot combine an element of {self.ring!r} with one of {owner}")
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._require_same_ring(other)
@@ -161,29 +168,24 @@ class GroupRingElement:
         return GroupRingElement(self.ring, tuple(-a % m for a in self.coeffs))
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+        self._require_same_ring(other)
         return self + (-other)
 
     def __mul__(self, other):
-        """Product with an element of the same ring (convolution), a
-        coefficient-ring element or an int (scaling every coefficient)."""
+        """Product with an element of the same ring or of its coefficient
+        ring (other's digits times the kernel rows of self), or an int."""
         ring = self.ring
+        m = ring.char
         if isinstance(other, int):
-            m = ring.char
             return GroupRingElement(ring, tuple(a * other % m for a in self.coeffs))
         owner = _owner(other)
-        if owner == ring.coeff:
-            return ring._assemble((g, c * other) for g, c in self.terms())
-        if owner != ring:
+        if owner != ring and owner != ring.coeff:
             raise DomainError(f"cannot multiply an element of {ring!r} by one of {owner}")
-        add = ring.group.add
-        out: dict = {}
-        for g1, c1 in self.terms():
-            for g2, c2 in other.terms():
-                g = add(g1, g2)
-                prod = c1 * c2
-                acc = out.get(g)
-                out[g] = prod if acc is None else acc + prod
-        return ring._assemble(out.items())
+        acc = [0] * ring.width
+        for w, row in zip(other.coeffs, _monomial_rows(*ring._flat, self.coeffs)):
+            if w:
+                acc = [a + w * b for a, b in zip(acc, row)]
+        return GroupRingElement(ring, tuple(a % m for a in acc))
 
     __rmul__ = __mul__
 
@@ -217,17 +219,71 @@ def involution(x: GroupRingElement) -> GroupRingElement:
 
 def conjugate_involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal with conjugated coefficients (coefficient degree even)."""
+    spec = x.ring.coeff
+    if not isinstance(spec, GaloisRingSpec) or spec.s % 2:
+        raise DomainError(f"{x.ring!r} has no conjugate involution: it needs GR(p^r, s), s even")
     neg = x.ring.group.neg
     return x.ring._assemble((neg(g), conjugate(c)) for g, c in x.terms())
 
 
-# -- digit layout ----------------------------------------------------------------
-
+# -- digit layout and the multiplication kernel --------------------------------
 
 @lru_cache(maxsize=None)
 def _group_index(factors: tuple[int, ...]) -> dict:
     """Group element -> its position in the lexicographic order."""
     return {g: i for i, g in enumerate(AbelianGroup(factors).elements())}
+
+
+@lru_cache(maxsize=None)
+def _shift_perms(factors: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
+    """For each g, the digit permutation of multiplication by Y^g: entry t
+    is the digit that lands at t, from the block of group element t - g,
+    found by rotating each factor's coordinate of the lexicographic index."""
+    perms = []
+    for g in AbelianGroup(factors).elements():
+        blocks = [0]
+        for f, c in zip(factors, g):
+            blocks = [b * f + (d - c) % f for b in blocks for d in range(f)]
+        perms.append(tuple(b * s + j for b in blocks for j in range(s)))
+    return tuple(perms)
+
+
+@lru_cache(maxsize=None)
+def _form_step(spec: GaloisRingSpec, h: int) -> tuple[int, ...]:
+    """Digits of y(x) = Frobenius^h(x): form(u, e_(g,j)) = u_g * y(x)^j, so
+    y(x) is the step from j to j + 1 (the Hermitian one needs the ring's
+    Teichmuller table, hence made on first use)."""
+    return generalized_frobenius(spec._x(), h).coeffs
+
+
+def _block_steps(spec: GaloisRingSpec, h: int, vec) -> tuple[tuple[int, ...], ...]:
+    """Each block c of vec, then c * y^j for 0 < j < s, y = Frobenius^h(x):
+    the x^j multiples of the blocks when h = 0, and the digits of form(vec,
+    e_i) under twist h, so digit d of form(vec, w) is w dotted with column d."""
+    step = _form_step(spec, h)
+    s, modulus, m = spec.s, spec.modulus, spec.char
+    out = []
+    for base in range(0, len(vec), s):
+        block = tuple(vec[base:base + s])
+        out.append(block)
+        for _ in range(s - 1):
+            block = _poly_mul_mod(block, step, modulus, m)
+            out.append(block)
+    return tuple(out)
+
+
+def _monomial_rows(spec: GaloisRingSpec, factors: tuple[int, ...], vec):
+    """The rows x^j * Y^g * vec over spec[factors], row g * s + j, g in
+    lexicographic order; x^j * vec is every s-th block step.  A generator,
+    so that a scaling reads only the rows of the first block."""
+    s = spec.s
+    xmults = [tuple(vec)]
+    if s > 1:
+        blocks = _block_steps(spec, 0, vec)
+        xmults = [tuple(chain.from_iterable(blocks[j::s])) for j in range(s)]
+    for perm in _shift_perms(factors, s):
+        for base in xmults:
+            yield tuple(base[k] for k in perm)
 
 
 # -- Sylow re-indexing ---------------------------------------------------------

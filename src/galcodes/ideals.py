@@ -4,12 +4,11 @@ An element's coeffs are its s*|G| coefficient digits mod p^r (blocks of s
 per group element, groups in lexicographic order).  The ideal
 generated by v is the span over Z_{p^r} of {x^j * Y^g * v}, since the
 powers of the residue generator form a module basis of the coefficient
-ring.  Each ideal is held by its Howell basis (linalg.howell), so ideal
-identity is basis identity; x^j * v is read off the block step of the
-Euclidean form coefficients.  The tables this needs (group positions, the
-shifts Y^g as digit permutations, form steps) are module caches keyed by
-what each depends on, shared by every engine, so an engine is a plain view
-of one ring and a bound.
+ring; those rows are group_ring's product kernel.  Each ideal is held by
+its Howell basis (linalg.howell), so ideal identity is basis identity.
+group_ring owns the digit tables (group positions, shifts Y^g, block
+steps), shared by every engine, so an engine is a plain view of one ring
+and a bound.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r} (linalg), polynomial in s*|G|, and run at any ring
@@ -38,16 +37,15 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .counting import exists_self_dual
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
 from .errors import BoundExceededError, DomainError, InternalInvariantError
-from .galois import GaloisRingSpec, _poly_mul_mod, construct_ring, generalized_frobenius
+from .galois import GaloisRingSpec, construct_ring
 from .groups import AbelianGroup, sylow_decompose
-from .group_ring import (GroupRing, GroupRingElement, _group_index, _sylow_merge_vector,
-                         ambient, class_idempotents)
+from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
+                         _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
 
 DEFAULT_BOUND = 1 << 16
@@ -63,34 +61,6 @@ def exhaustive_bound() -> int:
         return int(raw)
     except ValueError:
         raise DomainError(f"{BOUND_ENV_VAR}={raw!r} is not an integer") from None
-
-
-# -- tables shared by the engines, each keyed by exactly what it depends on ------
-
-
-@lru_cache(maxsize=None)
-def _shift_perms(factors: tuple[int, ...], s: int) -> tuple[tuple[int, ...], ...]:
-    """For each g, the digit permutation of multiplication by Y^g.
-
-    Entry t of the permutation of g is the digit that lands at t: the
-    block of group element t - g, found factor by factor by rotating
-    that factor's coordinate of the lexicographic index.
-    """
-    perms = []
-    for g in AbelianGroup(factors).elements():
-        blocks = [0]
-        for f, c in zip(factors, g):
-            blocks = [b * f + (d - c) % f for b in blocks for d in range(f)]
-        perms.append(tuple(b * s + j for b in blocks for j in range(s)))
-    return tuple(perms)
-
-
-@lru_cache(maxsize=None)
-def _form_step(spec: GaloisRingSpec, h: int) -> tuple[int, ...]:
-    """Digits of y(x) = Frobenius^h(x): form(u, e_(g,j)) = u_g * y(x)^j, so
-    y(x) is the step from j to j + 1 (the Hermitian one needs the ring's
-    Teichmuller table, hence made on first use)."""
-    return generalized_frobenius(spec._x(), h).coeffs
 
 
 class ExhaustiveGroupRing:
@@ -176,22 +146,9 @@ class ExhaustiveGroupRing:
         return out
 
     def principal_rows(self, vec) -> list[tuple[int, ...]]:
-        """Module generators of the ideal (vec): all x^j * Y^g * vec.
-
-        Coefficient j of block g of the Euclidean form coefficients is x^j
-        times block g of vec, so x^j * vec is every s-th of them; with
-        s = 1 there is only vec.
-        """
-        s = self.s
-        xmults = [tuple(vec)]
-        if s > 1:
-            blocks = self.form_coefficients(vec, EUCLIDEAN)
-            xmults = [tuple(itertools.chain.from_iterable(blocks[j::s])) for j in range(s)]
-        rows = []
-        for perm in _shift_perms(self.group.factors, s):
-            for base in xmults:
-                rows.append(tuple(base[k] for k in perm))
-        return rows
+        """Module generators of the ideal (vec): all x^j * Y^g * vec, the
+        rows of the product kernel, row g * s + j."""
+        return list(_monomial_rows(self.spec, self.group.factors, vec))
 
     def howell(self, rows) -> tuple[tuple[int, ...], ...]:
         return howell(rows, self.p, self.r)
@@ -296,45 +253,29 @@ class ExhaustiveGroupRing:
 
     # -- forms and duality ------------------------------------------------------
 
-    def form_coefficients(self, row, form: str) -> tuple[tuple[int, ...], ...]:
-        """Digits of form(row, e_i) for each unit vector e_i.
-
-        The form is Z_{p^r}-bilinear, so digit d of form(row, w) is the dot
-        product of w with column d of these coefficients.
-        """
-        step = _form_step(self.spec, _pairing_twist(form, self.s))
-        s, modulus = self.s, self.spec.modulus
-        out = []
-        for base in range(0, self.n, s):
-            block = tuple(row[base:base + s])
-            out.append(block)
-            for _ in range(s - 1):
-                block = _poly_mul_mod(block, step, modulus, self.m)
-                out.append(block)
-        return tuple(out)
-
     def dual(self, code: "Ideal", form: str = EUCLIDEAN) -> "Ideal":
         """Annihilator {w : form(u, w) = 0 for all u in the code}.
 
         The basis rows span the code over Z_{p^r} and already absorb all
         monomial shifts (the code is an ideal), so the dual is the kernel
         of w -> (form(u, w))_u over the k = rank*s digits of the basis rows
-        u: the left kernel of the n x k matrix of form_coefficients.
+        u: the left kernel of the n x k matrix of their form coefficients,
+        the block steps of the form's twist.
         """
         self._check_ideal(code)
-        _pairing_twist(form, self.s)
-        mats = [self.form_coefficients(row, form) for row in code.basis]
+        h = _pairing_twist(form, self.s)
+        mats = [_block_steps(self.spec, h, row) for row in code.basis]
         matrix = [[d for mat in mats for d in mat[i]] for i in range(self.n)]
         return Ideal(self, kernel(matrix, self.p, self.r))
 
     def is_self_orthogonal(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
         self._check_ideal(code)
-        _pairing_twist(form, self.s)
+        h = _pairing_twist(form, self.s)
         m = self.m
         basis = code.basis
         for i, row in enumerate(basis):
             # the form is symmetric up to conjugation: pairs i <= j suffice
-            for col in zip(*self.form_coefficients(row, form)):
+            for col in zip(*_block_steps(self.spec, h, row)):
                 for w in basis[i:]:
                     if sum(map(mul, w, col)) % m:
                         return False
@@ -344,14 +285,16 @@ class ExhaustiveGroupRing:
         """size matches and the code sits inside its own annihilator.
 
         |C| * |dual C| = |ring| over these rings, so inclusion plus the
-        size condition pins C = dual(C) without computing the dual.
-        """
+        size condition pins C = dual(C) without computing the dual.  The
+        form is checked first, so a bad one is refused at any size."""
         self._check_ideal(code)
+        _pairing_twist(form, self.s)
         if code.size * code.size != self.ring_size:
             return False
         return self.is_self_orthogonal(code, form)
 
     def count_self_dual(self, form: str = EUCLIDEAN) -> int:
+        _pairing_twist(form, self.s)
         return sum(1 for c in self.ideal_stream() if self.is_self_dual(c, form))
 
 

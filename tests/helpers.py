@@ -382,8 +382,8 @@ def group_divisor_orders(group: AbelianGroup) -> list[int]:
 
 
 # -- element-level forms and pairings -------------------------------------------
-# The engine reads both forms off ExhaustiveGroupRing.form_coefficients; these
-# are their definitions on GroupRingElement.
+# The engine reads both forms off the block steps of group_ring._block_steps;
+# these are their definitions on GroupRingElement.
 
 def form_euclidean(u: GroupRingElement, v: GroupRingElement):
     """sum_g u_g * v_g, valued in the coefficient ring."""

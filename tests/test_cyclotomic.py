@@ -169,6 +169,12 @@ PAIRING_CALLS = {
     "hermitian_abelian_count": lambda pairing, s: hermitian_abelian_count(2, 2, s, Z3),
     "ExhaustiveGroupRing.dual": lambda pairing, s: (
         lambda eng: eng.dual(eng.unit_ideal(), pairing))(engine(2, 2, s, (3,))),
+    # no ideal of F_{2^s}[Z3] has the size of a self-dual one (F2[Z3] has 8
+    # elements, F4[Z3] = F4^3 ideals of 4^k), so these must see the form first
+    "ExhaustiveGroupRing.is_self_dual": lambda pairing, s: (
+        lambda eng: eng.is_self_dual(eng.unit_ideal(), pairing))(engine(2, 1, s, (3,))),
+    "ExhaustiveGroupRing.count_self_dual": lambda pairing, s: engine(2, 1, s, (3,)).count_self_dual(
+        pairing),
     "construct_self_dual": lambda pairing, s: construct_self_dual(2, 2, s, Z3, pairing),
     "enumerate_semisimple_selfdual": lambda pairing, s: enumerate_semisimple_selfdual(
         2, 2, s, Z3, pairing),

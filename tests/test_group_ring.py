@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,8 +66,18 @@ def test_scalar_multiplication():
 def test_mixed_ring_rejected():
     a = rand_ring(2, 2, 1, (3,)).one()
     b = rand_ring(2, 2, 1, (5,)).one()
-    with pytest.raises(DomainError):
-        a + b
+    for combine in (a.__add__, a.__sub__):
+        with pytest.raises(DomainError, match=r"GR\(2\^2,1\)\[Z3\] with one of GR\(2\^2,1\)\[Z5\]"):
+            combine(b)
+
+
+@pytest.mark.parametrize("other, owner", [(1, "int"), (2.0, "float"), (Z4.one(), r"GR\(2\^2,1\)")],
+                         ids=["int", "float", "coefficient"])
+def test_sums_refuse_what_is_not_an_element_of_the_ring(other, owner):
+    x = GroupRing(Z4, Z2_GROUP).one()
+    for combine in (x.__add__, x.__sub__):
+        with pytest.raises(DomainError, match=rf"GR\(2\^2,1\)\[Z2\] with one of {owner}$"):
+            combine(other)
 
 
 def test_product_refuses_an_element_of_a_mixed_ring():
@@ -202,6 +213,17 @@ def test_conjugate_involution():
     for _ in range(10):
         y = ring.random_element(rng)
         assert conjugate_involution(conjugate_involution(y)) == y
+
+
+@pytest.mark.parametrize("ring", [rand_ring(2, 2, 1, (3,)), rand_ring(2, 1, 3, (2,)),
+                                  GroupRing(rand_ring(2, 1, 2, (3,)), Z2_GROUP)],
+                         ids=repr)
+def test_conjugate_involution_is_refused_by_ring(ring):
+    """Odd coefficient degree or a nested ring is refused, the zero element
+    included, and the message names the ring."""
+    for x in (ring.zero(), ring.one()):
+        with pytest.raises(DomainError, match=re.escape(repr(ring))):
+            conjugate_involution(x)
 
 
 def test_pairings_match_full_ring_product():
@@ -673,11 +695,15 @@ def test_terms_are_the_nonzero_blocks_in_order():
     assert list(ring.zero().terms()) == []
 
 
+# s = 3 and 4 (a conjugation that is not a swap of digits) and p = 5 included
 FLAT_RINGS = [(2, 1, 1, (2, 4)), (2, 2, 1, (3,)), (2, 3, 1, (2, 4)), (2, 2, 2, (3,)),
               (2, 1, 2, (2, 2)), (2, 3, 2, (2,)), (3, 1, 1, (3, 3)), (3, 2, 1, (3, 3)),
-              (3, 1, 2, (4,)), (3, 3, 2, (2,)), (3, 3, 1, (5,))]
-# (p, r, s, G): split along G = A + P into (GR[A])[P]
-NESTED_RINGS = [(2, 2, 1, (6,)), (3, 2, 1, (6,)), (2, 1, 2, (2, 2, 3)), (3, 1, 2, (3, 4))]
+              (3, 1, 2, (4,)), (3, 3, 2, (2,)), (3, 3, 1, (5,)), (2, 2, 3, (3,)),
+              (2, 2, 4, (2,)), (5, 2, 2, (2,))]
+# (p, r, s, G): split along G = A + P into (GR[A])[P]; the last has A and P
+# both non-cyclic
+NESTED_RINGS = [(2, 2, 1, (6,)), (3, 2, 1, (6,)), (2, 1, 2, (2, 2, 3)), (3, 1, 2, (3, 4)),
+                (2, 1, 1, (2, 2, 3, 3))]
 
 
 def sample_elements(ring, rng, split=None):
@@ -736,6 +762,13 @@ def test_nested_elements_match_the_dict_element(p, r, s, factors):
     xs = sample_elements(ring, random.Random(p * 100 + r * 10 + s), dec)
     assert xs[0].ring == GroupRing(GroupRing(ring.coeff, dec.coprime_part), dec.p_part)
     check_against_dict_element(xs, False)
+
+
+def test_twice_nested_elements_match_the_dict_element():
+    """((GR(2^2,2)[Z3])[Z2])[Z2]: its digits are those of GR(2^2,2)[Z2xZ2xZ3]."""
+    ring = GroupRing(GroupRing(rand_ring(2, 2, 2, (3,)), Z2_GROUP), Z2_GROUP)
+    assert ring._flat == (construct_ring(2, 2, 2), (2, 2, 3))
+    check_against_dict_element(sample_elements(ring, random.Random(17)), False)
 
 
 def test_random_element_draws_are_pinned():

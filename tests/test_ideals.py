@@ -5,17 +5,17 @@ from functools import reduce
 
 import pytest
 
-from galcodes import ideals
-from galcodes.counting import (BruteForceProvider, euclidean_semisimple_count,
-                               hermitian_semisimple_count)
+from galcodes import group_ring
+from galcodes.counting import (_BRUTE_CACHE, BruteForceProvider, TrivialSylowProvider,
+                               euclidean_semisimple_count, hermitian_semisimple_count)
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import GroupRing, _sylow_perm, ambient, element_text
+from galcodes.group_ring import (GroupRing, _form_step, _group_index, _shift_perms, _sylow_perm,
+                                 ambient, element_text)
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
-                             HERMITIAN, ExhaustiveGroupRing, Ideal, _form_step, _group_index,
-                             _shift_perms, construct_self_dual, enumerate_semisimple_selfdual,
-                             exhaustive_bound)
+                             HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
+                             enumerate_semisimple_selfdual, exhaustive_bound)
 from galcodes.linalg import _unit_inverses, howell, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
                      construct_by_nested_assembly, dual_by_scan, engine, semisimple_by_elements,
@@ -361,7 +361,7 @@ def test_engines_over_one_group_and_s_share_the_shift_table(monkeypatch):
         seen.append(_shift_perms(factors, s))
         return seen[-1]
 
-    monkeypatch.setattr(ideals, "_shift_perms", spy)
+    monkeypatch.setattr(group_ring, "_shift_perms", spy)
     group = AbelianGroup((2, 3))
     for p, r, s in [(2, 1, 1), (2, 3, 1), (5, 2, 1), (2, 2, 2)]:
         eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group))
@@ -498,6 +498,17 @@ def test_hermitian_needs_even_degree():
         eng.count_self_dual(HERMITIAN)
     with pytest.raises(DomainError):
         eng.dual(eng.zero_ideal(), "twisted")
+
+
+def test_brute_force_provider_refuses_an_odd_degree_hermitian_count():
+    """As the trivial provider does, and without caching a count of 0:
+    every ideal of Z3[Z3] fails the size test, which came first."""
+    before = dict(_BRUTE_CACHE)
+    with pytest.raises(DomainError, match="even degree"):
+        BruteForceProvider().count(3, 1, 1, AbelianGroup((3,)), HERMITIAN)
+    with pytest.raises(DomainError, match="even degree"):
+        TrivialSylowProvider().count(3, 1, 1, AbelianGroup(()), HERMITIAN)
+    assert _BRUTE_CACHE == before
 
 
 # -- constructive existence ---------------------------------------------------------------------
