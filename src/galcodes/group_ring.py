@@ -15,8 +15,10 @@ as c * Y^0, weights only the first block.
 
 For A of order coprime to p, evaluation at characters diagonalizes GR[A]:
 with M = exponent(A), mu = ord_M(p^s), zeta a root of unity of order M in
-the extension GR(p^r, s*mu), the transform of c at h is
-sum_a c_a * zeta^gamma_h(a).  The value at h lands in the subring of
+the extension GR(p^r, s*mu), dft(c) is the dict h -> sum_a c_a *
+zeta^gamma_h(a), and idft(values, ctx) the same sum, one kernel
+_character_sums, with zeta^(-gamma_h(a)) and |A|^(-1), over the points the
+dict gives (the rest read as 0).  The value at h lands in the subring of
 degree s*nu, nu the size of the cyclotomic class of h, and the values on
 one class are Frobenius shifts of the value at its representative, so the
 whole ring splits into one Galois-ring component per class.  Components
@@ -170,6 +172,12 @@ class GroupRingElement:
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._require_same_ring(other)
         return self + (-other)
+
+    # reached only for a left operand of another ring, which __add__ refuses
+    __radd__ = __add__
+
+    def __rsub__(self, other) -> "GroupRingElement":
+        return -self + other
 
     def __mul__(self, other):
         """Product with an element of the same ring or of its coefficient
@@ -346,12 +354,11 @@ class AmbientDecomposition:
         self.group = group
         self.ring = GroupRing(spec, group)
         self.parts = partition(group, spec.residue_size)
-        self.exponent = group.exponent
-        self.extension_degree = multiplicative_order(spec.residue_size, self.exponent)
+        self.extension_degree = multiplicative_order(spec.residue_size, group.exponent)
         self.big = construct_ring(spec.p, spec.r, spec.s * self.extension_degree)
-        zeta = root_of_unity(self.big, self.exponent)
+        zeta = root_of_unity(self.big, group.exponent)
         pows = [self.big.one()]
-        for _ in range(self.exponent - 1):
+        for _ in range(group.exponent - 1):
             pows.append(pows[-1] * zeta)
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
@@ -371,51 +378,40 @@ def ambient(spec: GaloisRingSpec, group: AbelianGroup) -> AmbientDecomposition:
     return _ambient_cached(spec.p, spec.r, spec.s, group.factors)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Character values of one ring element, indexed by group element."""
+def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
+    """For each a of A in lexicographic order, (a, sum v * zeta^(sign *
+    gamma_h(a) mod M)) over the (h, v) terms; gamma is symmetric, so sign 1
+    is the transform and sign -1 the inverse before its |A|^(-1)."""
+    group, zero, pows = ctx.group, ctx.big.zero(), ctx.zeta_pows
+    M = group.exponent
+    for a in group.elements():
+        acc = zero
+        for h, v in terms:
+            acc = acc + v * pows[sign * character_exponent(group, h, a) % M]
+        yield a, acc
 
-    context: AmbientDecomposition
-    values: dict
 
-    def __getitem__(self, h) -> GaloisRingElement:
-        return self.values[self.context.group.element(h)]
-
-
-def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> Spectrum:
-    """Evaluate x at every character: the value at h is
-    sum_a x_a * zeta^gamma_h(a), in the extension ring."""
+def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> dict:
+    """Evaluate x at every character: group element h -> sum_a x_a *
+    zeta^gamma_h(a), in the extension ring ctx.big."""
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
     if x.ring != ctx.ring:
         raise DomainError("element does not belong to the decomposed ring")
-    group, big, zeta_pows = ctx.group, ctx.big, ctx.zeta_pows
-    lifted = [(a, embed(c, big)) for a, c in x.terms()]
-    values = {}
-    for h in group.elements():
-        acc = big.zero()
-        for a, c in lifted:
-            acc = acc + c * zeta_pows[character_exponent(group, h, a)]
-        values[h] = acc
-    return Spectrum(ctx, values)
+    lifted = [(a, embed(c, ctx.big)) for a, c in x.terms()]
+    return dict(_character_sums(ctx, lifted, 1))
 
 
-def idft(spec: Spectrum) -> GroupRingElement:
-    """Inverse transform: x_a = |A|^(-1) * sum_h values[h] * zeta^(-gamma_h(a)).
+def idft(values: dict, ctx: AmbientDecomposition) -> GroupRingElement:
+    """Inverse transform of the points values gives (the rest read as 0):
+    x_a = |A|^(-1) * sum_h values[h] * zeta^(-gamma_h(a)).
 
     The result must have coefficients in the base ring; landing outside its
-    embedded image means the spectrum was not Frobenius-coherent, which is
+    embedded image means the values were not Frobenius-coherent, which is
     reported as a broken invariant.
     """
-    ctx = spec.context
-    group = ctx.group
-    M = ctx.exponent
     vec: list[int] = []
-    for a in group.elements():
-        acc = ctx.big.zero()
-        for h, v in spec.values.items():
-            e = (-character_exponent(group, h, a)) % M
-            acc = acc + v * ctx.zeta_pows[e]
+    for _, acc in _character_sums(ctx, values.items(), -1):
         vec += unembed(acc * ctx.inv_group_order, ctx.spec).coeffs
     return GroupRingElement(ctx.ring, tuple(vec))
 
@@ -426,7 +422,7 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     only C's points, so each costs |A| * |C|."""
     if ctx._idempotents is None:
         one = ctx.big.one()
-        ctx._idempotents = tuple(idft(Spectrum(ctx, {h: one for h in cls.elements})).coeffs
+        ctx._idempotents = tuple(idft({h: one for h in cls.elements}, ctx).coeffs
                                  for cls in ctx.parts.classes)
     return ctx._idempotents
 
@@ -491,7 +487,7 @@ def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
     h, single_slots, pair_slots = _slots(ctx, pairing)
-    values = dft(x, ctx).values
+    values = dft(x, ctx)
     singles = {i: unembed(values[orbit[0]], spec) for i, spec, orbit in single_slots}
     pairs = {}
     for i, spec, orbit, partner in pair_slots:
@@ -539,7 +535,7 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
         for k, point in enumerate(orbit):
             e = twist + s * k
             values[point] = generalized_frobenius(value_big, e) if e else value_big
-    return idft(Spectrum(ctx, values))
+    return idft(values, ctx)
 
 
 # -- text format ---------------------------------------------------------------

@@ -116,8 +116,8 @@ class ExhaustiveGroupRing:
             raise DomainError(
                 f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
         for d in vec:
-            if not 0 <= d < self.m:
-                raise DomainError(f"digit {d} of a vector over Z_{self.m} is not in [0, {self.m})")
+            if not (isinstance(d, int) and 0 <= d < self.m):
+                raise DomainError(f"digit {d!r} of a vector over Z_{self.m} is not in [0, {self.m})")
 
     # -- element <-> vector ---------------------------------------------------
 

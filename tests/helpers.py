@@ -15,7 +15,7 @@ from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
                              _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                                 GroupRingElement, Spectrum, _decompose, ambient, compose,
+                                 GroupRingElement, _decompose, ambient, compose,
                                  conjugate, conjugate_involution, idft, involution,
                                  sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
@@ -528,7 +528,7 @@ def sylow_merge_by_elements(x: GroupRingElement, dec) -> GroupRingElement:
 def idempotents_by_elements(ctx: AmbientDecomposition) -> tuple[GroupRingElement, ...]:
     """The class idempotents as elements: the inverse transform of 1 on each class."""
     one = ctx.big.one()
-    return tuple(idft(Spectrum(ctx, {h: one for h in cls.elements}))
+    return tuple(idft({h: one for h in cls.elements}, ctx)
                  for cls in ctx.parts.classes)
 
 

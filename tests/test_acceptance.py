@@ -248,12 +248,12 @@ def _check_dft_isomorphism(rng):
         for x, u in _random_pairs(ring, rng):
             fx, fu = dft(x, ctx), dft(u, ctx)
             prod = dft(x * u, ctx)
-            assert all(prod.values[h] == fx.values[h] * fu.values[h]
+            assert all(prod[h] == fx[h] * fu[h]
                        for h in group.elements())
             total = dft(x + u, ctx)
-            assert all(total.values[h] == fx.values[h] + fu.values[h]
+            assert all(total[h] == fx[h] + fu[h]
                        for h in group.elements())
-            assert idft(fx) == x
+            assert idft(fx, ctx) == x
 
 
 def _check_component_isomorphism(rng, configs, decompose):

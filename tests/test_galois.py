@@ -414,8 +414,25 @@ def test_unembed_rejects_outside_subring():
 
 def test_embed_rejects_nondivisible_degree():
     a = construct_ring(2, 2, 2).one()
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^degree 2 does not divide 3$"):
         embed(a, construct_ring(2, 2, 3))
+
+
+@pytest.mark.parametrize("target", [(3, 2, 2), (2, 3, 2)], ids=["other-p", "other-r"])
+def test_embed_rejects_another_characteristic(target):
+    a = construct_ring(2, 2, 1).one()
+    big = construct_ring(*target)
+    with pytest.raises(DomainError, match=rf"^incompatible rings GR\(2\^2,1\) -> "
+                                          rf"GR\({target[0]}\^{target[1]},2\)$"):
+        embed(a, big)
+
+
+def test_unembed_rejects_another_prime_and_a_nondivisible_degree():
+    a = construct_ring(2, 2, 4).one()
+    with pytest.raises(DomainError, match=r"^incompatible rings GR\(2\^2,4\) -> GR\(3\^2,2\)$"):
+        unembed(a, construct_ring(3, 2, 2))
+    with pytest.raises(DomainError, match=r"^degree 3 does not divide 4$"):
+        unembed(a, construct_ring(2, 2, 3))
 
 
 # -- roots of unity ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes.cyclotomic import TYPE_I
-from galcodes.errors import DomainError
+from galcodes.errors import DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
                                  _ambient_cached, _slots, _sylow_perm,
@@ -71,13 +72,22 @@ def test_mixed_ring_rejected():
             combine(b)
 
 
-@pytest.mark.parametrize("other, owner", [(1, "int"), (2.0, "float"), (Z4.one(), r"GR\(2\^2,1\)")],
-                         ids=["int", "float", "coefficient"])
+@pytest.mark.parametrize("other, owner", [(1, "int"), (2.0, "float"), (Z4.one(), r"GR\(2\^2,1\)"),
+                                          (GroupRing(Z4, AbelianGroup((3,))).one(),
+                                           r"GR\(2\^2,1\)\[Z3\]")],
+                         ids=["int", "float", "coefficient", "other-group-ring"])
 def test_sums_refuse_what_is_not_an_element_of_the_ring(other, owner):
+    """In both operand orders.  The left operand's ring is named first; an
+    int or a coefficient on the left leaves the refusal to x's reflected
+    method."""
     x = GroupRing(Z4, Z2_GROUP).one()
-    for combine in (x.__add__, x.__sub__):
-        with pytest.raises(DomainError, match=rf"GR\(2\^2,1\)\[Z2\] with one of {owner}$"):
-            combine(other)
+    ring = r"GR\(2\^2,1\)\[Z2\]"
+    first, second = (owner, ring) if isinstance(other, GroupRingElement) else (ring, owner)
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(DomainError, match=rf"{ring} with one of {owner}$"):
+            combine(x, other)
+        with pytest.raises(DomainError, match=rf"{first} with one of {second}$"):
+            combine(other, x)
 
 
 def test_product_refuses_an_element_of_a_mixed_ring():
@@ -307,7 +317,7 @@ def test_sylow_split_is_a_ring_isomorphism():
 
 def test_dft_of_one_is_all_ones():
     ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
-    values = dft(ctx.ring.one(), ctx).values
+    values = dft(ctx.ring.one(), ctx)
     assert all(v == ctx.big.one() for v in values.values())
 
 
@@ -327,7 +337,7 @@ def test_dft_turns_convolution_into_products():
             x, y = ctx.ring.random_element(rng), ctx.ring.random_element(rng)
             fx, fy, fxy = dft(x, ctx), dft(y, ctx), dft(x * y, ctx)
             for h in ctx.group.elements():
-                assert fxy.values[h] == fx.values[h] * fy.values[h]
+                assert fxy[h] == fx[h] * fy[h]
 
 
 def test_dft_frobenius_coherence():
@@ -338,7 +348,7 @@ def test_dft_frobenius_coherence():
     rng = random.Random(4)
     for _ in range(8):
         x = ctx.ring.random_element(rng)
-        values = dft(x, ctx).values
+        values = dft(x, ctx)
         for h in ctx.group.elements():
             moved = values[ctx.group.scale(q, h)]
             assert moved == generalized_frobenius(values[h], ctx.spec.s)
@@ -348,12 +358,21 @@ def test_dft_frobenius_coherence():
 
 def test_idft_round_trip():
     for p, r, s, factors in [(2, 2, 1, (7,)), (3, 2, 1, (8,)), (2, 1, 2, (5,)),
-                             (2, 2, 2, (3, 3))]:
+                             (2, 2, 2, (3, 3)), (2, 4, 2, (3, 3)), (5, 2, 1, (3,)),
+                             (2, 1, 1, (7,))]:
         ctx = ambient(construct_ring(p, r, s), AbelianGroup(factors))
         rng = random.Random(s * 10 + p)
         for _ in range(8):
             x = ctx.ring.random_element(rng)
-            assert idft(dft(x, ctx)) == x
+            assert idft(dft(x, ctx), ctx) == x
+
+
+def test_idft_refuses_values_that_are_not_frobenius_coherent():
+    """xi at the one point (1,) of Z4[Z7] is not fixed by the Frobenius
+    power of its class, so its inverse leaves the base ring."""
+    ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
+    with pytest.raises(InternalInvariantError):
+        idft({(1,): ctx.big.xi}, ctx)
 
 
 def test_dft_rejects_foreign_element():

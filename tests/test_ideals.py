@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from functools import reduce
 
@@ -127,11 +128,14 @@ def test_vector_of_another_length_is_refused(call, length):
 
 
 @VECTOR_CALLS
-@pytest.mark.parametrize("vec", [(4, 0), (5, 0), (-1, 0)])
+@pytest.mark.parametrize("vec", [(4, 0), (5, 0), (-1, 0), "ab", (0, 1.5)])
 def test_digit_outside_the_coefficient_ring_is_refused(call, vec):
-    # (4, 0) once gave the basis ((4, 0), (0, 4)), which is not Howell
+    # (4, 0) once gave the basis ((4, 0), (0, 4)), which is not Howell;
+    # "ab" once failed on comparing a str, and 1.5 passed the range check
     eng = engine(2, 2, 1, (2,))
-    with pytest.raises(DomainError, match=rf"digit {vec[0]} of a vector over Z_4 is not in \[0, 4\)"):
+    digit = next(d for d in vec if not (isinstance(d, int) and 0 <= d < 4))
+    with pytest.raises(DomainError,
+                       match=rf"digit {re.escape(repr(digit))} of a vector over Z_4 is not in \[0, 4\)"):
         call(eng, vec)
 
 
