@@ -256,7 +256,7 @@ def _decomposition_selfdual(p, r, s, group, form, bound):
     return len(found)
 
 
-_JOIN_ORACLE = "join-closure brute force"
+_WALK_ORACLE = "socle-walk enumeration"
 _DECOMP_ORACLE = "decomposition enumeration"
 
 # (p, s, largest n) of the length tables: every n <= 8 whose ring
@@ -266,7 +266,7 @@ _LENGTH_TABLES = [(2, 1, 8), (2, 2, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)]
 
 def _verify_checks(bound):
     """Yield (check, params, formula_thunk, oracle_thunk, oracle_kind) in
-    canonical order; each oracle runs under the bound.  The join-closure
+    canonical order; each oracle runs under the bound.  The socle-walk
     oracles share one enumeration per ring, held for this run only."""
 
     @lru_cache(maxsize=None)
@@ -294,7 +294,7 @@ def _verify_checks(bound):
             yield (check, {"p": p, "s": s, "a": a},
                    lambda f=closed, p=p, s=s, a=a: f(p, s, a),
                    lambda p=p, s=s, a=a, d=dual: brute(p, 2, s, AbelianGroup((p**a,)), d),
-                   _JOIN_ORACLE)
+                   _WALK_ORACLE)
 
     for (p, r, s, gtext, dual) in [(2, 2, 1, "Z3", "euclidean"),
                                    (2, 2, 1, "Z7", "euclidean"),
@@ -310,7 +310,7 @@ def _verify_checks(bound):
         semisimple = (euclidean_semisimple_count if dual == "euclidean"
                       else hermitian_semisimple_count)
         params = {"p": p, "r": r, "s": s, "group": gtext, "dual": dual}
-        for kind, oracle in ((_JOIN_ORACLE, brute), (_DECOMP_ORACLE, decomposed)):
+        for kind, oracle in ((_WALK_ORACLE, brute), (_DECOMP_ORACLE, decomposed)):
             yield ("semisimple-count", params,
                    lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
                    lambda o=oracle, p=p, r=r, s=s, g=group, d=dual: o(p, r, s, g, d),
@@ -327,7 +327,7 @@ def _verify_checks(bound):
         yield ("general-count", {"p": p, "r": r, "s": s, "group": gtext, "dual": dual},
                lambda f=general, p=p, r=r, s=s, d=dec: f(p, r, s, d.coprime_part, d.p_part, "closed").count,
                lambda p=p, r=r, s=s, g=group, d=dual: brute(p, r, s, g, d),
-               _JOIN_ORACLE)
+               _WALK_ORACLE)
 
     for (p, s, top) in _LENGTH_TABLES:
         counts = [("none", cyclic_count_n), ("euclidean", euclidean_cyclic_count_n)]
@@ -339,7 +339,7 @@ def _verify_checks(bound):
                 yield ("length-count", {"p": p, "s": s, "n": n, "dual": dual},
                        lambda f=closed, p=p, s=s, n=n: f(p, s, n).count,
                        lambda p=p, s=s, g=group, d=dual: brute(p, 2, s, g, d),
-                       _JOIN_ORACLE)
+                       _WALK_ORACLE)
 
     for (p, r, gtext) in [(2, 1, "Z2"), (2, 1, "Z3"), (2, 2, "Z2"),
                           (2, 2, "Z3"), (3, 1, "Z2"), (3, 1, "Z3"),
@@ -348,7 +348,7 @@ def _verify_checks(bound):
         yield ("exists", {"p": p, "r": r, "s": 1, "group": gtext, "dual": "euclidean"},
                lambda p=p, r=r, g=group: int(exists_self_dual(p, r, g)),
                lambda p=p, r=r, g=group: int(brute(p, r, 1, g, "euclidean") > 0),
-               _JOIN_ORACLE)
+               _WALK_ORACLE)
 
 
 def _cmd_verify(args) -> int:

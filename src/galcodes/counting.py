@@ -63,6 +63,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
 
     The a = 0 ring is the chain ring itself with its r + 1 = 3 ideals.
     """
+    _check_ring(p, 2, s)
     if a < 0:
         raise DomainError(f"a must be >= 0, got {a}")
     if a == 0:
@@ -77,6 +78,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
 
 def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Euclidean self-dual cyclic codes of length p^a over GR(p^2, s)."""
+    _check_ring(p, 2, s)
     if a < 0:
         raise DomainError(f"a must be >= 0, got {a}")
     if a == 0:
@@ -94,6 +96,7 @@ def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
 
 def hermitian_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Hermitian self-dual cyclic codes of length p^a over GR(p^2, s), s even."""
+    _check_ring(p, 2, s)
     if s % 2:
         raise DomainError("Hermitian count needs even degree s")
     if a < 0:

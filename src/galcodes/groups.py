@@ -25,7 +25,10 @@ class AbelianGroup:
     __slots__ = ("factors", "order", "exponent")
 
     def __init__(self, factors=()):
-        fs = tuple(int(m) for m in factors)
+        fs = tuple(factors)
+        for m in fs:
+            if not isinstance(m, int):
+                raise DomainError(f"cyclic factor {m!r} is not an integer")
         if any(m < 2 for m in fs):
             raise DomainError(f"cyclic factors must be >= 2, got {fs}")
         self.factors = fs

@@ -12,17 +12,22 @@ and a bound.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r} (linalg), polynomial in s*|G|, and run at any ring
-size.  Only the work that walks all p^(r*s*|G|) ring elements, enumerating
-the ideals (ideal_stream and everything built on it) and listing an
-ideal's elements, refuses rings larger than the exhaustive bound
-(environment variable GALCODES_MAX_RING_SIZE, default 2^16).  The
-enumeration takes one principal ideal per orbit of generators under the
-unit scalars of Z_{p^r} and the shifts Y^g, since an orbit spans one
-ideal, and closes the found ideals under joins with principal ideals only,
-since every ideal is a sum of principal ideals.  The join I + (v) depends
-only on the coset v + I, which linalg.remainder reduces to one remainder
-by the basis of I, so the closure joins each found ideal once per
-remainder of the principal generators, and not at all when it is zero.
+size.  Only the two listings, of every ideal (ideal_stream and everything
+built on it) and of an ideal's elements, refuse rings larger than the
+exhaustive bound (environment variable GALCODES_MAX_RING_SIZE, default
+2^16).
+
+The enumeration is a breadth-first walk over socle covers from the zero
+ideal.  With G = A x P, P the Sylow p-subgroup, the Jacobson radical is
+J = pR + sum_g (Y^g - 1)R, g generating the p-part of each cyclic factor,
+and R/J = F_{p^s}[A].  The socle layer of an ideal I is
+S(I) = {v : J * v in I}.  J is closed under the involution Y^g -> Y^-g,
+the adjoint of multiplication for the Euclidean form, so
+S(I) = (J * I^perp)^perp: two annihilators, the kernels that dual also
+takes.  Since p * S(I) lies in I, S(I)/I is an F_p-space, and each of its
+projective points v gives the cover I + (v).  Every ideal K above I meets
+S(I) outside I, since J is nilpotent, so every ideal is reached by a chain
+of covers from zero.
 
 Also hosts the two constructive results: a self-dual code built whenever
 the existence criterion allows one, and the componentwise enumeration of
@@ -47,6 +52,7 @@ from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
                          _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
+from .numth import valuation
 
 DEFAULT_BOUND = 1 << 16
 BOUND_ENV_VAR = "GALCODES_MAX_RING_SIZE"
@@ -102,7 +108,7 @@ class ExhaustiveGroupRing:
         return f"{self.p}^{self.r * self.n}"
 
     def _require_enumerable(self) -> None:
-        """The one refusal: work that walks every ring element."""
+        """The one refusal: listing every ideal, or every element of one."""
         if self.ring_size > self.bound:
             raise BoundExceededError(
                 f"|ring| = {self._size_text} exceeds the exhaustive bound {self.bound}")
@@ -181,92 +187,99 @@ class ExhaustiveGroupRing:
         self._check_ideal(b)
         return self.ideal_from_rows(a.basis + b.basis)
 
-    def _orbit_least(self, vec, moves) -> bool:
-        """True when no u * Y^g * vec has a smaller encoding than vec.
+    def _socle_layer(self, code: "Ideal") -> tuple[tuple[int, ...], ...]:
+        """Howell basis of S(I) = {v : J * v in I} = (J * I^perp)^perp.
 
-        moves lists the (perm, u) pairs of the unit scalars and shifts,
-        the identity left out.  Digits are compared from the most
-        significant down, so most candidates are settled by the first.
+        J is generated by p and by Y^g - 1, g = f / p^v(f) the generator of
+        the p-part of each cyclic factor Z_f.  J is closed under the
+        involution Y^g -> Y^-g, which is the adjoint of multiplication for
+        the Euclidean form, so J * v lies in I exactly when v is orthogonal
+        to J * I^perp.  That ideal is spanned by p * b and (Y^g - 1) * b over
+        the basis rows b of I^perp.
         """
-        m = self.m
-        top = range(self.n - 1, -1, -1)
-        for perm, u in moves:
-            for i in top:
-                a = u * vec[perm[i]] % m
-                if a != vec[i]:
-                    if a < vec[i]:
-                        return False
-                    break
-        return True
+        m, factors = self.m, self.group.factors
+        perms, index = _shift_perms(factors, self.s), _group_index(factors)
+        perp = self._annihilator(code.basis, 0)
+        rows = [tuple(self.p * a % m for a in b) for b in perp]
+        for k, f in enumerate(factors):
+            g = [0] * len(factors)
+            g[k] = f // self.p**valuation(f, self.p)
+            if g[k] < f:
+                perm = perms[index[tuple(g)]]
+                rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in perp]
+        return self._annihilator(rows, 0)
+
+    def _cover_points(self, code: "Ideal"):
+        """One vector per F_p-projective point of S(I)/I.
+
+        p * S(I) lies in I, so S(I)/I is an F_p-space, and the rows of S(I)
+        that leave the span of I and the rows already taken form a basis.
+        A point is sum c_i * b_i, for each coefficient tuple whose first
+        nonzero entry is 1.
+        """
+        p, r, m = self.p, self.r, self.m
+        span, chosen = code.basis, []
+        for row in self._socle_layer(code):
+            if any(remainder(span, row, m)):
+                chosen.append(row)
+                span = howell(span + (row,), p, r)
+        for coeffs in itertools.product(range(p), repeat=len(chosen)):
+            if next((c for c in coeffs if c), 0) != 1:
+                continue  # zero, or a multiple of another point
+            vec = (0,) * self.n
+            for c, row in zip(coeffs, chosen):
+                if c:
+                    vec = tuple((a + c * b) % m for a, b in zip(vec, row))
+            yield vec
 
     def ideal_stream(self):
-        """Every ideal exactly once: principal ideals, then join closure.
+        """Every ideal exactly once, the zero ideal first, by a breadth-first
+        walk over socle covers.
 
-        Every u * Y^g * v, u a unit of Z_{p^r}, spans the ideal of v, so
-        the scan takes the principal ideal of v only when v has the least
-        encoding in that orbit; the least generator of each principal
-        ideal always has, so the principal ideals come in the order of a
-        full scan.  Every ideal is the sum of the principal ideals of its
-        basis rows, so the closure joins each found ideal with the
-        principal ideals only.  a + (v) depends only on the coset v + a,
-        whose Howell remainder is unique, so a is joined with (v) only when
-        that remainder is nonzero and new for a: the skipped joins give a
-        itself or an ideal an earlier join gave, and the ideals come in the
-        order of joining a with every principal ideal.  The scan walks every
-        ring element, so rings above the bound are refused (on the first
-        next()) before any ideal is yielded.
+        Each found ideal I is joined with the principal ideal of each
+        projective point of S(I)/I, S(I) = {v : J * v in I}, J the Jacobson
+        radical; a cover is yielded when new.  Every K above I meets S(I)
+        outside I, since J is nilpotent: for v in K outside I, take the
+        largest k with J^k * v not inside I; J^k * v holds such an element.
+        So some cover I + (v) lies in K, and every ideal is reached by a
+        chain of covers from zero.  The walk keeps every found ideal, so rings above the
+        bound are refused (on the first next()) before any is yielded.
         """
         self._require_enumerable()
-        units = [u for u in range(1, self.m) if u % self.p]
-        # the first pair is (Y^0, 1), which fixes every vector
-        moves = [(perm, u) for perm in _shift_perms(self.group.factors, self.s)
-                 for u in units][1:]
-        seen: set = set()
-        principal: list[tuple[tuple[int, ...], Ideal]] = []
-        # product walks the digits most significant first: reversed, its
-        # tuples come in encoding order
-        for digits in itertools.product(range(self.m), repeat=self.n):
-            vec = digits[::-1]
-            if not self._orbit_least(vec, moves):
-                continue
-            ideal = self.principal_ideal(vec)
-            if ideal.basis not in seen:
-                seen.add(ideal.basis)
-                principal.append((vec, ideal))
-                yield ideal
-        found = [ideal for _, ideal in principal]
-        for a in found:  # found grows as the loop runs
-            cosets = set()
-            for vec, b in principal:
-                rem = remainder(a.basis, vec, self.m)
-                if rem in cosets or not any(rem):
-                    continue
-                cosets.add(rem)
-                joined = self.join(a, b)
-                if joined.basis not in seen:
-                    seen.add(joined.basis)
-                    found.append(joined)
-                    yield joined
+        zero = self.zero_ideal()
+        seen = {zero.basis}
+        found = [zero]
+        yield zero
+        for ideal in found:  # found grows as the loop runs
+            for vec in self._cover_points(ideal):
+                cover = self.join(ideal, self.principal_ideal(vec))
+                if cover.basis not in seen:
+                    seen.add(cover.basis)
+                    found.append(cover)
+                    yield cover
 
     def enumerate_ideals(self) -> tuple["Ideal", ...]:
         return tuple(sorted(self.ideal_stream(), key=lambda c: (c.size, c.basis)))
 
     # -- forms and duality ------------------------------------------------------
 
+    def _annihilator(self, rows, h: int) -> tuple[tuple[int, ...], ...]:
+        """Howell basis of {w : form(u, w) = 0 for every row u}, the form of
+        twist h: the left kernel of the n x k matrix of the rows' form
+        coefficients, the block steps of the twist, k = s * len(rows)."""
+        mats = [_block_steps(self.spec, h, row) for row in rows]
+        matrix = [[d for mat in mats for d in mat[i]] for i in range(self.n)]
+        return kernel(matrix, self.p, self.r)
+
     def dual(self, code: "Ideal", form: str = EUCLIDEAN) -> "Ideal":
         """Annihilator {w : form(u, w) = 0 for all u in the code}.
 
         The basis rows span the code over Z_{p^r} and already absorb all
-        monomial shifts (the code is an ideal), so the dual is the kernel
-        of w -> (form(u, w))_u over the k = rank*s digits of the basis rows
-        u: the left kernel of the n x k matrix of their form coefficients,
-        the block steps of the form's twist.
+        monomial shifts (the code is an ideal), so the annihilator of the
+        basis rows is the dual.
         """
         self._check_ideal(code)
-        h = _pairing_twist(form, self.s)
-        mats = [_block_steps(self.spec, h, row) for row in code.basis]
-        matrix = [[d for mat in mats for d in mat[i]] for i in range(self.n)]
-        return Ideal(self, kernel(matrix, self.p, self.r))
+        return Ideal(self, self._annihilator(code.basis, _pairing_twist(form, self.s)))
 
     def is_self_orthogonal(self, code: "Ideal", form: str = EUCLIDEAN) -> bool:
         self._check_ideal(code)

@@ -15,12 +15,13 @@ from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
                              _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                                 GroupRingElement, _decompose, ambient, compose,
+                                 GroupRingElement, _decompose, _shift_perms, ambient, compose,
                                  conjugate, conjugate_involution, idft, involution,
                                  sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
                              _pairing_twist, exhaustive_bound)
+from galcodes.linalg import remainder
 from galcodes.numth import factorize, multiplicative_order
 
 
@@ -130,7 +131,7 @@ def ideals_by_principal_joins(eng, principal):
     """The join closure without the coset rule: each found ideal, in order
     of discovery, joined with every principal ideal, the principal ideals
     (Howell bases, in scan order) coming first.  The oracle for the order
-    in which ideal_stream yields its bases."""
+    in which ideals_by_orbit_scan yields its bases."""
     principal = [Ideal(eng, basis) for basis in principal]
     seen = {c.basis for c in principal}
     found = list(principal)
@@ -141,6 +142,62 @@ def ideals_by_principal_joins(eng, principal):
                 seen.add(joined.basis)
                 found.append(joined)
     return [c.basis for c in found]
+
+
+def ideals_by_orbit_scan(eng):
+    """Every ideal once, by the orbit-pruned scan and the coset closure:
+    the enumeration that the socle walk replaced.
+
+    The scan takes the principal ideal of v, in encoding order, only when
+    no u * Y^g * v (u a unit of Z_{p^r}) has a smaller encoding, since an
+    orbit spans one ideal; digits are compared from the most significant
+    down.  The closure then joins each found ideal a, in order of
+    discovery, with each principal ideal (v) whose Howell remainder by a is
+    nonzero and new for a, since a + (v) depends only on the coset v + a.
+    Yields the ideals in that order, refusing rings above the bound.
+    """
+    eng._require_enumerable()
+    m, top = eng.m, range(eng.n - 1, -1, -1)
+    units = [u for u in range(1, m) if u % eng.p]
+    # the first pair is (Y^0, 1), which fixes every vector
+    moves = [(perm, u) for perm in _shift_perms(eng.group.factors, eng.s) for u in units][1:]
+
+    def orbit_least(vec):
+        for perm, u in moves:
+            for i in top:
+                a = u * vec[perm[i]] % m
+                if a != vec[i]:
+                    if a < vec[i]:
+                        return False
+                    break
+        return True
+
+    seen = set()
+    principal = []
+    # product walks the digits most significant first: reversed, its
+    # tuples come in encoding order
+    for digits in itertools.product(range(m), repeat=eng.n):
+        vec = digits[::-1]
+        if not orbit_least(vec):
+            continue
+        ideal = eng.principal_ideal(vec)
+        if ideal.basis not in seen:
+            seen.add(ideal.basis)
+            principal.append((vec, ideal))
+            yield ideal
+    found = [ideal for _, ideal in principal]
+    for a in found:  # found grows as the loop runs
+        cosets = set()
+        for vec, b in principal:
+            rem = remainder(a.basis, vec, m)
+            if rem in cosets or not any(rem):
+                continue
+            cosets.add(rem)
+            joined = eng.join(a, b)
+            if joined.basis not in seen:
+                seen.add(joined.basis)
+                found.append(joined)
+                yield joined
 
 
 def howell_saturating_takeovers(rows, p, r):

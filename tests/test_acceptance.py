@@ -1,7 +1,7 @@
 """Acceptance gate: eight headline checks, one printed verdict line each.
 
 Every check pins a closed-form count or structural identity against an
-independent oracle: join-closure enumeration, decomposition enumeration,
+independent oracle: socle-walk enumeration, decomposition enumeration,
 or direct search.  All equalities are exact integers; nothing here is
 tolerant.  Verdict lines go to the real stdout so they show up with or
 without capture:
@@ -61,7 +61,7 @@ def criterion(capsys):
 
 def test_criterion_1_ideal_count_oracle(criterion):
     cases = [((2, 1, 1), 7), ((2, 1, 2), 23), ((3, 1, 1), 16), ((2, 2, 1), 9)]
-    with criterion(1, "join-closure ideal counts match the cyclic p^a formula"):
+    with criterion(1, "socle-walk ideal counts match the cyclic p^a formula"):
         for (p, s, a), expected in cases:
             start = time.monotonic()
             found = len(engine(p, 2, s, (p**a,)).enumerate_ideals())

@@ -335,10 +335,10 @@ def test_verify_runs_decomposition_at_every_size(capsys):
                   if rec["oracle_kind"] == "decomposition enumeration" and rec["status"] == "pass"]
     assert [tuple(params.values()) for params in decomposed] == SEMISIMPLE_ROWS
     assert max(map(_ring_size, decomposed)) == 5**24
-    joined = [rec for rec in recs if rec["oracle_kind"] == "join-closure brute force"]
+    walked = [rec for rec in recs if rec["oracle_kind"] == "socle-walk enumeration"]
     assert all((_ring_size(rec["parameters"]) <= 64) == (rec["status"] == "pass")
-               for rec in joined)
-    assert any(rec["status"] == "pass" for rec in joined)
+               for rec in walked)
+    assert any(rec["status"] == "pass" for rec in walked)
 
 
 def test_verify_enumerates_each_ring_once(capsys, monkeypatch):
@@ -353,9 +353,9 @@ def test_verify_enumerates_each_ring_once(capsys, monkeypatch):
     monkeypatch.setattr(ExhaustiveGroupRing, "enumerate_ideals", spy)
     doc = run_json(capsys, "verify", "--max-ring-size", "4096", "--json")
     assert doc["result"]["status"] == "pass"
-    joined = {_ring(rec["parameters"]) for rec in doc["breakdown"]
-              if rec["oracle_kind"] == "join-closure brute force" and rec["status"] == "pass"}
-    assert sorted(seen) == sorted(joined)
+    walked = {_ring(rec["parameters"]) for rec in doc["breakdown"]
+              if rec["oracle_kind"] == "socle-walk enumeration" and rec["status"] == "pass"}
+    assert sorted(seen) == sorted(walked)
 
 
 # (p, s) -> largest n of the length tables that verify rechecks

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -89,6 +90,18 @@ def test_hermitian_cyclic_closed_forms():
     assert hermitian_cyclic_count_p2(2, 2, 0) == 1
     with pytest.raises(DomainError):
         hermitian_cyclic_count_p2(2, 1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclic_count_p2(4, 1, 1), "p = 4 is not prime"),
+    (lambda: hermitian_cyclic_count_p2(6, 2, 1), "p = 6 is not prime"),
+    (lambda: euclidean_cyclic_count_p2(1, 1, 2), "p = 1 is not prime"),
+    (lambda: cyclic_count_p2(2, 0, 1), "need r >= 1 and s >= 1, got r = 2, s = 0"),
+], ids=["cyclic:p=4", "hermitian:p=6", "euclidean:p=1", "cyclic:s=0"])
+def test_closed_forms_refuse_a_ring_that_does_not_exist(call, message):
+    # GR(p^2, s) needs p prime and s >= 1, as the providers check
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def test_counts_grow_but_stay_integral():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,13 @@ def test_group_basics():
     assert g.add((1, 3), (1, 2)) == (0, 1)
     assert g.neg((1, 3)) == (1, 1)
     assert g.scale(3, (1, 3)) == (1, 1)
+
+
+@pytest.mark.parametrize("factor", [2.5, "3", 4.0, None])
+def test_non_integer_factor_is_refused(factor):
+    # a factor is never truncated or parsed: Z2.5 is not Z2, "3" is not Z3
+    with pytest.raises(DomainError, match=f"cyclic factor {re.escape(repr(factor))} is not an integer"):
+        AbelianGroup((2, factor))
 
 
 def test_trivial_group():

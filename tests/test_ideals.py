@@ -13,15 +13,15 @@ from galcodes.errors import BoundExceededError, DomainError, InternalInvariantEr
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (GroupRing, _form_step, _group_index, _shift_perms, _sylow_perm,
                                  ambient, element_text)
-from galcodes.groups import AbelianGroup
+from galcodes.groups import AbelianGroup, element_order
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from galcodes.linalg import _unit_inverses, howell, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
                      construct_by_nested_assembly, dual_by_scan, engine, semisimple_by_elements,
-                     howell_saturating_takeovers, ideals_by_full_scan, ideals_by_principal_joins,
-                     orbit_least_vectors, perms_by_group_add, shift)
+                     howell_saturating_takeovers, ideals_by_full_scan, ideals_by_orbit_scan,
+                     ideals_by_principal_joins, orbit_least_vectors, perms_by_group_add, shift)
 
 
 def join_all(eng, gens):
@@ -293,13 +293,40 @@ def ring_id(ring):
 @pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS,
                          ids=[ring_id(ring) for ring in STREAM_RINGS])
 def test_stream_matches_full_scan(p, r, s, factors):
+    """The walk yields the ideals of both oracles, each once, the zero
+    ideal first.  The orbit-scan oracle keeps the full scan's principal
+    ideals and the plain closure's order, which self-tests it."""
     eng = engine(p, r, s, factors)
     principal, rest = ideals_by_full_scan(eng)
+    scanned = [c.basis for c in ideals_by_orbit_scan(eng)]
+    assert scanned[:len(principal)] == principal
+    assert scanned == ideals_by_principal_joins(eng, principal)
     got = [c.basis for c in eng.ideal_stream()]
+    assert got[0] == ()
     assert len(set(got)) == len(got)
-    assert got[:len(principal)] == principal
-    assert set(got) == set(principal) | set(rest)
-    assert got == ideals_by_principal_joins(eng, principal)
+    assert set(got) == set(principal) | set(rest) == set(scanned)
+
+
+@pytest.mark.parametrize("p, r, s, factors", [
+    (2, 2, 1, (2, 2)), (2, 3, 1, (4,)), (3, 2, 1, (3,)), (2, 2, 2, (2,)), (2, 2, 1, (6,))],
+    ids=["Z4[Z2xZ2]", "Z8[Z4]", "Z9[Z3]", "GR(2^2,2)[Z2]", "Z4[Z6]"])
+def test_socle_layer_is_its_definition(p, r, s, factors):
+    """For every ideal I, the socle layer is {v : p * v and (Y^g - 1) * v
+    lie in I for every g in the Sylow p-subgroup}, found by scanning every
+    vector with group-ring arithmetic."""
+    eng = engine(p, r, s, factors)
+    # g has p-power order exactly when its order divides p^|G|
+    sylow = [g for g in eng.group.elements()
+             if eng.p**eng.group.order % element_order(eng.group, g) == 0]
+    images = []
+    for k in range(eng.ring_size):
+        x = eng.from_vector(eng.decode_vector(k))
+        images.append([x * eng.p] + [shift(x, g) - x for g in sylow])
+    for ideal in eng.ideal_stream():
+        members = set(ideal.element_encodings())
+        want = [k for k, xs in enumerate(images)
+                if all(eng.encode_vector(eng.to_vector(y)) in members for y in xs)]
+        assert Ideal(eng, eng._socle_layer(ideal)).element_encodings() == tuple(want)
 
 
 HOWELL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
@@ -341,7 +368,7 @@ def test_scan_takes_one_principal_ideal_per_orbit(p, r, s, factors, monkeypatch)
         return principal_ideal(vec)
 
     monkeypatch.setattr(eng, "principal_ideal", spy)
-    for _ in eng.ideal_stream():
+    for _ in ideals_by_orbit_scan(eng):
         pass
     assert calls == orbit_least_vectors(eng)
 
