@@ -29,7 +29,8 @@ from .group_ring import GroupRing
 from .group_ring import element_text as gr_element_text
 from .groups import (AbelianGroup, element_text as group_element_text,
                      format_group, parse_group, sylow_decompose)
-from .ideals import ExhaustiveGroupRing, construct_self_dual, enumerate_semisimple_selfdual
+from .ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, ExhaustiveGroupRing, construct_self_dual,
+                     enumerate_semisimple_selfdual, exhaustive_bound)
 from .numth import prime_power_split
 
 
@@ -352,7 +353,7 @@ def _verify_checks(bound):
 
 
 def _cmd_verify(args) -> int:
-    bound = args.max_ring_size
+    bound = exhaustive_bound() if args.max_ring_size is None else args.max_ring_size
     records = []
     for check, params, formula, oracle, kind in _verify_checks(bound):
         t0 = time.monotonic()
@@ -470,8 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     verify = subs.add_parser("verify", help="formula-vs-oracle harness")
-    verify.add_argument("--max-ring-size", type=int, default=4096,
-                        help="skip oracles that would walk more ring elements than this")
+    verify.add_argument("--max-ring-size", type=int,
+                        help="skip oracles that would walk more ring elements than this "
+                             f"(default: ${BOUND_ENV_VAR}, else {DEFAULT_BOUND})")
     verify.add_argument("--timings", action="store_true",
                         help="append wall-clock times (non-deterministic)")
     verify.add_argument("--json", action="store_true")

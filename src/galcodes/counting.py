@@ -64,8 +64,8 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
     The a = 0 ring is the chain ring itself with its r + 1 = 3 ideals.
     """
     _check_ring(p, 2, s)
-    if a < 0:
-        raise DomainError(f"a must be >= 0, got {a}")
+    if not isinstance(a, int) or a < 0:
+        raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 3
     q = p**s
@@ -79,8 +79,8 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
 def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Euclidean self-dual cyclic codes of length p^a over GR(p^2, s)."""
     _check_ring(p, 2, s)
-    if a < 0:
-        raise DomainError(f"a must be >= 0, got {a}")
+    if not isinstance(a, int) or a < 0:
+        raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 1
     q = p**s
@@ -99,11 +99,19 @@ def hermitian_cyclic_count_p2(p: int, s: int, a: int) -> int:
     _check_ring(p, 2, s)
     if s % 2:
         raise DomainError("Hermitian count needs even degree s")
-    if a < 0:
-        raise DomainError(f"a must be >= 0, got {a}")
+    if not isinstance(a, int) or a < 0:
+        raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 1
     return _geometric(p**(s // 2), p**(a - 1) + 1)
+
+
+def _p_group_exponent(p: int, p_group: AbelianGroup) -> int:
+    """a with |P| = p^a; a P whose order is no power of p is refused."""
+    a = valuation(p_group.order, p)
+    if p**a != p_group.order:
+        raise DomainError(f"{format_group(p_group)} is not a {p}-group")
+    return a
 
 
 # -- base-count providers --------------------------------------------------------
@@ -154,9 +162,7 @@ class ClosedFormProvider:
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
                 "closed forms exist only for r = 2 with cyclic Sylow subgroup")
-        a = valuation(p_group.order, p)
-        if p**a != p_group.order:
-            raise DomainError(f"{format_group(p_group)} is not a {p}-group")
+        a = _p_group_exponent(p, p_group)
         if kind == TOTAL:
             return cyclic_count_p2(p, s2, a)
         if kind == EUCLIDEAN:
@@ -311,8 +317,7 @@ def _product_count(p, r, s, coprime_group, p_group, duality, provider) -> CountR
     if coprime_group.order % p == 0 and coprime_group.order > 1:
         raise DomainError(
             f"|A| = {coprime_group.order} is not coprime to p = {p}")
-    if p_group.order > 1 and p**valuation(p_group.order, p) != p_group.order:
-        raise DomainError(f"{format_group(p_group)} is not a {p}-group")
+    _p_group_exponent(p, p_group)
     provider = get_provider(provider)
     factors = []
     count = 1
@@ -367,13 +372,10 @@ def hermitian_semisimple_count(p: int, r: int, s: int,
 
 def _split_length(p: int, s: int, n: int) -> tuple[AbelianGroup, AbelianGroup]:
     _check_ring(p, 2, s)
-    if n < 1:
-        raise DomainError(f"length must be positive, got {n}")
-    a = valuation(n, p)
-    m = n // p**a
-    coprime = AbelianGroup((m,)) if m > 1 else _TRIVIAL_GROUP
-    p_part = AbelianGroup((p**a,)) if a else _TRIVIAL_GROUP
-    return coprime, p_part
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"length must be a positive integer, got {n!r}")
+    dec = sylow_decompose(AbelianGroup((n,) if n > 1 else ()), p)
+    return dec.coprime_part, dec.p_part
 
 
 def cyclic_count_n(p: int, s: int, n: int) -> CountReport:

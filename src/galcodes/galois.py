@@ -19,10 +19,11 @@ element has a unique expansion sum(a_i * p^i) with Teichmuller digits a_i.
 
 Each ring lazily builds one table of the powers xi^e, e < p^s - 1, and of
 their residues' discrete logs.  A Teichmuller digit is then a lookup by
-residue, the Frobenius a multiplication of digit exponents, and an
-embedding a rescaling of digit exponents; only xi itself is computed by
-powering.  Residue fields above 2^21 elements get no table, so lifts,
-digits, discrete logs, the Frobenius and both sides of an embedding
+residue, and the Frobenius, embed and unembed are one kernel that carries
+digit logs into a target ring, an exact division then a scale (unembed's
+division refuses an element outside the subring); only xi itself is
+computed by powering.  Residue fields above 2^21 elements get no table, so
+lifts, digits, discrete logs, the Frobenius and both sides of an embedding
 refuse them.
 """
 
@@ -207,19 +208,6 @@ class GaloisRingSpec:
             out.append(e)
         return out
 
-    def _from_digit_logs(self, logs) -> GaloisRingElement:
-        """sum(xi^(e_i) * p^i) over the non-None exponents e_i."""
-        pows = self._table()[1]
-        p, m = self.p, self.char
-        acc = [0] * self.s
-        scale = 1
-        for e in logs:
-            if e is not None:
-                for j, c in enumerate(pows[e]):
-                    acc[j] += scale * c
-            scale *= p
-        return GaloisRingElement(self, tuple(c % m for c in acc))
-
 
 class GaloisRingElement:
     """One element of a fixed GR(p^r, s); immutable coefficient tuple."""
@@ -356,21 +344,42 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
     k %= spec.s
     if k == 0:
         return a
-    e = spec.p**k
-    order = spec.residue_size - 1
-    return spec._from_digit_logs([None if d is None else d * e % order
-                                  for d in spec._digit_logs(a.coeffs)])
+    return _carry_digit_logs(a, spec, 1, spec.p**k)
+
+
+def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int,
+                      scale: int) -> GaloisRingElement:
+    """sum(xi_target^(e_i / divisor * scale) * p^i) over a's nonzero
+    Teichmuller digits a_i = xi^(e_i), the one digit-log map behind the
+    Frobenius, embed and unembed.  A log that divisor does not divide puts
+    a outside the degree-(target.s) subring, which is refused."""
+    pows = target._table()[1]
+    order, p, m = target.residue_size - 1, target.p, target.char
+    acc = [0] * target.s
+    weight = 1
+    for e in a.spec._digit_logs(a.coeffs):
+        if e is not None:
+            if e % divisor:
+                raise InternalInvariantError(
+                    f"element is not in the degree-{target.s} subring of {a.spec}")
+            for j, c in enumerate(pows[e // divisor * scale % order]):
+                acc[j] += weight * c
+        weight *= p
+    return GaloisRingElement(target, tuple(c % m for c in acc))
 
 
 def _check_ring(p: int, r: int, s: int) -> None:
-    """The rule for GR(p^r, s) to exist: p prime, r >= 1 and s >= 1."""
+    """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1."""
+    for name, value in (("p", p), ("r", r), ("s", s)):
+        if not isinstance(value, int):
+            raise DomainError(f"{name} = {value!r} is not an integer")
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")
     if r < 1 or s < 1:
         raise DomainError(f"need r >= 1 and s >= 1, got r = {r}, s = {s}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def construct_ring(p: int, r: int, s: int) -> GaloisRingSpec:
     """Build (and cache) the canonical GR(p^r, s)."""
     _check_ring(p, r, s)
@@ -378,9 +387,7 @@ def construct_ring(p: int, r: int, s: int) -> GaloisRingSpec:
     return GaloisRingSpec(p, r, s, base)
 
 
-_EMBED_EXPONENT: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _embedding_exponent(src: GaloisRingSpec, target: GaloisRingSpec) -> int:
     """Smallest j such that xi_target^(j*K), K = (q2-1)/(q1-1), is a root of
     the source modulus mod p.  That element is where a ring homomorphism must
@@ -389,22 +396,27 @@ def _embedding_exponent(src: GaloisRingSpec, target: GaloisRingSpec) -> int:
     homomorphism, and the plain j = 1 choice usually is not one.  The
     candidates are read off the target's table, so a target above the table
     bound is refused before anything is computed or cached."""
-    key = (src.p, src.r, src.s, target.s)
-    if key not in _EMBED_EXPONENT:
-        pows = target._table()[1]
-        step = (target.residue_size - 1) // (src.residue_size - 1)
-        for j in range(src.residue_size - 1):
-            cand = GaloisRingElement(target, pows[j * step])
-            acc = target.zero()
-            for c in reversed(src.modulus):
-                acc = acc * cand + target.from_int(c)
-            if all(d % src.p == 0 for d in acc.coeffs):
-                _EMBED_EXPONENT[key] = j
-                break
-        else:
-            raise InternalInvariantError(
-                f"no conjugate of the degree-{src.s} generator in {target}")
-    return _EMBED_EXPONENT[key]
+    pows = target._table()[1]
+    step = (target.residue_size - 1) // (src.residue_size - 1)
+    for j in range(src.residue_size - 1):
+        cand = GaloisRingElement(target, pows[j * step])
+        acc = target.zero()
+        for c in reversed(src.modulus):
+            acc = acc * cand + target.from_int(c)
+        if all(d % src.p == 0 for d in acc.coeffs):
+            return j
+    raise InternalInvariantError(f"no conjugate of the degree-{src.s} generator in {target}")
+
+
+def _subring(src: GaloisRingSpec, target: GaloisRingSpec, up: bool):
+    """(small, big) for the map src -> target, an embedding when up: both
+    rings must be GR(p^r, .) and the small degree must divide the big one."""
+    if (src.p, src.r) != (target.p, target.r):
+        raise DomainError(f"incompatible rings {src} -> {target}")
+    small, big = (src, target) if up else (target, src)
+    if big.s % small.s:
+        raise DomainError(f"degree {small.s} does not divide {big.s}")
+    return small, big
 
 
 def embed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
@@ -414,40 +426,21 @@ def embed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
     for the smallest j making the image a conjugate of xi_d, then extended
     digit-wise over the p-adic expansion.
     """
-    src = a.spec
-    if (src.p, src.r) != (target.p, target.r):
-        raise DomainError(f"incompatible rings {src} -> {target}")
-    if target.s % src.s:
-        raise DomainError(f"degree {src.s} does not divide {target.s}")
-    if src == target:
+    small, big = _subring(a.spec, target, True)
+    if small == big:
         return a
-    order = target.residue_size - 1
-    step = order // (src.residue_size - 1) * _embedding_exponent(src, target)
-    return target._from_digit_logs([None if e is None else e * step % order
-                                    for e in src._digit_logs(a.coeffs)])
+    step = (big.residue_size - 1) // (small.residue_size - 1)
+    return _carry_digit_logs(a, big, 1, step * _embedding_exponent(small, big))
 
 
 def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
     """Inverse of embed on its image; raises if a is outside the subring."""
-    big = a.spec
-    if (big.p, big.r) != (target.p, target.r):
-        raise DomainError(f"incompatible rings {big} -> {target}")
-    if big.s % target.s:
-        raise DomainError(f"degree {target.s} does not divide {big.s}")
-    if big == target:
+    small, big = _subring(a.spec, target, False)
+    if small == big:
         return a
-    step = (big.residue_size - 1) // (target.residue_size - 1)
-    order = target.residue_size - 1
-    jinv = pow(_embedding_exponent(target, big), -1, order) if order > 1 else 0
-    logs = []
-    for e in big._digit_logs(a.coeffs):
-        if e is not None:
-            if e % step:
-                raise InternalInvariantError(
-                    f"element is not in the degree-{target.s} subring of {big}")
-            e = e // step * jinv % order
-        logs.append(e)
-    return target._from_digit_logs(logs)
+    order = small.residue_size - 1
+    jinv = pow(_embedding_exponent(small, big), -1, order) if order > 1 else 0
+    return _carry_digit_logs(a, small, (big.residue_size - 1) // order, jinv)
 
 
 def root_of_unity(spec: GaloisRingSpec, order: int) -> GaloisRingElement:

@@ -36,9 +36,9 @@ class_idempotents tabulates the primitive idempotent e_C of each class C
 only that class's points, so the whole table costs one full idft; it holds
 the digit vectors, at most #classes * s * |A| digits, and lives as long as
 its ambient context.  An integer c at the slot of C pulls back to c * e_C.
-The slots of a pairing (component rings, orbits, partner orbits rotated to
-start at -p^h * a) are built once per context by _slots, which checks that
-they cover the group; decompose and compose only read them.
+_slots lists a pairing's slots once per context, each (class index,
+component ring, spreads); point k of a spread (orbit, t) reads the one
+value the spread stores, shifted by Frobenius s*k + t.
 """
 
 from __future__ import annotations
@@ -396,8 +396,8 @@ def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> dict:
     zeta^gamma_h(a), in the extension ring ctx.big."""
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
-    if x.ring != ctx.ring:
-        raise DomainError("element does not belong to the decomposed ring")
+    if _owner(x) != ctx.ring:
+        raise DomainError(f"element of {_owner(x)} transformed over {ctx.ring!r}")
     lifted = [(a, embed(c, ctx.big)) for a, c in x.terms()]
     return dict(_character_sums(ctx, lifted, 1))
 
@@ -427,32 +427,33 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     return ctx._idempotents
 
 
-def _slots(ctx: AmbientDecomposition, pairing: str):
-    """(h, singles, pairs) of a pairing, built on first use and kept on the
-    context.  A single is (class index, component ring, orbit); a pair is
-    (class index, component ring, orbit, partner orbit rotated to start at
-    -p^h * rep, the point whose value the pair stores).  The orbits must
-    cover the group, which is checked here, once per context and pairing."""
+def _slots(ctx: AmbientDecomposition, pairing: str) -> tuple:
+    """A pairing's slots, singles then pairs in layout order: (class index,
+    component ring, spreads), a single with the spread (orbit, 0), a pair
+    also with (partner orbit rotated to start at -p^h * rep, h).  Built on
+    first use and kept on the context; the orbits must cover the group,
+    which is checked here, once per context and pairing."""
     slots = ctx._slots.get(pairing)
     if slots is None:
         h = _pairing_twist(pairing, ctx.spec.s)
         single_idx, pair_idx = ctx.parts.layout(pairing)
         group, classes = ctx.group, ctx.parts.classes
-        singles = tuple((i, ctx.component_spec(classes[i].cardinality), classes[i].elements)
-                        for i in single_idx)
-        pairs = []
-        for i, j in pair_idx:
-            cls, orbit = classes[i], classes[j].elements
-            start = _partner_point(group, ctx.spec.p, h, cls.rep)
-            if start not in orbit:
-                raise InternalInvariantError("partner orbit mismatch")
-            k = orbit.index(start)
-            pairs.append((i, ctx.component_spec(cls.cardinality), cls.elements,
-                          orbit[k:] + orbit[:k]))
-        points = {a for slot in singles + tuple(pairs) for orbit in slot[2:] for a in orbit}
+        slots = []
+        for i, j in chain(((i, None) for i in single_idx), pair_idx):
+            cls = classes[i]
+            spreads = [(cls.elements, 0)]
+            if j is not None:
+                orbit = classes[j].elements
+                start = _partner_point(group, ctx.spec.p, h, cls.rep)
+                if start not in orbit:
+                    raise InternalInvariantError("partner orbit mismatch")
+                k = orbit.index(start)
+                spreads.append((orbit[k:] + orbit[:k], h))
+            slots.append((i, ctx.component_spec(cls.cardinality), tuple(spreads)))
+        points = {a for *_, spreads in slots for orbit, _ in spreads for a in orbit}
         if len(points) != group.order:
             raise InternalInvariantError("decomposition did not cover the group")
-        slots = ctx._slots[pairing] = (h, singles, tuple(pairs))
+        slots = ctx._slots[pairing] = tuple(slots)
     return slots
 
 
@@ -472,7 +473,9 @@ class DecomposedElement:
 
     def multiply(self, other: "DecomposedElement") -> "DecomposedElement":
         if self.context is not other.context or self.pairing != other.pairing:
-            raise DomainError("mismatched decompositions")
+            raise DomainError(f"cannot multiply the {self.pairing} decomposition of "
+                              f"{self.context.ring!r} by the {other.pairing} one of "
+                              f"{other.context.ring!r}")
         singles = {i: a * other.singles[i] for i, a in self.singles.items()}
         pairs = {i: (a * other.pairs[i][0], b * other.pairs[i][1])
                  for i, (a, b) in self.pairs.items()}
@@ -481,20 +484,21 @@ class DecomposedElement:
 
 def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
                pairing: str) -> DecomposedElement:
-    """Component image under the pairing rule: each single class gives the
-    value at its representative a, each pair (value at a, value at
-    -p^h * a twisted by the Frobenius power -h)."""
+    """Component image under the pairing rule: for each spread (orbit, t),
+    the value at orbit[0] twisted by the Frobenius power -t, so a pair
+    stores (value at a, value at -p^h * a twisted by -h)."""
     if ctx is None:
         ctx = ambient(x.ring.coeff, x.ring.group)
-    h, single_slots, pair_slots = _slots(ctx, pairing)
+    slots = _slots(ctx, pairing)
     values = dft(x, ctx)
-    singles = {i: unembed(values[orbit[0]], spec) for i, spec, orbit in single_slots}
-    pairs = {}
-    for i, spec, orbit, partner in pair_slots:
-        second = values[partner[0]]
-        if h:
-            second = generalized_frobenius(second, -h % ctx.big.s)
-        pairs[i] = (unembed(values[orbit[0]], spec), unembed(second, spec))
+    singles, pairs = {}, {}
+    for i, spec, spreads in slots:
+        slot = tuple(unembed(generalized_frobenius(values[orbit[0]], -t) if t else values[orbit[0]],
+                             spec) for orbit, t in spreads)
+        if len(slot) == 1:
+            singles[i] = slot[0]
+        else:
+            pairs[i] = slot
     return DecomposedElement(ctx, pairing, singles, pairs)
 
 
@@ -519,22 +523,18 @@ def decompose_hermitian(x: GroupRingElement, ctx: AmbientDecomposition | None = 
 
 
 def compose(dec: DecomposedElement) -> GroupRingElement:
-    """Inverse of decompose_euclidean / decompose_hermitian: point k of an
-    orbit gets the slot value shifted by Frobenius s*k, plus h on the
-    partner orbit of a pair."""
+    """Inverse of decompose_euclidean / decompose_hermitian: point k of a
+    spread (orbit, t) gets the slot's value shifted by Frobenius s*k + t."""
     ctx = dec.context
-    h, single_slots, pair_slots = _slots(ctx, dec.pairing)
-    spreads = [(orbit, dec.singles[i], 0) for i, _, orbit in single_slots]
-    for i, _, orbit, partner in pair_slots:
-        first, second = dec.pairs[i]
-        spreads += [(orbit, first, 0), (partner, second, h)]
     s = ctx.spec.s
     values: dict = {}
-    for orbit, value, twist in spreads:
-        value_big = embed(value, ctx.big)
-        for k, point in enumerate(orbit):
-            e = twist + s * k
-            values[point] = generalized_frobenius(value_big, e) if e else value_big
+    for i, _, spreads in _slots(ctx, dec.pairing):
+        slot = dec.pairs[i] if i in dec.pairs else (dec.singles[i],)
+        for (orbit, twist), value in zip(spreads, slot):
+            value_big = embed(value, ctx.big)
+            for k, point in enumerate(orbit):
+                e = twist + s * k
+                values[point] = generalized_frobenius(value_big, e) if e else value_big
     return idft(values, ctx)
 
 

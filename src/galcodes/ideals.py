@@ -50,7 +50,7 @@ from .errors import BoundExceededError, DomainError, InternalInvariantError
 from .galois import GaloisRingSpec, construct_ring
 from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
-                         _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
+                         _owner, _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
 from .numth import valuation
 
@@ -128,8 +128,9 @@ class ExhaustiveGroupRing:
     # -- element <-> vector ---------------------------------------------------
 
     def to_vector(self, x: GroupRingElement) -> tuple[int, ...]:
-        if x.ring != self.ring:
-            raise DomainError("element belongs to a different ring")
+        owner = _owner(x)
+        if owner != self.ring:
+            raise DomainError(f"element of {owner} used in {self.ring!r}")
         return x.coeffs
 
     def from_vector(self, vec) -> GroupRingElement:
@@ -169,7 +170,8 @@ class ExhaustiveGroupRing:
         return self.ideal_from_rows([row for v in vectors for row in self.principal_rows(v)])
 
     def principal_ideal(self, x) -> "Ideal":
-        if isinstance(x, GroupRingElement):
+        """The ideal of x, an element of the ring or a digit vector."""
+        if isinstance(x, GroupRingElement) or not hasattr(x, "__iter__"):
             vec = self.to_vector(x)
         else:
             vec = tuple(x)

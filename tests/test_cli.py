@@ -10,7 +10,7 @@ import pytest
 from galcodes.cli import _uncapped_int_text, main
 from galcodes.counting import abelian_count
 from galcodes.groups import AbelianGroup, parse_group
-from galcodes.ideals import ExhaustiveGroupRing
+from galcodes.ideals import BOUND_ENV_VAR, DEFAULT_BOUND, ExhaustiveGroupRing
 
 
 def run(capsys, *argv):
@@ -281,6 +281,30 @@ def test_verify_small_bound(capsys):
                                 line).groups()
         assert int(size) > int(bound) == 1024
     assert lines[-1] == f"{len(passed)}/{len(passed)} checks passed, {len(skipped)} skipped"
+
+
+def test_verify_defaults_to_the_library_bound(capsys, monkeypatch):
+    """Without --max-ring-size, verify takes the bound every exhaustive
+    engine takes, GALCODES_MAX_RING_SIZE else 2^16, and prints it."""
+    monkeypatch.delenv(BOUND_ENV_VAR, raising=False)
+    doc = run_json(capsys, "verify", "--json")
+    assert doc["parameters"] == {"max_ring_size": DEFAULT_BOUND} and DEFAULT_BOUND == 1 << 16
+    assert doc["result"]["status"] == "pass"
+    monkeypatch.setenv(BOUND_ENV_VAR, "256")
+    doc = run_json(capsys, "verify", "--json")
+    assert doc == run_json(capsys, "verify", "--max-ring-size", "256", "--json")
+    assert doc["parameters"] == {"max_ring_size": 256}
+    # the option wins over the environment
+    assert run_json(capsys, "verify", "--max-ring-size", "64", "--json")["parameters"] == {
+        "max_ring_size": 64}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "GALCODES_MAX_RING_SIZE='abc' is not an integer"),
+    ("0", "the exhaustive bound must be at least 1, got 0")], ids=["abc", "0"])
+def test_verify_refuses_a_bad_bound_from_the_environment(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv(BOUND_ENV_VAR, raw)
+    assert run(capsys, "verify") == (2, "", f"error: {message}\n")
 
 
 def test_verify_json(capsys):

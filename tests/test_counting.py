@@ -104,6 +104,35 @@ def test_closed_forms_refuse_a_ring_that_does_not_exist(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: euclidean_cyclic_count_p2(3, 1, 1.5), "a must be an integer >= 0, got 1.5"),
+    (lambda: euclidean_cyclic_count_p2(2, 1, 2.5), "a must be an integer >= 0, got 2.5"),
+    (lambda: cyclic_count_p2(2, 1, 1.0), "a must be an integer >= 0, got 1.0"),
+    (lambda: hermitian_cyclic_count_p2(2, 2, "1"), "a must be an integer >= 0, got '1'"),
+    (lambda: cyclic_count_p2(2, 1, -1), "a must be an integer >= 0, got -1"),
+    (lambda: cyclic_count_n(2, 1, 6.0), "length must be a positive integer, got 6.0"),
+    (lambda: euclidean_cyclic_count_n(2, 1, 1.0), "length must be a positive integer, got 1.0"),
+    (lambda: hermitian_cyclic_count_n(2, 2, 0), "length must be a positive integer, got 0"),
+], ids=["euclidean:a=1.5", "euclidean:a=2.5", "cyclic:a=1.0", "hermitian:a='1'", "cyclic:a=-1",
+        "cyclic_n:6.0", "euclidean_n:1.0", "hermitian_n:0"])
+def test_lengths_must_be_integers(call, message):
+    """euclidean_cyclic_count_p2(3, 1, 1.5) used to return the float 2.0,
+    (2, 1, 2.5) raised InternalInvariantError, and cyclic_count_n(2, 1, 6.0)
+    blamed the cyclic factor 3.0."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: abelian_count(2, 2, 1, TRIVIAL, AbelianGroup((6,))),
+    lambda: ClosedFormProvider().count(2, 2, 1, AbelianGroup((6,)), "total"),
+    lambda: ClosedFormProvider().count(2, 2, 1, AbelianGroup((6,)), "euclidean"),
+], ids=["product", "closed-total", "closed-euclidean"])
+def test_a_sylow_part_that_is_no_p_group_is_refused(call):
+    with pytest.raises(DomainError, match=r"^Z6 is not a 2-group$"):
+        call()
+
+
 def test_counts_grow_but_stay_integral():
     # doubly exponential growth; exact integer arithmetic must not overflow
     big = cyclic_count_p2(2, 1, 10)

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes import galois
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
-from galcodes.galois import (_EMBED_EXPONENT, _MAX_DLOG_TABLE, GaloisRingSpec,
+from galcodes.galois import (_MAX_DLOG_TABLE, GaloisRingSpec,
                              _embedding_exponent, _lift_by_powering,
                              _primitive_polynomial, construct_ring, element_text,
                              embed, generalized_frobenius, modulus_text,
@@ -44,6 +49,35 @@ def test_construct_rejects_bad_parameters():
         construct_ring(2, 0, 1)
     with pytest.raises(DomainError):
         construct_ring(2, 1, 0)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.0, 2, 1), "p = 2.0"), ((2, 2.0, 1), "r = 2.0"), ((2, 2, 1.5), "s = 1.5"),
+    ((2, "2", 1), "r = '2'"), ((3, None, 1), "r = None")],
+    ids=["p=2.0", "r=2.0", "s=1.5", "r='2'", "r=None"])
+def test_construct_refuses_parameters_that_are_not_integers(args, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)} is not an integer$"):
+        construct_ring(*args)
+
+
+def test_a_float_parameter_does_not_poison_the_ring_cache():
+    """In a fresh process, whose cache is empty: construct_ring(2, 2.0, 1)
+    used to build GR(2^2.0,1) and cache it under the key of (2, 2, 1), so
+    every later GR(2^2,1) had char 4.0 and float digits."""
+    script = ("from galcodes.errors import DomainError\n"
+              "from galcodes.galois import construct_ring\n"
+              "try:\n"
+              "    construct_ring(2, 2.0, 1)\n"
+              "except DomainError as exc:\n"
+              "    print(exc)\n"
+              "spec = construct_ring(2, 2, 1)\n"
+              "print(spec, type(spec.char).__name__, (spec.one() * spec.one()).coeffs)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "r = 2.0 is not an integer\nGR(2^2,1) int (1,)\n"
 
 
 def test_construct_is_cached():
@@ -289,20 +323,33 @@ def test_untabulated_ring_refuses_every_table_operation():
 
 
 @pytest.mark.parametrize("direction", ["embed", "unembed"])
-def test_embedding_above_the_table_bound_refuses_before_caching(direction, monkeypatch):
-    # a fresh GR(2^2, 22) and no cached exponent, so that nothing another
-    # test left behind can stand in for the work the refusal must skip
+def test_embedding_above_the_table_bound_refuses_before_caching(direction):
+    # a fresh GR(2^2, 22), so that nothing another test left behind can
+    # stand in for the work the refusal must skip; the exponent of
+    # GR(2^2, 2) in it is never cached, because its table is always refused
     big = GaloisRingSpec(2, 2, 22, construct_ring(2, 2, 22).modulus)
     small = construct_ring(2, 2, 2)
-    monkeypatch.delitem(_EMBED_EXPONENT, (2, 2, 2, 22), raising=False)
-    before = dict(_EMBED_EXPONENT)
+    before = _embedding_exponent.cache_info()
     with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
         if direction == "embed":
             embed(small.xi, big)
         else:
             unembed(big.one(), small)
-    assert _EMBED_EXPONENT == before
+    after = _embedding_exponent.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses + 1)
     assert big._xi is None
+
+
+def test_embedding_exponent_is_found_once_per_pair_of_rings():
+    small, big = construct_ring(3, 3, 2), construct_ring(3, 3, 4)
+    j = _embedding_exponent(small, big)
+    before = _embedding_exponent.cache_info()
+    # an equal ring built apart shares the entry
+    twin = GaloisRingSpec(3, 3, 4, big.modulus)
+    assert _embedding_exponent(small, twin) == j
+    assert unembed(embed(small.xi, big), small) == small.xi
+    after = _embedding_exponent.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 # -- Frobenius -------------------------------------------------------------------

@@ -376,10 +376,28 @@ def test_idft_refuses_values_that_are_not_frobenius_coherent():
 
 
 def test_dft_rejects_foreign_element():
+    """Named with the context's ring; an int used to raise AttributeError."""
     ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((3,)))
-    other = rand_ring(2, 2, 1, (5,))
-    with pytest.raises(DomainError):
-        dft(other.one(), ctx)
+    for other, owner in ((rand_ring(2, 2, 1, (5,)).one(), r"GR\(2\^2,1\)\[Z5\]"),
+                         (5, "int"), (Z4.one(), r"GR\(2\^2,1\)")):
+        with pytest.raises(DomainError,
+                           match=rf"^element of {owner} transformed over GR\(2\^2,1\)\[Z3\]$"):
+            dft(other, ctx)
+        with pytest.raises(DomainError, match=rf"^element of {owner} transformed"):
+            decompose_euclidean(other, ctx)
+
+
+def test_multiplying_mismatched_decompositions_names_both():
+    ctx = ambient(construct_ring(2, 2, 2), AbelianGroup((3,)))
+    x = decompose_euclidean(ctx.ring.one(), ctx)
+    other = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
+    for y, theirs in ((decompose_euclidean(other.ring.one(), other),
+                       r"euclidean one of GR\(2\^2,1\)\[Z7\]"),
+                      (decompose_hermitian(ctx.ring.one(), ctx),
+                       r"hermitian one of GR\(2\^2,2\)\[Z3\]")):
+        with pytest.raises(DomainError, match=r"^cannot multiply the euclidean decomposition "
+                                              rf"of GR\(2\^2,2\)\[Z3\] by the {theirs}$"):
+            x.multiply(y)
 
 
 # -- component decomposition -----------------------------------------------------------------
@@ -635,24 +653,29 @@ SLOT_LAYOUTS = [(case, layout) for case in SLOT_CONTEXTS
 def test_slots_split_the_group_by_the_pairing_rule(case, layout):
     p, r, s, _ = case
     ctx = table_ctx(*case)
-    h, singles, pairs = slots = _slots(ctx, layout)
-    assert h == (0 if layout == "euclidean" else s // 2)
+    slots = _slots(ctx, layout)
+    h = 0 if layout == "euclidean" else s // 2
     group, classes = ctx.group, ctx.parts.classes
     single_idx, pair_idx = ctx.parts.layout(layout)
-    assert [i for i, _, _ in singles] == list(single_idx)
-    assert [i for i, *_ in pairs] == [i for i, _ in pair_idx]
-    orbits = [orbit for _, _, orbit in singles]
-    for (i, spec, orbit, partner), (_, j) in zip(pairs, pair_idx):
+    # singles, then pairs, in layout order: the order decompose stores values
+    assert [i for i, _, _ in slots] == list(single_idx) + [i for i, _ in pair_idx]
+    singles, pairs = slots[:len(single_idx)], slots[len(single_idx):]
+    assert all(len(spreads) == 1 for _, _, spreads in singles)
+    assert all(len(spreads) == 2 for _, _, spreads in pairs)
+    orbits = []
+    for (i, spec, ((orbit, t), (partner, twist))), (_, j) in zip(pairs, pair_idx):
         assert spec == construct_ring(p, r, s * classes[i].cardinality)
-        assert orbit == classes[i].elements
-        # the partner orbit, rotated to start at -p^h * rep
+        assert (orbit, t) == (classes[i].elements, 0)
+        # the partner orbit, rotated to start at -p^h * rep, twisted by h
+        assert twist == h
         assert partner[0] == group.neg(group.scale(p**h, classes[i].rep))
         k = classes[j].elements.index(partner[0])
         assert partner == classes[j].elements[k:] + classes[j].elements[:k]
         orbits += [orbit, partner]
-    for i, spec, orbit in singles:
+    for i, spec, ((orbit, t),) in singles:
         assert spec == construct_ring(p, r, s * len(orbit))
-        assert orbit == classes[i].elements
+        assert (orbit, t) == (classes[i].elements, 0)
+        orbits.append(orbit)
     points = [a for orbit in orbits for a in orbit]
     assert sorted(points) == sorted(group.elements())  # each element in one orbit
     x = ctx.ring.random_element(random.Random(len(points)))

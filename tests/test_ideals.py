@@ -112,6 +112,23 @@ def test_ideal_of_another_ring_is_refused(call):
     call(twin, foreign)
 
 
+@pytest.mark.parametrize("call", [
+    lambda eng, x: eng.to_vector(x),
+    lambda eng, x: eng.unit_ideal().contains(x),
+    lambda eng, x: eng.principal_ideal(x),
+], ids=["to_vector", "contains", "principal_ideal"])
+@pytest.mark.parametrize("other, owner", [
+    (GroupRing(construct_ring(2, 2, 1), AbelianGroup((5,))).one(), r"GR\(2\^2,1\)\[Z5\]"),
+    (5, "int"), (2.5, "float"), (construct_ring(2, 2, 1).one(), r"GR\(2\^2,1\)")],
+    ids=["other-group-ring", "int", "float", "coefficient"])
+def test_element_of_another_ring_is_refused(call, other, owner):
+    """Named with the engine's ring; an int or a coefficient used to raise
+    AttributeError, and principal_ideal(5) TypeError."""
+    eng = engine(2, 2, 1, (3,))
+    with pytest.raises(DomainError, match=rf"^element of {owner} used in GR\(2\^2,1\)\[Z3\]$"):
+        call(eng, other)
+
+
 VECTOR_CALLS = pytest.mark.parametrize("call", [
     lambda eng, vec: eng.principal_ideal(vec),
     lambda eng, vec: eng.unit_ideal().contains_vector(vec),
