@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: gr info, classes, count, exists, construct, enumerate, table,
-verify.  Output is deterministic: identical invocations produce identical
-bytes (verify only adds wall-clock times under --timings).  JSON output
-always carries the three top-level keys "parameters", "result", "breakdown".
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+verify.  Every one prints through one emitter: under --json (table: --format
+json) a JSON document with the three top-level keys "parameters", "result",
+"breakdown", otherwise its text lines.  Output is deterministic: identical
+invocations produce identical bytes (verify only adds wall-clock times under
+--timings).  Exit codes: 0 success, 1 verification failure, 2 usage or
+domain error.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import lru_cache, partial
 
 from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
@@ -34,44 +37,51 @@ from .ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, ExhaustiveGroupRing, construc
 from .numth import prime_power_split
 
 
-def _emit_json(parameters: dict, result, breakdown=()) -> None:
-    doc = {"parameters": parameters, "result": result,
-           "breakdown": list(breakdown)}
-    print(json.dumps(doc, indent=2))
+def _emit(as_json: bool, parameters: dict, result, breakdown=(), lines=()) -> None:
+    """The one printer: the three-key JSON document, or the text lines.
+    Either may hold an int past the interpreter's int -> str digit cap."""
+    with _uncapped_int_text():
+        if as_json:
+            print(json.dumps({"parameters": parameters, "result": result,
+                              "breakdown": list(breakdown)}, indent=2))
+        else:
+            for line in lines:
+                print(line)
 
 
-def _split_group(p: int, text: str):
-    group = parse_group(text)
-    dec = sylow_decompose(group, p)
-    return group, dec.coprime_part, dec.p_part
+@contextmanager
+def _uncapped_int_text():
+    """Lift the int -> str digit cap (4300, where the build has one) in the block."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(cap)
 
 
 # -- gr info ---------------------------------------------------------------------
 
 def _cmd_gr_info(args) -> int:
     spec = construct_ring(args.p, args.r, args.s)
-    fields = [("ring", ring_name(spec)),
-              ("characteristic", str(spec.char)),
-              ("cardinality", str(spec.size)),
-              ("residue-field", str(spec.residue_size)),
-              ("modulus", modulus_text(spec)),
-              ("teichmuller-generator", element_text(spec.xi))]
-    if args.json:
-        _emit_json({"p": args.p, "r": args.r, "s": args.s},
-                   dict(fields))
-    else:
-        for k, v in fields:
-            print(f"{k}: {v}")
+    fields = {"ring": ring_name(spec),
+              "characteristic": str(spec.char),
+              "cardinality": str(spec.size),
+              "residue-field": str(spec.residue_size),
+              "modulus": modulus_text(spec),
+              "teichmuller-generator": element_text(spec.xi)}
+    _emit(args.json, {"p": args.p, "r": args.r, "s": args.s}, fields,
+          lines=[f"{k}: {v}" for k, v in fields.items()])
     return 0
 
 
 # -- classes ---------------------------------------------------------------------
 
 def _cmd_classes(args) -> int:
-    q = args.q
-    p, s = prime_power_split(q)
+    _, s = prime_power_split(args.q)
     group = parse_group(args.group)
-    parts = partition(group, q)
+    parts = partition(group, args.q)
 
     def partner_text(rep):
         return "-" if rep is None else group_element_text(rep)
@@ -87,120 +97,68 @@ def _cmd_classes(args) -> int:
             row["hermitian_type"] = c.hermitian_type
             row["hermitian_partner"] = partner_text(c.hermitian_partner)
         rows.append(row)
-    if args.json:
-        _emit_json({"group": format_group(group), "q": q},
-                   {"classes": len(rows)}, rows)
-    else:
-        for row in rows:
-            cells = [row["representative"], ",".join(row["elements"]),
-                     str(row["cardinality"]), row["euclidean_type"], row["partner"]]
-            if "hermitian_type" in row:
-                cells += [row["hermitian_type"], row["hermitian_partner"]]
-            print(" ".join(cells))
+    # a text line is the row's values in order, members joined by commas
+    _emit(args.json, {"group": format_group(group), "q": args.q}, {"classes": len(rows)}, rows,
+          [" ".join(",".join(v) if isinstance(v, list) else str(v) for v in row.values())
+           for row in rows])
     return 0
 
 
-# -- count -----------------------------------------------------------------------
+# -- count, exists, construct, enumerate ---------------------------------------------
 
-def _count_report(p, r, s, coprime, p_part, dual, provider):
-    if dual == "none":
-        return abelian_count(p, r, s, coprime, p_part, provider)
-    if dual == "euclidean":
-        return euclidean_abelian_count(p, r, s, coprime, p_part, provider)
-    return hermitian_abelian_count(p, r, s, coprime, p_part, provider)
-
-
-def _breakdown_rows(report):
-    return [{"divisor": f.divisor, "element_count": f.element_count,
-             "orbit_size": f.orbit_size, "slot_type": f.slot_type,
-             "base_kind": f.base_kind, "base_degree": f.base_degree,
-             "exponent": f.exponent, "base_value": f.base_value,
-             "provider": f.provider, "factor": f.factor}
-            for f in report.factors]
+def _code_query(args):
+    """The group of a code subcommand and its JSON parameters."""
+    group = parse_group(args.group)
+    return group, {"p": args.p, "r": args.r, "s": args.s,
+                   "group": format_group(group), "dual": args.dual}
 
 
-@contextmanager
-def _uncapped_int_text():
-    """Lift the int -> str digit cap (4300, where the build has one) in the block."""
-    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_cap(0)
-    try:
-        yield
-    finally:
-        set_cap(cap)
+_COUNTS = {"euclidean": euclidean_abelian_count, "hermitian": hermitian_abelian_count,
+           "none": abelian_count}
 
 
 def _cmd_count(args) -> int:
     construct_ring(args.p, args.r, args.s)  # refuses bad (p, r, s) before the Sylow split
-    group, coprime, p_part = _split_group(args.p, args.group)
-    report = _count_report(args.p, args.r, args.s, coprime, p_part,
-                           args.dual, args.provider)
-    with _uncapped_int_text():
-        if args.json:
-            _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                        "group": format_group(group), "dual": args.dual,
-                        "provider": args.provider},
-                       {"count": report.count, "provider": report.provider},
-                       _breakdown_rows(report))
-        else:
-            print(report.count)
+    group, parameters = _code_query(args)
+    dec = sylow_decompose(group, args.p)
+    report = _COUNTS[args.dual](args.p, args.r, args.s, dec.coprime_part, dec.p_part,
+                                args.provider)
+    _emit(args.json, dict(parameters, provider=args.provider),
+          {"count": report.count, "provider": report.provider},
+          [dict(asdict(f), factor=f.factor) for f in report.factors], [report.count])
     return 0
 
-
-# -- exists ----------------------------------------------------------------------
 
 def _cmd_exists(args) -> int:
-    group = parse_group(args.group)
+    group, parameters = _code_query(args)
     answer = exists_self_dual(args.p, args.r, group, args.dual, args.s)
-    if args.json:
-        _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                    "group": format_group(group), "dual": args.dual},
-                   {"exists": answer,
-                    "principal_ideal_ring": is_principal_ideal_group_ring(
-                        args.p, args.r, group)})
-    else:
-        print("true" if answer else "false")
+    _emit(args.json, parameters,
+          {"exists": answer,
+           "principal_ideal_ring": is_principal_ideal_group_ring(args.p, args.r, group)},
+          lines=["true" if answer else "false"])
     return 0
 
-
-# -- construct ---------------------------------------------------------------------
 
 def _cmd_construct(args) -> int:
-    group = parse_group(args.group)
+    group, parameters = _code_query(args)
     made = construct_self_dual(args.p, args.r, args.s, group, args.dual)
     texts = [gr_element_text(g) for g in made.generators]
-    if args.json:
-        result = {"ring": ring_name(construct_ring(args.p, args.r, args.s)),
-                  "group": format_group(group),
-                  "generators": texts,
-                  "ideal_size": made.ideal.size if made.ideal else None}
-        _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                    "group": format_group(group), "dual": args.dual},
-                   result)
-    else:
-        for t in texts:
-            print(t)
+    _emit(args.json, parameters,
+          {"ring": ring_name(construct_ring(args.p, args.r, args.s)), "group": parameters["group"],
+           "generators": texts, "ideal_size": made.ideal.size if made.ideal else None},
+          lines=texts)
     return 0
 
 
-# -- enumerate ---------------------------------------------------------------------
-
 def _cmd_enumerate(args) -> int:
-    group = parse_group(args.group)
+    group, parameters = _code_query(args)
     fam = enumerate_semisimple_selfdual(args.p, args.r, args.s, group, args.dual)
     reps = [[gr_element_text(g) for g in gens] for gens in fam.representatives]
-    if args.json:
-        _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                    "group": format_group(group), "dual": args.dual},
-                   {"count": fam.count,
-                    "ring": ring_name(construct_ring(args.p, args.r, args.s)),
-                    "group": format_group(group)},
-                   [{"generators": gens} for gens in reps])
-    else:
-        print(f"count {fam.count}")
-        for gens in reps:
-            print(" | ".join(gens))
+    _emit(args.json, parameters,
+          {"count": fam.count, "ring": ring_name(construct_ring(args.p, args.r, args.s)),
+           "group": parameters["group"]},
+          [{"generators": gens} for gens in reps],
+          [f"count {fam.count}"] + [" | ".join(gens) for gens in reps])
     return 0
 
 
@@ -224,20 +182,15 @@ def _cmd_table(args) -> int:
         raise DomainError("closed-form tables require r = 2")
     rows = []
     for n in _parse_lengths(args.lengths):
-        nc = cyclic_count_n(args.p, args.s, n).count
-        nec = euclidean_cyclic_count_n(args.p, args.s, n).count
-        nhc = (hermitian_cyclic_count_n(args.p, args.s, n).count
-               if args.s % 2 == 0 else None)
-        rows.append({"n": n, "NC": nc, "NEC": nec, "NHC": nhc})
-    if args.format == "json":
-        _emit_json({"p": args.p, "r": args.r, "s": args.s,
-                    "lengths": args.lengths},
-                   {"rows": len(rows)}, rows)
-    else:
-        print("n,NC,NEC,NHC")
-        for row in rows:
-            nhc = "" if row["NHC"] is None else str(row["NHC"])
-            print(f'{row["n"]},{row["NC"]},{row["NEC"]},{nhc}')
+        rows.append({"n": n, "NC": cyclic_count_n(args.p, args.s, n).count,
+                     "NEC": euclidean_cyclic_count_n(args.p, args.s, n).count,
+                     "NHC": (hermitian_cyclic_count_n(args.p, args.s, n).count
+                             if args.s % 2 == 0 else None)})
+    _emit(args.format == "json",
+          {"p": args.p, "r": args.r, "s": args.s, "lengths": args.lengths},
+          {"rows": len(rows)}, rows,
+          ["n,NC,NEC,NHC"] + [",".join("" if v is None else str(v) for v in row.values())
+                              for row in rows])
     return 0
 
 
@@ -354,8 +307,9 @@ def _verify_checks(bound):
 
 def _cmd_verify(args) -> int:
     bound = exhaustive_bound() if args.max_ring_size is None else args.max_ring_size
-    records = []
+    records, lines = [], []
     for check, params, formula, oracle, kind in _verify_checks(bound):
+        pstr = " ".join(f"{k}={v}" for k, v in params.items())
         t0 = time.monotonic()
         try:
             ov = oracle()
@@ -363,49 +317,37 @@ def _cmd_verify(args) -> int:
             # this oracle would walk more ring elements than the bound
             records.append({"check": check, "parameters": params, "oracle_kind": kind,
                             "status": "skip", "reason": str(exc)})
+            lines.append(f'SKIP {check} {pstr} oracle="{kind}": {exc}')
             continue
         fv = formula()
-        elapsed = time.monotonic() - t0
-        records.append({"check": check, "parameters": params,
-                        "formula": fv, "oracle": ov, "oracle_kind": kind,
-                        "status": "pass" if fv == ov else "fail",
-                        "elapsed": elapsed})
+        rec = {"check": check, "parameters": params, "formula": fv, "oracle": ov,
+               "oracle_kind": kind, "status": "pass" if fv == ov else "fail"}
+        line = (f'{rec["status"].upper():4s} {check} {pstr} formula={fv} oracle={ov} '
+                f'oracle="{kind}"')
+        if args.timings:
+            rec["elapsed"] = time.monotonic() - t0
+            line += f' elapsed={rec["elapsed"]:.2f}s'
+        records.append(rec)
+        lines.append(line)
     failed = sum(1 for rec in records if rec["status"] == "fail")
     skipped = sum(1 for rec in records if rec["status"] == "skip")
     ran = len(records) - skipped
-    if args.json:
-        for rec in records:
-            if not args.timings:
-                rec.pop("elapsed", None)
-        _emit_json({"max_ring_size": bound},
-                   {"total": len(records), "passed": ran - failed,
-                    "failed": failed, "skipped": skipped,
-                    "status": "fail" if failed else "pass"},
-                   records)
-    else:
-        for rec in records:
-            pstr = " ".join(f"{k}={v}" for k, v in rec["parameters"].items())
-            if rec["status"] == "skip":
-                print(f'SKIP {rec["check"]} {pstr} oracle="{rec["oracle_kind"]}": '
-                      f'{rec["reason"]}')
-                continue
-            line = (f'{rec["status"].upper():4s} {rec["check"]} {pstr} '
-                    f'formula={rec["formula"]} oracle={rec["oracle"]} '
-                    f'oracle="{rec["oracle_kind"]}"')
-            if args.timings:
-                line += f' elapsed={rec["elapsed"]:.2f}s'
-            print(line)
-        print(f"{ran - failed}/{ran} checks passed, {skipped} skipped")
+    _emit(args.json, {"max_ring_size": bound},
+          {"total": len(records), "passed": ran - failed, "failed": failed,
+           "skipped": skipped, "status": "fail" if failed else "pass"},
+          records, lines + [f"{ran - failed}/{ran} checks passed, {skipped} skipped"])
     return 1 if failed else 0
 
 
 # -- parser ------------------------------------------------------------------------
 
-def _add_ring_args(sub, with_s=True):
+_PAIRINGS = ["euclidean", "hermitian"]
+
+
+def _add_ring_args(sub):
     sub.add_argument("--p", type=int, required=True, help="characteristic prime")
     sub.add_argument("--r", type=int, required=True, help="nilpotency exponent")
-    if with_s:
-        sub.add_argument("--s", type=int, default=1, help="extension degree")
+    sub.add_argument("--s", type=int, default=1, help="extension degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,40 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     classes.add_argument("--json", action="store_true")
     classes.set_defaults(func=_cmd_classes)
 
-    count = subs.add_parser("count", help="count (self-dual) abelian codes")
-    _add_ring_args(count)
-    count.add_argument("--group", required=True)
-    count.add_argument("--dual", choices=["euclidean", "hermitian", "none"],
-                       default="euclidean")
-    count.add_argument("--provider", choices=["auto", "closed", "brute"],
-                       default="auto")
-    count.add_argument("--json", action="store_true")
-    count.set_defaults(func=_cmd_count)
-
-    exists = subs.add_parser("exists", help="self-dual existence predicate")
-    _add_ring_args(exists)
-    exists.add_argument("--group", required=True)
-    exists.add_argument("--dual", choices=["euclidean", "hermitian"],
-                        default="euclidean")
-    exists.add_argument("--json", action="store_true")
-    exists.set_defaults(func=_cmd_exists)
-
-    construct = subs.add_parser("construct", help="build one self-dual code")
-    _add_ring_args(construct)
-    construct.add_argument("--group", required=True)
-    construct.add_argument("--dual", choices=["euclidean", "hermitian"],
-                           default="euclidean")
-    construct.add_argument("--json", action="store_true")
-    construct.set_defaults(func=_cmd_construct)
-
-    enum = subs.add_parser("enumerate",
-                           help="all self-dual codes, semisimple case")
-    _add_ring_args(enum)
-    enum.add_argument("--group", required=True)
-    enum.add_argument("--dual", choices=["euclidean", "hermitian"],
-                      default="euclidean")
-    enum.add_argument("--json", action="store_true")
-    enum.set_defaults(func=_cmd_enumerate)
+    for name, help_text, func, duals in (
+            ("count", "count (self-dual) abelian codes", _cmd_count, list(_COUNTS)),
+            ("exists", "self-dual existence predicate", _cmd_exists, _PAIRINGS),
+            ("construct", "build one self-dual code", _cmd_construct, _PAIRINGS),
+            ("enumerate", "all self-dual codes, semisimple case", _cmd_enumerate, _PAIRINGS)):
+        sub = subs.add_parser(name, help=help_text)
+        _add_ring_args(sub)
+        sub.add_argument("--group", required=True)
+        sub.add_argument("--dual", choices=duals, default="euclidean")
+        if func is _cmd_count:
+            sub.add_argument("--provider", choices=["auto", "closed", "brute"],
+                             default="auto")
+        sub.add_argument("--json", action="store_true")
+        sub.set_defaults(func=func)
 
     table = subs.add_parser("table", help="cyclic-code count table over GR(p^2,s)")
     table.add_argument("--p", type=int, required=True)

@@ -64,7 +64,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
     The a = 0 ring is the chain ring itself with its r + 1 = 3 ideals.
     """
     _check_ring(p, 2, s)
-    if not isinstance(a, int) or a < 0:
+    if type(a) is not int or a < 0:
         raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 3
@@ -79,7 +79,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
 def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Euclidean self-dual cyclic codes of length p^a over GR(p^2, s)."""
     _check_ring(p, 2, s)
-    if not isinstance(a, int) or a < 0:
+    if type(a) is not int or a < 0:
         raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 1
@@ -97,9 +97,8 @@ def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
 def hermitian_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Hermitian self-dual cyclic codes of length p^a over GR(p^2, s), s even."""
     _check_ring(p, 2, s)
-    if s % 2:
-        raise DomainError("Hermitian count needs even degree s")
-    if not isinstance(a, int) or a < 0:
+    _pairing_twist(HERMITIAN, s)
+    if type(a) is not int or a < 0:
         raise DomainError(f"a must be an integer >= 0, got {a!r}")
     if a == 0:
         return 1
@@ -143,8 +142,7 @@ class TrivialSylowProvider:
                 "the trivial provider needs a trivial Sylow subgroup")
         if kind == TOTAL:
             return r + 1
-        if kind == HERMITIAN and s2 % 2:
-            raise DomainError("Hermitian base count needs even degree")
+        _pairing_twist(kind, s2)
         return 1 if r % 2 == 0 else 0
 
 
@@ -165,9 +163,9 @@ class ClosedFormProvider:
         a = _p_group_exponent(p, p_group)
         if kind == TOTAL:
             return cyclic_count_p2(p, s2, a)
-        if kind == EUCLIDEAN:
-            return euclidean_cyclic_count_p2(p, s2, a)
-        return hermitian_cyclic_count_p2(p, s2, a)
+        if _pairing_twist(kind, s2):
+            return hermitian_cyclic_count_p2(p, s2, a)
+        return euclidean_cyclic_count_p2(p, s2, a)
 
 
 _BRUTE_CACHE: dict = {}
@@ -372,7 +370,7 @@ def hermitian_semisimple_count(p: int, r: int, s: int,
 
 def _split_length(p: int, s: int, n: int) -> tuple[AbelianGroup, AbelianGroup]:
     _check_ring(p, 2, s)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"length must be a positive integer, got {n!r}")
     dec = sylow_decompose(AbelianGroup((n,) if n > 1 else ()), p)
     return dec.coprime_part, dec.p_part

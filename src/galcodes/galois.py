@@ -369,9 +369,10 @@ def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int
 
 
 def _check_ring(p: int, r: int, s: int) -> None:
-    """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1."""
+    """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1.
+    An integer is a plain int, so a bool (True for 1) is refused."""
     for name, value in (("p", p), ("r", r), ("s", s)):
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise DomainError(f"{name} = {value!r} is not an integer")
     if not is_prime(p):
         raise DomainError(f"p = {p} is not prime")

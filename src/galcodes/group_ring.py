@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .cyclotomic import _pairing_twist, _partner_point, partition
+from .cyclotomic import HERMITIAN, _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
@@ -214,9 +214,7 @@ class GroupRingElement:
 
 def conjugate(a: GaloisRingElement) -> GaloisRingElement:
     """Half-degree Frobenius; the ring involution of GR(p^r, s) for s even."""
-    if a.spec.s % 2:
-        raise DomainError(f"{a.spec} has odd degree; no conjugation")
-    return generalized_frobenius(a, a.spec.s // 2)
+    return generalized_frobenius(a, _pairing_twist(HERMITIAN, a.spec.s))
 
 
 def involution(x: GroupRingElement) -> GroupRingElement:
@@ -391,13 +389,23 @@ def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
         yield a, acc
 
 
+def _transform_context(x, ctx: AmbientDecomposition | None) -> AmbientDecomposition:
+    """ctx, by default the ambient decomposition of x's own ring, once x is
+    checked to be an element of its ring."""
+    owner = _owner(x)
+    if ctx is None:
+        if not isinstance(owner, GroupRing):
+            raise DomainError(f"cannot transform {type(x).__name__}: not a GroupRingElement")
+        ctx = ambient(owner.coeff, owner.group)
+    if owner != ctx.ring:
+        raise DomainError(f"element of {owner} transformed over {ctx.ring!r}")
+    return ctx
+
+
 def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> dict:
     """Evaluate x at every character: group element h -> sum_a x_a *
     zeta^gamma_h(a), in the extension ring ctx.big."""
-    if ctx is None:
-        ctx = ambient(x.ring.coeff, x.ring.group)
-    if _owner(x) != ctx.ring:
-        raise DomainError(f"element of {_owner(x)} transformed over {ctx.ring!r}")
+    ctx = _transform_context(x, ctx)
     lifted = [(a, embed(c, ctx.big)) for a, c in x.terms()]
     return dict(_character_sums(ctx, lifted, 1))
 
@@ -472,6 +480,9 @@ class DecomposedElement:
     pairs: dict
 
     def multiply(self, other: "DecomposedElement") -> "DecomposedElement":
+        if not isinstance(other, DecomposedElement):
+            raise DomainError(f"cannot multiply the {self.pairing} decomposition of "
+                              f"{self.context.ring!r} by {type(other).__name__}")
         if self.context is not other.context or self.pairing != other.pairing:
             raise DomainError(f"cannot multiply the {self.pairing} decomposition of "
                               f"{self.context.ring!r} by the {other.pairing} one of "
@@ -487,8 +498,7 @@ def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
     """Component image under the pairing rule: for each spread (orbit, t),
     the value at orbit[0] twisted by the Frobenius power -t, so a pair
     stores (value at a, value at -p^h * a twisted by -h)."""
-    if ctx is None:
-        ctx = ambient(x.ring.coeff, x.ring.group)
+    ctx = _transform_context(x, ctx)
     slots = _slots(ctx, pairing)
     values = dft(x, ctx)
     singles, pairs = {}, {}
@@ -525,6 +535,8 @@ def decompose_hermitian(x: GroupRingElement, ctx: AmbientDecomposition | None = 
 def compose(dec: DecomposedElement) -> GroupRingElement:
     """Inverse of decompose_euclidean / decompose_hermitian: point k of a
     spread (orbit, t) gets the slot's value shifted by Frobenius s*k + t."""
+    if not isinstance(dec, DecomposedElement):
+        raise DomainError(f"cannot compose {type(dec).__name__}: not a DecomposedElement")
     ctx = dec.context
     s = ctx.spec.s
     values: dict = {}

@@ -266,6 +266,43 @@ def test_table_json(capsys):
     assert doc["breakdown"][1] == {"n": 2, "NC": 7, "NEC": 1, "NHC": None}
 
 
+RING = ("--p", "2", "--r", "2")
+KEY_LISTS = [  # argv, then the keys of parameters, of result and of the first breakdown row
+    (("gr", "info", *RING, "--s", "2", "--json"), ["p", "r", "s"],
+     ["ring", "characteristic", "cardinality", "residue-field", "modulus",
+      "teichmuller-generator"], None),
+    (("classes", "--group", "Z5", "--q", "4", "--json"), ["group", "q"], ["classes"],
+     ["representative", "elements", "cardinality", "euclidean_type", "partner",
+      "hermitian_type", "hermitian_partner"]),
+    (("count", *RING, "--group", "Z6", "--json"), ["p", "r", "s", "group", "dual", "provider"],
+     ["count", "provider"],
+     ["divisor", "element_count", "orbit_size", "slot_type", "base_kind", "base_degree",
+      "exponent", "base_value", "provider", "factor"]),
+    (("exists", *RING, "--group", "Z2", "--json"), ["p", "r", "s", "group", "dual"],
+     ["exists", "principal_ideal_ring"], None),
+    (("construct", *RING, "--group", "Z2", "--json"), ["p", "r", "s", "group", "dual"],
+     ["ring", "group", "generators", "ideal_size"], None),
+    (("enumerate", *RING, "--group", "Z3", "--json"), ["p", "r", "s", "group", "dual"],
+     ["count", "ring", "group"], ["generators"]),
+    (("table", "--p", "2", "--s", "2", "--lengths", "1..2", "--format", "json"),
+     ["p", "r", "s", "lengths"], ["rows"], ["n", "NC", "NEC", "NHC"]),
+    (("verify", "--max-ring-size", "64", "--json"), ["max_ring_size"],
+     ["total", "passed", "failed", "skipped", "status"],
+     ["check", "parameters", "formula", "oracle", "oracle_kind", "status"]),
+]
+
+
+@pytest.mark.parametrize("argv, parameters, result, row", KEY_LISTS,
+                         ids=[" ".join(argv[:2]) if argv[0] == "gr" else argv[0]
+                              for argv, *_ in KEY_LISTS])
+def test_json_key_order(capsys, argv, parameters, result, row):
+    """The emitter prints each subcommand's keys in the order it built them."""
+    doc = run_json(capsys, *argv)
+    assert list(doc["parameters"]) == parameters
+    assert list(doc["result"]) == result
+    assert (list(doc["breakdown"][0]) if doc["breakdown"] else None) == row
+
+
 # -- verify ---------------------------------------------------------------------------
 
 def test_verify_small_bound(capsys):

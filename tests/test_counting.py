@@ -113,12 +113,17 @@ def test_closed_forms_refuse_a_ring_that_does_not_exist(call, message):
     (lambda: cyclic_count_n(2, 1, 6.0), "length must be a positive integer, got 6.0"),
     (lambda: euclidean_cyclic_count_n(2, 1, 1.0), "length must be a positive integer, got 1.0"),
     (lambda: hermitian_cyclic_count_n(2, 2, 0), "length must be a positive integer, got 0"),
+    (lambda: euclidean_cyclic_count_p2(2, 1, True), "a must be an integer >= 0, got True"),
+    (lambda: hermitian_cyclic_count_p2(2, 2, False), "a must be an integer >= 0, got False"),
+    (lambda: cyclic_count_n(2, 1, True), "length must be a positive integer, got True"),
 ], ids=["euclidean:a=1.5", "euclidean:a=2.5", "cyclic:a=1.0", "hermitian:a='1'", "cyclic:a=-1",
-        "cyclic_n:6.0", "euclidean_n:1.0", "hermitian_n:0"])
+        "cyclic_n:6.0", "euclidean_n:1.0", "hermitian_n:0", "euclidean:a=True",
+        "hermitian:a=False", "cyclic_n:True"])
 def test_lengths_must_be_integers(call, message):
     """euclidean_cyclic_count_p2(3, 1, 1.5) used to return the float 2.0,
     (2, 1, 2.5) raised InternalInvariantError, and cyclic_count_n(2, 1, 6.0)
-    blamed the cyclic factor 3.0."""
+    blamed the cyclic factor 3.0.  A bool is no length either:
+    euclidean_cyclic_count_p2(2, 1, True) returned 1."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
@@ -185,6 +190,26 @@ def test_closed_providers_refuse_a_ring_that_does_not_exist(provider, p, r, p_gr
         with pytest.raises(DomainError, match=message) as err:
             provider.count(p, r, 1, AbelianGroup(p_group), kind)
         assert not isinstance(err.value, ProviderDomainError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hermitian_cyclic_count_p2(2, 1, 1),
+    lambda: TrivialSylowProvider().count(2, 2, 1, TRIVIAL, "hermitian"),
+    lambda: ClosedFormProvider().count(2, 2, 1, AbelianGroup((2,)), "hermitian"),
+], ids=["closed-form", "trivial", "closed"])
+def test_odd_degree_hermitian_counts_get_the_pairing_refusal(call):
+    with pytest.raises(DomainError, match=r"^Hermitian pairing needs even degree s$"):
+        call()
+
+
+@pytest.mark.parametrize("provider, p_group", [(TrivialSylowProvider(), ()),
+                                               (ClosedFormProvider(), (2,))],
+                         ids=["trivial", "closed"])
+def test_base_counts_refuse_an_unknown_kind(provider, p_group):
+    """The trivial provider used to give 1 for "bogus" and the closed forms
+    the Hermitian count 3."""
+    with pytest.raises(DomainError, match=r"^unknown pairing 'bogus'$"):
+        provider.count(2, 2, 2, AbelianGroup(p_group), "bogus")
 
 
 def test_brute_provider_respects_bound():

@@ -53,9 +53,12 @@ def test_construct_rejects_bad_parameters():
 
 @pytest.mark.parametrize("args, message", [
     ((2.0, 2, 1), "p = 2.0"), ((2, 2.0, 1), "r = 2.0"), ((2, 2, 1.5), "s = 1.5"),
-    ((2, "2", 1), "r = '2'"), ((3, None, 1), "r = None")],
-    ids=["p=2.0", "r=2.0", "s=1.5", "r='2'", "r=None"])
+    ((2, "2", 1), "r = '2'"), ((3, None, 1), "r = None"),
+    ((True, 2, 1), "p = True"), ((2, True, 1), "r = True"), ((2, 2, True), "s = True")],
+    ids=["p=2.0", "r=2.0", "s=1.5", "r='2'", "r=None", "p=True", "r=True", "s=True"])
 def test_construct_refuses_parameters_that_are_not_integers(args, message):
+    """A bool is refused too: construct_ring(2, True, 1) used to build and
+    cache GR(2^True,1), a second object equal to GR(2^1,1)."""
     with pytest.raises(DomainError, match=f"^{re.escape(message)} is not an integer$"):
         construct_ring(*args)
 

@@ -236,6 +236,11 @@ def test_conjugate_involution_is_refused_by_ring(ring):
             conjugate_involution(x)
 
 
+def test_conjugate_refuses_odd_degree_by_the_pairing_rule():
+    with pytest.raises(DomainError, match=r"^Hermitian pairing needs even degree s$"):
+        conjugate(Z4.xi)
+
+
 def test_pairings_match_full_ring_product():
     """The nested pairings are the P-identity coefficients of x times the
     involuted partner in the full group ring."""
@@ -385,6 +390,12 @@ def test_dft_rejects_foreign_element():
             dft(other, ctx)
         with pytest.raises(DomainError, match=rf"^element of {owner} transformed"):
             decompose_euclidean(other, ctx)
+    # without a context, the owner check comes before the context lookup
+    for other in (5, Z4.one()):
+        for transform in (dft, decompose_euclidean, decompose_hermitian):
+            with pytest.raises(DomainError, match=rf"^cannot transform {type(other).__name__}: "
+                                                  "not a GroupRingElement$"):
+                transform(other)
 
 
 def test_multiplying_mismatched_decompositions_names_both():
@@ -398,6 +409,14 @@ def test_multiplying_mismatched_decompositions_names_both():
         with pytest.raises(DomainError, match=r"^cannot multiply the euclidean decomposition "
                                               rf"of GR\(2\^2,2\)\[Z3\] by the {theirs}$"):
             x.multiply(y)
+    # anything else used to raise AttributeError on .context
+    with pytest.raises(DomainError, match=r"^cannot multiply the euclidean decomposition "
+                                          r"of GR\(2\^2,2\)\[Z3\] by int$"):
+        x.multiply(5)
+    for other in (5, ctx.ring.one()):
+        with pytest.raises(DomainError, match=rf"^cannot compose {type(other).__name__}: "
+                                              "not a DecomposedElement$"):
+            compose(other)
 
 
 # -- component decomposition -----------------------------------------------------------------
