@@ -23,13 +23,12 @@ from .group_ring import (GroupRing, GroupRingElement, ambient, compose, conjugat
                          sylow_split)
 from .ideals import (ExhaustiveGroupRing, Ideal, SelfDualConstruction,
                      SemisimpleSelfDualFamily, construct_self_dual,
-                     enumerate_semisimple_selfdual, exhaustive_bound)
+                     enumerate_semisimple_selfdual, exhaustive_bound, exists_self_dual)
 from .counting import (CountReport, DivisorFactor, abelian_count,
                        cyclic_count_n, cyclic_count_p2, euclidean_abelian_count,
                        euclidean_cyclic_count_n, euclidean_cyclic_count_p2,
-                       euclidean_semisimple_count, exists_self_dual,
-                       hermitian_abelian_count, hermitian_cyclic_count_n,
-                       hermitian_cyclic_count_p2, hermitian_semisimple_count,
-                       is_principal_ideal_group_ring)
+                       euclidean_semisimple_count, hermitian_abelian_count,
+                       hermitian_cyclic_count_n, hermitian_cyclic_count_p2,
+                       hermitian_semisimple_count, is_principal_ideal_group_ring)
 
 __version__ = "0.1.0"

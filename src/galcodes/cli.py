@@ -7,6 +7,10 @@ json) a JSON document with the three top-level keys "parameters", "result",
 invocations produce identical bytes (verify only adds wall-clock times under
 --timings).  Exit codes: 0 success, 1 verification failure, 2 usage or
 domain error.
+
+verify is two tables and one loop: _CHECKS, a row per check (name, printed
+parameters, ring (p, r, s, G, dual), formula of the ring, oracle kinds), and
+_ORACLES, an oracle per kind.  A new check is a row, a new oracle an entry.
 """
 
 from __future__ import annotations
@@ -17,24 +21,23 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import lru_cache, partial
+from functools import partial
 
 from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        euclidean_abelian_count, euclidean_cyclic_count_n,
                        euclidean_cyclic_count_p2, euclidean_semisimple_count,
-                       exists_self_dual, hermitian_abelian_count,
-                       hermitian_cyclic_count_n, hermitian_cyclic_count_p2,
-                       hermitian_semisimple_count, is_principal_ideal_group_ring)
+                       hermitian_abelian_count, hermitian_cyclic_count_n,
+                       hermitian_cyclic_count_p2, hermitian_semisimple_count,
+                       is_principal_ideal_group_ring)
 from .cyclotomic import partition
 from .errors import BoundExceededError, DomainError
 from .galois import construct_ring, element_text, modulus_text, ring_name
-from .group_ring import GroupRing
-from .group_ring import element_text as gr_element_text
+from .group_ring import GroupRing, element_text as gr_element_text
 from .groups import (AbelianGroup, element_text as group_element_text,
                      format_group, parse_group, sylow_decompose)
 from .ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, ExhaustiveGroupRing, construct_self_dual,
-                     enumerate_semisimple_selfdual, exhaustive_bound)
-from .numth import prime_power_split
+                     enumerate_semisimple_selfdual, exhaustive_bound, exists_self_dual)
+from .numth import prime_power_split, valuation
 
 
 def _emit(as_json: bool, parameters: dict, result, breakdown=(), lines=()) -> None:
@@ -113,8 +116,15 @@ def _code_query(args):
                    "group": format_group(group), "dual": args.dual}
 
 
+# dual -> count function, one table per formula family
 _COUNTS = {"euclidean": euclidean_abelian_count, "hermitian": hermitian_abelian_count,
            "none": abelian_count}
+_CLOSED_FORMS = {"none": cyclic_count_p2, "euclidean": euclidean_cyclic_count_p2,
+                 "hermitian": hermitian_cyclic_count_p2}
+_LENGTH_COUNTS = {"none": cyclic_count_n, "euclidean": euclidean_cyclic_count_n,
+                  "hermitian": hermitian_cyclic_count_n}
+_SEMISIMPLE_COUNTS = {"euclidean": euclidean_semisimple_count,
+                      "hermitian": hermitian_semisimple_count}
 
 
 def _cmd_count(args) -> int:
@@ -166,10 +176,8 @@ def _cmd_enumerate(args) -> int:
 
 def _parse_lengths(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        lo = hi = text
     try:
-        a, b = int(lo), int(hi)
+        a, b = int(lo), int(hi if sep else lo)
     except ValueError:
         raise DomainError(f"cannot parse length range {text!r}; expected a..b")
     if a < 1 or b < a:
@@ -180,12 +188,10 @@ def _parse_lengths(text: str) -> range:
 def _cmd_table(args) -> int:
     if args.r != 2:
         raise DomainError("closed-form tables require r = 2")
-    rows = []
-    for n in _parse_lengths(args.lengths):
-        rows.append({"n": n, "NC": cyclic_count_n(args.p, args.s, n).count,
-                     "NEC": euclidean_cyclic_count_n(args.p, args.s, n).count,
-                     "NHC": (hermitian_cyclic_count_n(args.p, args.s, n).count
-                             if args.s % 2 == 0 else None)})
+    rows = [{"n": n} | {col: None if dual == "hermitian" and args.s % 2
+                        else _LENGTH_COUNTS[dual](args.p, args.s, n).count
+                        for col, dual in zip(("NC", "NEC", "NHC"), _LENGTH_COUNTS)}
+            for n in _parse_lengths(args.lengths)]
     _emit(args.format == "json",
           {"p": args.p, "r": args.r, "s": args.s, "lengths": args.lengths},
           {"rows": len(rows)}, rows,
@@ -196,139 +202,108 @@ def _cmd_table(args) -> int:
 
 # -- verify ------------------------------------------------------------------------
 
-def _decomposition_selfdual(p, r, s, group, form, bound):
-    """Materialize each representative generator list and count the distinct
-    self-dual ideals they span; raises through if one fails the duality check."""
-    fam = enumerate_semisimple_selfdual(p, r, s, group, form)
-    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
-    found = set()
-    for gens in fam.representatives:
-        ideal = eng.generated_ideal(map(eng.to_vector, gens))
-        if not eng.is_self_dual(ideal, form):
-            return -1
-        found.add(ideal)
-    return len(found)
-
-
-_WALK_ORACLE = "socle-walk enumeration"
-_DECOMP_ORACLE = "decomposition enumeration"
-
-# (p, s, largest n) of the length tables: every n <= 8 whose ring
-# GR(p^2, s)[Z_n] has at most 3^12 elements
-_LENGTH_TABLES = [(2, 1, 8), (2, 2, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)]
-
-
-def _verify_checks(bound):
-    """Yield (check, params, formula_thunk, oracle_thunk, oracle_kind) in
-    canonical order; each oracle runs under the bound.  The socle-walk
-    oracles share one enumeration per ring, held for this run only."""
-
-    @lru_cache(maxsize=None)
-    def enumerated(p, r, s, group):
+def _socle_walk(p, r, s, group, dual, bound, walks):
+    """All ideals for dual="none", else the self-dual ones; walks keeps each ring's list."""
+    if (p, r, s, group) not in walks:
         eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
-        return eng, eng.enumerate_ideals()
+        walks[p, r, s, group] = eng, eng.enumerate_ideals()
+    eng, ideals = walks[p, r, s, group]
+    return len(ideals) if dual == "none" else sum(eng.is_self_dual(c, dual) for c in ideals)
 
-    def brute(p, r, s, group, dual):
-        """All ideals for dual="none", else those self-dual for that form."""
-        eng, ideals = enumerated(p, r, s, group)
-        if dual == "none":
-            return len(ideals)
-        return sum(1 for c in ideals if eng.is_self_dual(c, dual))
 
-    decomposed = partial(_decomposition_selfdual, bound=bound)
+def _decomposition(p, r, s, group, dual, bound, walks):
+    """Distinct ideals of the semisimple family's generators; -1 if one is not self-dual."""
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
+    ideals = [eng.generated_ideal(map(eng.to_vector, gens))
+              for gens in enumerate_semisimple_selfdual(p, r, s, group, dual).representatives]
+    return len(set(ideals)) if all(eng.is_self_dual(c, dual) for c in ideals) else -1
 
-    for check, closed, dual, rows in (
-            ("cyclic-count", cyclic_count_p2, "none",
-             [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 1)]),
-            ("euclidean-cyclic-count", euclidean_cyclic_count_p2, "euclidean",
-             [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)]),
-            ("hermitian-cyclic-count", hermitian_cyclic_count_p2, "hermitian",
-             [(2, 2, 1), (2, 2, 2), (3, 2, 1)])):
-        for (p, s, a) in rows:
-            yield (check, {"p": p, "s": s, "a": a},
-                   lambda f=closed, p=p, s=s, a=a: f(p, s, a),
-                   lambda p=p, s=s, a=a, d=dual: brute(p, 2, s, AbelianGroup((p**a,)), d),
-                   _WALK_ORACLE)
 
-    for (p, r, s, gtext, dual) in [(2, 2, 1, "Z3", "euclidean"),
-                                   (2, 2, 1, "Z7", "euclidean"),
-                                   (3, 2, 1, "Z2", "euclidean"),
-                                   (3, 1, 1, "Z2", "euclidean"),
-                                   (2, 3, 1, "Z3", "euclidean"),
-                                   (2, 2, 2, "Z3", "hermitian"),
-                                   (2, 2, 1, "Z15", "euclidean"),
-                                   (2, 2, 2, "Z7", "hermitian"),
-                                   (3, 2, 1, "Z13", "euclidean"),
-                                   (5, 2, 1, "Z12", "euclidean")]:
-        group = parse_group(gtext)
-        semisimple = (euclidean_semisimple_count if dual == "euclidean"
-                      else hermitian_semisimple_count)
-        params = {"p": p, "r": r, "s": s, "group": gtext, "dual": dual}
-        for kind, oracle in ((_WALK_ORACLE, brute), (_DECOMP_ORACLE, decomposed)):
-            yield ("semisimple-count", params,
-                   lambda f=semisimple, p=p, r=r, s=s, g=group: f(p, r, s, g).count,
-                   lambda o=oracle, p=p, r=r, s=s, g=group, d=dual: o(p, r, s, g, d),
-                   kind)
+_WALK, _DECOMPOSITION = "socle-walk enumeration", "decomposition enumeration"
+_ORACLES = {_WALK: _socle_walk, _DECOMPOSITION: _decomposition}
+_RING_KEYS = ("p", "r", "s", "group", "dual")
 
-    for (p, r, s, gtext, dual) in [(2, 2, 1, "Z6", "euclidean"),
-                                   (3, 2, 1, "Z3", "euclidean"),
-                                   (2, 2, 1, "Z4", "euclidean"),
-                                   (2, 2, 2, "Z2", "hermitian")]:
-        group = parse_group(gtext)
-        dec = sylow_decompose(group, p)
-        general = (euclidean_abelian_count if dual == "euclidean"
-                   else hermitian_abelian_count)
-        yield ("general-count", {"p": p, "r": r, "s": s, "group": gtext, "dual": dual},
-               lambda f=general, p=p, r=r, s=s, d=dec: f(p, r, s, d.coprime_part, d.p_part, "closed").count,
-               lambda p=p, r=r, s=s, g=group, d=dual: brute(p, r, s, g, d),
-               _WALK_ORACLE)
 
-    for (p, s, top) in _LENGTH_TABLES:
-        counts = [("none", cyclic_count_n), ("euclidean", euclidean_cyclic_count_n)]
-        if s % 2 == 0:
-            counts.append(("hermitian", hermitian_cyclic_count_n))
-        for n in range(1, top + 1):
-            group = AbelianGroup((n,) if n > 1 else ())
-            for dual, closed in counts:
-                yield ("length-count", {"p": p, "s": s, "n": n, "dual": dual},
-                       lambda f=closed, p=p, s=s, n=n: f(p, s, n).count,
-                       lambda p=p, s=s, g=group, d=dual: brute(p, 2, s, g, d),
-                       _WALK_ORACLE)
+def _closed_form(p, r, s, group, dual):
+    return _CLOSED_FORMS[dual](p, s, valuation(group.order, p))
 
-    for (p, r, gtext) in [(2, 1, "Z2"), (2, 1, "Z3"), (2, 2, "Z2"),
-                          (2, 2, "Z3"), (3, 1, "Z2"), (3, 1, "Z3"),
-                          (3, 2, "Z2"), (3, 2, "Z3")]:
-        group = parse_group(gtext)
-        yield ("exists", {"p": p, "r": r, "s": 1, "group": gtext, "dual": "euclidean"},
-               lambda p=p, r=r, g=group: int(exists_self_dual(p, r, g)),
-               lambda p=p, r=r, g=group: int(brute(p, r, 1, g, "euclidean") > 0),
-               _WALK_ORACLE)
+
+def _length_count(p, r, s, group, dual):
+    return _LENGTH_COUNTS[dual](p, s, group.order).count
+
+
+def _semisimple_count(p, r, s, group, dual):
+    return _SEMISIMPLE_COUNTS[dual](p, r, s, group).count
+
+
+def _general_count(p, r, s, group, dual):
+    dec = sylow_decompose(group, p)
+    return _COUNTS[dual](p, r, s, dec.coprime_part, dec.p_part, "closed").count
+
+
+def _exists(p, r, s, group, dual):
+    return int(exists_self_dual(p, r, group, dual, s))
+
+
+def _rows(check, formula, rings, keys=_RING_KEYS, kinds=(_WALK,), reading=int):
+    """The rows of one check, one per ring (p, r, s, n, dual) with G = Z_n,
+    printing these keys of p, r, s, a = log_p n, n, group and dual."""
+    for p, r, s, n, dual in rings:
+        group = AbelianGroup((n,) if n > 1 else ())
+        named = dict(p=p, r=r, s=s, a=valuation(n, p), n=n, group=format_group(group), dual=dual)
+        yield check, {k: named[k] for k in keys}, (p, r, s, group, dual), formula, kinds, reading
+
+
+_CHECKS = (
+    # the closed forms of length p^a over GR(p^2, s), one row per (p, s, a)
+    *(row for dual, triples in [
+        ("none", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 1)]),
+        ("euclidean", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1)]),
+        ("hermitian", [(2, 2, 1), (2, 2, 2), (3, 2, 1)])]
+      for row in _rows(("" if dual == "none" else f"{dual}-") + "cyclic-count", _closed_form,
+                       [(p, 2, s, p**a, dual) for p, s, a in triples], ("p", "s", "a"))),
+    *_rows("semisimple-count", _semisimple_count,
+           [(2, 2, 1, 3, "euclidean"), (2, 2, 1, 7, "euclidean"), (3, 2, 1, 2, "euclidean"),
+            (3, 1, 1, 2, "euclidean"), (2, 3, 1, 3, "euclidean"), (2, 2, 2, 3, "hermitian"),
+            (2, 2, 1, 15, "euclidean"), (2, 2, 2, 7, "hermitian"), (3, 2, 1, 13, "euclidean"),
+            (5, 2, 1, 12, "euclidean")], kinds=(_WALK, _DECOMPOSITION)),
+    *_rows("general-count", _general_count,
+           [(2, 2, 1, 6, "euclidean"), (3, 2, 1, 3, "euclidean"), (2, 2, 1, 4, "euclidean"),
+            (2, 2, 2, 2, "hermitian")]),
+    # the length tables, (p, s, largest n): every n <= 8 with |GR(p^2, s)[Z_n]| <= 3^12
+    *_rows("length-count", _length_count, [
+        (p, 2, s, n, dual) for p, s, top in [(2, 1, 8), (2, 2, 4), (3, 1, 6), (3, 2, 3), (5, 1, 4)]
+        for n in range(1, top + 1) for dual in _LENGTH_COUNTS if dual != "hermitian" or s % 2 == 0],
+        ("p", "s", "n", "dual")),
+    # existence read off the walk's self-dual count: min(1, count)
+    *_rows("exists", _exists, [(p, r, 1, n, "euclidean") for p in (2, 3) for r in (1, 2)
+                               for n in (2, 3)], reading=partial(min, 1)))
 
 
 def _cmd_verify(args) -> int:
     bound = exhaustive_bound() if args.max_ring_size is None else args.max_ring_size
-    records, lines = [], []
-    for check, params, formula, oracle, kind in _verify_checks(bound):
-        pstr = " ".join(f"{k}={v}" for k, v in params.items())
-        t0 = time.monotonic()
-        try:
-            ov = oracle()
-        except BoundExceededError as exc:
-            # this oracle would walk more ring elements than the bound
-            records.append({"check": check, "parameters": params, "oracle_kind": kind,
-                            "status": "skip", "reason": str(exc)})
-            lines.append(f'SKIP {check} {pstr} oracle="{kind}": {exc}')
-            continue
-        fv = formula()
-        rec = {"check": check, "parameters": params, "formula": fv, "oracle": ov,
-               "oracle_kind": kind, "status": "pass" if fv == ov else "fail"}
-        line = (f'{rec["status"].upper():4s} {check} {pstr} formula={fv} oracle={ov} '
-                f'oracle="{kind}"')
-        if args.timings:
-            rec["elapsed"] = time.monotonic() - t0
-            line += f' elapsed={rec["elapsed"]:.2f}s'
-        records.append(rec)
-        lines.append(line)
+    walks, records, lines = {}, [], []
+    for check, params, ring, formula, kinds, reading in _CHECKS:
+        head = " ".join([check] + [f"{k}={v}" for k, v in params.items()])
+        for kind in kinds:
+            t0 = time.monotonic()
+            try:
+                ov = reading(_ORACLES[kind](*ring, bound, walks))
+            except BoundExceededError as exc:
+                # this oracle would walk more ring elements than the bound
+                records.append({"check": check, "parameters": params, "oracle_kind": kind,
+                                "status": "skip", "reason": str(exc)})
+                lines.append(f'SKIP {head} oracle="{kind}": {exc}')
+                continue
+            fv = formula(*ring)
+            rec = {"check": check, "parameters": params, "formula": fv, "oracle": ov,
+                   "oracle_kind": kind, "status": "pass" if fv == ov else "fail"}
+            lines.append(f'{rec["status"].upper():4s} {head} formula={fv} oracle={ov} '
+                         f'oracle="{kind}"')
+            if args.timings:
+                rec["elapsed"] = time.monotonic() - t0
+                lines[-1] += f' elapsed={rec["elapsed"]:.2f}s'
+            records.append(rec)
     failed = sum(1 for rec in records if rec["status"] == "fail")
     skipped = sum(1 for rec in records if rec["status"] == "skip")
     ran = len(records) - skipped

@@ -25,18 +25,12 @@ from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicato
 from .errors import (BoundExceededError, DomainError, InternalInvariantError,
                      ProviderDomainError)
 from .galois import _check_ring, construct_ring
+from .group_ring import GroupRing
 from .groups import AbelianGroup, format_group, order_census, sylow_decompose
+from .ideals import ExhaustiveGroupRing
 from .numth import multiplicative_order, valuation
 
 _TRIVIAL_GROUP = AbelianGroup(())
-
-
-def exists_self_dual(p: int, r: int, group: AbelianGroup,
-                     duality: str = EUCLIDEAN, s: int = 1) -> bool:
-    """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
-    _check_ring(p, r, s)
-    _pairing_twist(duality, s)
-    return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
 
 
 def is_principal_ideal_group_ring(p: int, r: int, group: AbelianGroup) -> bool:
@@ -119,6 +113,8 @@ TOTAL = "total"
 
 _KIND_LABEL = {TOTAL: "all ideals", EUCLIDEAN: "Euclidean self-dual",
                HERMITIAN: "Hermitian self-dual"}
+_CLOSED_FORMS = {TOTAL: cyclic_count_p2, EUCLIDEAN: euclidean_cyclic_count_p2,
+                 HERMITIAN: hermitian_cyclic_count_p2}
 
 
 def _describe_base(p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> str:
@@ -136,14 +132,13 @@ class TrivialSylowProvider:
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
         _check_ring(p, r, s2)
+        if kind != TOTAL:
+            _pairing_twist(kind, s2)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
                 "the trivial provider needs a trivial Sylow subgroup")
-        if kind == TOTAL:
-            return r + 1
-        _pairing_twist(kind, s2)
-        return 1 if r % 2 == 0 else 0
+        return r + 1 if kind == TOTAL else int(r % 2 == 0)
 
 
 class ClosedFormProvider:
@@ -156,16 +151,13 @@ class ClosedFormProvider:
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
         _check_ring(p, r, s2)
+        if kind != TOTAL:
+            _pairing_twist(kind, s2)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
                 "closed forms exist only for r = 2 with cyclic Sylow subgroup")
-        a = _p_group_exponent(p, p_group)
-        if kind == TOTAL:
-            return cyclic_count_p2(p, s2, a)
-        if _pairing_twist(kind, s2):
-            return hermitian_cyclic_count_p2(p, s2, a)
-        return euclidean_cyclic_count_p2(p, s2, a)
+        return _CLOSED_FORMS[kind](p, s2, _p_group_exponent(p, p_group))
 
 
 _BRUTE_CACHE: dict = {}
@@ -181,9 +173,10 @@ class BruteForceProvider:
         self.bound = bound
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
-        from .group_ring import GroupRing
-        from .ideals import ExhaustiveGroupRing
-        engine = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s2), p_group), self.bound)
+        spec = construct_ring(p, r, s2)
+        if kind != TOTAL:
+            _pairing_twist(kind, s2)
+        engine = ExhaustiveGroupRing(GroupRing(spec, p_group), self.bound)
         try:
             engine._require_enumerable()
         except BoundExceededError:

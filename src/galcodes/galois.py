@@ -124,10 +124,12 @@ class GaloisRingSpec:
         return hash((self.p, self.r, self.s))
 
     def element(self, coeffs) -> GaloisRingElement:
-        cs = tuple(int(c) % self.char for c in coeffs)
+        cs = tuple(coeffs)
         if len(cs) != self.s:
             raise DomainError(f"expected {self.s} coefficients, got {len(cs)}")
-        return GaloisRingElement(self, cs)
+        if any(type(c) is not int for c in cs):
+            raise DomainError(f"coefficients {cs!r} are not all integers")
+        return GaloisRingElement(self, tuple(c % self.char for c in cs))
 
     def zero(self) -> GaloisRingElement:
         return GaloisRingElement(self, (0,) * self.s)

@@ -51,6 +51,7 @@ from .cyclotomic import HERMITIAN, _pairing_twist, _partner_point, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
+from .galois import element_text as _scalar_text, parse_element as _scalar_parse
 from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
 from .numth import multiplicative_order
 
@@ -294,7 +295,6 @@ def _monomial_rows(spec: GaloisRingSpec, factors: tuple[int, ...], vec):
 
 # -- Sylow re-indexing ---------------------------------------------------------
 
-
 @lru_cache(maxsize=None)
 def _sylow_perm(factors: tuple[int, ...], p: int, s: int) -> tuple[int, ...]:
     """The re-indexing GR[G] -> (GR[A])[P], G = A + P, as a digit permutation.
@@ -414,10 +414,14 @@ def idft(values: dict, ctx: AmbientDecomposition) -> GroupRingElement:
     """Inverse transform of the points values gives (the rest read as 0):
     x_a = |A|^(-1) * sum_h values[h] * zeta^(-gamma_h(a)).
 
-    The result must have coefficients in the base ring; landing outside its
-    embedded image means the values were not Frobenius-coherent, which is
-    reported as a broken invariant.
+    Every point must be an element of A.  The result must have coefficients
+    in the base ring; landing outside its embedded image means the values
+    were not Frobenius-coherent, which is reported as a broken invariant.
     """
+    index = _group_index(ctx.group.factors)
+    for h in values:
+        if h not in index or any(type(c) is not int for c in h):
+            raise DomainError(f"point {h!r} is not an element of {ctx.group!r}")
     vec: list[int] = []
     for _, acc in _character_sums(ctx, values.items(), -1):
         vec += unembed(acc * ctx.inv_group_order, ctx.spec).coeffs
@@ -487,10 +491,30 @@ class DecomposedElement:
             raise DomainError(f"cannot multiply the {self.pairing} decomposition of "
                               f"{self.context.ring!r} by the {other.pairing} one of "
                               f"{other.context.ring!r}")
+        _check_slots(self)
+        _check_slots(other)
         singles = {i: a * other.singles[i] for i, a in self.singles.items()}
         pairs = {i: (a * other.pairs[i][0], b * other.pairs[i][1])
                  for i, (a, b) in self.pairs.items()}
         return DecomposedElement(self.context, self.pairing, singles, pairs)
+
+
+def _check_slots(dec: DecomposedElement) -> tuple:
+    """The slots of dec's pairing, once dec holds a value at each single
+    slot, a pair of values at each pair slot and nothing else."""
+    def refuse(what: str):
+        raise DomainError(f"the {dec.pairing} decomposition of {dec.context.ring!r} {what}")
+    slots = _slots(dec.context, dec.pairing)
+    for held, width, kind in ((dec.singles, 1, "single"), (dec.pairs, 2, "pair")):
+        want = {i for i, _, spreads in slots if len(spreads) == width}
+        for i in sorted(want - held.keys()):
+            refuse(f"has no value at its {kind} slot {i}")
+        for i in held.keys() - want:
+            refuse(f"has no {kind} slot {i!r}")
+    for i, pair in dec.pairs.items():
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            refuse(f"holds {pair!r} at its pair slot {i}, not two values")
+    return slots
 
 
 def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
@@ -540,7 +564,7 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
     ctx = dec.context
     s = ctx.spec.s
     values: dict = {}
-    for i, _, spreads in _slots(ctx, dec.pairing):
+    for i, _, spreads in _check_slots(dec):
         slot = dec.pairs[i] if i in dec.pairs else (dec.singles[i],)
         for (orbit, twist), value in zip(spreads, slot):
             value_big = embed(value, ctx.big)
@@ -554,15 +578,13 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
 
 def element_text(x: GroupRingElement) -> str:
     """Dense coefficient list in lexicographic group order, ';' separated."""
-    from .galois import element_text as scalar_text
     spec = x.ring.coeff
     if not isinstance(spec, GaloisRingSpec):
         raise DomainError("text format applies to Galois-ring coefficients")
-    return ";".join(scalar_text(x.coefficient(g)) for g in x.ring.group.elements())
+    return ";".join(_scalar_text(x.coefficient(g)) for g in x.ring.group.elements())
 
 
 def parse_element(ring: GroupRing, text: str) -> GroupRingElement:
-    from .galois import parse_element as scalar_parse
     spec = ring.coeff
     if not isinstance(spec, GaloisRingSpec):
         raise DomainError("text format applies to Galois-ring coefficients")
@@ -570,4 +592,4 @@ def parse_element(ring: GroupRing, text: str) -> GroupRingElement:
     elems = ring.group.elements()
     if len(parts) != len(elems):
         raise DomainError(f"expected {len(elems)} coefficients in {text!r}")
-    return ring.element({g: scalar_parse(spec, t) for g, t in zip(elems, parts)})
+    return ring.element({g: _scalar_parse(spec, t) for g, t in zip(elems, parts)})

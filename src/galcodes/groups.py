@@ -49,9 +49,11 @@ class AbelianGroup:
         return (0,) * len(self.factors)
 
     def element(self, coords) -> tuple[int, ...]:
-        raw = tuple(int(c) for c in coords)
+        raw = tuple(coords)
         if len(raw) != len(self.factors):
             raise DomainError(f"expected {len(self.factors)} coordinates, got {len(raw)}")
+        if any(type(c) is not int for c in raw):
+            raise DomainError(f"coordinates {raw!r} are not all integers")
         return tuple(c % m for c, m in zip(raw, self.factors))
 
     def elements(self) -> list[tuple[int, ...]]:

@@ -29,12 +29,12 @@ projective points v gives the cover I + (v).  Every ideal K above I meets
 S(I) outside I, since J is nilpotent, so every ideal is reached by a chain
 of covers from zero.
 
-Also hosts the two constructive results: a self-dual code built whenever
-the existence criterion allows one, and the componentwise enumeration of
-self-dual codes when |G| is coprime to p.  Both work on digit vectors,
-sums and p-power multiples of the class idempotents, re-indexed along P
-by the Sylow digit permutation, and make group-ring elements only of
-their outputs.
+Also hosts the existence criterion and the two constructive results: a
+self-dual code built whenever the criterion allows one, and the
+componentwise enumeration of self-dual codes when |G| is coprime to p.
+Both work on digit vectors, sums and p-power multiples of the class
+idempotents, re-indexed along P by the Sylow digit permutation, and make
+group-ring elements only of their outputs.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ import os
 from dataclasses import dataclass
 from operator import mul
 
-from .counting import exists_self_dual
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
 from .errors import BoundExceededError, DomainError, InternalInvariantError
-from .galois import GaloisRingSpec, construct_ring
+from .galois import GaloisRingSpec, _check_ring, construct_ring
 from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
                          _owner, _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
@@ -122,7 +121,7 @@ class ExhaustiveGroupRing:
             raise DomainError(
                 f"vector of {len(vec)} digits used in {self.ring!r}, which has {self.n}")
         for d in vec:
-            if not (isinstance(d, int) and 0 <= d < self.m):
+            if not (type(d) is int and 0 <= d < self.m):
                 raise DomainError(f"digit {d!r} of a vector over Z_{self.m} is not in [0, {self.m})")
 
     # -- element <-> vector ---------------------------------------------------
@@ -425,6 +424,14 @@ def _idempotent_sum(e, indices, scale: int, m: int) -> list[int]:
     return [scale * a % m for a in total]
 
 
+def exists_self_dual(p: int, r: int, group: AbelianGroup,
+                     duality: str = EUCLIDEAN, s: int = 1) -> bool:
+    """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
+    _check_ring(p, r, s)
+    _pairing_twist(duality, s)
+    return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
+
+
 def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
                         form: str = EUCLIDEAN, bound: int | None = None) -> SelfDualConstruction:
     """A self-dual abelian code in GR(p^r, s)[G], when one exists.
@@ -441,7 +448,6 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     the engine's size rule accepts the ring under bound (default
     exhaustive_bound()); the generators are returned either way.
     """
-    _pairing_twist(form, s)
     spec = construct_ring(p, r, s)
     if not exists_self_dual(p, r, group, form, s):
         raise DomainError(

@@ -436,6 +436,15 @@ def test_verify_length_rows_cover_the_tables(capsys):
     assert passed == [(p, s, n, d) for p, s, n, d in want if p**(2 * s * n) <= 4096]
 
 
+def test_verify_matches_the_golden_document(capsys):
+    """Every row, value and status of verify at the bound 2^16, pinned byte
+    for byte; a change that moves one regenerates the document on purpose."""
+    golden = Path(__file__).parent / "data" / "verify_max_ring_size_65536.json"
+    code, out, err = run(capsys, "verify", "--max-ring-size", "65536", "--json")
+    assert (code, err) == (0, "")
+    assert out == golden.read_text()
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run(capsys, "verify", "--max-ring-size", "64", "--timings")
     assert code == 0

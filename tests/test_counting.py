@@ -8,7 +8,7 @@ from galcodes.counting import (AutoProvider, BruteForceProvider,
                                abelian_count, cyclic_count_n, cyclic_count_p2,
                                euclidean_abelian_count, euclidean_cyclic_count_n,
                                euclidean_cyclic_count_p2,
-                               euclidean_semisimple_count, exists_self_dual,
+                               euclidean_semisimple_count,
                                get_provider, hermitian_abelian_count,
                                hermitian_cyclic_count_n,
                                hermitian_cyclic_count_p2,
@@ -16,6 +16,7 @@ from galcodes.counting import (AutoProvider, BruteForceProvider,
                                is_principal_ideal_group_ring)
 from galcodes.errors import DomainError, ProviderDomainError
 from galcodes.groups import AbelianGroup, parse_group
+from galcodes.ideals import exists_self_dual
 from helpers import abelian_groups_up_to
 
 TRIVIAL = AbelianGroup(())
@@ -202,14 +203,19 @@ def test_odd_degree_hermitian_counts_get_the_pairing_refusal(call):
         call()
 
 
-@pytest.mark.parametrize("provider, p_group", [(TrivialSylowProvider(), ()),
-                                               (ClosedFormProvider(), (2,))],
-                         ids=["trivial", "closed"])
-def test_base_counts_refuse_an_unknown_kind(provider, p_group):
+@pytest.mark.parametrize("provider, r, s, p_group", [
+    (TrivialSylowProvider(), 2, 2, ()), (ClosedFormProvider(), 2, 2, (2,)),
+    (BruteForceProvider(bound=1 << 16), 2, 1, (2,)),
+    # outside the provider's own domain: nontrivial P, r = 3, over the bound
+    (TrivialSylowProvider(), 2, 1, (2,)), (ClosedFormProvider(), 3, 1, (2,)),
+    (BruteForceProvider(bound=4), 2, 1, (2,))],
+    ids=["trivial", "closed", "brute", "trivial-outside", "closed-outside", "brute-outside"])
+def test_base_counts_refuse_an_unknown_kind(provider, r, s, p_group):
     """The trivial provider used to give 1 for "bogus" and the closed forms
-    the Hermitian count 3."""
+    the Hermitian count 3; outside each provider's domain the refusal's
+    description raised KeyError."""
     with pytest.raises(DomainError, match=r"^unknown pairing 'bogus'$"):
-        provider.count(2, 2, 2, AbelianGroup(p_group), "bogus")
+        provider.count(2, r, s, AbelianGroup(p_group), "bogus")
 
 
 def test_brute_provider_respects_bound():

@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from galcodes.cyclotomic import (EUCLIDEAN, HERMITIAN, PairGoodness, TYPE_I, TYPE_II,
                                  TYPE_II_H, TYPE_III, TYPE_III_H, bad_pair_indicator,
                                  class_of, classify_pair, even_pair_indicator, partition)
-from galcodes.counting import (euclidean_abelian_count, exists_self_dual,
-                               hermitian_abelian_count)
+from galcodes.counting import euclidean_abelian_count, hermitian_abelian_count
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring
 from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup
-from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual
+from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual, exists_self_dual
 from helpers import (abelian_groups_up_to, class_containing, class_order, classify_pair_scan,
                      decompose_nested, engine)
 

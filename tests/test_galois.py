@@ -63,6 +63,14 @@ def test_construct_refuses_parameters_that_are_not_integers(args, message):
         construct_ring(*args)
 
 
+@pytest.mark.parametrize("coeffs", [[1.9, 2.5], [1, True], [1, "2"]], ids=["float", "bool", "str"])
+def test_element_refuses_coefficients_that_are_not_integers(coeffs):
+    """[1.9, 2.5] used to give <1,2 in GR(2^2,2)>."""
+    with pytest.raises(DomainError, match=f"^coefficients {re.escape(repr(tuple(coeffs)))} "
+                                          "are not all integers$"):
+        construct_ring(2, 2, 2).element(coeffs)
+
+
 def test_a_float_parameter_does_not_poison_the_ring_cache():
     """In a fresh process, whose cache is empty: construct_ring(2, 2.0, 1)
     used to build GR(2^2.0,1) and cache it under the key of (2, 2, 1), so

@@ -135,6 +135,14 @@ def test_element_refuses_foreign_coefficients():
         GroupRing(Z4, Z2_GROUP).monomial((0,), GroupRing(Z4, Z2_GROUP).one())
 
 
+@pytest.mark.parametrize("g", [(1.5, 2.2), (True, 0), (1, "2")], ids=["float", "bool", "str"])
+def test_monomial_refuses_group_coordinates_that_are_not_integers(g):
+    """(1.5, 2.2) used to give Y(1, 2)."""
+    with pytest.raises(DomainError,
+                       match=f"^coordinates {re.escape(repr(g))} are not all integers$"):
+        rand_ring(2, 2, 1, (3, 4)).monomial(g)
+
+
 def test_shift():
     ring = GroupRing(Z4, AbelianGroup((4,)))
     x = ring.element({(0,): Z4.one(), (1,): Z4.from_int(2)})
@@ -378,6 +386,63 @@ def test_idft_refuses_values_that_are_not_frobenius_coherent():
     ctx = ambient(construct_ring(2, 2, 1), AbelianGroup((7,)))
     with pytest.raises(InternalInvariantError):
         idft({(1,): ctx.big.xi}, ctx)
+
+
+@pytest.mark.parametrize("values, point", [({(4,): 1, (5,): 1}, r"\(4,\)"),
+                                           ({(1, 9): 1, (2,): 1}, r"\(1, 9\)"),
+                                           ({(1,): 1, (2.0,): 1}, r"\(2\.0,\)"),
+                                           ({(True,): 1, (2,): 1}, r"\(True,\)")],
+                         ids=["unreduced", "too-long", "float", "bool"])
+def test_idft_refuses_points_outside_the_group(values, point):
+    """Over Z4[Z3] the first two used to give the inverse of {(1,): 1, (2,): 1}
+    and so did the bool point; the float one reached a TypeError."""
+    ctx = ambient(Z4, AbelianGroup((3,)))
+    with pytest.raises(DomainError, match=rf"^point {point} is not an element of Z3$"):
+        idft({h: ctx.big.from_int(v) for h, v in values.items()}, ctx)
+
+
+def _z4_z7_decomposition():
+    """The Euclidean decomposition of an element of Z4[Z7]: class 0 is a
+    single slot, class 1 a pair slot."""
+    ring = rand_ring(2, 2, 1, (7,))
+    dec = decompose_euclidean(ring.random_element(random.Random(7)))
+    assert (list(dec.singles), list(dec.pairs)) == ([0], [1])
+    return dec
+
+
+def test_compose_refuses_a_missing_slot():
+    """Used to raise KeyError: 0."""
+    dec = _z4_z7_decomposition()
+    with pytest.raises(DomainError, match=r"^the euclidean decomposition of GR\(2\^2,1\)\[Z7\] "
+                                          r"has no value at its single slot 0$"):
+        compose(DecomposedElement(dec.context, dec.pairing, {}, dec.pairs))
+
+
+def test_compose_refuses_an_extra_slot():
+    """Used to be ignored."""
+    dec = _z4_z7_decomposition()
+    singles = {**dec.singles, 5: dec.singles[0]}
+    with pytest.raises(DomainError, match=r"^the euclidean decomposition of GR\(2\^2,1\)\[Z7\] "
+                                          r"has no single slot 5$"):
+        compose(DecomposedElement(dec.context, dec.pairing, singles, dec.pairs))
+
+
+def test_compose_refuses_a_pair_slot_of_one_value():
+    """Used to return a different element, reading the partner value as 0."""
+    dec = _z4_z7_decomposition()
+    with pytest.raises(DomainError, match=r"^the euclidean decomposition of GR\(2\^2,1\)\[Z7\] "
+                                          r"holds .* at its pair slot 1, not two values$"):
+        compose(DecomposedElement(dec.context, dec.pairing, dec.singles,
+                                  {1: dec.pairs[1][:1]}))
+
+
+def test_multiplying_decompositions_with_different_slots_names_the_slot():
+    """Used to raise KeyError."""
+    dec = _z4_z7_decomposition()
+    short = DecomposedElement(dec.context, dec.pairing, dec.singles, {})
+    for x, y in ((dec, short), (short, dec)):
+        with pytest.raises(DomainError, match=r"has no value at its pair slot 1$"):
+            x.multiply(y)
 
 
 def test_dft_rejects_foreign_element():

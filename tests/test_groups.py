@@ -28,6 +28,14 @@ def test_non_integer_factor_is_refused(factor):
         AbelianGroup((2, factor))
 
 
+@pytest.mark.parametrize("coords", [(1.5, 7.9), (1, True), (1, "3")], ids=["float", "bool", "str"])
+def test_element_refuses_coordinates_that_are_not_integers(coords):
+    """(1.5, 7.9) used to give (1, 3)."""
+    with pytest.raises(DomainError,
+                       match=f"^coordinates {re.escape(repr(coords))} are not all integers$"):
+        AbelianGroup((3, 4)).element(coords)
+
+
 def test_trivial_group():
     g = AbelianGroup(())
     assert g.order == 1

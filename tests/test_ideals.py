@@ -156,6 +156,14 @@ def test_digit_outside_the_coefficient_ring_is_refused(call, vec):
         call(eng, vec)
 
 
+@VECTOR_CALLS
+def test_bool_digit_is_refused(call):
+    """True used to pass the digit check as 1."""
+    eng = engine(2, 2, 1, (2,))
+    with pytest.raises(DomainError, match=r"^digit True of a vector over Z_4 is not in \[0, 4\)$"):
+        call(eng, (True, 0))
+
+
 # -- principal ideals --------------------------------------------------------------
 
 def test_principal_ideal_examples():
