@@ -57,6 +57,8 @@ class PairGoodness(enum.Enum):
 def classify_pair(j: int, q: int) -> PairGoodness:
     """Order criterion: good iff ord_j(q) = e is even and q^(e/2) = -1 (mod j),
     the least witness then being t = e/2; j <= 2 is always oddly good."""
+    if type(j) is not int or type(q) is not int:
+        raise DomainError(f"j and q must be integers, got {j!r} and {q!r}")
     if j < 1:
         raise DomainError(f"j must be positive, got {j}")
     if math.gcd(j, q) != 1:

@@ -225,7 +225,7 @@ class GaloisRingElement:
             if other.spec != self.spec:
                 raise DomainError(f"mixed rings: {self.spec} vs {other.spec}")
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return self.spec.from_int(other)
         return NotImplemented
 
@@ -253,7 +253,7 @@ class GaloisRingElement:
         return GaloisRingElement(self.spec, tuple(-a % m for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             m = self.spec.char
             k = other % m
             return GaloisRingElement(self.spec, tuple(a * k % m for a in self.coeffs))

@@ -185,7 +185,7 @@ class GroupRingElement:
         ring (other's digits times the kernel rows of self), or an int."""
         ring = self.ring
         m = ring.char
-        if isinstance(other, int):
+        if type(other) is int:
             return GroupRingElement(ring, tuple(a * other % m for a in self.coeffs))
         owner = _owner(other)
         if owner != ring and owner != ring.coeff:
@@ -390,12 +390,15 @@ def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
 
 
 def _transform_context(x, ctx: AmbientDecomposition | None) -> AmbientDecomposition:
-    """ctx, by default the ambient decomposition of x's own ring, once x is
-    checked to be an element of its ring."""
+    """ctx, by default the ambient decomposition of x's own ring (which
+    needs Galois-ring coefficients), once x is checked to be of its ring."""
     owner = _owner(x)
     if ctx is None:
         if not isinstance(owner, GroupRing):
             raise DomainError(f"cannot transform {type(x).__name__}: not a GroupRingElement")
+        if not isinstance(owner.coeff, GaloisRingSpec):
+            raise DomainError(f"cannot transform an element of {owner!r}: "
+                              "its coefficients are not a Galois ring")
         ctx = ambient(owner.coeff, owner.group)
     if owner != ctx.ring:
         raise DomainError(f"element of {owner} transformed over {ctx.ring!r}")
@@ -564,9 +567,13 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
     ctx = dec.context
     s = ctx.spec.s
     values: dict = {}
-    for i, _, spreads in _check_slots(dec):
+    for i, spec, spreads in _check_slots(dec):
         slot = dec.pairs[i] if i in dec.pairs else (dec.singles[i],)
         for (orbit, twist), value in zip(spreads, slot):
+            if _owner(value) != spec:
+                raise DomainError(f"slot {i} of the {dec.pairing} decomposition of "
+                                  f"{ctx.ring!r} holds an element of {_owner(value)}, "
+                                  f"not of {spec}")
             value_big = embed(value, ctx.big)
             for k, point in enumerate(orbit):
                 e = twist + s * k

@@ -114,8 +114,8 @@ def _primary_order_count(group: AbelianGroup, q: int, b: int) -> int:
 
 def count_order_formula(group: AbelianGroup, d: int) -> int:
     """Count elements of order d without scanning (multiplicative over primes)."""
-    if d < 1:
-        raise DomainError(f"order must be positive, got {d}")
+    if type(d) is not int or d < 1:
+        raise DomainError(f"order must be a positive integer, got {d!r}")
     out = 1
     for q, b in factorize(d):
         out *= _primary_order_count(group, q, b)

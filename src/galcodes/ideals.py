@@ -92,6 +92,8 @@ class ExhaustiveGroupRing:
         self.n = ring.width
         self.ring_size = self.m**self.n
         self.bound = exhaustive_bound() if bound is None else bound
+        if type(self.bound) is not int:
+            raise DomainError(f"the exhaustive bound must be an integer, got {self.bound!r}")
         if self.bound < 1:
             raise DomainError(f"the exhaustive bound must be at least 1, got {self.bound}")
 

@@ -3,18 +3,15 @@
 Rows are sequences of digits in [0, p^r), all of one width, which may be
 any width: ring vectors and matrix rows alike.  A basis is a Howell basis
 as howell returns it, whose pivots are all powers p^e.
+
+howell is one sweep over the columns, each pivot the last remaining row
+of least valuation at its column: the last, not the first, keeps the
+fill-in of kernel's [B | I_n] rows low.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _unit_inverses(m: int) -> dict[int, int]:
-    """Memo of unit inverses mod m, filled by howell as it meets pivots: a
-    full table would cost O(m)."""
-    return {}
+from math import gcd
 
 
 def pivot(row) -> int:
@@ -29,51 +26,38 @@ def howell(rows, p: int, r: int) -> tuple[tuple[int, ...], ...]:
     saturated with p^(r-e) multiples of each pivot row, entries above
     a pivot reduced modulo its leading value.  Two row sets span the
     same module iff their forms are identical.
+
+    One sweep over the columns: before column c the remaining rows span
+    the vectors of the span that vanish left of c.  The pivot is the last
+    of them whose entry at c has the least valuation e, that is the least
+    gcd with p^r (the first would fill in kernel's [B | I_n]); scaled to
+    lead with p^e, it clears column c from the others and adds its
+    p^(r-e) multiple to them.
     """
     m = p**r
-    inv = _unit_inverses(m)
-    stack = [list(row) for row in rows if any(row)]
-    if not stack:
-        return ()
-    n = len(stack[0])
-    pivots: list = [None] * n
-    while stack:
-        row = stack.pop()
-        c = 0
-        while c < n and not row[c]:
-            c += 1
-        if c == n:
+    rest = [list(row) for row in rows if any(row)]
+    out, cols = [], []
+    for c in range(len(rest[0]) if rest else 0):
+        k, lead = None, m
+        for i, row in enumerate(rest):
+            if row[c]:
+                g = gcd(row[c], m)
+                if g <= lead:
+                    k, lead = i, g
+        if k is None:
             continue
-        v = row[c]
-        e = 0
-        while v % p == 0:
-            v //= p
-            e += 1
-        if v != 1:
-            u = inv.get(v)
-            if u is None:
-                u = inv[v] = pow(v, -1, m)
+        row = rest.pop(k)
+        if row[c] != lead:
+            u = pow(row[c] // lead, -1, m)
             row = [a * u % m for a in row]
-        cur = pivots[c]
-        if cur is None:
-            pivots[c] = row
-            if e:
-                extra = [a * p**(r - e) % m for a in row]
-                if any(extra):
-                    stack.append(extra)
-            continue
-        if row[c] < cur[c]:
-            # a smaller valuation e takes the slot from cur (valuation e'),
-            # pushing no saturation row: p^(r-e) * row is p^(r-e') * (cur - new)
-            # for new below, and both lie in the span of the later pivots
-            pivots[c] = row
-            row, cur = cur, row
-        q = row[c] // cur[c]
-        new = [(a - q * b) % m for a, b in zip(row, cur)]
-        if any(new):
-            stack.append(new)
-    cols = [c for c in range(n) if pivots[c] is not None]
-    out = [pivots[c] for c in cols]
+        for i, other in enumerate(rest):
+            q = other[c] // lead
+            if q:
+                rest[i] = [(a - q * b) % m for a, b in zip(other, row)]
+        if lead > 1:
+            rest.append([a * (m // lead) % m for a in row])
+        out.append(row)
+        cols.append(c)
     for k in range(len(out)):
         lead = out[k][cols[k]]
         for j in range(k):

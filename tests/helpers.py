@@ -201,10 +201,10 @@ def ideals_by_orbit_scan(eng):
 
 
 def howell_saturating_takeovers(rows, p, r):
-    """Howell form over Z_{p^r} that pushes a row's p^(r-e) saturation
-    multiple both when it fills an empty pivot slot and when it takes over
-    an occupied one.  The oracle for linalg.howell, which pushes it only in
-    the first case."""
+    """Howell form over Z_{p^r} by a stack of rows reduced into pivot slots,
+    pushing a row's p^(r-e) saturation multiple both when it fills an empty
+    slot and when it takes over an occupied one.  The oracle for
+    linalg.howell's column sweep."""
     m = p**r
     stack = [list(row) for row in rows if any(row)]
     if not stack:

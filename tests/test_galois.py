@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import random
 import re
@@ -194,6 +195,17 @@ def test_mixed_spec_rejected():
     b = construct_ring(2, 2, 2).one()
     with pytest.raises(DomainError):
         a + b
+
+
+@pytest.mark.parametrize("other", [True, False, 2.5], ids=["True", "False", "float"])
+def test_arithmetic_refuses_a_bool_like_a_float(other):
+    """Z4.one() + True used to give 2, True * Z4.one() to give 1."""
+    x = construct_ring(2, 2, 1).one()
+    for combine in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            combine(x, other)
+        with pytest.raises(TypeError):
+            combine(other, x)
 
 
 def test_unit_counts():

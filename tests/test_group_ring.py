@@ -106,6 +106,15 @@ def test_product_refuses_an_element_of_a_mixed_ring():
             other * x
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_product_refuses_a_bool(flag):
+    """R.one() * False used to give <0>."""
+    x = GroupRing(Z4, AbelianGroup((3,))).one()
+    for product in (lambda: x * flag, lambda: flag * x):
+        with pytest.raises(DomainError, match=r"GR\(2\^2,1\)\[Z3\] by one of bool$"):
+            product()
+
+
 def test_product_takes_the_coefficient_ring_and_ints():
     inner = GroupRing(Z4, AbelianGroup((3,)))
     outer = GroupRing(inner, Z2_GROUP)
@@ -436,6 +445,27 @@ def test_compose_refuses_a_pair_slot_of_one_value():
                                   {1: dec.pairs[1][:1]}))
 
 
+@pytest.mark.parametrize("value, owner", [
+    (construct_ring(2, 2, 3).one(), r"GR\(2\^2,3\)"), (5, "int"),
+    (construct_ring(2, 2, 3).xi, r"GR\(2\^2,3\)")], ids=["other-ring-one", "int", "other-ring-xi"])
+def test_compose_refuses_a_value_outside_its_slot_ring(value, owner):
+    """Slot 0 is a single of GR(2^2,1).  The GR(2^2,3) one used to compose
+    silently, 5 to raise AttributeError and xi InternalInvariantError."""
+    dec = _z4_z7_decomposition()
+    with pytest.raises(DomainError, match=r"^slot 0 of the euclidean decomposition of "
+                                          rf"GR\(2\^2,1\)\[Z7\] holds an element of {owner}, "
+                                          r"not of GR\(2\^2,1\)$"):
+        compose(DecomposedElement(dec.context, dec.pairing, {0: value}, dec.pairs))
+
+
+def test_compose_refuses_a_pair_value_outside_its_slot_ring():
+    dec = _z4_z7_decomposition()
+    a, b = dec.pairs[1]
+    for pair in ((a, Z4.one()), (5, b)):
+        with pytest.raises(DomainError, match=r"^slot 1 .* not of GR\(2\^2,3\)$"):
+            compose(DecomposedElement(dec.context, dec.pairing, dec.singles, {1: pair}))
+
+
 def test_multiplying_decompositions_with_different_slots_names_the_slot():
     """Used to raise KeyError."""
     dec = _z4_z7_decomposition()
@@ -461,6 +491,17 @@ def test_dft_rejects_foreign_element():
             with pytest.raises(DomainError, match=rf"^cannot transform {type(other).__name__}: "
                                                   "not a GroupRingElement$"):
                 transform(other)
+
+
+def test_transforms_refuse_an_element_of_a_nested_ring():
+    """An element of GR(2^2,1)[Z3][Z2]; both used to raise AttributeError."""
+    z6 = AbelianGroup((6,))
+    x = sylow_split(GroupRing(Z4, z6).one(), sylow_decompose(z6, 2))
+    for transform in (dft, decompose_euclidean):
+        with pytest.raises(DomainError, match=r"^cannot transform an element of "
+                                              r"GR\(2\^2,1\)\[Z3\]\[Z2\]: its coefficients "
+                                              r"are not a Galois ring$"):
+            transform(x)
 
 
 def test_multiplying_mismatched_decompositions_names_both():

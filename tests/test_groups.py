@@ -65,6 +65,13 @@ def test_count_nondivisor_is_zero():
     assert count_order_direct(g, 3) == 0
 
 
+@pytest.mark.parametrize("d", [2.0, True, 0, "2"], ids=["float", "bool", "zero", "str"])
+def test_order_formula_refuses_an_order_that_is_not_a_positive_integer(d):
+    """2.0 used to give the float 1.0, True the count for order 1."""
+    with pytest.raises(DomainError, match=f"^order must be a positive integer, got {re.escape(repr(d))}$"):
+        count_order_formula(AbelianGroup((4,)), d)
+
+
 def test_formula_matches_direct_count():
     # every abelian group of order <= 256 appears here
     for g in abelian_groups_up_to(256):

@@ -17,7 +17,7 @@ from galcodes.groups import AbelianGroup, element_order
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
-from galcodes.linalg import _unit_inverses, howell, remainder
+from galcodes.linalg import howell, pivot, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
                      construct_by_nested_assembly, dual_by_scan, engine, semisimple_by_elements,
                      howell_saturating_takeovers, ideals_by_full_scan, ideals_by_orbit_scan,
@@ -65,6 +65,21 @@ def test_engine_refuses_bound_below_one(bound):
         construct_self_dual(2, 2, 1, AbelianGroup((2,)), bound=bound)
     with pytest.raises(DomainError, match=f"got {bound}"):
         BruteForceProvider(bound).count(2, 2, 1, AbelianGroup((2,)), EUCLIDEAN)
+
+
+@pytest.mark.parametrize("bound", [2.5, True, "x", 2.5e9], ids=["float", "bool", "str", "big-float"])
+def test_engine_refuses_a_bound_that_is_not_an_integer(bound):
+    """2.5 and True used to build engines, so construct_self_dual returned
+    ideal=None and BruteForceProvider(2.5e9) counted; "x" raised TypeError."""
+    ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
+    message = f"exhaustive bound must be an integer, got {re.escape(repr(bound))}$"
+    with pytest.raises(DomainError, match=message):
+        ExhaustiveGroupRing(ring, bound)
+    with pytest.raises(DomainError, match=message):
+        construct_self_dual(2, 2, 1, AbelianGroup((2,)), bound=bound)
+    for kind in ("total", EUCLIDEAN):
+        with pytest.raises(DomainError, match=message):
+            BruteForceProvider(bound).count(2, 2, 1, AbelianGroup((2,)), kind)
 
 
 def test_engine_rejects_oversized_ring():
@@ -371,6 +386,37 @@ def test_howell_matches_the_takeover_saturating_form(p, r):
         assert howell(rows, p, r) == howell_saturating_takeovers(rows, p, r), rows
 
 
+LARGE_MODULI = [(2, 40), (3, 20)]
+
+
+@pytest.mark.parametrize("p, r", LARGE_MODULI, ids=[f"Z{p}^{r}" for p, r in LARGE_MODULI])
+def test_howell_matches_the_takeover_saturating_form_at_large_moduli(p, r):
+    """3000 seeded row sets per modulus, where a table of units would not fit."""
+    m = p**r
+    rng = random.Random(r)
+    for _ in range(3000):
+        width, count = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [tuple(rng.randrange(m) * p**rng.choice((0, 0, 1, r // 2, r - 1)) % m
+                      for _ in range(width)) for _ in range(count)]
+        assert howell(rows, p, r) == howell_saturating_takeovers(rows, p, r), rows
+
+
+KERNEL_MODULI = HOWELL_MODULI + LARGE_MODULI
+
+
+@pytest.mark.parametrize("p, r", KERNEL_MODULI, ids=[f"Z{p}^{r}" for p, r in KERNEL_MODULI])
+def test_howell_matches_the_takeover_saturating_form_on_kernel_rows(p, r):
+    """1000 seeded [B | I_n] row sets per modulus, the rows linalg.kernel
+    reduces: n <= 8 rows of width <= 16."""
+    m = p**r
+    rng = random.Random(1000 + m)
+    for _ in range(1000):
+        n, k = rng.randint(1, 8), rng.randint(0, 8)
+        rows = [[rng.randrange(m) * p**rng.choice((0, 0, 1, r - 1)) % m for _ in range(k)]
+                + [int(i == j) for j in range(n)] for i in range(n)]
+        assert howell(rows, p, r) == howell_saturating_takeovers(rows, p, r), rows
+
+
 @pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
                          ids=[ring_id(ring) for ring in IDEAL_ENUM_RINGS])
 def test_stream_bases_match_the_takeover_saturating_form(p, r, s, factors, monkeypatch):
@@ -407,7 +453,7 @@ def test_shift_permutations_match_group_addition(factors, s):
 
 # -- tables shared by the engines ---------------------------------------------------------
 
-TABLES = (_group_index, _shift_perms, _form_step, _unit_inverses, _sylow_perm)
+TABLES = (_group_index, _shift_perms, _form_step, _sylow_perm)
 
 
 def test_engines_over_one_group_and_s_share_the_shift_table(monkeypatch):
@@ -456,13 +502,10 @@ def test_form_step_is_the_frobenius_power_of_x(p, r, s):
 
 @pytest.mark.parametrize("p, r, s, factors", [(3, 3, 1, (3,)), (2, 3, 1, (2, 2)),
                                               (2, 2, 2, (3,))])
-def test_unit_inverses_are_inverses_after_a_stream(p, r, s, factors):
+def test_stream_bases_lead_with_powers_of_p(p, r, s, factors):
     eng = engine(p, r, s, factors)
-    for _ in eng.ideal_stream():
-        pass
-    inv = _unit_inverses(eng.m)
-    assert inv
-    assert all(v * u % eng.m == 1 for v, u in inv.items())
+    leads = {row[pivot(row)] for ideal in eng.ideal_stream() for row in ideal.basis}
+    assert leads == {p**e for e in range(r)}
 
 
 # -- duals -----------------------------------------------------------------------------
