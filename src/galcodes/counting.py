@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicator,
                          even_pair_indicator)
 from .errors import (BoundExceededError, DomainError, InternalInvariantError,
-                     ProviderDomainError)
+                     ProviderDomainError, _check_int)
 from .galois import _check_ring, construct_ring
 from .group_ring import GroupRing
 from .groups import AbelianGroup, format_group, order_census, sylow_decompose
@@ -58,9 +58,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
     The a = 0 ring is the chain ring itself with its r + 1 = 3 ideals.
     """
     _check_ring(p, 2, s)
-    if type(a) is not int or a < 0:
-        raise DomainError(f"a must be an integer >= 0, got {a!r}")
-    if a == 0:
+    if _check_int("a", a, 0) == 0:
         return 3
     q = p**s
     cap = p**(a - 1)
@@ -73,9 +71,7 @@ def cyclic_count_p2(p: int, s: int, a: int) -> int:
 def euclidean_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Euclidean self-dual cyclic codes of length p^a over GR(p^2, s)."""
     _check_ring(p, 2, s)
-    if type(a) is not int or a < 0:
-        raise DomainError(f"a must be an integer >= 0, got {a!r}")
-    if a == 0:
+    if _check_int("a", a, 0) == 0:
         return 1
     q = p**s
     if p == 2:
@@ -92,9 +88,7 @@ def hermitian_cyclic_count_p2(p: int, s: int, a: int) -> int:
     """Hermitian self-dual cyclic codes of length p^a over GR(p^2, s), s even."""
     _check_ring(p, 2, s)
     _pairing_twist(HERMITIAN, s)
-    if type(a) is not int or a < 0:
-        raise DomainError(f"a must be an integer >= 0, got {a!r}")
-    if a == 0:
+    if _check_int("a", a, 0) == 0:
         return 1
     return _geometric(p**(s // 2), p**(a - 1) + 1)
 
@@ -121,6 +115,15 @@ def _describe_base(p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) ->
     return f"{_KIND_LABEL[kind]} count of GR({p}^{r},{s2})[{format_group(p_group)}]"
 
 
+def _check_base(p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
+    """What every provider checks before its own domain: the ring exists, the
+    kind is known and P is a p-group.  Returns a with |P| = p^a."""
+    _check_ring(p, r, s2)
+    if kind != TOTAL:
+        _pairing_twist(kind, s2)
+    return _p_group_exponent(p, p_group)
+
+
 class TrivialSylowProvider:
     """Base counts for trivial P: the chain ring has r + 1 ideals, and
     p^(r/2) GR is the unique self-dual one (either form) when r is even."""
@@ -131,9 +134,7 @@ class TrivialSylowProvider:
         return p_group.order == 1
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
-        _check_ring(p, r, s2)
-        if kind != TOTAL:
-            _pairing_twist(kind, s2)
+        _check_base(p, r, s2, p_group, kind)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
@@ -150,14 +151,12 @@ class ClosedFormProvider:
         return r == 2 and len(p_group.factors) <= 1
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
-        _check_ring(p, r, s2)
-        if kind != TOTAL:
-            _pairing_twist(kind, s2)
+        a = _check_base(p, r, s2, p_group, kind)
         if not self.supports(p, r, s2, p_group, kind):
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: "
                 "closed forms exist only for r = 2 with cyclic Sylow subgroup")
-        return _CLOSED_FORMS[kind](p, s2, _p_group_exponent(p, p_group))
+        return _CLOSED_FORMS[kind](p, s2, a)
 
 
 _BRUTE_CACHE: dict = {}
@@ -173,10 +172,8 @@ class BruteForceProvider:
         self.bound = bound
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
-        spec = construct_ring(p, r, s2)
-        if kind != TOTAL:
-            _pairing_twist(kind, s2)
-        engine = ExhaustiveGroupRing(GroupRing(spec, p_group), self.bound)
+        _check_base(p, r, s2, p_group, kind)
+        engine = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s2), p_group), self.bound)
         try:
             engine._require_enumerable()
         except BoundExceededError:
@@ -202,18 +199,24 @@ class AutoProvider:
         self.chain = (TrivialSylowProvider(), ClosedFormProvider(),
                       BruteForceProvider(bound))
 
+    def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
+        return _query(self, p, r, s2, p_group, kind)[0]
+
 
 _PROVIDERS = {"auto": AutoProvider, "trivial": TrivialSylowProvider,
               "closed": ClosedFormProvider, "brute": BruteForceProvider}
 
 
 def get_provider(provider):
-    """Accept a provider instance or one of the names auto/trivial/closed/brute."""
+    """Accept a provider instance (anything with a count method) or one of
+    the names auto/trivial/closed/brute."""
     if isinstance(provider, str):
         if provider not in _PROVIDERS:
             raise DomainError(f"unknown provider {provider!r}; "
                               f"choose from {sorted(_PROVIDERS)}")
         return _PROVIDERS[provider]()
+    if not hasattr(provider, "count"):
+        raise DomainError(f"a provider is a name or has a count method; got type {type(provider).__name__}")
     return provider
 
 
@@ -363,8 +366,7 @@ def hermitian_semisimple_count(p: int, r: int, s: int,
 
 def _split_length(p: int, s: int, n: int) -> tuple[AbelianGroup, AbelianGroup]:
     _check_ring(p, 2, s)
-    if type(n) is not int or n < 1:
-        raise DomainError(f"length must be a positive integer, got {n!r}")
+    _check_int("length", n, 1)
     dec = sylow_decompose(AbelianGroup((n,) if n > 1 else ()), p)
     return dec.coprime_part, dec.p_part
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .groups import AbelianGroup
 from .numth import multiplicative_order, prime_power_split
 
@@ -57,11 +57,7 @@ class PairGoodness(enum.Enum):
 def classify_pair(j: int, q: int) -> PairGoodness:
     """Order criterion: good iff ord_j(q) = e is even and q^(e/2) = -1 (mod j),
     the least witness then being t = e/2; j <= 2 is always oddly good."""
-    if type(j) is not int or type(q) is not int:
-        raise DomainError(f"j and q must be integers, got {j!r} and {q!r}")
-    if j < 1:
-        raise DomainError(f"j must be positive, got {j}")
-    if math.gcd(j, q) != 1:
+    if math.gcd(_check_int("j", j, 1), _check_int("q", q)) != 1:
         raise DomainError(f"gcd({j}, {q}) != 1")
     if j <= 2:
         return PairGoodness.ODDLY_GOOD
@@ -204,4 +200,4 @@ def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
 
 def partition(group: AbelianGroup, q: int) -> ClassPartition:
     """Partition the whole group into q-cyclotomic classes (cached)."""
-    return _partition_cached(group.factors, q)
+    return _partition_cached(group.factors, _check_int("q", q))

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and _check_int: the one rule for integer arguments."""
 
 from __future__ import annotations
 
@@ -17,3 +17,13 @@ class ProviderDomainError(DomainError):
 
 class InternalInvariantError(AssertionError):
     """A structural invariant failed; indicates a bug, not bad input."""
+
+
+def _check_int(name: str, value, least: int | None = None) -> int:
+    """value when it is a plain int (a bool is refused) of at least `least`;
+    otherwise a DomainError naming the argument, in one of two shapes."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value

@@ -33,7 +33,7 @@ import itertools
 import re
 from functools import lru_cache
 
-from .errors import BoundExceededError, DomainError, InternalInvariantError
+from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int
 from .numth import factorize, is_prime
 
 # discrete logs in the Teichmuller set are done with a lookup table over
@@ -138,10 +138,12 @@ class GaloisRingSpec:
         return GaloisRingElement(self, (1,) + (0,) * (self.s - 1))
 
     def from_int(self, scalar: int) -> GaloisRingElement:
-        return GaloisRingElement(self, (scalar % self.char,) + (0,) * (self.s - 1))
+        return GaloisRingElement(self, (_check_int("scalar", scalar) % self.char,) + (0,) * (self.s - 1))
 
     def from_index(self, index: int) -> GaloisRingElement:
         """Inverse of GaloisRingElement.index(): base-p^r digit expansion."""
+        if not 0 <= _check_int("index", index) < self.size:
+            raise DomainError(f"index {index} is not in [0, {self.size})")
         m = self.char
         cs = []
         for _ in range(self.s):
@@ -266,8 +268,9 @@ class GaloisRingElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise DomainError("negative powers are not defined here")
+        if type(e) is not int:
+            return NotImplemented
+        _check_int("exponent", e, 0)
         spec = self.spec
         modulus, m = spec.modulus, spec.char
         acc, base = spec.one().coeffs, self.coeffs
@@ -343,7 +346,7 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
     the inverse automorphism.  k = 0 (mod s) is the identity.
     """
     spec = a.spec
-    k %= spec.s
+    k = _check_int("k", k) % spec.s
     if k == 0:
         return a
     return _carry_digit_logs(a, spec, 1, spec.p**k)
@@ -371,15 +374,11 @@ def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int
 
 
 def _check_ring(p: int, r: int, s: int) -> None:
-    """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1.
-    An integer is a plain int, so a bool (True for 1) is refused."""
-    for name, value in (("p", p), ("r", r), ("s", s)):
-        if type(value) is not int:
-            raise DomainError(f"{name} = {value!r} is not an integer")
-    if not is_prime(p):
+    """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1."""
+    if not is_prime(_check_int("p", p)):
         raise DomainError(f"p = {p} is not prime")
-    if r < 1 or s < 1:
-        raise DomainError(f"need r >= 1 and s >= 1, got r = {r}, s = {s}")
+    _check_int("r", r, 1)
+    _check_int("s", s, 1)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -448,9 +447,7 @@ def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
 
 def root_of_unity(spec: GaloisRingSpec, order: int) -> GaloisRingElement:
     """The canonical root of unity of exact multiplicative order `order`."""
-    if order < 1:
-        raise DomainError(f"order must be positive, got {order}")
-    if (spec.residue_size - 1) % order:
+    if (spec.residue_size - 1) % _check_int("order", order, 1):
         raise DomainError(f"{order} does not divide {spec.residue_size - 1}")
     return spec.xi ** ((spec.residue_size - 1) // order)
 

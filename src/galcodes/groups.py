@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BoundExceededError, DomainError
+from .errors import BoundExceededError, DomainError, _check_int
 from .numth import factorize, is_prime, lcm, valuation
 
 _DIRECT_COUNT_LIMIT = 10**6
@@ -27,10 +27,7 @@ class AbelianGroup:
     def __init__(self, factors=()):
         fs = tuple(factors)
         for m in fs:
-            if not isinstance(m, int):
-                raise DomainError(f"cyclic factor {m!r} is not an integer")
-        if any(m < 2 for m in fs):
-            raise DomainError(f"cyclic factors must be >= 2, got {fs}")
+            _check_int("cyclic factor", m, 2)
         self.factors = fs
         self.order = math.prod(fs) if fs else 1
         self.exponent = reduce(lcm, fs, 1)
@@ -114,10 +111,8 @@ def _primary_order_count(group: AbelianGroup, q: int, b: int) -> int:
 
 def count_order_formula(group: AbelianGroup, d: int) -> int:
     """Count elements of order d without scanning (multiplicative over primes)."""
-    if type(d) is not int or d < 1:
-        raise DomainError(f"order must be a positive integer, got {d!r}")
     out = 1
-    for q, b in factorize(d):
+    for q, b in factorize(_check_int("order", d, 1)):
         out *= _primary_order_count(group, q, b)
         if out == 0:
             return 0
@@ -161,7 +156,7 @@ class SylowDecomposition:
 def sylow_decompose(group: AbelianGroup, p: int) -> SylowDecomposition:
     """Split each cyclic factor by CRT into its p-part and coprime part;
     p must be prime."""
-    if not is_prime(p):
+    if not is_prime(_check_int("p", p)):
         raise DomainError(f"p = {p} is not prime")
     a_factors, p_factors = [], []
     a_slots, p_slots, crt = [], [], []

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
-from .errors import BoundExceededError, DomainError, InternalInvariantError
+from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int
 from .galois import GaloisRingSpec, _check_ring, construct_ring
 from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
@@ -91,11 +91,8 @@ class ExhaustiveGroupRing:
         self.m = spec.char
         self.n = ring.width
         self.ring_size = self.m**self.n
-        self.bound = exhaustive_bound() if bound is None else bound
-        if type(self.bound) is not int:
-            raise DomainError(f"the exhaustive bound must be an integer, got {self.bound!r}")
-        if self.bound < 1:
-            raise DomainError(f"the exhaustive bound must be at least 1, got {self.bound}")
+        self.bound = _check_int("the exhaustive bound",
+                                exhaustive_bound() if bound is None else bound, 1)
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -140,6 +137,8 @@ class ExhaustiveGroupRing:
         return GroupRingElement(self.ring, vec)
 
     def decode_vector(self, k: int) -> tuple[int, ...]:
+        if not 0 <= _check_int("encoding", k) < self.ring_size:
+            raise DomainError(f"encoding {k} is not in [0, {self._size_text})")
         m = self.m
         out = []
         for _ in range(self.n):

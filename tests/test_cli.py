@@ -512,9 +512,9 @@ COMMANDS = {"count": ("count", "--group", "Z3"), "table": ("table", "--lengths",
             "exists": ("exists", "--group", "Z2", "--json")}
 BAD_RINGS = [(name, ("--p", p, "--r", "2"), f"p = {p} is not prime")
              for name in COMMANDS for p in ("-1", "0", "1", "4")]
-BAD_RINGS += [(name, ("--p", "2", "--r", "0"), "need r >= 1 and s >= 1, got r = 0, s = 1")
+BAD_RINGS += [(name, ("--p", "2", "--r", "0"), "r must be at least 1, got 0")
               for name in ("count", "exists")]
-BAD_RINGS += [("table", ("--p", "2", "--s", "0"), "need r >= 1 and s >= 1, got r = 2, s = 0")]
+BAD_RINGS += [("table", ("--p", "2", "--s", "0"), "s must be at least 1, got 0")]
 
 
 @pytest.mark.parametrize("name, ring, message", BAD_RINGS,

@@ -54,7 +54,7 @@ def test_predicates_and_length_counts_refuse_bad_rings(p, r):
     """construct_ring's rule runs before any Sylow split: p < 2 used to
     loop forever in the split, p = 0 divided by zero, and p = 4 or r = 0
     got an answer."""
-    message = f"p = {p} is not prime" if r else "need r >= 1 and s >= 1"
+    message = f"^p = {p} is not prime$" if r else "^r must be at least 1, got 0$"
     for call in (lambda: exists_self_dual(p, r, AbelianGroup((6,))),
                  lambda: is_principal_ideal_group_ring(p, r, AbelianGroup((6,)))):
         with pytest.raises(DomainError, match=message):
@@ -97,26 +97,26 @@ def test_hermitian_cyclic_closed_forms():
     (lambda: cyclic_count_p2(4, 1, 1), "p = 4 is not prime"),
     (lambda: hermitian_cyclic_count_p2(6, 2, 1), "p = 6 is not prime"),
     (lambda: euclidean_cyclic_count_p2(1, 1, 2), "p = 1 is not prime"),
-    (lambda: cyclic_count_p2(2, 0, 1), "need r >= 1 and s >= 1, got r = 2, s = 0"),
+    (lambda: cyclic_count_p2(2, 0, 1), "s must be at least 1, got 0"),
 ], ids=["cyclic:p=4", "hermitian:p=6", "euclidean:p=1", "cyclic:s=0"])
 def test_closed_forms_refuse_a_ring_that_does_not_exist(call, message):
     # GR(p^2, s) needs p prime and s >= 1, as the providers check
-    with pytest.raises(DomainError, match=re.escape(message)):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: euclidean_cyclic_count_p2(3, 1, 1.5), "a must be an integer >= 0, got 1.5"),
-    (lambda: euclidean_cyclic_count_p2(2, 1, 2.5), "a must be an integer >= 0, got 2.5"),
-    (lambda: cyclic_count_p2(2, 1, 1.0), "a must be an integer >= 0, got 1.0"),
-    (lambda: hermitian_cyclic_count_p2(2, 2, "1"), "a must be an integer >= 0, got '1'"),
-    (lambda: cyclic_count_p2(2, 1, -1), "a must be an integer >= 0, got -1"),
-    (lambda: cyclic_count_n(2, 1, 6.0), "length must be a positive integer, got 6.0"),
-    (lambda: euclidean_cyclic_count_n(2, 1, 1.0), "length must be a positive integer, got 1.0"),
-    (lambda: hermitian_cyclic_count_n(2, 2, 0), "length must be a positive integer, got 0"),
-    (lambda: euclidean_cyclic_count_p2(2, 1, True), "a must be an integer >= 0, got True"),
-    (lambda: hermitian_cyclic_count_p2(2, 2, False), "a must be an integer >= 0, got False"),
-    (lambda: cyclic_count_n(2, 1, True), "length must be a positive integer, got True"),
+    (lambda: euclidean_cyclic_count_p2(3, 1, 1.5), "a must be an integer, got 1.5"),
+    (lambda: euclidean_cyclic_count_p2(2, 1, 2.5), "a must be an integer, got 2.5"),
+    (lambda: cyclic_count_p2(2, 1, 1.0), "a must be an integer, got 1.0"),
+    (lambda: hermitian_cyclic_count_p2(2, 2, "1"), "a must be an integer, got '1'"),
+    (lambda: cyclic_count_p2(2, 1, -1), "a must be at least 0, got -1"),
+    (lambda: cyclic_count_n(2, 1, 6.0), "length must be an integer, got 6.0"),
+    (lambda: euclidean_cyclic_count_n(2, 1, 1.0), "length must be an integer, got 1.0"),
+    (lambda: hermitian_cyclic_count_n(2, 2, 0), "length must be at least 1, got 0"),
+    (lambda: euclidean_cyclic_count_p2(2, 1, True), "a must be an integer, got True"),
+    (lambda: hermitian_cyclic_count_p2(2, 2, False), "a must be an integer, got False"),
+    (lambda: cyclic_count_n(2, 1, True), "length must be an integer, got True"),
 ], ids=["euclidean:a=1.5", "euclidean:a=2.5", "cyclic:a=1.0", "hermitian:a='1'", "cyclic:a=-1",
         "cyclic_n:6.0", "euclidean_n:1.0", "hermitian_n:0", "euclidean:a=True",
         "hermitian:a=False", "cyclic_n:True"])
@@ -133,10 +133,16 @@ def test_lengths_must_be_integers(call, message):
     lambda: abelian_count(2, 2, 1, TRIVIAL, AbelianGroup((6,))),
     lambda: ClosedFormProvider().count(2, 2, 1, AbelianGroup((6,)), "total"),
     lambda: ClosedFormProvider().count(2, 2, 1, AbelianGroup((6,)), "euclidean"),
-], ids=["product", "closed-total", "closed-euclidean"])
+    lambda: TrivialSylowProvider().count(2, 2, 1, AbelianGroup((6,)), "total"),
+    lambda: BruteForceProvider().count(2, 2, 1, AbelianGroup((6,)), "total"),
+    lambda: AutoProvider().count(2, 2, 1, AbelianGroup((6,)), "total"),
+], ids=["product", "closed-total", "closed-euclidean", "trivial-total", "brute-total", "auto-total"])
 def test_a_sylow_part_that_is_no_p_group_is_refused(call):
-    with pytest.raises(DomainError, match=r"^Z6 is not a 2-group$"):
+    """Every provider checks a base query one way first: the brute-force
+    provider used to count GR(2^2,1)[Z6] as if Z6 were a Sylow 2-group."""
+    with pytest.raises(DomainError, match=r"^Z6 is not a 2-group$") as err:
         call()
+    assert not isinstance(err.value, ProviderDomainError)
 
 
 def test_counts_grow_but_stay_integral():
@@ -182,13 +188,13 @@ def test_closed_provider_rejects_noncyclic_sylow():
 @pytest.mark.parametrize("p, r, p_group, message", [
     (1, 2, (), "p = 1 is not prime"), (4, 2, (), "p = 4 is not prime"),
     (4, 2, (4,), "p = 4 is not prime"), (1, 2, (2,), "p = 1 is not prime"),
-    (2, 0, (), "need r >= 1"), (2, 0, (2,), "need r >= 1")])
+    (2, 0, (), "r must be at least 1, got 0"), (2, 0, (2,), "r must be at least 1, got 0")])
 def test_closed_providers_refuse_a_ring_that_does_not_exist(provider, p, r, p_group, message):
     """The ring check comes before the provider's own domain: "GR(4^2,1)"
     used to get 3 from the trivial provider and 29 from the closed forms,
     and p = 1 reached valuation's ValueError."""
     for kind in ("total", "euclidean"):
-        with pytest.raises(DomainError, match=message) as err:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as err:
             provider.count(p, r, 1, AbelianGroup(p_group), kind)
         assert not isinstance(err.value, ProviderDomainError)
 
@@ -252,6 +258,23 @@ def test_auto_provider_names_choice():
     assert report.provider == "auto"
     by_factor = {f.divisor: f for f in report.factors}
     assert by_factor[1].provider == "closed-form"
+
+
+def test_auto_provider_counts_through_its_chain():
+    """AutoProvider had no count method, so calling one raised AttributeError."""
+    assert AutoProvider().count(2, 2, 1, AbelianGroup((2,)), "total") == cyclic_count_p2(2, 1, 1)
+    assert AutoProvider().count(2, 2, 1, AbelianGroup((2, 2)), "euclidean") == 3
+
+
+@pytest.mark.parametrize("provider, kind", [(None, "NoneType"), (5, "int"), (object(), "object")],
+                         ids=["None", "int", "object"])
+def test_a_provider_that_is_neither_a_name_nor_has_count_is_refused(provider, kind):
+    """provider=None, 5 or object() used to raise AttributeError from _query."""
+    message = f"a provider is a name or has a count method; got type {kind}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        abelian_count(2, 2, 1, AbelianGroup((3,)), AbelianGroup((2,)), provider=provider)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        get_provider(provider)
 
 
 # -- the product formula ----------------------------------------------------------------

@@ -1,0 +1,74 @@
+"""The one integer rule, errors._check_int, and the public entry points that
+apply it to a scalar argument."""
+
+import re
+
+import pytest
+
+from galcodes.cyclotomic import partition
+from galcodes.errors import DomainError, _check_int
+from galcodes.galois import construct_ring, generalized_frobenius, root_of_unity
+from galcodes.group_ring import GroupRing
+from galcodes.groups import AbelianGroup, sylow_decompose
+from galcodes.ideals import ExhaustiveGroupRing
+
+
+@pytest.mark.parametrize("value, least", [(0, None), (-5, None), (3, 3), (10**30, 2)])
+def test_an_int_at_least_its_least_is_returned(value, least):
+    assert _check_int("x", value, least) is value
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (True, None, "x must be an integer, got True"), (False, 0, "x must be an integer, got False"),
+    (2.0, None, "x must be an integer, got 2.0"), ("2", 1, "x must be an integer, got '2'"),
+    (None, None, "x must be an integer, got None"), (1, 2, "x must be at least 2, got 1"),
+    (-1, 0, "x must be at least 0, got -1")])
+def test_the_two_shapes_of_a_refusal(value, least, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _check_int("x", value, least)
+
+
+Z4, GR42 = construct_ring(2, 2, 1), construct_ring(2, 2, 2)
+Z4Z2 = ExhaustiveGroupRing(GroupRing(Z4, AbelianGroup((2,))))
+
+# (entry point, call taking the scalar, argument name (None for the
+# operator), [(out-of-range value, message)])
+GUARDED = [
+    ("from_int", Z4.from_int, "scalar", []),
+    ("from_index", Z4.from_index, "index",
+     [(4, "index 4 is not in [0, 4)"), (-1, "index -1 is not in [0, 4)")]),
+    ("pow", lambda e: GR42.xi ** e, None, [(-1, "exponent must be at least 0, got -1")]),
+    ("generalized_frobenius", lambda k: generalized_frobenius(GR42.xi, k), "k", []),
+    ("root_of_unity", lambda n: root_of_unity(GR42, n), "order",
+     [(0, "order must be at least 1, got 0")]),
+    ("partition", lambda q: partition(AbelianGroup((7,)), q), "q", []),
+    ("sylow_decompose", lambda p: sylow_decompose(AbelianGroup((6,)), p), "p", []),
+    ("decode_vector", Z4Z2.decode_vector, "encoding",
+     [(16, "encoding 16 is not in [0, 16)"), (-1, "encoding -1 is not in [0, 16)")]),
+]
+OUT_OF_RANGE = [(name, call, value, message)
+                for name, call, _, cases in GUARDED for value, message in cases]
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("entry", GUARDED, ids=[row[0] for row in GUARDED])
+def test_entry_points_refuse_a_scalar_that_is_not_an_int(entry, value):
+    """from_int(True) used to give 1, from_index(2.5) and decode_vector(2.5)
+    vectors of floats, xi ** True an element and xi ** 2.0 a TypeError from
+    inside the power loop; the operator refuses as + and * do."""
+    _, call, name, _ = entry
+    if name is None:
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*\* or pow\(\)"):
+            call(value)
+        return
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", OUT_OF_RANGE, ids=[f"{row[0]}:{row[2]}" for row in OUT_OF_RANGE])
+def test_entry_points_refuse_an_int_outside_their_range(entry):
+    """from_index(4) over GR(2^2,1) used to wrap round to 0, and
+    decode_vector(-1) over Z4[Z2] to give (3, 3)."""
+    _, call, value, message = entry
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
