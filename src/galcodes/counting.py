@@ -26,7 +26,7 @@ from .errors import (BoundExceededError, DomainError, InternalInvariantError,
                      ProviderDomainError, _check_int)
 from .galois import _check_ring, construct_ring
 from .group_ring import GroupRing
-from .groups import AbelianGroup, format_group, order_census, sylow_decompose
+from .groups import AbelianGroup, _check_group, format_group, order_census, sylow_decompose
 from .ideals import ExhaustiveGroupRing
 from .numth import multiplicative_order, valuation
 
@@ -208,15 +208,16 @@ _PROVIDERS = {"auto": AutoProvider, "trivial": TrivialSylowProvider,
 
 
 def get_provider(provider):
-    """Accept a provider instance (anything with a count method) or one of
-    the names auto/trivial/closed/brute."""
+    """Accept a provider instance (anything with a count method and a name)
+    or one of the names auto/trivial/closed/brute."""
     if isinstance(provider, str):
         if provider not in _PROVIDERS:
             raise DomainError(f"unknown provider {provider!r}; "
                               f"choose from {sorted(_PROVIDERS)}")
         return _PROVIDERS[provider]()
-    if not hasattr(provider, "count"):
-        raise DomainError(f"a provider is a name or has a count method; got type {type(provider).__name__}")
+    if not (hasattr(provider, "count") and hasattr(provider, "name")):
+        raise DomainError(f"a provider is a name or has a count method and a name; "
+                          f"got type {type(provider).__name__}")
     return provider
 
 
@@ -308,10 +309,9 @@ def _product_count(p, r, s, coprime_group, p_group, duality, provider) -> CountR
     if duality != TOTAL:
         _pairing_twist(duality, s)
     construct_ring(p, r, s)  # validates p prime, r/s positive
-    if coprime_group.order % p == 0 and coprime_group.order > 1:
-        raise DomainError(
-            f"|A| = {coprime_group.order} is not coprime to p = {p}")
-    _p_group_exponent(p, p_group)
+    if _check_group("coprime_group", coprime_group).order % p == 0:
+        raise DomainError(f"|A| = {coprime_group.order} is not coprime to p = {p}")
+    _p_group_exponent(p, _check_group("p_group", p_group))
     provider = get_provider(provider)
     factors = []
     count = 1

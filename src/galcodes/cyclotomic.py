@@ -6,8 +6,9 @@ pairings follow one rule, with twist h = 0 (Euclidean) or h = s/2
 which only _partner_point computes.  The paper's types name the outcomes:
 a class that is its own partner is type I (-a = a) or II when h = 0, and
 type II' when h = s/2; a class paired with another is type III or III'.
-class_of owns the precondition that |A| is coprime to p; every class,
-partition and ambient decomposition is built through it.
+The partition owns the precondition that |A| is coprime to p: one scan
+of the group builds it, class_of looks a class up in it, and every
+ambient decomposition is built on it.
 
 'Good pair' classification: (j, q) is good when j divides q^t + 1 for some
 t >= 1; all solutions t share the parity of the least one, splitting good
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, _check_int
-from .groups import AbelianGroup
+from .groups import AbelianGroup, _check_group
 from .numth import multiplicative_order, prime_power_split
 
 TYPE_I = "I"
@@ -101,45 +102,18 @@ class CyclotomicClass:
         return len(self.elements)
 
 
-def _orbit(group: AbelianGroup, q: int, a) -> tuple[tuple[int, ...], ...]:
-    qr = q % group.exponent if group.exponent > 1 else 0
-    out = [a]
-    cur = group.scale(qr, a)
-    while cur != a:
-        out.append(cur)
-        cur = group.scale(qr, cur)
-    rep = min(out)
-    i = out.index(rep)
-    return tuple(out[i:] + out[:i])
-
-
 def _partner_point(group: AbelianGroup, p: int, h: int, a) -> tuple[int, ...]:
     """-p^h * a, the point whose class pairs with the class of a under the
     pairing of twist h."""
-    return group.neg(group.scale(pow(p, h, max(group.exponent, 1)), a))
-
-
-def _partner(group: AbelianGroup, q: int, p: int, h: int, orbit) -> tuple[int, ...] | None:
-    """Representative of the class paired with orbit under twist h, or None
-    when the class is its own partner."""
-    b = _partner_point(group, p, h, orbit[0])
-    return None if b in orbit else min(_orbit(group, q, b))
+    return group.neg(group.scale(pow(p, h, group.exponent), a))
 
 
 def class_of(group: AbelianGroup, q: int, a) -> CyclotomicClass:
-    """The q-cyclotomic class of a, fully classified."""
-    p, s = prime_power_split(q)
-    if math.gcd(group.order, p) != 1:
-        raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
+    """The q-cyclotomic class of a, fully classified: a lookup into the
+    cached partition, which checks group and q (coprimality included)."""
+    parts = partition(group, q)
     a = group.element(a)
-    orbit = _orbit(group, q, a)
-    epartner = _partner(group, q, p, 0, orbit)
-    etype = TYPE_III if epartner is not None else TYPE_I if group.neg(a) == a else TYPE_II
-    htype = hpartner = None
-    if s % 2 == 0:
-        hpartner = _partner(group, q, p, s // 2, orbit)
-        htype = TYPE_II_H if hpartner is None else TYPE_III_H
-    return CyclotomicClass(group, q, orbit[0], orbit, etype, htype, epartner, hpartner)
+    return next(c for c in parts.classes if a in c.elements)
 
 
 Layout = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]
@@ -154,7 +128,10 @@ class ClassPartition:
     own partner, type I before type II (the Hermitian ones, all type II',
     in class order); pairs are (primary, partner) index pairs, primary
     being the class with the smaller representative.  _layouts holds the
-    Euclidean layout, then the Hermitian one when s is even.
+    Euclidean layout, then the Hermitian one when s is even, each with its
+    slots appended: (class index, spreads), singles then pairs in layout
+    order, a single with the spread (orbit, 0), a pair also with (partner
+    orbit rotated to start at -p^h * rep, h).
     """
 
     group: AbelianGroup
@@ -162,42 +139,63 @@ class ClassPartition:
     s: int
     q: int
     classes: tuple[CyclotomicClass, ...]
-    _layouts: tuple[Layout, ...]
+    _layouts: tuple[tuple, ...]
 
     def layout(self, pairing: str) -> Layout:
         """(singles, pairs) of the 'euclidean' or 'hermitian' pairing."""
+        return self._pairing_layout(pairing)[:2]
+
+    def _pairing_layout(self, pairing: str) -> tuple:
+        """(singles, pairs, slots) of the 'euclidean' or 'hermitian' pairing."""
         return self._layouts[1 if _pairing_twist(pairing, self.s) else 0]
 
 
 @lru_cache(maxsize=None)
 def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
+    """One lexicographic scan: a point not yet seen starts its orbit and is
+    its least member, so the classes come out in representative order.  The
+    map from each point to (class index, position in its orbit) then gives,
+    by one lookup of -p^h * rep per class and pairing, the partner class,
+    the type and the rotation of the partner orbit."""
     group = AbelianGroup(factors)
     p, s = prime_power_split(q)
-    classes: list[CyclotomicClass] = []
-    seen: set[tuple[int, ...]] = set()
+    if math.gcd(group.order, p) != 1:
+        raise DomainError(f"|A| = {group.order} is not coprime to p = {p}")
+    orbits: list[tuple[tuple[int, ...], ...]] = []
+    where: dict = {}
     for a in group.elements():
-        if a in seen:
-            continue
-        cls = class_of(group, q, a)
-        classes.append(cls)
-        seen.update(cls.elements)
-    classes.sort(key=lambda c: c.rep)
-    index = {c.rep: i for i, c in enumerate(classes)}
-
-    taxonomies = [[(c.euclidean_type, c.euclidean_partner) for c in classes]]
-    if s % 2 == 0:
-        taxonomies.append([(c.hermitian_type, c.hermitian_partner) for c in classes])
-    layouts = []
-    for taxonomy in taxonomies:
+        if a not in where:
+            orbit = [a]
+            while (b := group.scale(q, orbit[-1])) != a:
+                orbit.append(b)
+            where.update((b, (len(orbits), k)) for k, b in enumerate(orbit))
+            orbits.append(tuple(orbit))
+    taxonomies, layouts = [], []
+    for h in (0,) if s % 2 else (0, s // 2):
+        taxonomy, pairs, pair_slots = [], [], []
+        for i, orbit in enumerate(orbits):
+            j, k = where[_partner_point(group, p, h, orbit[0])]
+            if j == i:
+                own = TYPE_II_H if h else TYPE_I if group.neg(orbit[0]) == orbit[0] else TYPE_II
+                taxonomy.append((own, None))
+                continue
+            taxonomy.append((TYPE_III_H if h else TYPE_III, orbits[j][0]))
+            if i < j:
+                pairs.append((i, j))
+                pair_slots.append((i, ((orbit, 0), (orbits[j][k:] + orbits[j][:k], h))))
         # a stable sort by type name puts type I before type II
         singles = sorted((i for i, (_, b) in enumerate(taxonomy) if b is None),
                          key=lambda i: taxonomy[i][0])
-        pairs = tuple((i, index[b]) for i, (_, b) in enumerate(taxonomy)
-                      if b is not None and classes[i].rep < b)
-        layouts.append((tuple(singles), pairs))
-    return ClassPartition(group, p, s, q, tuple(classes), tuple(layouts))
+        slots = tuple((i, ((orbits[i], 0),)) for i in singles) + tuple(pair_slots)
+        taxonomies.append(taxonomy)
+        layouts.append((tuple(singles), tuple(pairs), slots))
+    euclidean, hermitian = (taxonomies + [[(None, None)] * len(orbits)])[:2]
+    classes = tuple(CyclotomicClass(group, q, orbit[0], orbit, etype, htype, epartner, hpartner)
+                    for orbit, (etype, epartner), (htype, hpartner)
+                    in zip(orbits, euclidean, hermitian))
+    return ClassPartition(group, p, s, q, classes, tuple(layouts))
 
 
 def partition(group: AbelianGroup, q: int) -> ClassPartition:
     """Partition the whole group into q-cyclotomic classes (cached)."""
-    return _partition_cached(group.factors, _check_int("q", q))
+    return _partition_cached(_check_group("group", group).factors, _check_int("q", q))

@@ -37,8 +37,10 @@ only that class's points, so the whole table costs one full idft; it holds
 the digit vectors, at most #classes * s * |A| digits, and lives as long as
 its ambient context.  An integer c at the slot of C pulls back to c * e_C.
 _slots lists a pairing's slots once per context, each (class index,
-component ring, spreads); point k of a spread (orbit, t) reads the one
-value the spread stores, shifted by Frobenius s*k + t.
+component ring, spreads): the partition makes the spreads, a pair's
+partner orbit starting at -p^h * rep, and _slots attaches the component
+rings; point k of a spread (orbit, t) reads the one value the spread
+stores, shifted by Frobenius s*k + t.
 """
 
 from __future__ import annotations
@@ -47,12 +49,13 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 
-from .cyclotomic import HERMITIAN, _pairing_twist, _partner_point, partition
+from .cyclotomic import HERMITIAN, _pairing_twist, partition
 from .errors import DomainError, InternalInvariantError
 from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod, construct_ring, embed,
                      generalized_frobenius, root_of_unity, unembed)
 from .galois import element_text as _scalar_text, parse_element as _scalar_parse
-from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
+from .groups import (AbelianGroup, SylowDecomposition, _check_group, character_exponent,
+                     sylow_decompose)
 from .numth import multiplicative_order
 
 
@@ -66,7 +69,7 @@ class GroupRing:
 
     def __init__(self, coeff, group: AbelianGroup):
         self.coeff = coeff
-        self.group = group
+        self.group = _check_group("group", group)
         nested = isinstance(coeff, GroupRing)
         self.block = coeff.width if nested else coeff.s
         self.width = self.block * group.order
@@ -373,7 +376,7 @@ def _ambient_cached(p: int, r: int, s: int, factors: tuple[int, ...]) -> Ambient
 
 
 def ambient(spec: GaloisRingSpec, group: AbelianGroup) -> AmbientDecomposition:
-    return _ambient_cached(spec.p, spec.r, spec.s, group.factors)
+    return _ambient_cached(spec.p, spec.r, spec.s, _check_group("group", group).factors)
 
 
 def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
@@ -444,31 +447,17 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
 
 def _slots(ctx: AmbientDecomposition, pairing: str) -> tuple:
     """A pairing's slots, singles then pairs in layout order: (class index,
-    component ring, spreads), a single with the spread (orbit, 0), a pair
-    also with (partner orbit rotated to start at -p^h * rep, h).  Built on
-    first use and kept on the context; the orbits must cover the group,
-    which is checked here, once per context and pairing."""
+    component ring, spreads), the spreads as the partition lists them.
+    Built on first use and kept on the context; the orbits must cover the
+    group, which is checked here, once per context and pairing."""
     slots = ctx._slots.get(pairing)
     if slots is None:
-        h = _pairing_twist(pairing, ctx.spec.s)
-        single_idx, pair_idx = ctx.parts.layout(pairing)
-        group, classes = ctx.group, ctx.parts.classes
-        slots = []
-        for i, j in chain(((i, None) for i in single_idx), pair_idx):
-            cls = classes[i]
-            spreads = [(cls.elements, 0)]
-            if j is not None:
-                orbit = classes[j].elements
-                start = _partner_point(group, ctx.spec.p, h, cls.rep)
-                if start not in orbit:
-                    raise InternalInvariantError("partner orbit mismatch")
-                k = orbit.index(start)
-                spreads.append((orbit[k:] + orbit[:k], h))
-            slots.append((i, ctx.component_spec(cls.cardinality), tuple(spreads)))
+        slots = tuple((i, ctx.component_spec(ctx.parts.classes[i].cardinality), spreads)
+                      for i, spreads in ctx.parts._pairing_layout(pairing)[2])
         points = {a for *_, spreads in slots for orbit, _ in spreads for a in orbit}
-        if len(points) != group.order:
+        if len(points) != ctx.group.order:
             raise InternalInvariantError("decomposition did not cover the group")
-        slots = ctx._slots[pairing] = tuple(slots)
+        ctx._slots[pairing] = slots
     return slots
 
 

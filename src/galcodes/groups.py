@@ -67,6 +67,13 @@ class AbelianGroup:
         return tuple(k * x % m for x, m in zip(a, self.factors))
 
 
+def _check_group(name: str, value) -> AbelianGroup:
+    """value when it is an AbelianGroup; otherwise a DomainError naming the argument."""
+    if not isinstance(value, AbelianGroup):
+        raise DomainError(f"{name} must be an AbelianGroup, got {value!r}")
+    return value
+
+
 def element_order(group: AbelianGroup, a) -> int:
     """Additive order: lcm over coordinates of m_i / gcd(m_i, a_i)."""
     return reduce(lcm, (m // math.gcd(m, x) for x, m in zip(a, group.factors)), 1)
@@ -156,6 +163,7 @@ class SylowDecomposition:
 def sylow_decompose(group: AbelianGroup, p: int) -> SylowDecomposition:
     """Split each cyclic factor by CRT into its p-part and coprime part;
     p must be prime."""
+    _check_group("group", group)
     if not is_prime(_check_int("p", p)):
         raise DomainError(f"p = {p} is not prime")
     a_factors, p_factors = [], []

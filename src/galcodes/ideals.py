@@ -47,7 +47,7 @@ from operator import mul
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
 from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int
 from .galois import GaloisRingSpec, _check_ring, construct_ring
-from .groups import AbelianGroup, sylow_decompose
+from .groups import AbelianGroup, _check_group, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
                          _owner, _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
@@ -430,6 +430,7 @@ def exists_self_dual(p: int, r: int, group: AbelianGroup,
     """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
     _check_ring(p, r, s)
     _pairing_twist(duality, s)
+    _check_group("group", group)
     return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
 
 

@@ -10,7 +10,8 @@ from functools import lru_cache
 from operator import mul
 
 from galcodes import AbelianGroup, construct_ring, exists_self_dual
-from galcodes.cyclotomic import PairGoodness
+from galcodes.cyclotomic import (TYPE_I, TYPE_II, TYPE_II_H, TYPE_III, TYPE_III_H,
+                                 ClassPartition, CyclotomicClass, PairGoodness)
 from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
                              _x_has_full_order, generalized_frobenius)
@@ -22,7 +23,7 @@ from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
                              _pairing_twist, exhaustive_bound)
 from galcodes.linalg import remainder
-from galcodes.numth import factorize, multiplicative_order
+from galcodes.numth import factorize, multiplicative_order, prime_power_split
 
 
 def partitions(n: int):
@@ -415,6 +416,59 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def partition_by_classes(group: AbelianGroup, q: int) -> ClassPartition:
+    """The partition built one class at a time: each orbit rotated to its
+    least point, each partner the least point of the whole orbit of
+    -p^h * rep, the classes sorted and indexed by representative, and each
+    pair's partner orbit rotated to start at -p^h * rep by a search.
+    Oracle for the one-scan partition; |A| must be coprime to q."""
+    p, s = prime_power_split(q)
+
+    def orbit_of(a):
+        out = [a]
+        while (b := group.scale(q, out[-1])) != a:
+            out.append(b)
+        i = out.index(min(out))
+        return tuple(out[i:] + out[:i])
+
+    def partner_point(h, a):
+        return group.neg(group.scale(p**h, a))
+
+    def partner(h, orbit):
+        b = partner_point(h, orbit[0])
+        return None if b in orbit else min(orbit_of(b))
+
+    classes, seen = [], set()
+    for a in group.elements():
+        if a in seen:
+            continue
+        orbit = orbit_of(a)
+        epartner = partner(0, orbit)
+        etype = TYPE_III if epartner is not None else TYPE_I if group.neg(a) == a else TYPE_II
+        htype = hpartner = None
+        if s % 2 == 0:
+            hpartner = partner(s // 2, orbit)
+            htype = TYPE_II_H if hpartner is None else TYPE_III_H
+        classes.append(CyclotomicClass(group, q, orbit[0], orbit, etype, htype, epartner, hpartner))
+        seen.update(orbit)
+    classes.sort(key=lambda c: c.rep)
+    index = {c.rep: i for i, c in enumerate(classes)}
+    layouts = []
+    for h, name in ((0, "euclidean"), (s // 2, "hermitian"))[:2 - s % 2]:
+        taxonomy = [(getattr(c, f"{name}_type"), getattr(c, f"{name}_partner")) for c in classes]
+        singles = sorted((i for i, (_, b) in enumerate(taxonomy) if b is None),
+                         key=lambda i: taxonomy[i][0])
+        pairs = tuple((i, index[b]) for i, (_, b) in enumerate(taxonomy)
+                      if b is not None and classes[i].rep < b)
+        slots = [(i, ((classes[i].elements, 0),)) for i in singles]
+        for i, j in pairs:
+            orbit = classes[j].elements
+            k = orbit.index(partner_point(h, classes[i].rep))
+            slots.append((i, ((classes[i].elements, 0), (orbit[k:] + orbit[:k], h))))
+        layouts.append((tuple(singles), pairs, tuple(slots)))
+    return ClassPartition(group, p, s, q, tuple(classes), tuple(layouts))
 
 
 def class_containing(part, a):

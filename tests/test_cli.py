@@ -445,6 +445,17 @@ def test_verify_matches_the_golden_document(capsys):
     assert out == golden.read_text()
 
 
+def test_classes_match_the_golden_documents(capsys):
+    """classes --json pinned byte for byte on cyclic and non-cyclic groups,
+    both layouts and the trivial group; a change that moves one regenerates
+    the document on purpose."""
+    golden = json.loads((Path(__file__).parent / "data" / "classes_golden.json").read_text())
+    assert len(golden) >= 8
+    for command, want in golden.items():
+        code, out, err = run(capsys, *command.split())
+        assert (code, err, out) == (0, "", want), command
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run(capsys, "verify", "--max-ring-size", "64", "--timings")
     assert code == 0

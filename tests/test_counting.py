@@ -270,11 +270,35 @@ def test_auto_provider_counts_through_its_chain():
                          ids=["None", "int", "object"])
 def test_a_provider_that_is_neither_a_name_nor_has_count_is_refused(provider, kind):
     """provider=None, 5 or object() used to raise AttributeError from _query."""
-    message = f"a provider is a name or has a count method; got type {kind}"
+    message = f"a provider is a name or has a count method and a name; got type {kind}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         abelian_count(2, 2, 1, AbelianGroup((3,)), AbelianGroup((2,)), provider=provider)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         get_provider(provider)
+
+
+class _Unnamed:
+    def count(self, p, r, s2, p_group, kind):
+        return 1
+
+
+@pytest.mark.parametrize("provider, kind", [([1], "list"), ((1,), "tuple"), (_Unnamed(), "_Unnamed")],
+                         ids=["list", "tuple", "unnamed"])
+def test_a_provider_with_count_but_no_name_is_refused(provider, kind):
+    """[1] and (1,) used to raise TypeError from _query, and an object with
+    count but no name AttributeError when the report read its name."""
+    message = f"a provider is a name or has a count method and a name; got type {kind}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        abelian_count(2, 2, 1, AbelianGroup((3,)), AbelianGroup((2,)), provider=provider)
+
+
+def test_a_custom_provider_with_count_and_name_counts():
+    class Fixed(_Unnamed):
+        name = "fixed"
+
+    report = abelian_count(2, 2, 1, AbelianGroup((3,)), AbelianGroup((2,)), provider=Fixed())
+    assert (report.count, report.provider) == (1, "fixed")
+    assert {f.provider for f in report.factors} == {"fixed"}
 
 
 # -- the product formula ----------------------------------------------------------------

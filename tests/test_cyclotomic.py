@@ -1,20 +1,22 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from galcodes.cyclotomic import (EUCLIDEAN, HERMITIAN, PairGoodness, TYPE_I, TYPE_II,
                                  TYPE_II_H, TYPE_III, TYPE_III_H, bad_pair_indicator,
-                                 class_of, classify_pair, even_pair_indicator, partition)
+                                 _partition_cached, class_of, classify_pair,
+                                 even_pair_indicator, partition)
 from galcodes.counting import euclidean_abelian_count, hermitian_abelian_count
 from galcodes.errors import DomainError
 from galcodes.galois import construct_ring
-from galcodes.group_ring import GroupRing, ambient
+from galcodes.group_ring import GroupRing, _slots, ambient
 from galcodes.groups import AbelianGroup
 from galcodes.ideals import construct_self_dual, enumerate_semisimple_selfdual, exists_self_dual
 from helpers import (abelian_groups_up_to, class_containing, class_order, classify_pair_scan,
-                     decompose_nested, engine)
+                     decompose_nested, engine, partition_by_classes)
 
 
 # -- single classes ---------------------------------------------------------------
@@ -73,8 +75,9 @@ def test_hermitian_needs_even_s():
 
 
 def test_class_of_rejects_noncoprime():
-    """class_of owns the check; every entry point on the class path
-    reaches it and raises its message."""
+    """The partition owns the check; class_of, which looks its class up in
+    the partition, and every entry point built on the partition reach it
+    and raise its message."""
     z6 = AbelianGroup((6,))
     for call in (lambda: class_of(z6, 2, (1,)), lambda: partition(z6, 4),
                  lambda: ambient(construct_ring(2, 2, 1), z6),
@@ -195,6 +198,38 @@ def test_partition_lookup():
     assert class_containing(part, (4,)).rep == (1,)
     assert class_containing(part, (2,)) is class_containing(part, (1,))
     assert [c.rep for c in part.classes] == [(0,), (1,), (3,)]
+
+
+SWEEP_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49)
+# every cyclic Z_n, n < 64, and every non-cyclic group of order <= 64 as
+# abelian_groups_up_to presents it, plus presentations with factors ascending
+SWEEP_GROUPS = ([AbelianGroup((n,) if n > 1 else ()) for n in range(1, 64)]
+                + [g for g in abelian_groups_up_to(64) if len(g.factors) > 1]
+                + [AbelianGroup(f) for f in ((3, 5), (4, 8), (2, 6), (6, 10), (2, 4, 8))])
+
+
+def test_partition_equals_the_per_class_build():
+    """The one-scan partition against the per-class oracle on classes, both
+    layouts and every slot's spreads, the last also as _slots reads them
+    through a stub context that builds no component ring."""
+    cases = 0
+    for group in SWEEP_GROUPS:
+        for q in SWEEP_QS:
+            if math.gcd(group.order, q) != 1:
+                continue
+            # the uncached builder, so the sweep leaves no partitions behind
+            part = _partition_cached.__wrapped__(group.factors, q)
+            oracle = partition_by_classes(group, q)
+            assert part == oracle, (group, q)
+            for pairing, (_, _, oracle_slots) in zip((EUCLIDEAN, HERMITIAN), oracle._layouts):
+                stub = SimpleNamespace(parts=part, group=group, _slots={},
+                                       component_spec=lambda nu: nu)
+                slots = _slots(stub, pairing)
+                assert [(i, spreads) for i, _, spreads in slots] == list(oracle_slots)
+                assert [nu for _, nu, _ in slots] == [
+                    part.classes[i].cardinality for i, _ in oracle_slots]
+            cases += 1
+    assert cases >= 1000
 
 
 def test_equal_order_classes_share_type_and_size():

@@ -1,16 +1,18 @@
 """The one integer rule, errors._check_int, and the public entry points that
-apply it to a scalar argument."""
+apply it to a scalar argument; the one group rule, groups._check_group."""
 
 import re
 
 import pytest
 
-from galcodes.cyclotomic import partition
+from galcodes.counting import abelian_count
+from galcodes.cyclotomic import class_of, partition
 from galcodes.errors import DomainError, _check_int
 from galcodes.galois import construct_ring, generalized_frobenius, root_of_unity
-from galcodes.group_ring import GroupRing
+from galcodes.group_ring import GroupRing, ambient
 from galcodes.groups import AbelianGroup, sylow_decompose
-from galcodes.ideals import ExhaustiveGroupRing
+from galcodes.ideals import (ExhaustiveGroupRing, construct_self_dual, enumerate_semisimple_selfdual,
+                             exists_self_dual)
 
 
 @pytest.mark.parametrize("value, least", [(0, None), (-5, None), (3, 3), (10**30, 2)])
@@ -72,3 +74,28 @@ def test_entry_points_refuse_an_int_outside_their_range(entry):
     _, call, value, message = entry
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+# (entry point, call taking the group, argument name): each used to raise
+# AttributeError ('tuple' object has no attribute 'order' or 'factors')
+GROUP_TAKERS = [
+    ("abelian_count", lambda g: abelian_count(2, 2, 1, g), "coprime_group"),
+    ("abelian_count:p_group", lambda g: abelian_count(2, 2, 1, AbelianGroup((3,)), g), "p_group"),
+    ("construct_self_dual", lambda g: construct_self_dual(2, 2, 1, g), "group"),
+    ("GroupRing", lambda g: GroupRing(Z4, g), "group"),
+    ("exists_self_dual", lambda g: exists_self_dual(2, 2, g), "group"),
+    ("partition", lambda g: partition(g, 2), "group"),
+    ("class_of", lambda g: class_of(g, 2, (1,)), "group"),
+    ("enumerate_semisimple_selfdual", lambda g: enumerate_semisimple_selfdual(2, 2, 1, g), "group"),
+    ("ambient", lambda g: ambient(Z4, g), "group"),
+    ("sylow_decompose", lambda g: sylow_decompose(g, 2), "group"),
+]
+
+
+@pytest.mark.parametrize("entry", GROUP_TAKERS, ids=[row[0] for row in GROUP_TAKERS])
+def test_entry_points_refuse_a_group_that_is_not_an_abelian_group(entry):
+    _, call, name = entry
+    for value in ((3,), [3], "Z3"):
+        message = f"{name} must be an AbelianGroup, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(value)
