@@ -208,13 +208,15 @@ _PROVIDERS = {"auto": AutoProvider, "trivial": TrivialSylowProvider,
 
 
 def get_provider(provider):
-    """Accept a provider instance (anything with a count method and a name)
-    or one of the names auto/trivial/closed/brute."""
+    """Accept a provider instance (anything with a count method and a name,
+    but not a class) or one of the names auto/trivial/closed/brute."""
     if isinstance(provider, str):
         if provider not in _PROVIDERS:
             raise DomainError(f"unknown provider {provider!r}; "
                               f"choose from {sorted(_PROVIDERS)}")
         return _PROVIDERS[provider]()
+    if isinstance(provider, type):
+        raise DomainError(f"a provider is a name or an instance, got the class {provider.__name__}")
     if not (hasattr(provider, "count") and hasattr(provider, "name")):
         raise DomainError(f"a provider is a name or has a count method and a name; "
                           f"got type {type(provider).__name__}")

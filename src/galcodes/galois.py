@@ -373,6 +373,16 @@ def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int
     return GaloisRingElement(target, tuple(c % m for c in acc))
 
 
+def _check_spec(name: str, value, also: tuple = ()):
+    """value when it is a GaloisRingSpec, or of one of the types also;
+    otherwise a DomainError naming the argument and the types it takes."""
+    kinds = (GaloisRingSpec, *also)
+    if not isinstance(value, kinds):
+        raise DomainError(f"{name} must be a {' or a '.join(k.__name__ for k in kinds)}, "
+                          f"got {value!r}")
+    return value
+
+
 def _check_ring(p: int, r: int, s: int) -> None:
     """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1."""
     if not is_prime(_check_int("p", p)):

@@ -51,8 +51,8 @@ from itertools import chain
 
 from .cyclotomic import HERMITIAN, _pairing_twist, partition
 from .errors import DomainError, InternalInvariantError
-from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod, construct_ring, embed,
-                     generalized_frobenius, root_of_unity, unembed)
+from .galois import (GaloisRingElement, GaloisRingSpec, _check_spec, _poly_mul_mod,
+                     construct_ring, embed, generalized_frobenius, root_of_unity, unembed)
 from .galois import element_text as _scalar_text, parse_element as _scalar_parse
 from .groups import (AbelianGroup, SylowDecomposition, _check_group, character_exponent,
                      sylow_decompose)
@@ -68,7 +68,7 @@ class GroupRing:
     __slots__ = ("coeff", "group", "block", "width", "char", "_coefficient", "_flat")
 
     def __init__(self, coeff, group: AbelianGroup):
-        self.coeff = coeff
+        self.coeff = _check_spec("coeff", coeff, (GroupRing,))
         self.group = _check_group("group", group)
         nested = isinstance(coeff, GroupRing)
         self.block = coeff.width if nested else coeff.s
@@ -376,6 +376,7 @@ def _ambient_cached(p: int, r: int, s: int, factors: tuple[int, ...]) -> Ambient
 
 
 def ambient(spec: GaloisRingSpec, group: AbelianGroup) -> AmbientDecomposition:
+    _check_spec("spec", spec)
     return _ambient_cached(spec.p, spec.r, spec.s, _check_group("group", group).factors)
 
 

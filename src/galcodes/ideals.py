@@ -24,8 +24,11 @@ and R/J = F_{p^s}[A].  The socle layer of an ideal I is
 S(I) = {v : J * v in I}.  J is closed under the involution Y^g -> Y^-g,
 the adjoint of multiplication for the Euclidean form, so
 S(I) = (J * I^perp)^perp: two annihilators, the kernels that dual also
-takes.  Since p * S(I) lies in I, S(I)/I is an F_p-space, and each of its
-projective points v gives the cover I + (v).  Every ideal K above I meets
+takes.  J * S(I) lies in I, so S(I)/I is a module over
+R/J = F_q[A] = prod_C F_Q, Q = q^nu_C, C over the q-cyclotomic classes of
+A, q = p^s.  Its simple submodules, the covers of I, are the F_Q-lines of
+the summands e_C * (S(I)/I), e_C the class idempotents, and each line
+gives its cover I + (v) through one vector v.  Every ideal K above I meets
 S(I) outside I, since J is nilpotent, so every ideal is reached by a chain
 of covers from zero.
 
@@ -93,6 +96,7 @@ class ExhaustiveGroupRing:
         self.ring_size = self.m**self.n
         self.bound = _check_int("the exhaustive bound",
                                 exhaustive_bound() if bound is None else bound, 1)
+        self._projectors = None  # built by _line_projectors on the first walk
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -211,41 +215,70 @@ class ExhaustiveGroupRing:
                 rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in perp]
         return self._annihilator(rows, 0)
 
-    def _cover_points(self, code: "Ideal"):
-        """One vector per F_p-projective point of S(I)/I.
+    def _line_projectors(self) -> tuple:
+        """The columns of multiplication by e_C, per class C of A in
+        partition order: e_C, the class idempotent of GR[A], placed at Y^0 of
+        GR[A][P] and merged back along the Sylow decomposition, so e_C * v is
+        v dotted with each column.  Built by the first walk."""
+        if self._projectors is None:
+            dec = sylow_decompose(self.group, self.p)
+            ctx = ambient(self.spec, dec.coprime_part)
+            pad = [0] * (self.n - self.s * ctx.group.order)
+            self._projectors = tuple(
+                tuple(zip(*self.principal_rows(_sylow_merge_vector(list(e) + pad, dec, self.s))))
+                for e in class_idempotents(ctx))
+        return self._projectors
 
-        p * S(I) lies in I, so S(I)/I is an F_p-space, and the rows of S(I)
-        that leave the span of I and the rows already taken form a basis.
-        A point is sum c_i * b_i, for each coefficient tuple whose first
-        nonzero entry is 1.
+    def _cover_points(self, code: "Ideal"):
+        """One vector per simple submodule of S(I)/I, that is per cover of I.
+
+        J * S(I) lies in I, so S(I)/I is a module over R/J = F_q[A], the
+        product of the fields F_Q, Q = q^nu_C, over the q-cyclotomic classes
+        C of A, and its simple submodules are the F_Q-lines of the summands
+        e_C * (S(I)/I).  The socle rows, projected by e_C, that leave the span
+        of I and the lines already taken lead new lines; each line's F_p-basis
+        is its lead's rows x^j * Y^g * lead that leave the span, s * nu_C of
+        them.  A line of a summand is its lead plus an F_p-combination of the
+        bases of the summand's later lines, yielded last line first.
         """
         p, r, m = self.p, self.r, self.m
-        span, chosen = code.basis, []
-        for row in self._socle_layer(code):
-            if any(remainder(span, row, m)):
-                chosen.append(row)
-                span = howell(span + (row,), p, r)
-        for coeffs in itertools.product(range(p), repeat=len(chosen)):
-            if next((c for c in coeffs if c), 0) != 1:
-                continue  # zero, or a multiple of another point
-            vec = (0,) * self.n
-            for c, row in zip(coeffs, chosen):
-                if c:
-                    vec = tuple((a + c * b) % m for a, b in zip(vec, row))
-            yield vec
+        socle = self._socle_layer(code)
+        span, lines = code.basis, []
+        for columns in self._line_projectors():
+            bases = []
+            for row in socle:
+                lead = tuple(sum(map(mul, row, col)) % m for col in columns)
+                if not any(remainder(span, lead, m)):
+                    continue
+                basis = []
+                for mono in _monomial_rows(self.spec, self.group.factors, lead):
+                    if any(remainder(span, mono, m)):
+                        basis.append(mono)
+                        span = howell(span + (mono,), p, r)
+                bases.append(basis)
+            lines += [(basis[0], [b for later in bases[k + 1:] for b in later])
+                      for k, basis in enumerate(bases)]
+        for lead, tail in reversed(lines):
+            for coeffs in itertools.product(range(p), repeat=len(tail)):
+                vec = lead
+                for c, b in zip(coeffs, tail):
+                    if c:
+                        vec = tuple((x + c * y) % m for x, y in zip(vec, b))
+                yield vec
 
     def ideal_stream(self):
         """Every ideal exactly once, the zero ideal first, by a breadth-first
         walk over socle covers.
 
-        Each found ideal I is joined with the principal ideal of each
-        projective point of S(I)/I, S(I) = {v : J * v in I}, J the Jacobson
-        radical; a cover is yielded when new.  Every K above I meets S(I)
-        outside I, since J is nilpotent: for v in K outside I, take the
-        largest k with J^k * v not inside I; J^k * v holds such an element.
-        So some cover I + (v) lies in K, and every ideal is reached by a
-        chain of covers from zero.  The walk keeps every found ideal, so rings above the
-        bound are refused (on the first next()) before any is yielded.
+        Each found ideal I is joined with the principal ideal of one vector
+        of each F_Q-line of the summands e_C * (S(I)/I), S(I) = {v : J * v
+        in I}, J the Jacobson radical: one join per cover of I, each cover
+        yielded when new.  Every K above I meets S(I) outside I, since J is
+        nilpotent: for v in K outside I, take the largest k with J^k * v not
+        inside I; J^k * v holds such an element.  So some cover of I lies in
+        K, and every ideal is reached by a chain of covers from zero.  The
+        walk keeps every found ideal, so rings above the bound are refused
+        (on the first next()) before any is yielded.
         """
         self._require_enumerable()
         zero = self.zero_ideal()

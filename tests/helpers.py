@@ -22,7 +22,7 @@ from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupR
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
                              _pairing_twist, exhaustive_bound)
-from galcodes.linalg import remainder
+from galcodes.linalg import howell, remainder
 from galcodes.numth import factorize, multiplicative_order, prime_power_split
 
 
@@ -199,6 +199,60 @@ def ideals_by_orbit_scan(eng):
                 seen.add(joined.basis)
                 found.append(joined)
                 yield joined
+
+
+def fp_points(eng, code):
+    """One vector per F_p-projective point of S(I)/I, the cover candidates
+    of the walk before it took one vector per simple submodule.
+
+    The rows of S(I) that leave the span of I and the rows already taken
+    form an F_p-basis; a point is sum c_i * b_i for each coefficient tuple
+    whose first nonzero entry is 1, the tuples in itertools.product order.
+    """
+    p, r, m = eng.p, eng.r, eng.m
+    span, chosen = code.basis, []
+    for row in eng._socle_layer(code):
+        if any(remainder(span, row, m)):
+            chosen.append(row)
+            span = howell(span + (row,), p, r)
+    for coeffs in itertools.product(range(p), repeat=len(chosen)):
+        if next((c for c in coeffs if c), 0) != 1:
+            continue  # zero, or a multiple of another point
+        vec = (0,) * eng.n
+        for c, row in zip(coeffs, chosen):
+            if c:
+                vec = tuple((a + c * b) % m for a, b in zip(vec, row))
+        yield vec
+
+
+def stream_by_fp_points(eng):
+    """The socle walk that joins each found ideal with the principal ideal
+    of every F_p-point of its socle layer (fp_points), yielding each new
+    join: the walk that one cover per simple submodule replaced.  It joins
+    once per point, so it is exponential in the F_p-dimension of S(I)/I."""
+    eng._require_enumerable()
+    zero = eng.zero_ideal()
+    seen = {zero.basis}
+    found = [zero]
+    yield zero
+    for ideal in found:  # found grows as the loop runs
+        for vec in fp_points(eng, ideal):
+            cover = eng.join(ideal, eng.principal_ideal(vec))
+            if cover.basis not in seen:
+                seen.add(cover.basis)
+                found.append(cover)
+                yield cover
+
+
+def minimal_ideals(ideals):
+    """The ideals of the collection that contain no other one of it."""
+    ideals = set(ideals)
+    m = next(iter(ideals)).engine.m if ideals else 0
+
+    def inside(a, b):
+        return all(not any(remainder(b.basis, row, m)) for row in a.basis)
+
+    return {b for b in ideals if not any(a != b and inside(a, b) for a in ideals)}
 
 
 def howell_saturating_takeovers(rows, p, r):

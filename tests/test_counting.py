@@ -277,6 +277,17 @@ def test_a_provider_that_is_neither_a_name_nor_has_count_is_refused(provider, ki
         get_provider(provider)
 
 
+@pytest.mark.parametrize("provider", [TrivialSylowProvider, AutoProvider], ids=lambda c: c.__name__)
+def test_a_provider_class_is_refused(provider):
+    """A class has count and name, but count needs an instance: it used to
+    raise TypeError (missing argument 'kind') from _query."""
+    message = f"a provider is a name or an instance, got the class {provider.__name__}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        abelian_count(2, 2, 1, AbelianGroup((3,)), provider=provider)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        get_provider(provider)
+
+
 class _Unnamed:
     def count(self, p, r, s2, p_group, kind):
         return 1

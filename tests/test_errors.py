@@ -1,5 +1,6 @@
 """The one integer rule, errors._check_int, and the public entry points that
-apply it to a scalar argument; the one group rule, groups._check_group."""
+apply it to a scalar argument; the one group rule, groups._check_group; the
+one coefficient-ring rule, galois._check_spec."""
 
 import re
 
@@ -99,3 +100,28 @@ def test_entry_points_refuse_a_group_that_is_not_an_abelian_group(entry):
         message = f"{name} must be an AbelianGroup, got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+# (entry point, call taking the coefficient ring, argument name, the types
+# it takes, values refused): each used to raise AttributeError ('int' object
+# has no attribute 's', 'tuple' object has no attribute 'p')
+SPEC_TAKERS = [
+    ("GroupRing", lambda c: GroupRing(c, AbelianGroup((2,))), "coeff",
+     "a GaloisRingSpec or a GroupRing", [4, (2, 2, 1), "GR(2^2,1)"]),
+    ("ambient", lambda c: ambient(c, AbelianGroup((3,))), "spec",
+     "a GaloisRingSpec", [4, (2, 2, 1), "GR(2^2,1)", GroupRing(Z4, AbelianGroup((2,)))]),
+]
+
+
+@pytest.mark.parametrize("entry", SPEC_TAKERS, ids=[row[0] for row in SPEC_TAKERS])
+def test_entry_points_refuse_a_coefficient_ring_of_another_type(entry):
+    _, call, name, kinds, values = entry
+    for value in values:
+        message = f"{name} must be {kinds}, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_a_group_ring_takes_a_group_ring_as_its_coefficients():
+    inner = GroupRing(Z4, AbelianGroup((3,)))
+    assert GroupRing(inner, AbelianGroup((2,))).coeff is inner

@@ -13,15 +13,16 @@ from galcodes.errors import BoundExceededError, DomainError, InternalInvariantEr
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (GroupRing, _form_step, _group_index, _shift_perms, _sylow_perm,
                                  ambient, element_text)
-from galcodes.groups import AbelianGroup, element_order
+from galcodes.groups import AbelianGroup, element_order, sylow_decompose
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from galcodes.linalg import howell, pivot, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
-                     construct_by_nested_assembly, dual_by_scan, engine, semisimple_by_elements,
+                     construct_by_nested_assembly, dual_by_scan, engine, fp_points,
                      howell_saturating_takeovers, ideals_by_full_scan, ideals_by_orbit_scan,
-                     ideals_by_principal_joins, orbit_least_vectors, perms_by_group_add, shift)
+                     ideals_by_principal_joins, minimal_ideals, orbit_least_vectors,
+                     perms_by_group_add, semisimple_by_elements, shift, stream_by_fp_points)
 
 
 def join_all(eng, gens):
@@ -345,6 +346,80 @@ def test_stream_matches_full_scan(p, r, s, factors):
     assert got[0] == ()
     assert len(set(got)) == len(got)
     assert set(got) == set(principal) | set(rest) == set(scanned)
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS])
+def test_covers_are_the_minimal_joins_of_the_fp_points(p, r, s, factors):
+    """For every ideal I, the walk's vectors give each cover of I once: the
+    joins I + (v) are distinct, and they are the minimal joins of I with
+    the F_p-points of S(I)/I.  The stream is the per-point walk's as a set."""
+    eng = engine(p, r, s, factors)
+    got = list(eng.ideal_stream())
+    for ideal in got:
+        covers = [eng.join(ideal, eng.principal_ideal(v)) for v in eng._cover_points(ideal)]
+        assert len(set(covers)) == len(covers)
+        assert set(covers) == minimal_ideals(eng.join(ideal, eng.principal_ideal(v))
+                                             for v in fp_points(eng, ideal))
+    assert len(set(got)) == len(got)
+    assert set(got) == set(stream_by_fp_points(eng))
+
+
+def is_local(ring):
+    p, _, _, factors = ring
+    return sylow_decompose(AbelianGroup(factors), p).coprime_part.order == 1
+
+
+LOCAL_PRIME_FIELD_RINGS = [ring for ring in STREAM_RINGS if ring[2] == 1 and is_local(ring)]
+
+
+@pytest.mark.parametrize("p, r, s, factors", LOCAL_PRIME_FIELD_RINGS,
+                         ids=[ring_id(ring) for ring in LOCAL_PRIME_FIELD_RINGS])
+def test_the_stream_is_the_per_point_walk_on_local_rings_over_prime_fields(p, r, s, factors):
+    """With A trivial and s = 1, R/J = F_p, so every line of S(I)/I is one
+    F_p-point, and the walk yields the per-point walk's ideals in its order."""
+    eng = engine(p, r, s, factors)
+    assert [c.basis for c in eng.ideal_stream()] == [c.basis for c in stream_by_fp_points(eng)]
+
+
+# the cover edges of the lattice of each ideal_enum ring, 1557 in all,
+# against 4193 F_p-points
+COVER_EDGES = {(2, 2, 1, (7,)): 54, (2, 2, 2, (3,)): 54, (3, 3, 1, (3,)): 69,
+               (2, 3, 1, (2, 2)): 832, (2, 2, 1, (3, 2)): 156, (2, 3, 1, (4,)): 208,
+               (2, 2, 1, (2, 2)): 100, (3, 2, 1, (3,)): 24, (2, 2, 2, (2,)): 12,
+               (2, 2, 1, (4,)): 36, (2, 2, 1, (5,)): 12}
+
+
+@pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
+                         ids=[ring_id(ring) for ring in IDEAL_ENUM_RINGS])
+def test_the_walk_joins_once_per_cover_edge(p, r, s, factors, monkeypatch):
+    """One principal ideal and one join per cover, none per F_p-point: the
+    counts the benchmark's traced run reads."""
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), AbelianGroup(factors)))
+    calls = {"join": 0, "principal_ideal": 0}
+    for name in calls:
+        def spy(*args, method=getattr(eng, name), name=name):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(eng, name, spy)
+    edges = sum(1 for ideal in eng.ideal_stream() for _ in eng._cover_points(ideal))
+    assert calls == {"join": edges, "principal_ideal": edges}
+    assert edges == COVER_EDGES[(p, r, s, factors)]
+
+
+# r = 1 rings whose S(I)/I has a large F_p-dimension: the per-point walk
+# took 20 s on F_2[Z15]
+SEMISIMPLE_RINGS = [(2, 1, 1, (15,)), (2, 1, 2, (7,)), (3, 1, 1, (8,)), (2, 1, 1, (13,))]
+
+
+@pytest.mark.parametrize("p, r, s, factors", SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in SEMISIMPLE_RINGS])
+def test_stream_matches_the_orbit_scan_on_semisimple_rings(p, r, s, factors):
+    eng = engine(p, r, s, factors)
+    got = [c.basis for c in eng.ideal_stream()]
+    assert got[0] == ()
+    assert len(set(got)) == len(got)
+    assert set(got) == {c.basis for c in ideals_by_orbit_scan(eng)}
 
 
 @pytest.mark.parametrize("p, r, s, factors", [
