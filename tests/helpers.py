@@ -247,10 +247,9 @@ def stream_by_fp_points(eng):
 def minimal_ideals(ideals):
     """The ideals of the collection that contain no other one of it."""
     ideals = set(ideals)
-    m = next(iter(ideals)).engine.m if ideals else 0
 
     def inside(a, b):
-        return all(not any(remainder(b.basis, row, m)) for row in a.basis)
+        return not any(any(remainder(b.basis, row, b.engine.m)) for row in a.basis)
 
     return {b for b in ideals if not any(a != b and inside(a, b) for a in ideals)}
 
