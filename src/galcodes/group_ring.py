@@ -35,12 +35,12 @@ class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, by one idft per class given
 only that class's points, so the whole table costs one full idft; it holds
 the digit vectors, at most #classes * s * |A| digits, and lives as long as
-its ambient context.  An integer c at the slot of C pulls back to c * e_C.
-_slots lists a pairing's slots once per context, each (class index,
-component ring, spreads): the partition makes the spreads, a pair's
-partner orbit starting at -p^h * rep, and _slots attaches the component
-rings; point k of a spread (orbit, t) reads the one value the spread
-stores, shifted by Frobenius s*k + t.
+its ambient context.  An integer c at the slot of C pulls back to c * e_C,
+and _sylow_place puts such an element of GR[A] inside GR[G].
+A pairing's slots are the partition's, each (class index, spreads), a
+pair's partner orbit starting at -p^h * rep; _slots only attaches the
+component rings and keeps nothing.  Point k of a spread (orbit, t) reads
+the one value the spread stores, shifted by Frobenius s*k + t.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import lru_cache, partial
 from itertools import chain
 
 from .cyclotomic import HERMITIAN, _pairing_twist, partition
-from .errors import DomainError, InternalInvariantError
+from .errors import DomainError
 from .galois import (GaloisRingElement, GaloisRingSpec, _check_spec, _poly_mul_mod,
                      construct_ring, embed, generalized_frobenius, root_of_unity, unembed)
 from .galois import element_text as _scalar_text, parse_element as _scalar_parse
@@ -306,8 +306,9 @@ def _sylow_perm(factors: tuple[int, ...], p: int, s: int) -> tuple[int, ...]:
     has one block of s * |A| digits per element b of P in lexicographic
     order, the digits of the coefficient of Y^b in GR[A]; entry t is the
     digit of the vector of GR[G] that lands at t, the one of block a + b
-    for the point (b, a) of t.  sylow_split gathers through it and
-    sylow_merge scatters back, so the re-indexing has this one owner.
+    for the point (b, a) of t.  sylow_split gathers through it, and
+    sylow_merge and _sylow_place scatter back, so the re-indexing has this
+    one owner.
     """
     dec = sylow_decompose(AbelianGroup(factors), p)
     index = _group_index(factors)
@@ -322,6 +323,18 @@ def _sylow_merge_vector(nested, dec: SylowDecomposition, s: int) -> list[int]:
     for d, k in zip(nested, _sylow_perm(dec.group.factors, dec.p, s)):
         vec[k] = d
     return vec
+
+
+def _sylow_place(c, dec: SylowDecomposition, s: int, points=None) -> list[int]:
+    """The digits of GR[G] of c * (sum of Y^b over the points b of P, by
+    default its identity alone), c an element of GR[A] given by its digits:
+    c fills the block of each b in the vector over P, which is merged back."""
+    width, index = len(c), _group_index(dec.p_part.factors)
+    nested = [0] * (width * dec.p_part.order)
+    for b in (dec.p_part.identity,) if points is None else points:
+        k = index[b] * width
+        nested[k:k + width] = c
+    return _sylow_merge_vector(nested, dec, s)
 
 
 def sylow_split(u: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
@@ -364,7 +377,6 @@ class AmbientDecomposition:
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
         self._idempotents = None  # built by class_idempotents on first use
-        self._slots: dict = {}  # pairing -> its slots, built by _slots on first use
 
     def component_spec(self, nu: int) -> GaloisRingSpec:
         return construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
@@ -447,19 +459,11 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
 
 
 def _slots(ctx: AmbientDecomposition, pairing: str) -> tuple:
-    """A pairing's slots, singles then pairs in layout order: (class index,
-    component ring, spreads), the spreads as the partition lists them.
-    Built on first use and kept on the context; the orbits must cover the
-    group, which is checked here, once per context and pairing."""
-    slots = ctx._slots.get(pairing)
-    if slots is None:
-        slots = tuple((i, ctx.component_spec(ctx.parts.classes[i].cardinality), spreads)
-                      for i, spreads in ctx.parts._pairing_layout(pairing)[2])
-        points = {a for *_, spreads in slots for orbit, _ in spreads for a in orbit}
-        if len(points) != ctx.group.order:
-            raise InternalInvariantError("decomposition did not cover the group")
-        ctx._slots[pairing] = slots
-    return slots
+    """A pairing's slots as the partition lists them, singles then pairs in
+    layout order, each with its component ring: (class index, component
+    ring, spreads)."""
+    return tuple((i, ctx.component_spec(len(spreads[0][0])), spreads)
+                 for i, spreads in ctx.parts._pairing_layout(pairing)[2])
 
 
 @dataclass(frozen=True)

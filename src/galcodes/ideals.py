@@ -7,8 +7,8 @@ powers of the residue generator form a module basis of the coefficient
 ring; those rows are group_ring's product kernel.  Each ideal is held by
 its Howell basis (linalg.howell), so ideal identity is basis identity.
 group_ring owns the digit tables (group positions, shifts Y^g, block
-steps), shared by every engine, so an engine is a plain view of one ring
-and a bound.
+steps, the Sylow re-indexing), shared by every engine, so an engine is one
+ring, a bound and, from its first walk on, its class projectors.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r} (linalg), polynomial in s*|G|, and run at any ring
@@ -36,8 +36,8 @@ Also hosts the existence criterion and the two constructive results: a
 self-dual code built whenever the criterion allows one, and the
 componentwise enumeration of self-dual codes when |G| is coprime to p.
 Both work on digit vectors, sums and p-power multiples of the class
-idempotents, re-indexed along P by the Sylow digit permutation, and make
-group-ring elements only of their outputs.
+idempotents, which group_ring places inside GR[G], and make group-ring
+elements only of their outputs.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import BoundExceededError, DomainError, InternalInvariantError, _ch
 from .galois import GaloisRingSpec, _check_ring, construct_ring
 from .groups import AbelianGroup, _check_group, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
-                         _owner, _shift_perms, _sylow_merge_vector, ambient, class_idempotents)
+                         _owner, _shift_perms, _sylow_place, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
 from .numth import valuation
 
@@ -217,16 +217,14 @@ class ExhaustiveGroupRing:
 
     def _line_projectors(self) -> tuple:
         """The columns of multiplication by e_C, per class C of A in
-        partition order: e_C, the class idempotent of GR[A], placed at Y^0 of
-        GR[A][P] and merged back along the Sylow decomposition, so e_C * v is
-        v dotted with each column.  Built by the first walk."""
+        partition order: e_C, the class idempotent of GR[A], placed inside
+        GR[G] by _sylow_place, so e_C * v is v dotted with each column.
+        Built by the first walk."""
         if self._projectors is None:
             dec = sylow_decompose(self.group, self.p)
             ctx = ambient(self.spec, dec.coprime_part)
-            pad = [0] * (self.n - self.s * ctx.group.order)
-            self._projectors = tuple(
-                tuple(zip(*self.principal_rows(_sylow_merge_vector(list(e) + pad, dec, self.s))))
-                for e in class_idempotents(ctx))
+            self._projectors = tuple(tuple(zip(*self.principal_rows(_sylow_place(e, dec, self.s))))
+                                     for e in class_idempotents(ctx))
         return self._projectors
 
     def _cover_points(self, code: "Ideal"):
@@ -450,12 +448,13 @@ class SelfDualConstruction:
     ideal: Ideal | None
 
 
-def _idempotent_sum(e, indices, scale: int, m: int) -> list[int]:
-    """scale * (sum of the idempotents e[i], i in indices), digitwise mod m."""
+def _idempotent_sum(e, indices, scale: int, m: int) -> tuple[int, ...]:
+    """scale * (sum of the idempotents e[i], i in indices), digitwise mod m:
+    the element of GR[A] with the integer scale at the slots of indices."""
     total = [0] * len(e[0])
     for i in indices:
         total = [a + b for a, b in zip(total, e[i])]
-    return [scale * a % m for a in total]
+    return tuple(scale * a % m for a in total)
 
 
 def exists_self_dual(p: int, r: int, group: AbelianGroup,
@@ -477,8 +476,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
     2^r' K[P] + 2^(r'-1) K[P] (Y^x + 1) with r = 2r' - 1 and x of order 2
     in P, while each paired component carries (everything, zero).  Both
     generators are constant over P apart from the factor Y^x + 1, so each
-    is one sum of class idempotents of GR[A], placed at Y^0 (and Y^x) and
-    merged back along the Sylow decomposition.  All of this is digit
+    is one sum of class idempotents of GR[A], placed at Y^0 (and Y^x)
+    inside GR[G] by one _sylow_place.  All of this is digit
     vectors; zero generators are dropped.  The ideal is materialized when
     the engine's size rule accepts the ring under bound (default
     exhaustive_bound()); the generators are returned either way.
@@ -490,7 +489,7 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
             "needs r even, or p = 2 with |G| even")
     engine = ExhaustiveGroupRing(GroupRing(spec, group), bound)
     if r % 2 == 0:
-        vecs = [[p**(r // 2)] + [0] * (engine.n - 1)]
+        vecs = [[p**(r // 2) * d for d in engine.ring.one().coeffs]]
     else:
         dec = sylow_decompose(group, p)
         p_group = dec.p_part
@@ -503,13 +502,8 @@ def construct_self_dual(p: int, r: int, s: int, group: AbelianGroup,
         e, m = class_idempotents(ctx), spec.char
         g2 = _idempotent_sum(e, singles, p**(rp - 1), m)
         g1 = [(p * a + b) % m for a, b in zip(g2, _idempotent_sum(e, (i for i, _ in pairs), 1, m))]
-        # the nested vectors over P: block b is the coefficient of Y^b in GR[A]
-        width = len(g1)
-        nested1 = g1 + [0] * (engine.n - width)
-        nested2 = g2 + [0] * (engine.n - width)
-        k = _group_index(p_group.factors)[x2] * width
-        nested2[k:k + width] = g2
-        vecs = [v for v in (_sylow_merge_vector(x, dec, s) for x in (nested1, nested2)) if any(v)]
+        vecs = [v for v in (_sylow_place(g1, dec, s),
+                            _sylow_place(g2, dec, s, (p_group.identity, x2))) if any(v)]
     gens = tuple(engine.from_vector(v) for v in vecs)
     try:
         engine._require_enumerable()
@@ -550,13 +544,11 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     reps = []
     if count <= MAX_REPRESENTATIVES:
         e, m = class_idempotents(ctx), ctx.spec.char
-
-        def scaled(i: int, exp: int) -> GroupRingElement:
-            return GroupRingElement(ctx.ring, tuple(d * p**exp % m for d in e[i]))
-
-        single_gens = [scaled(i, r // 2) for i in singles]
+        single_gens = [GroupRingElement(ctx.ring, _idempotent_sum(e, (i,), p**(r // 2), m))
+                       for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r
-        ladders = [[[scaled(k, exp) for exp in range(r)] for k in pair] for pair in pairs]
+        ladders = [[[GroupRingElement(ctx.ring, _idempotent_sum(e, (i,), p**exp, m))
+                     for exp in range(r)] for i in pair] for pair in pairs]
         for choice in itertools.product(range(r + 1), repeat=len(pairs)):
             gens = list(single_gens)
             for ladder, w in zip(ladders, choice):

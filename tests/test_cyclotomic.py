@@ -222,8 +222,7 @@ def test_partition_equals_the_per_class_build():
             oracle = partition_by_classes(group, q)
             assert part == oracle, (group, q)
             for pairing, (_, _, oracle_slots) in zip((EUCLIDEAN, HERMITIAN), oracle._layouts):
-                stub = SimpleNamespace(parts=part, group=group, _slots={},
-                                       component_spec=lambda nu: nu)
+                stub = SimpleNamespace(parts=part, component_spec=lambda nu: nu)
                 slots = _slots(stub, pairing)
                 assert [(i, spreads) for i, _, spreads in slots] == list(oracle_slots)
                 assert [nu for _, nu, _ in slots] == [

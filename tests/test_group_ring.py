@@ -10,7 +10,7 @@ from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
 from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
-                                 _ambient_cached, _slots, _sylow_perm,
+                                 _ambient_cached, _slots, _sylow_perm, _sylow_place,
                                  ambient, class_idempotents, compose, conjugate,
                                  conjugate_involution, decompose_euclidean,
                                  decompose_hermitian, dft, element_text, idft, involution,
@@ -298,6 +298,25 @@ def test_sylow_permutation_is_the_element_level_reindexing(p, factors, s):
         y = nested.ring.random_element(rng)
         assert sylow_merge(y, dec) == sylow_merge_by_elements(y, dec)
         assert sylow_split(sylow_merge(y, dec), dec) == y
+
+
+@pytest.mark.parametrize("p, factors, s", [(2, (2, 7), 1), (2, (4, 5), 2), (2, (2, 2, 3), 1),
+                                           (3, (9,), 2), (3, (8, 9), 1)])
+def test_sylow_place_merges_c_times_a_sum_of_points(p, factors, s):
+    """_sylow_place(c, dec, s, B) is the merge of c * (sum of Y^b, b in B) of
+    (GR[A])[P], B = {0} by default."""
+    ring = GroupRing(construct_ring(p, 2, s), AbelianGroup(factors))
+    dec = sylow_decompose(ring.group, p)
+    outer = GroupRing(GroupRing(ring.coeff, dec.coprime_part), dec.p_part)
+    points = dec.p_part.elements()
+    rng = random.Random(p * 1000 + s * 100 + len(factors))
+    for _ in range(10):
+        c = outer.coeff.random_element(rng)
+        chosen = rng.sample(points, rng.randint(1, len(points)))
+        want = sylow_merge(outer.element({b: c for b in chosen}), dec)
+        assert _sylow_place(c.coeffs, dec, s, chosen) == list(want.coeffs)
+        want = sylow_merge(outer.monomial(dec.p_part.identity, c), dec)
+        assert _sylow_place(c.coeffs, dec, s) == list(want.coeffs)
 
 
 def test_sylow_split_and_merge_refuse_another_group():
@@ -805,22 +824,9 @@ def test_slots_split_the_group_by_the_pairing_rule(case, layout):
     assert sorted(points) == sorted(group.elements())  # each element in one orbit
     x = ctx.ring.random_element(random.Random(len(points)))
     decompose = decompose_euclidean if layout == "euclidean" else decompose_hermitian
-    for _ in range(2):  # each round trip reads the same slots
+    for _ in range(2):  # each round trip reads the same slots, kept nowhere
         assert compose(decompose(x, ctx)) == x
-        assert ctx._slots[layout] is slots and _slots(ctx, layout) is slots
-
-
-def test_slots_are_built_on_first_use_and_kept():
-    # the uncached constructor behind ambient(), so no earlier test built slots
-    ctx = _ambient_cached.__wrapped__(2, 2, 2, (5,))
-    assert ctx._slots == {}
-    x = ctx.ring.random_element(random.Random(3))
-    dec = decompose_hermitian(x, ctx)
-    assert list(ctx._slots) == ["hermitian"]
-    slots = ctx._slots["hermitian"]
-    assert compose(dec) == x and decompose_hermitian(x, ctx) == dec
-    assert ctx._slots["hermitian"] is slots
-    assert list(ctx._slots) == ["hermitian"]
+        assert _slots(ctx, layout) == slots and not hasattr(ctx, "_slots")
 
 
 # -- text format ----------------------------------------------------------------------------------

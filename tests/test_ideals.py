@@ -726,6 +726,23 @@ def test_construct_large_r_returns_generators_at_once(monkeypatch):
     assert out.generators == construct_by_nested_assembly(2, 41, 1, group, EUCLIDEAN)
 
 
+@pytest.mark.parametrize("p, r, s, factors, form", [
+    (2, 1, 1, (2, 7), EUCLIDEAN), (2, 3, 1, (4,), EUCLIDEAN), (2, 1, 2, (2, 3), HERMITIAN),
+    (2, 1, 1, (2, 2, 3), EUCLIDEAN), (2, 2, 1, (6,), EUCLIDEAN)])
+def test_a_construction_merges_once_per_generator(p, r, s, factors, form, monkeypatch):
+    """Odd r: each of the two generators is one Sylow merge, the one of g2
+    placed at Y^0 and Y^x at once; even r needs none."""
+    calls = []
+    merge = group_ring._sylow_merge_vector
+    monkeypatch.setattr(group_ring, "_sylow_merge_vector",
+                        lambda *args: calls.append(args) or merge(*args))
+    group = AbelianGroup(factors)
+    out = construct_self_dual(p, r, s, group, form, bound=1)
+    assert len(calls) == (2 if r % 2 else 0)
+    assert out.generators == (construct_by_nested_assembly(p, r, s, group, form) if r % 2 else
+                              (GroupRing(construct_ring(p, r, s), group).one() * p**(r // 2),))
+
+
 def test_construct_odd_r_nontrivial_coprime_part():
     for args in [(2, 1, 1, (6,)), (2, 3, 1, (2,)), (2, 1, 2, (2, 3))]:
         p, r, s, factors = args
