@@ -31,7 +31,7 @@ from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
                        is_principal_ideal_group_ring)
 from .cyclotomic import partition
 from .errors import BoundExceededError, DomainError
-from .galois import construct_ring, element_text, modulus_text, ring_name
+from .galois import _check_ring, construct_ring, element_text, modulus_text, ring_name
 from .group_ring import GroupRing, element_text as gr_element_text
 from .groups import (AbelianGroup, element_text as group_element_text,
                      format_group, parse_group, sylow_decompose)
@@ -110,7 +110,9 @@ def _cmd_classes(args) -> int:
 # -- count, exists, construct, enumerate ---------------------------------------------
 
 def _code_query(args):
-    """The group of a code subcommand and its JSON parameters."""
+    """The group of a code subcommand and its JSON parameters, once (p, r, s)
+    passes the ring rule: the ring is checked before any other work."""
+    _check_ring(args.p, args.r, args.s)
     group = parse_group(args.group)
     return group, {"p": args.p, "r": args.r, "s": args.s,
                    "group": format_group(group), "dual": args.dual}
@@ -128,7 +130,6 @@ _SEMISIMPLE_COUNTS = {"euclidean": euclidean_semisimple_count,
 
 
 def _cmd_count(args) -> int:
-    construct_ring(args.p, args.r, args.s)  # refuses bad (p, r, s) before the Sylow split
     group, parameters = _code_query(args)
     dec = sylow_decompose(group, args.p)
     report = _COUNTS[args.dual](args.p, args.r, args.s, dec.coprime_part, dec.p_part,

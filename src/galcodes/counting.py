@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicator,
                          even_pair_indicator)
 from .errors import (BoundExceededError, DomainError, InternalInvariantError,
-                     ProviderDomainError, _check_int)
+                     ProviderDomainError, _check_int, _check_type)
 from .galois import _check_ring, construct_ring
 from .group_ring import GroupRing
-from .groups import AbelianGroup, _check_group, format_group, order_census, sylow_decompose
+from .groups import AbelianGroup, format_group, order_census, sylow_decompose
 from .ideals import ExhaustiveGroupRing
 from .numth import multiplicative_order, valuation
 
@@ -37,6 +37,7 @@ def is_principal_ideal_group_ring(p: int, r: int, group: AbelianGroup) -> bool:
     """GR(p^r, s)[G] is a principal ideal ring iff the Sylow p-part of G is
     cyclic (r = 1) or trivial (r >= 2); independent of s."""
     _check_ring(p, r, 1)
+    _check_type("group", group, AbelianGroup)
     if r == 1:
         return len(sylow_decompose(group, p).p_part.factors) <= 1
     return math.gcd(p, group.order) == 1
@@ -308,12 +309,12 @@ def _divisor_factor(p, r, s, d, count_d, duality, provider, p_group) -> DivisorF
 
 
 def _product_count(p, r, s, coprime_group, p_group, duality, provider) -> CountReport:
+    construct_ring(p, r, s)  # validates p prime, r/s positive, before the pairing
     if duality != TOTAL:
         _pairing_twist(duality, s)
-    construct_ring(p, r, s)  # validates p prime, r/s positive
-    if _check_group("coprime_group", coprime_group).order % p == 0:
+    if _check_type("coprime_group", coprime_group, AbelianGroup).order % p == 0:
         raise DomainError(f"|A| = {coprime_group.order} is not coprime to p = {p}")
-    _p_group_exponent(p, _check_group("p_group", p_group))
+    _p_group_exponent(p, _check_type("p_group", p_group, AbelianGroup))
     provider = get_provider(provider)
     factors = []
     count = 1

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, _check_int
-from .groups import AbelianGroup, _check_group
+from .errors import DomainError, _check_int, _check_type
+from .groups import AbelianGroup
 from .numth import multiplicative_order, prime_power_split
 
 TYPE_I = "I"
@@ -198,4 +198,4 @@ def _partition_cached(factors: tuple[int, ...], q: int) -> ClassPartition:
 
 def partition(group: AbelianGroup, q: int) -> ClassPartition:
     """Partition the whole group into q-cyclotomic classes (cached)."""
-    return _partition_cached(_check_group("group", group).factors, _check_int("q", q))
+    return _partition_cached(_check_type("group", group, AbelianGroup).factors, _check_int("q", q))

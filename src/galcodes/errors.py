@@ -1,4 +1,5 @@
-"""Shared exception types, and _check_int: the one rule for integer arguments."""
+"""Shared exception types; _check_int, the one rule for integer arguments,
+and _check_type, the one rule for an argument of a given type."""
 
 from __future__ import annotations
 
@@ -26,4 +27,15 @@ def _check_int(name: str, value, least: int | None = None) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _check_type(name: str, value, *kinds: type):
+    """value when it is an instance of one of kinds; otherwise a DomainError
+    naming the argument and the types it takes, `<name> must be a <Kind> or
+    an <Other>, got <value>`."""
+    if not isinstance(value, kinds):
+        taken = " or ".join(f"{'an' if k.__name__[0] in 'AEIOUaeiou' else 'a'} {k.__name__}"
+                            for k in kinds)
+        raise DomainError(f"{name} must be {taken}, got {value!r}")
     return value

@@ -33,7 +33,7 @@ import itertools
 import re
 from functools import lru_cache
 
-from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int
+from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int, _check_type
 from .numth import factorize, is_prime
 
 # discrete logs in the Teichmuller set are done with a lookup table over
@@ -373,16 +373,6 @@ def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int
     return GaloisRingElement(target, tuple(c % m for c in acc))
 
 
-def _check_spec(name: str, value, also: tuple = ()):
-    """value when it is a GaloisRingSpec, or of one of the types also;
-    otherwise a DomainError naming the argument and the types it takes."""
-    kinds = (GaloisRingSpec, *also)
-    if not isinstance(value, kinds):
-        raise DomainError(f"{name} must be a {' or a '.join(k.__name__ for k in kinds)}, "
-                          f"got {value!r}")
-    return value
-
-
 def _check_ring(p: int, r: int, s: int) -> None:
     """The rule for GR(p^r, s) to exist: integers p prime, r >= 1 and s >= 1."""
     if not is_prime(_check_int("p", p)):
@@ -423,7 +413,7 @@ def _embedding_exponent(src: GaloisRingSpec, target: GaloisRingSpec) -> int:
 def _subring(src: GaloisRingSpec, target: GaloisRingSpec, up: bool):
     """(small, big) for the map src -> target, an embedding when up: both
     rings must be GR(p^r, .) and the small degree must divide the big one."""
-    if (src.p, src.r) != (target.p, target.r):
+    if (src.p, src.r) != (_check_type("target", target, GaloisRingSpec).p, target.r):
         raise DomainError(f"incompatible rings {src} -> {target}")
     small, big = (src, target) if up else (target, src)
     if big.s % small.s:
@@ -457,7 +447,7 @@ def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
 
 def root_of_unity(spec: GaloisRingSpec, order: int) -> GaloisRingElement:
     """The canonical root of unity of exact multiplicative order `order`."""
-    if (spec.residue_size - 1) % _check_int("order", order, 1):
+    if (_check_type("spec", spec, GaloisRingSpec).residue_size - 1) % _check_int("order", order, 1):
         raise DomainError(f"{order} does not divide {spec.residue_size - 1}")
     return spec.xi ** ((spec.residue_size - 1) // order)
 

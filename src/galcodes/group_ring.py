@@ -50,12 +50,11 @@ from functools import lru_cache, partial
 from itertools import chain
 
 from .cyclotomic import HERMITIAN, _pairing_twist, partition
-from .errors import DomainError
-from .galois import (GaloisRingElement, GaloisRingSpec, _check_spec, _poly_mul_mod,
+from .errors import DomainError, _check_type
+from .galois import (GaloisRingElement, GaloisRingSpec, _poly_mul_mod,
                      construct_ring, embed, generalized_frobenius, root_of_unity, unembed)
 from .galois import element_text as _scalar_text, parse_element as _scalar_parse
-from .groups import (AbelianGroup, SylowDecomposition, _check_group, character_exponent,
-                     sylow_decompose)
+from .groups import AbelianGroup, SylowDecomposition, character_exponent, sylow_decompose
 from .numth import multiplicative_order
 
 
@@ -68,8 +67,8 @@ class GroupRing:
     __slots__ = ("coeff", "group", "block", "width", "char", "_coefficient", "_flat")
 
     def __init__(self, coeff, group: AbelianGroup):
-        self.coeff = _check_spec("coeff", coeff, (GroupRing,))
-        self.group = _check_group("group", group)
+        self.coeff = _check_type("coeff", coeff, GaloisRingSpec, GroupRing)
+        self.group = _check_type("group", group, AbelianGroup)
         nested = isinstance(coeff, GroupRing)
         self.block = coeff.width if nested else coeff.s
         self.width = self.block * group.order
@@ -388,8 +387,9 @@ def _ambient_cached(p: int, r: int, s: int, factors: tuple[int, ...]) -> Ambient
 
 
 def ambient(spec: GaloisRingSpec, group: AbelianGroup) -> AmbientDecomposition:
-    _check_spec("spec", spec)
-    return _ambient_cached(spec.p, spec.r, spec.s, _check_group("group", group).factors)
+    _check_type("spec", spec, GaloisRingSpec)
+    return _ambient_cached(spec.p, spec.r, spec.s,
+                           _check_type("group", group, AbelianGroup).factors)
 
 
 def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
@@ -416,7 +416,7 @@ def _transform_context(x, ctx: AmbientDecomposition | None) -> AmbientDecomposit
             raise DomainError(f"cannot transform an element of {owner!r}: "
                               "its coefficients are not a Galois ring")
         ctx = ambient(owner.coeff, owner.group)
-    if owner != ctx.ring:
+    if owner != _check_type("ctx", ctx, AmbientDecomposition).ring:
         raise DomainError(f"element of {owner} transformed over {ctx.ring!r}")
     return ctx
 
@@ -437,7 +437,8 @@ def idft(values: dict, ctx: AmbientDecomposition) -> GroupRingElement:
     in the base ring; landing outside its embedded image means the values
     were not Frobenius-coherent, which is reported as a broken invariant.
     """
-    index = _group_index(ctx.group.factors)
+    _check_type("values", values, dict)
+    index = _group_index(_check_type("ctx", ctx, AmbientDecomposition).group.factors)
     for h in values:
         if h not in index or any(type(c) is not int for c in h):
             raise DomainError(f"point {h!r} is not an element of {ctx.group!r}")
@@ -451,7 +452,7 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     """The idempotent e_C of each class C, in partition order, as the digit
     vector of an element of GR[A]: the inverse transform of 1 on C, given
     only C's points, so each costs |A| * |C|."""
-    if ctx._idempotents is None:
+    if _check_type("ctx", ctx, AmbientDecomposition)._idempotents is None:
         one = ctx.big.one()
         ctx._idempotents = tuple(idft({h: one for h in cls.elements}, ctx).coeffs
                                  for cls in ctx.parts.classes)

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import BoundExceededError, DomainError, _check_int
+from .errors import BoundExceededError, DomainError, _check_int, _check_type
 from .numth import factorize, is_prime, lcm, valuation
 
 _DIRECT_COUNT_LIMIT = 10**6
@@ -67,13 +67,6 @@ class AbelianGroup:
         return tuple(k * x % m for x, m in zip(a, self.factors))
 
 
-def _check_group(name: str, value) -> AbelianGroup:
-    """value when it is an AbelianGroup; otherwise a DomainError naming the argument."""
-    if not isinstance(value, AbelianGroup):
-        raise DomainError(f"{name} must be an AbelianGroup, got {value!r}")
-    return value
-
-
 def element_order(group: AbelianGroup, a) -> int:
     """Additive order: lcm over coordinates of m_i / gcd(m_i, a_i)."""
     return reduce(lcm, (m // math.gcd(m, x) for x, m in zip(a, group.factors)), 1)
@@ -81,7 +74,7 @@ def element_order(group: AbelianGroup, a) -> int:
 
 def order_census(group: AbelianGroup) -> dict[int, int]:
     """Order -> element count, by one full scan of at most 10^6 elements."""
-    if group.order > _DIRECT_COUNT_LIMIT:
+    if _check_type("group", group, AbelianGroup).order > _DIRECT_COUNT_LIMIT:
         raise BoundExceededError(
             f"direct scan over {group.order} elements refused, "
             f"above the bound {_DIRECT_COUNT_LIMIT}")
@@ -118,6 +111,7 @@ def _primary_order_count(group: AbelianGroup, q: int, b: int) -> int:
 
 def count_order_formula(group: AbelianGroup, d: int) -> int:
     """Count elements of order d without scanning (multiplicative over primes)."""
+    _check_type("group", group, AbelianGroup)
     out = 1
     for q, b in factorize(_check_int("order", d, 1)):
         out *= _primary_order_count(group, q, b)
@@ -163,7 +157,7 @@ class SylowDecomposition:
 def sylow_decompose(group: AbelianGroup, p: int) -> SylowDecomposition:
     """Split each cyclic factor by CRT into its p-part and coprime part;
     p must be prime."""
-    _check_group("group", group)
+    _check_type("group", group, AbelianGroup)
     if not is_prime(_check_int("p", p)):
         raise DomainError(f"p = {p} is not prime")
     a_factors, p_factors = [], []
@@ -218,7 +212,7 @@ def parse_group(text: str) -> AbelianGroup:
 
 
 def format_group(group: AbelianGroup) -> str:
-    if not group.factors:
+    if not _check_type("group", group, AbelianGroup).factors:
         return "1"
     return "x".join(f"Z{m}" for m in group.factors)
 

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from operator import mul
 
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
-from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int
+from .errors import BoundExceededError, DomainError, InternalInvariantError, _check_int, _check_type
 from .galois import GaloisRingSpec, _check_ring, construct_ring
-from .groups import AbelianGroup, _check_group, sylow_decompose
+from .groups import AbelianGroup, sylow_decompose
 from .group_ring import (GroupRing, GroupRingElement, _block_steps, _group_index, _monomial_rows,
                          _owner, _shift_perms, _sylow_place, ambient, class_idempotents)
 from .linalg import howell, kernel, pivot, remainder
@@ -82,7 +82,7 @@ class ExhaustiveGroupRing:
     """
 
     def __init__(self, ring: GroupRing, bound: int | None = None):
-        spec = ring.coeff
+        spec = _check_type("ring", ring, GroupRing).coeff
         if not isinstance(spec, GaloisRingSpec):
             raise DomainError("exhaustive engine needs Galois-ring coefficients")
         self.ring = ring
@@ -462,7 +462,7 @@ def exists_self_dual(p: int, r: int, group: AbelianGroup,
     """Self-dual abelian codes exist iff r is even, or p = 2 and |G| is even."""
     _check_ring(p, r, s)
     _pairing_twist(duality, s)
-    _check_group("group", group)
+    _check_type("group", group, AbelianGroup)
     return r % 2 == 0 or (p == 2 and group.order % 2 == 0)
 
 
@@ -535,15 +535,16 @@ def enumerate_semisimple_selfdual(p: int, r: int, s: int, group: AbelianGroup,
     """Componentwise enumeration: singles are forced to p^(r/2) K, pairs
     range over the chain (p^i K, p^(r-i) K), i = 0..r.  Families of more
     than MAX_REPRESENTATIVES codes are counted but not listed."""
+    spec = construct_ring(p, r, s)
     _pairing_twist(form, s)
-    ctx = ambient(construct_ring(p, r, s), group)
+    ctx = ambient(spec, group)
     singles, pairs = ctx.parts.layout(form)
     if r % 2:
         return SemisimpleSelfDualFamily(p, r, s, group, form, 0, ())
     count = (r + 1)**len(pairs)
     reps = []
     if count <= MAX_REPRESENTATIVES:
-        e, m = class_idempotents(ctx), ctx.spec.char
+        e, m = class_idempotents(ctx), spec.char
         single_gens = [GroupRingElement(ctx.ring, _idempotent_sum(e, (i,), p**(r // 2), m))
                        for i in singles]
         # ladders[k][member][exp]: p^exp times that member's idempotent, exp < r

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from galcodes.cli import _uncapped_int_text, main
+from galcodes.cli import _parse_lengths, _uncapped_int_text, main
 from galcodes.counting import abelian_count
+from galcodes.errors import DomainError
 from galcodes.groups import AbelianGroup, parse_group
 from galcodes.ideals import BOUND_ENV_VAR, DEFAULT_BOUND, ExhaustiveGroupRing
 
@@ -510,6 +511,22 @@ def test_bad_length_range_exits_2(capsys):
     code, _, err = run(capsys, "table", "--p", "2", "--lengths", "5..2")
     assert code == 2
     assert "length range" in err
+
+
+@pytest.mark.parametrize("name", ["count", "exists", "construct", "enumerate"])
+@pytest.mark.parametrize("argv, message", [
+    (("--p", "1", "--r", "2", "--group", "Zx"), "p = 1 is not prime"),
+    (("--p", "2", "--r", "0", "--group", "Z3", "--dual", "hermitian"),
+     "r must be at least 1, got 0")], ids=["group", "pairing"])
+def test_code_subcommands_check_the_ring_first(capsys, name, argv, message):
+    """A bad ring is reported before a group that does not parse and before
+    a Hermitian pairing over odd s."""
+    assert run(capsys, name, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_bad_length_range_is_refused():
+    with pytest.raises(DomainError, match=r"^cannot parse length range 'x'; expected a\.\.b$"):
+        _parse_lengths("x")
 
 
 def test_noncoprime_hermitian_usage(capsys):

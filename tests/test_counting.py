@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from galcodes import counting
 from galcodes.counting import (AutoProvider, BruteForceProvider,
                                ClosedFormProvider, TrivialSylowProvider,
                                abelian_count, cyclic_count_n, cyclic_count_p2,
@@ -229,6 +230,16 @@ def test_brute_provider_respects_bound():
         abelian_count(2, 2, 1, TRIVIAL, AbelianGroup((16,)),
                       provider=BruteForceProvider(bound=1024))
     assert "exceeds the bound" in str(err.value)
+
+
+@pytest.mark.parametrize("p, factors, total", [(2, (4,), 23), (3, (3,), 16)])
+def test_brute_force_counts_every_ideal(p, factors, total, monkeypatch):
+    """Z4[Z4] and Z9[Z3] by enumeration, against the r = 2 closed form; an
+    empty cache makes the count run."""
+    monkeypatch.setattr(counting, "_BRUTE_CACHE", {})
+    assert BruteForceProvider().count(p, 2, 1, AbelianGroup(factors), "total") == total
+    assert counting._BRUTE_CACHE == {(p, 2, 1, factors, "total"): total}
+    assert cyclic_count_p2(p, 1, 1 if p == 3 else 2) == total
 
 
 def test_cached_brute_count_is_refused_under_a_smaller_bound():

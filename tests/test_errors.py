@@ -1,17 +1,21 @@
 """The one integer rule, errors._check_int, and the public entry points that
-apply it to a scalar argument; the one group rule, groups._check_group; the
-one coefficient-ring rule, galois._check_spec."""
+apply it to a scalar argument; the one type rule, errors._check_type, which
+the entry points apply to a group, a coefficient ring, a spectral context,
+a dict of transform values and an engine's ring; and the order of the
+checks: the ring before the pairing."""
 
 import re
 
 import pytest
 
-from galcodes.counting import abelian_count
+from galcodes.counting import (abelian_count, hermitian_abelian_count, hermitian_semisimple_count,
+                               is_principal_ideal_group_ring)
 from galcodes.cyclotomic import class_of, partition
 from galcodes.errors import DomainError, _check_int
-from galcodes.galois import construct_ring, generalized_frobenius, root_of_unity
-from galcodes.group_ring import GroupRing, ambient
-from galcodes.groups import AbelianGroup, sylow_decompose
+from galcodes.galois import construct_ring, embed, generalized_frobenius, root_of_unity, unembed
+from galcodes.group_ring import GroupRing, ambient, class_idempotents, dft, idft
+from galcodes.groups import (AbelianGroup, count_order_formula, format_group, order_census,
+                             sylow_decompose)
 from galcodes.ideals import (ExhaustiveGroupRing, construct_self_dual, enumerate_semisimple_selfdual,
                              exists_self_dual)
 
@@ -90,7 +94,16 @@ GROUP_TAKERS = [
     ("enumerate_semisimple_selfdual", lambda g: enumerate_semisimple_selfdual(2, 2, 1, g), "group"),
     ("ambient", lambda g: ambient(Z4, g), "group"),
     ("sylow_decompose", lambda g: sylow_decompose(g, 2), "group"),
+    ("is_principal_ideal_group_ring", lambda g: is_principal_ideal_group_ring(2, 2, g), "group"),
+    ("is_principal_ideal_group_ring:r=1", lambda g: is_principal_ideal_group_ring(2, 1, g),
+     "group"),
+    ("order_census", order_census, "group"),
+    ("count_order_formula", lambda g: count_order_formula(g, 3), "group"),
+    ("format_group", format_group, "group"),
 ]
+# groups.character_exponent and groups.element_order stay unchecked: the
+# spectral transform and the order census call them once per point, and
+# the benchmark's tracer leaves them unwrapped for the same reason.
 
 
 @pytest.mark.parametrize("entry", GROUP_TAKERS, ids=[row[0] for row in GROUP_TAKERS])
@@ -110,6 +123,9 @@ SPEC_TAKERS = [
      "a GaloisRingSpec or a GroupRing", [4, (2, 2, 1), "GR(2^2,1)"]),
     ("ambient", lambda c: ambient(c, AbelianGroup((3,))), "spec",
      "a GaloisRingSpec", [4, (2, 2, 1), "GR(2^2,1)", GroupRing(Z4, AbelianGroup((2,)))]),
+    ("embed", lambda c: embed(Z4.one(), c), "target", "a GaloisRingSpec", [5, (2, 2, 2)]),
+    ("unembed", lambda c: unembed(GR42.xi, c), "target", "a GaloisRingSpec", [5, (2, 2, 1)]),
+    ("root_of_unity", lambda c: root_of_unity(c, 3), "spec", "a GaloisRingSpec", [5, "GR(2^2,2)"]),
 ]
 
 
@@ -120,6 +136,47 @@ def test_entry_points_refuse_a_coefficient_ring_of_another_type(entry):
         message = f"{name} must be {kinds}, got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+CTX = ambient(Z4, AbelianGroup((3,)))
+# (entry point, call taking the argument, argument name, the type it takes,
+# values refused): each used to raise AttributeError ('int' object has no
+# attribute 'ring', 'list' object has no attribute 'items', ...)
+SPECTRAL_TAKERS = [
+    ("dft", lambda c: dft(CTX.ring.one(), c), "ctx", "an AmbientDecomposition", [5, Z4]),
+    ("idft", lambda c: idft({}, c), "ctx", "an AmbientDecomposition", [5, CTX.ring]),
+    ("idft:values", lambda v: idft(v, CTX), "values", "a dict", [[(0,)], ((0,), 1)]),
+    ("class_idempotents", class_idempotents, "ctx", "an AmbientDecomposition", [5, None]),
+    ("ExhaustiveGroupRing", ExhaustiveGroupRing, "ring", "a GroupRing", [5, Z4]),
+]
+
+
+@pytest.mark.parametrize("entry", SPECTRAL_TAKERS, ids=[row[0] for row in SPECTRAL_TAKERS])
+def test_spectral_entry_points_refuse_an_argument_of_another_type(entry):
+    _, call, name, kinds, values = entry
+    for value in values:
+        message = f"{name} must be {kinds}, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+# each reported the odd degree or the pairing before the ring's r = 0
+RING_BEFORE_PAIRING = [
+    ("hermitian_abelian_count", lambda: hermitian_abelian_count(2, 0, 1, AbelianGroup((3,)))),
+    ("hermitian_semisimple_count",
+     lambda: hermitian_semisimple_count(2, 0, 1, AbelianGroup((3,)))),
+    ("enumerate_semisimple_selfdual",
+     lambda: enumerate_semisimple_selfdual(2, 0, 1, AbelianGroup((3,)), "hermitian")),
+    ("construct_self_dual", lambda: construct_self_dual(2, 0, 1, AbelianGroup((3,)), "hermitian")),
+    ("exists_self_dual", lambda: exists_self_dual(2, 0, AbelianGroup((3,)), "hermitian", 1)),
+    ("abelian_count:group", lambda: abelian_count(2, 0, 1, "Z3")),
+]
+
+
+@pytest.mark.parametrize("entry", RING_BEFORE_PAIRING, ids=[row[0] for row in RING_BEFORE_PAIRING])
+def test_the_ring_is_checked_before_the_pairing_and_the_group(entry):
+    with pytest.raises(DomainError, match="^r must be at least 1, got 0$"):
+        entry[1]()
 
 
 def test_a_group_ring_takes_a_group_ring_as_its_coefficients():

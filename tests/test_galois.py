@@ -184,6 +184,24 @@ def test_xi_order_in_gr42():
     assert xi * xi != spec.one()
 
 
+def test_subtraction_and_integer_coercion():
+    spec = construct_ring(3, 2, 2)
+    a, b = spec.element((4, 7)), spec.element((8, 2))
+    assert a - b == spec.element((5, 5))
+    assert (a - b) + b == a
+    assert a + 3 == spec.element((7, 7)) == 3 + a
+    assert a - 3 == spec.element((1, 7))
+
+
+@pytest.mark.parametrize("p, r, s", [(2, 2, 2), (3, 2, 1)])
+def test_from_index_inverts_index_over_the_whole_ring(p, r, s):
+    spec = construct_ring(p, r, s)
+    elements = list(spec.elements())
+    assert len(elements) == len(set(elements)) == spec.size
+    for k, a in enumerate(elements):
+        assert a.index() == k and spec.from_index(a.index()) == a
+
+
 def test_additive_identity():
     spec = construct_ring(3, 2, 2)
     for k in range(0, spec.size, 7):

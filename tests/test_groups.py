@@ -28,6 +28,12 @@ def test_non_integer_factor_is_refused(factor):
         AbelianGroup((2, factor))
 
 
+@pytest.mark.parametrize("coords", [(1,), (1, 2, 3), ()])
+def test_element_refuses_the_wrong_number_of_coordinates(coords):
+    with pytest.raises(DomainError, match=f"^expected 2 coordinates, got {len(coords)}$"):
+        AbelianGroup((3, 4)).element(coords)
+
+
 @pytest.mark.parametrize("coords", [(1.5, 7.9), (1, True), (1, "3")], ids=["float", "bool", "str"])
 def test_element_refuses_coordinates_that_are_not_integers(coords):
     """(1.5, 7.9) used to give (1, 3)."""

@@ -83,6 +83,12 @@ def test_engine_refuses_a_bound_that_is_not_an_integer(bound):
             BruteForceProvider(bound).count(2, 2, 1, AbelianGroup((2,)), kind)
 
 
+def test_engine_refuses_a_nested_group_ring():
+    inner = GroupRing(construct_ring(2, 2, 1), AbelianGroup((3,)))
+    with pytest.raises(DomainError, match="^exhaustive engine needs Galois-ring coefficients$"):
+        ExhaustiveGroupRing(GroupRing(inner, AbelianGroup((2,))))
+
+
 def test_engine_rejects_oversized_ring():
     ring = GroupRing(construct_ring(2, 2, 1), AbelianGroup((2,)))
     eng = ExhaustiveGroupRing(ring, bound=10)
