@@ -451,10 +451,10 @@ class SelfDualConstruction:
 def _idempotent_sum(e, indices, scale: int, m: int) -> tuple[int, ...]:
     """scale * (sum of the idempotents e[i], i in indices), digitwise mod m:
     the element of GR[A] with the integer scale at the slots of indices."""
-    total = [0] * len(e[0])
+    total = None  # the first idempotent as it is, then digitwise sums
     for i in indices:
-        total = [a + b for a, b in zip(total, e[i])]
-    return tuple(scale * a % m for a in total)
+        total = e[i] if total is None else [a + b for a, b in zip(total, e[i])]
+    return tuple([scale * a % m for a in total or [0] * len(e[0])])
 
 
 def exists_self_dual(p: int, r: int, group: AbelianGroup,
