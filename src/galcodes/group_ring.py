@@ -459,12 +459,12 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     return ctx._idempotents
 
 
-def _slots(ctx: AmbientDecomposition, pairing: str) -> tuple:
+def _slots(ctx: AmbientDecomposition, pairing: str) -> list:
     """A pairing's slots as the partition lists them, singles then pairs in
     layout order, each with its component ring: (class index, component
     ring, spreads)."""
-    return tuple((i, ctx.component_spec(len(spreads[0][0])), spreads)
-                 for i, spreads in ctx.parts._pairing_layout(pairing)[2])
+    return [(i, ctx.component_spec(len(spreads[0][0])), spreads)
+            for i, spreads in ctx.parts._pairing_layout(pairing)[2]]
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ class DecomposedElement:
         return DecomposedElement(self.context, self.pairing, singles, pairs)
 
 
-def _check_slots(dec: DecomposedElement) -> tuple:
+def _check_slots(dec: DecomposedElement) -> list:
     """The slots of dec's pairing, once dec holds a value at each single
     slot, a pair of values at each pair slot and nothing else."""
     def refuse(what: str):
