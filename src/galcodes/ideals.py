@@ -116,7 +116,7 @@ class ExhaustiveGroupRing:
                 f"|ring| = {self._size_text} exceeds the exhaustive bound {self.bound}")
 
     def _check_ideal(self, code: "Ideal") -> None:
-        if code.engine is not self and code.engine.ring != self.ring:
+        if _check_type("ideal", code, Ideal).engine is not self and code.engine.ring != self.ring:
             raise DomainError(f"ideal of {code.engine.ring!r} used in {self.ring!r}")
 
     def _check_vector(self, vec) -> None:
@@ -216,33 +216,33 @@ class ExhaustiveGroupRing:
         return self._annihilator(rows, 0)
 
     def _line_projectors(self) -> tuple:
-        """The columns of multiplication by e_C, per class C of A in
-        partition order: e_C, the class idempotent of GR[A], placed inside
-        GR[G] by _sylow_place, so e_C * v is v dotted with each column.
-        Built by the first walk."""
+        """Per class C of A in partition order, the columns of multiplication
+        by e_C and the F_p-dimension s * nu_C of an F_Q-line: e_C, the class
+        idempotent of GR[A], placed inside GR[G] by _sylow_place, so e_C * v
+        is v dotted with each column.  Built by the first walk."""
         if self._projectors is None:
             dec = sylow_decompose(self.group, self.p)
             ctx = ambient(self.spec, dec.coprime_part)
-            self._projectors = tuple(tuple(zip(*self.principal_rows(_sylow_place(e, dec, self.s))))
-                                     for e in class_idempotents(ctx))
+            self._projectors = tuple(
+                (tuple(zip(*self.principal_rows(_sylow_place(e, dec, self.s)))),
+                 self.s * len(cls.elements))
+                for e, cls in zip(class_idempotents(ctx), ctx.parts.classes))
         return self._projectors
 
-    def _cover_points(self, code: "Ideal"):
-        """One vector per simple submodule of S(I)/I, that is per cover of I.
+    def _line_bases(self, code: "Ideal") -> list:
+        """Per class C, in partition order, the F_p-bases of the F_Q-lines
+        that a greedy pass picks as a basis of e_C * (S(I)/I), Q = q^nu_C.
 
-        J * S(I) lies in I, so S(I)/I is a module over R/J = F_q[A], the
-        product of the fields F_Q, Q = q^nu_C, over the q-cyclotomic classes
-        C of A, and its simple submodules are the F_Q-lines of the summands
-        e_C * (S(I)/I).  The socle rows, projected by e_C, that leave the span
-        of I and the lines already taken lead new lines; each line's F_p-basis
-        is its lead's rows x^j * Y^g * lead that leave the span, s * nu_C of
-        them.  A line of a summand is its lead plus an F_p-combination of the
-        bases of the summand's later lines, yielded last line first.
+        The socle rows, projected by e_C, that leave the span of I and the
+        lines already taken lead new lines; each line's F_p-basis is its
+        lead's rows x^j * Y^g * lead that leave the span, taken in order
+        until it holds s * nu_C of them: the line is (I + (lead))/I, of that
+        dimension, so every later row lies in the span.
         """
         p, r, m = self.p, self.r, self.m
         socle = self._socle_layer(code)
-        span, lines = code.basis, []
-        for columns in self._line_projectors():
+        span, summands = code.basis, []
+        for columns, dim in self._line_projectors():
             bases = []
             for row in socle:
                 lead = tuple(sum(map(mul, row, col)) % m for col in columns)
@@ -253,9 +253,25 @@ class ExhaustiveGroupRing:
                     if any(remainder(span, mono, m)):
                         basis.append(mono)
                         span = howell(span + (mono,), p, r)
+                        if len(basis) == dim:
+                            break
                 bases.append(basis)
-            lines += [(basis[0], [b for later in bases[k + 1:] for b in later])
-                      for k, basis in enumerate(bases)]
+            summands.append(bases)
+        return summands
+
+    def _cover_points(self, code: "Ideal"):
+        """One vector per simple submodule of S(I)/I, that is per cover of I.
+
+        J * S(I) lies in I, so S(I)/I is a module over R/J = F_q[A], the
+        product of the fields F_Q, Q = q^nu_C, over the q-cyclotomic classes
+        C of A, and its simple submodules are the F_Q-lines of the summands
+        e_C * (S(I)/I), each of F_p-dimension s * nu_C.  A line of a summand
+        is the lead of one of its _line_bases plus an F_p-combination of the
+        bases of the summand's later lines, yielded last line first.
+        """
+        p, m = self.p, self.m
+        lines = [(basis[0], [b for later in bases[k + 1:] for b in later])
+                 for bases in self._line_bases(code) for k, basis in enumerate(bases)]
         for lead, tail in reversed(lines):
             for coeffs in itertools.product(range(p), repeat=len(tail)):
                 vec = lead
@@ -274,18 +290,24 @@ class ExhaustiveGroupRing:
         yielded when new.  Every K above I meets S(I) outside I, since J is
         nilpotent: for v in K outside I, take the largest k with J^k * v not
         inside I; J^k * v holds such an element.  So some cover of I lies in
-        K, and every ideal is reached by a chain of covers from zero.  The
-        walk keeps every found ideal, so rings above the bound are refused
-        (on the first next()) before any is yielded.
+        K, and every ideal is reached by a chain of covers from zero.  A
+        vector recurs across the ideals it covers, so the walk builds each
+        vector's principal ideal once, in a dict that lives as long as the
+        walk; the engine keeps no table of them.  The walk keeps every found
+        ideal, so rings above the bound are refused (on the first next())
+        before any is yielded.
         """
         self._require_enumerable()
         zero = self.zero_ideal()
         seen = {zero.basis}
         found = [zero]
+        principal = {}  # cover vector -> its principal ideal, for this walk
         yield zero
         for ideal in found:  # found grows as the loop runs
             for vec in self._cover_points(ideal):
-                cover = self.join(ideal, self.principal_ideal(vec))
+                if vec not in principal:
+                    principal[vec] = self.principal_ideal(vec)
+                cover = self.join(ideal, principal[vec])
                 if cover.basis not in seen:
                     seen.add(cover.basis)
                     found.append(cover)

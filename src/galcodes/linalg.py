@@ -15,8 +15,9 @@ from math import gcd
 
 
 def pivot(row) -> int:
-    """Column of the leading (first nonzero) entry of a nonzero row."""
-    return next(i for i, a in enumerate(row) if a)
+    """Column of the leading (first nonzero) entry of a nonzero row, a
+    tuple or a list."""
+    return row.index(next(filter(None, row)))
 
 
 def howell(rows, p: int, r: int) -> tuple[tuple[int, ...], ...]:

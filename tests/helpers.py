@@ -244,6 +244,29 @@ def stream_by_fp_points(eng):
                 yield cover
 
 
+def line_bases_by_full_scan(eng, code):
+    """The line bases of ExhaustiveGroupRing._line_bases, each picked by
+    scanning every row x^j * Y^g * lead and keeping those that leave the
+    span: the greedy basis before it stopped at the line's dimension."""
+    p, r, m = eng.p, eng.r, eng.m
+    socle = eng._socle_layer(code)
+    span, summands = code.basis, []
+    for columns, _ in eng._line_projectors():
+        bases = []
+        for row in socle:
+            lead = tuple(sum(map(mul, row, col)) % m for col in columns)
+            if not any(remainder(span, lead, m)):
+                continue
+            basis = []
+            for mono in eng.principal_rows(lead):
+                if any(remainder(span, mono, m)):
+                    basis.append(mono)
+                    span = howell(span + (mono,), p, r)
+            bases.append(basis)
+        summands.append(bases)
+    return summands
+
+
 def minimal_ideals(ideals):
     """The ideals of the collection that contain no other one of it."""
     ideals = set(ideals)

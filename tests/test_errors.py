@@ -1,7 +1,7 @@
 """The one integer rule, errors._check_int, and the public entry points that
 apply it to a scalar argument; the one type rule, errors._check_type, which
 the entry points apply to a group, a coefficient ring, a spectral context,
-a dict of transform values and an engine's ring; and the order of the
+a dict of transform values, an engine's ring and an ideal; and the order of the
 checks: the ring before the pairing."""
 
 import re
@@ -158,6 +158,25 @@ def test_spectral_entry_points_refuse_an_argument_of_another_type(entry):
         message = f"{name} must be {kinds}, got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+# (entry point, call taking the ideal): each used to raise AttributeError
+# ('int' object has no attribute 'engine')
+IDEAL_TAKERS = [
+    ("join", lambda c: Z4Z2.join(c, c)),
+    ("join:second", lambda c: Z4Z2.join(Z4Z2.zero_ideal(), c)),
+    ("dual", Z4Z2.dual),
+    ("is_self_orthogonal", Z4Z2.is_self_orthogonal),
+    ("is_self_dual", Z4Z2.is_self_dual),
+]
+
+
+@pytest.mark.parametrize("entry", IDEAL_TAKERS, ids=[row[0] for row in IDEAL_TAKERS])
+@pytest.mark.parametrize("value", [5, None, (0, 1)], ids=["int", "None", "tuple"])
+def test_ideal_arguments_refuse_another_type(entry, value):
+    message = f"ideal must be an Ideal, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        entry[1](value)
 
 
 # each reported the odd degree or the pairing before the ring's r = 0

@@ -21,8 +21,9 @@ from galcodes.linalg import howell, pivot, remainder
 from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
                      construct_by_nested_assembly, dual_by_scan, engine, fp_points,
                      howell_saturating_takeovers, ideals_by_full_scan, ideals_by_orbit_scan,
-                     ideals_by_principal_joins, minimal_ideals, orbit_least_vectors,
-                     perms_by_group_add, semisimple_by_elements, shift, stream_by_fp_points)
+                     ideals_by_principal_joins, line_bases_by_full_scan, minimal_ideals,
+                     orbit_least_vectors, perms_by_group_add, semisimple_by_elements, shift,
+                     stream_by_fp_points)
 
 
 def join_all(eng, gens):
@@ -388,6 +389,11 @@ def test_the_stream_is_the_per_point_walk_on_local_rings_over_prime_fields(p, r,
     assert [c.basis for c in eng.ideal_stream()] == [c.basis for c in stream_by_fp_points(eng)]
 
 
+# r = 1 rings whose S(I)/I has a large F_p-dimension: the per-point walk
+# took 20 s on F_2[Z15]
+SEMISIMPLE_RINGS = [(2, 1, 1, (15,)), (2, 1, 2, (7,)), (3, 1, 1, (8,)), (2, 1, 1, (13,))]
+
+
 # the cover edges of the lattice of each ideal_enum ring, 1557 in all,
 # against 4193 F_p-points
 COVER_EDGES = {(2, 2, 1, (7,)): 54, (2, 2, 2, (3,)): 54, (3, 3, 1, (3,)): 69,
@@ -396,11 +402,19 @@ COVER_EDGES = {(2, 2, 1, (7,)): 54, (2, 2, 2, (3,)): 54, (3, 3, 1, (3,)): 69,
                (2, 2, 1, (4,)): 36, (2, 2, 1, (5,)): 12}
 
 
+# the distinct cover vectors of each ideal_enum walk, 307 in all
+COVER_VECTORS = {(2, 2, 1, (7,)): 17, (2, 2, 2, (3,)): 17, (3, 3, 1, (3,)): 34,
+                 (2, 3, 1, (2, 2)): 90, (2, 2, 1, (3, 2)): 26, (2, 3, 1, (4,)): 53,
+                 (2, 2, 1, (2, 2)): 26, (3, 2, 1, (3,)): 13, (2, 2, 2, (2,)): 7,
+                 (2, 2, 1, (4,)): 18, (2, 2, 1, (5,)): 6}
+
+
 @pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
                          ids=[ring_id(ring) for ring in IDEAL_ENUM_RINGS])
 def test_the_walk_joins_once_per_cover_edge(p, r, s, factors, monkeypatch):
-    """One principal ideal and one join per cover, none per F_p-point: the
-    counts the benchmark's traced run reads."""
+    """One join per cover and one principal ideal per distinct cover vector
+    of the walk, none per F_p-point: the counts the benchmark's traced run
+    reads."""
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), AbelianGroup(factors)))
     calls = {"join": 0, "principal_ideal": 0}
     for name in calls:
@@ -408,14 +422,44 @@ def test_the_walk_joins_once_per_cover_edge(p, r, s, factors, monkeypatch):
             calls[name] += 1
             return method(*args)
         monkeypatch.setattr(eng, name, spy)
-    edges = sum(1 for ideal in eng.ideal_stream() for _ in eng._cover_points(ideal))
-    assert calls == {"join": edges, "principal_ideal": edges}
-    assert edges == COVER_EDGES[(p, r, s, factors)]
+    vectors = [v for ideal in eng.ideal_stream() for v in eng._cover_points(ideal)]
+    assert calls == {"join": len(vectors), "principal_ideal": len(set(vectors))}
+    assert len(vectors) == COVER_EDGES[(p, r, s, factors)]
+    assert len(set(vectors)) == COVER_VECTORS[(p, r, s, factors)]
 
 
-# r = 1 rings whose S(I)/I has a large F_p-dimension: the per-point walk
-# took 20 s on F_2[Z15]
-SEMISIMPLE_RINGS = [(2, 1, 1, (15,)), (2, 1, 2, (7,)), (3, 1, 1, (8,)), (2, 1, 1, (13,))]
+def test_a_walk_keeps_no_principal_ideal_on_the_engine():
+    """The walk's principal ideals live as long as the walk: the engine
+    gains no attribute, only the projectors are filled, and a second walk
+    yields the first one's bases."""
+    eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, 1), AbelianGroup((3, 2))))
+    before = dict(vars(eng))
+    first = [c.basis for c in eng.ideal_stream()]
+    after = vars(eng)
+    assert after.keys() == before.keys()
+    assert [k for k in after if after[k] is not before[k]] == ["_projectors"]
+    assert [c.basis for c in eng.ideal_stream()] == first
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
+    """On every ideal I, each line basis of the summand of class C holds
+    s * nu_C rows, the F_p-dimension of (I + (lead))/I, and is the basis
+    the full greedy scan picks, so the cover vectors built from the bases
+    are the full scan's too."""
+    eng = engine(p, r, s, factors)
+    dec = sylow_decompose(eng.group, p)
+    nus = [len(cls.elements) for cls in ambient(eng.spec, dec.coprime_part).parts.classes]
+    for ideal in eng.ideal_stream():
+        summands = eng._line_bases(ideal)
+        assert summands == line_bases_by_full_scan(eng, ideal)
+        assert len(summands) == len(nus)
+        for bases, nu in zip(summands, nus):
+            for basis in bases:
+                assert len(basis) == s * nu
+                line = eng.join(ideal, eng.principal_ideal(basis[0]))
+                assert line.size == ideal.size * p**(s * nu)
 
 
 @pytest.mark.parametrize("p, r, s, factors", SEMISIMPLE_RINGS,

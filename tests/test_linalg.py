@@ -61,3 +61,27 @@ def test_kernel_equals_the_scanned_kernel(p, r, n):
             ker = kernel(mat, p, r)
             assert ker == howell(scanned, p, r), mat
             assert size(ker, m) == len(scanned), mat
+
+
+def pivot_by_enumeration(row):
+    """The first index whose entry is nonzero, by enumerating the row."""
+    return next(i for i, a in enumerate(row) if a)
+
+
+@pytest.mark.parametrize("m", [4, 27, 2**40], ids=["Z4", "Z27", "Z2^40"])
+def test_pivot_is_the_first_nonzero_column(m):
+    """On 500 seeded rows per modulus, tuples and lists, with runs of
+    leading zeros: pivot equals its enumerating definition, and both raise
+    StopIteration on a zero row."""
+    rng = random.Random(m)
+    for _ in range(500):
+        zeros, tail = rng.randint(0, 12), rng.randint(1, 8)
+        row = [0] * zeros + [rng.randrange(1, m)] + [rng.randrange(m) for _ in range(tail - 1)]
+        for kind in (tuple, list):
+            assert pivot(kind(row)) == pivot_by_enumeration(row) == zeros, row
+    for kind in (tuple, list):
+        for width in (0, 1, 5):
+            with pytest.raises(StopIteration):
+                pivot(kind([0] * width))
+            with pytest.raises(StopIteration):
+                pivot_by_enumeration(kind([0] * width))
