@@ -323,7 +323,7 @@ def _lift_by_powering(a: GaloisRingElement) -> GaloisRingElement:
 def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
     """The unique Teichmuller element congruent to a modulo p: xi^dlog(a mod p)
     for a unit, 0 otherwise."""
-    spec = a.spec
+    spec = _check_type("a", a, GaloisRingElement).spec
     table, pows = spec._table()
     res = a.residue()
     if not any(res):
@@ -345,7 +345,7 @@ def generalized_frobenius(a: GaloisRingElement, k: int) -> GaloisRingElement:
     k is taken modulo s (digit orders divide p^s - 1), so negative k means
     the inverse automorphism.  k = 0 (mod s) is the identity.
     """
-    spec = a.spec
+    spec = _check_type("a", a, GaloisRingElement).spec
     k = _check_int("k", k) % spec.s
     if k == 0:
         return a
@@ -428,7 +428,7 @@ def embed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
     for the smallest j making the image a conjugate of xi_d, then extended
     digit-wise over the p-adic expansion.
     """
-    small, big = _subring(a.spec, target, True)
+    small, big = _subring(_check_type("a", a, GaloisRingElement).spec, target, True)
     if small == big:
         return a
     step = (big.residue_size - 1) // (small.residue_size - 1)
@@ -437,7 +437,7 @@ def embed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
 
 def unembed(a: GaloisRingElement, target: GaloisRingSpec) -> GaloisRingElement:
     """Inverse of embed on its image; raises if a is outside the subring."""
-    small, big = _subring(a.spec, target, False)
+    small, big = _subring(_check_type("a", a, GaloisRingElement).spec, target, False)
     if small == big:
         return a
     order = small.residue_size - 1
@@ -471,10 +471,11 @@ def parse_ring_name(text: str) -> GaloisRingSpec:
 
 def element_text(a: GaloisRingElement) -> str:
     """Comma-separated coefficients, lowest degree first, e.g. '3,1'."""
-    return ",".join(str(c) for c in a.coeffs)
+    return ",".join(str(c) for c in _check_type("a", a, GaloisRingElement).coeffs)
 
 
 def parse_element(spec: GaloisRingSpec, text: str) -> GaloisRingElement:
+    _check_type("spec", spec, GaloisRingSpec)
     parts = text.strip().split(",")
     if len(parts) != spec.s:
         raise DomainError(f"expected {spec.s} coefficients in {text!r}")

@@ -222,13 +222,13 @@ def conjugate(a: GaloisRingElement) -> GaloisRingElement:
 
 def involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal Y^g -> Y^(-g), coefficients untouched."""
-    neg = x.ring.group.neg
+    neg = _check_type("x", x, GroupRingElement).ring.group.neg
     return x.ring._assemble((neg(g), c) for g, c in x.terms())
 
 
 def conjugate_involution(x: GroupRingElement) -> GroupRingElement:
     """Support reversal with conjugated coefficients (coefficient degree even)."""
-    spec = x.ring.coeff
+    spec = _check_type("x", x, GroupRingElement).ring.coeff
     if not isinstance(spec, GaloisRingSpec) or spec.s % 2:
         raise DomainError(f"{x.ring!r} has no conjugate involution: it needs GR(p^r, s), s even")
     neg = x.ring.group.neg
@@ -338,8 +338,8 @@ def _sylow_place(c, dec: SylowDecomposition, s: int, points=None) -> list[int]:
 
 def sylow_split(u: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
     """Re-index GR[G] as (GR[A])[P]: coefficient of Y^b at Y^a is u_{a+b}."""
-    ring = u.ring
-    if ring.group != dec.group:
+    ring = _check_type("u", u, GroupRingElement).ring
+    if ring.group != _check_type("dec", dec, SylowDecomposition).group:
         raise DomainError(f"element of {ring!r} split along the decomposition of {dec.group!r}")
     outer = GroupRing(GroupRing(ring.coeff, dec.coprime_part), dec.p_part)
     perm = _sylow_perm(dec.group.factors, dec.p, ring.block)
@@ -348,7 +348,8 @@ def sylow_split(u: GroupRingElement, dec: SylowDecomposition) -> GroupRingElemen
 
 def sylow_merge(x: GroupRingElement, dec: SylowDecomposition) -> GroupRingElement:
     """Inverse of sylow_split."""
-    inner = x.ring.coeff
+    inner = _check_type("x", x, GroupRingElement).ring.coeff
+    _check_type("dec", dec, SylowDecomposition)
     if not isinstance(inner, GroupRing):
         raise DomainError("sylow_merge expects nested coefficients")
     if x.ring.group != dec.p_part or inner.group != dec.coprime_part:
@@ -580,14 +581,14 @@ def compose(dec: DecomposedElement) -> GroupRingElement:
 
 def element_text(x: GroupRingElement) -> str:
     """Dense coefficient list in lexicographic group order, ';' separated."""
-    spec = x.ring.coeff
+    spec = _check_type("x", x, GroupRingElement).ring.coeff
     if not isinstance(spec, GaloisRingSpec):
         raise DomainError("text format applies to Galois-ring coefficients")
     return ";".join(_scalar_text(x.coefficient(g)) for g in x.ring.group.elements())
 
 
 def parse_element(ring: GroupRing, text: str) -> GroupRingElement:
-    spec = ring.coeff
+    spec = _check_type("ring", ring, GroupRing).coeff
     if not isinstance(spec, GaloisRingSpec):
         raise DomainError("text format applies to Galois-ring coefficients")
     parts = text.strip().split(";")

@@ -28,9 +28,11 @@ takes.  J * S(I) lies in I, so S(I)/I is a module over
 R/J = F_q[A] = prod_C F_Q, Q = q^nu_C, C over the q-cyclotomic classes of
 A, q = p^s.  Its simple submodules, the covers of I, are the F_Q-lines of
 the summands e_C * (S(I)/I), e_C the class idempotents, and each line
-gives its cover I + (v) through one vector v.  Every ideal K above I meets
-S(I) outside I, since J is nilpotent, so every ideal is reached by a chain
-of covers from zero.
+gives its cover I + (v) through one vector v.  R acts on a line of lead v
+through F_Q = e_C * R / e_C * J, so the rows x^j * Y^g * v of an F_p-basis
+of the line sit at positions fixed by C, found once per engine.  Every
+ideal K above I meets S(I) outside I, since J is nilpotent, so every ideal
+is reached by a chain of covers from zero.
 
 Also hosts the existence criterion and the two constructive results: a
 self-dual code built whenever the criterion allows one, and the
@@ -193,40 +195,60 @@ class ExhaustiveGroupRing:
         self._check_ideal(b)
         return self.ideal_from_rows(a.basis + b.basis)
 
-    def _socle_layer(self, code: "Ideal") -> tuple[tuple[int, ...], ...]:
-        """Howell basis of S(I) = {v : J * v in I} = (J * I^perp)^perp.
-
-        J is generated by p and by Y^g - 1, g = f / p^v(f) the generator of
-        the p-part of each cyclic factor Z_f.  J is closed under the
-        involution Y^g -> Y^-g, which is the adjoint of multiplication for
-        the Euclidean form, so J * v lies in I exactly when v is orthogonal
-        to J * I^perp.  That ideal is spanned by p * b and (Y^g - 1) * b over
-        the basis rows b of I^perp.
-        """
+    def _radical_rows(self, basis) -> tuple[tuple[int, ...], ...]:
+        """Howell basis of J * M, M the ideal with this basis: the span of
+        p * b and (Y^g - 1) * b over the basis rows b, g = f / p^v(f) the
+        generator of the p-part of each cyclic factor Z_f of G."""
         m, factors = self.m, self.group.factors
         perms, index = _shift_perms(factors, self.s), _group_index(factors)
-        perp = self._annihilator(code.basis, 0)
-        rows = [tuple(self.p * a % m for a in b) for b in perp]
+        rows = [tuple(self.p * a % m for a in b) for b in basis]
         for k, f in enumerate(factors):
             g = [0] * len(factors)
             g[k] = f // self.p**valuation(f, self.p)
             if g[k] < f:
                 perm = perms[index[tuple(g)]]
-                rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in perp]
-        return self._annihilator(rows, 0)
+                rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in basis]
+        return howell(rows, self.p, self.r)
+
+    def _socle_layer(self, code: "Ideal") -> tuple[tuple[int, ...], ...]:
+        """Howell basis of S(I) = {v : J * v in I} = (J * I^perp)^perp.
+
+        J is generated by p and by Y^g - 1 over the p-parts of the cyclic
+        factors.  J is closed under the involution Y^g -> Y^-g, which is the
+        adjoint of multiplication for the Euclidean form, so J * v lies in I
+        exactly when v is orthogonal to J * I^perp, whose Howell basis
+        _radical_rows gives the second annihilator.
+        """
+        return self._annihilator(self._radical_rows(self._annihilator(code.basis, 0)), 0)
 
     def _line_projectors(self) -> tuple:
         """Per class C of A in partition order, the columns of multiplication
-        by e_C and the F_p-dimension s * nu_C of an F_Q-line: e_C, the class
-        idempotent of GR[A], placed inside GR[G] by _sylow_place, so e_C * v
-        is v dotted with each column.  Built by the first walk."""
+        by e_C and the picks of its lines, built by the first walk.  e_C is
+        the class idempotent of GR[A], placed inside GR[G] by _sylow_place,
+        so e_C * v is v dotted with each column.
+
+        The picks are the positions t of the rows x^j * Y^g * e_C, row
+        t = g * s + j, that a greedy pass keeps as an F_p-basis of
+        e_C * R / e_C * J = F_Q, Q = q^nu_C: s * nu_C of them.  The pass
+        works modulo J, which meets e_C * R in e_C * J.
+        """
         if self._projectors is None:
-            dec = sylow_decompose(self.group, self.p)
+            p, r, m = self.p, self.r, self.m
+            radical = self._radical_rows(self.principal_rows(self.ring.one().coeffs))  # J = J * (1)
+            dec = sylow_decompose(self.group, p)
             ctx = ambient(self.spec, dec.coprime_part)
-            self._projectors = tuple(
-                (tuple(zip(*self.principal_rows(_sylow_place(e, dec, self.s)))),
-                 self.s * len(cls.elements))
-                for e, cls in zip(class_idempotents(ctx), ctx.parts.classes))
+            projectors = []
+            for e, cls in zip(class_idempotents(ctx), ctx.parts.classes):
+                rows = self.principal_rows(_sylow_place(e, dec, self.s))
+                span, picks = radical, []
+                for t, row in enumerate(rows):
+                    if any(remainder(span, row, m)):
+                        picks.append(t)
+                        if len(picks) == self.s * len(cls.elements):
+                            break
+                        span = howell(span + (row,), p, r)
+                projectors.append((tuple(zip(*rows)), tuple(picks)))
+            self._projectors = tuple(projectors)
         return self._projectors
 
     def _line_bases(self, code: "Ideal") -> list:
@@ -234,27 +256,26 @@ class ExhaustiveGroupRing:
         that a greedy pass picks as a basis of e_C * (S(I)/I), Q = q^nu_C.
 
         The socle rows, projected by e_C, that leave the span of I and the
-        lines already taken lead new lines; each line's F_p-basis is its
-        lead's rows x^j * Y^g * lead that leave the span, taken in order
-        until it holds s * nu_C of them: the line is (I + (lead))/I, of that
-        dimension, so every later row lies in the span.
+        lines already taken lead new lines.  A line is (I + (lead))/I, and
+        x^j * Y^g acts on it through its image in F_Q = e_C * R / e_C * J,
+        since J * lead lies in I: a -> a * lead maps F_Q onto the line.  So
+        its F_p-basis is its lead's rows x^j * Y^g * lead at the class's
+        picks (_line_projectors), the rows a greedy pass over all of them
+        would keep, and the span grows once per line.
         """
         p, r, m = self.p, self.r, self.m
         socle = self._socle_layer(code)
         span, summands = code.basis, []
-        for columns, dim in self._line_projectors():
+        for columns, picks in self._line_projectors():
             bases = []
             for row in socle:
                 lead = tuple(sum(map(mul, row, col)) % m for col in columns)
                 if not any(remainder(span, lead, m)):
                     continue
-                basis = []
-                for mono in _monomial_rows(self.spec, self.group.factors, lead):
-                    if any(remainder(span, mono, m)):
-                        basis.append(mono)
-                        span = howell(span + (mono,), p, r)
-                        if len(basis) == dim:
-                            break
+                rows = _monomial_rows(self.spec, self.group.factors, lead)
+                rows = list(itertools.islice(rows, picks[-1] + 1))
+                basis = [rows[t] for t in picks]
+                span = howell(span + tuple(basis), p, r)
                 bases.append(basis)
             summands.append(bases)
         return summands
@@ -320,11 +341,11 @@ class ExhaustiveGroupRing:
 
     def _annihilator(self, rows, h: int) -> tuple[tuple[int, ...], ...]:
         """Howell basis of {w : form(u, w) = 0 for every row u}, the form of
-        twist h: the left kernel of the n x k matrix of the rows' form
-        coefficients, the block steps of the twist, k = s * len(rows)."""
-        mats = [_block_steps(self.spec, h, row) for row in rows]
-        matrix = [[d for mat in mats for d in mat[i]] for i in range(self.n)]
-        return kernel(matrix, self.p, self.r)
+        twist h: the left kernel of the n x k matrix, k = s * len(rows),
+        whose columns are the rows' form coefficients, each row's s columns
+        of its block steps under the twist."""
+        columns = [col for row in rows for col in zip(*_block_steps(self.spec, h, row))]
+        return kernel(list(zip(*columns)) if columns else [()] * self.n, self.p, self.r)
 
     def dual(self, code: "Ideal", form: str = EUCLIDEAN) -> "Ideal":
         """Annihilator {w : form(u, w) = 0 for all u in the code}.

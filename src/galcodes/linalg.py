@@ -4,9 +4,10 @@ Rows are sequences of digits in [0, p^r), all of one width, which may be
 any width: ring vectors and matrix rows alike.  A basis is a Howell basis
 as howell returns it, whose pivots are all powers p^e.
 
-howell is one sweep over the columns, each pivot the last remaining row
-of least valuation at its column: the last, not the first, keeps the
-fill-in of kernel's [B | I_n] rows low.
+howell and kernel share one column sweep, _sweep.  howell sweeps every
+column and reduces the rows above each pivot; kernel sweeps only the
+columns of B in [B | I_n] and returns the howell of the I_n parts of the
+rows left over.
 """
 
 from __future__ import annotations
@@ -20,25 +21,19 @@ def pivot(row) -> int:
     return row.index(next(filter(None, row)))
 
 
-def howell(rows, p: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the Z_{p^r}-span of rows.
+def _sweep(rest, columns, m: int):
+    """The column sweep behind howell and kernel, over the given columns, in
+    order, of the nonzero rows rest (lists of digits mod m, consumed): the
+    pivot rows found, their columns, and the rows that remain.
 
-    Echelon with pivot entries normalized to powers of p, spans
-    saturated with p^(r-e) multiples of each pivot row, entries above
-    a pivot reduced modulo its leading value.  Two row sets span the
-    same module iff their forms are identical.
-
-    One sweep over the columns: before column c the remaining rows span
-    the vectors of the span that vanish left of c.  The pivot is the last
-    of them whose entry at c has the least valuation e, that is the least
-    gcd with p^r (the first would fill in kernel's [B | I_n]); scaled to
-    lead with p^e, it clears column c from the others and adds its
-    p^(r-e) multiple to them.
+    Before column c the remaining rows span the vectors of the span that
+    vanish left of c.  The pivot is the last of them whose entry at c has
+    the least valuation e, that is the least gcd with m (the first would
+    fill in kernel's [B | I_n]); scaled to lead with p^e, it clears column
+    c from the others and adds its p^(r-e) multiple to them.
     """
-    m = p**r
-    rest = [list(row) for row in rows if any(row)]
     out, cols = [], []
-    for c in range(len(rest[0]) if rest else 0):
+    for c in columns:
         k, lead = None, m
         for i, row in enumerate(rest):
             if row[c]:
@@ -59,6 +54,23 @@ def howell(rows, p: int, r: int) -> tuple[tuple[int, ...], ...]:
             rest.append([a * (m // lead) % m for a in row])
         out.append(row)
         cols.append(c)
+    return out, cols, rest
+
+
+def howell(rows, p: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of the Z_{p^r}-span of rows.
+
+    Echelon with pivot entries normalized to powers of p, spans
+    saturated with p^(r-e) multiples of each pivot row, entries above
+    a pivot reduced modulo its leading value.  Two row sets span the
+    same module iff their forms are identical.
+
+    One _sweep over every column, then each pivot row reduces the rows
+    above it.
+    """
+    m = p**r
+    rest = [list(row) for row in rows if any(row)]
+    out, cols, _ = _sweep(rest, range(len(rest[0]) if rest else 0), m)
     for k in range(len(out)):
         lead = out[k][cols[k]]
         for j in range(k):
@@ -84,15 +96,19 @@ def remainder(basis, vec, m: int) -> tuple[int, ...]:
 def kernel(mat, p: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Howell basis of the left kernel {w : sum_i w_i * mat[i] = 0} over Z_{p^r}.
 
-    With mat of n >= 1 rows and k columns, the Howell form of [mat | I_n]
-    keeps the Howell property: its rows whose mat part is zero span the
-    kernel, and their I_n parts are already its Howell basis (J. A. Howell,
-    "Spans in the module (Z_m)^s", 1986; A. Storjohann and T. Mulders,
-    "Fast algorithms for linear algebra modulo N", ESA 1998).
+    With mat of n >= 1 rows and k columns, _sweep runs over the k columns
+    of [mat | I_n] only.  By its invariant the rows left over span the
+    vectors of the span that vanish on those columns, whose I_n parts are
+    the kernel; the Howell form of those parts is its canonical basis
+    (J. A. Howell, "Spans in the module (Z_m)^s", 1986; A. Storjohann and
+    T. Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
+    The pivot rows of the k columns are dropped unreduced: the kernel needs
+    none of them.
     """
     n, k = len(mat), len(mat[0])
     zeros = [0] * n
     rows = [[*row, *zeros] for row in mat]
     for i, row in enumerate(rows):
         row[k + i] = 1
-    return tuple(row[k:] for row in howell(rows, p, r) if not any(row[:k]))
+    _, _, rest = _sweep(rows, range(k), p**r)
+    return howell([row[k:] for row in rest], p, r)

@@ -16,8 +16,8 @@ from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
                              _x_has_full_order, generalized_frobenius)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                                 GroupRingElement, _decompose, _shift_perms, ambient, compose,
-                                 conjugate, conjugate_involution, idft, involution,
+                                 GroupRingElement, _block_steps, _decompose, _shift_perms, ambient,
+                                 compose, conjugate, conjugate_involution, idft, involution,
                                  sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
@@ -265,6 +265,27 @@ def line_bases_by_full_scan(eng, code):
             bases.append(basis)
         summands.append(bases)
     return summands
+
+
+def kernel_by_full_howell(mat, p, r):
+    """Howell basis of the left kernel of mat over Z_{p^r}, read off the full
+    Howell form of [mat | I_n]: the I_n parts of its rows whose mat part is
+    zero.  The oracle for linalg.kernel, which sweeps mat's columns only."""
+    n, k = len(mat), len(mat[0])
+    zeros = [0] * n
+    rows = [[*row, *zeros] for row in mat]
+    for i, row in enumerate(rows):
+        row[k + i] = 1
+    return tuple(row[k:] for row in howell(rows, p, r) if not any(row[:k]))
+
+
+def annihilator_by_full_howell(eng, rows, h):
+    """ExhaustiveGroupRing._annihilator with its n x k form matrix built
+    row by row, each matrix row the i-th block step of every row in turn,
+    and its kernel read off the full Howell form."""
+    mats = [_block_steps(eng.spec, h, row) for row in rows]
+    matrix = [[d for mat in mats for d in mat[i]] for i in range(eng.n)]
+    return kernel_by_full_howell(matrix, eng.p, eng.r)
 
 
 def minimal_ideals(ideals):

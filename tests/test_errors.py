@@ -1,8 +1,9 @@
 """The one integer rule, errors._check_int, and the public entry points that
 apply it to a scalar argument; the one type rule, errors._check_type, which
 the entry points apply to a group, a coefficient ring, a spectral context,
-a dict of transform values, an engine's ring and an ideal; and the order of the
-checks: the ring before the pairing."""
+a dict of transform values, an engine's ring, an ideal, a ring element and a
+Sylow decomposition; and the order of the checks: the ring before the
+pairing."""
 
 import re
 
@@ -12,8 +13,12 @@ from galcodes.counting import (abelian_count, hermitian_abelian_count, hermitian
                                is_principal_ideal_group_ring)
 from galcodes.cyclotomic import class_of, partition
 from galcodes.errors import DomainError, _check_int
-from galcodes.galois import construct_ring, embed, generalized_frobenius, root_of_unity, unembed
-from galcodes.group_ring import GroupRing, ambient, class_idempotents, dft, idft
+from galcodes.galois import (construct_ring, embed, generalized_frobenius, root_of_unity,
+                             teichmuller_lift, unembed)
+from galcodes.galois import element_text as scalar_text, parse_element as scalar_parse
+from galcodes.group_ring import (GroupRing, ambient, class_idempotents, conjugate_involution, dft,
+                                 element_text, idft, involution, parse_element, sylow_merge,
+                                 sylow_split)
 from galcodes.groups import (AbelianGroup, count_order_formula, format_group, order_census,
                              sylow_decompose)
 from galcodes.ideals import (ExhaustiveGroupRing, construct_self_dual, enumerate_semisimple_selfdual,
@@ -177,6 +182,53 @@ def test_ideal_arguments_refuse_another_type(entry, value):
     message = f"ideal must be an Ideal, got {value!r}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         entry[1](value)
+
+
+Z4Z2_RING = GroupRing(Z4, AbelianGroup((2,)))
+Z4Z6_RING = GroupRing(Z4, AbelianGroup((6,)))
+Z6_SPLIT = sylow_decompose(AbelianGroup((6,)), 2)
+# (entry point, call taking the argument, argument name, the type it takes):
+# each used to raise AttributeError ('int' object has no attribute 'spec',
+# 'ring', 'group' or 'coeff')
+ELEMENT_TAKERS = [
+    ("embed", lambda a: embed(a, GR42), "a", "a GaloisRingElement"),
+    ("unembed", lambda a: unembed(a, Z4), "a", "a GaloisRingElement"),
+    ("generalized_frobenius", lambda a: generalized_frobenius(a, 1), "a", "a GaloisRingElement"),
+    ("teichmuller_lift", teichmuller_lift, "a", "a GaloisRingElement"),
+    ("galois.element_text", scalar_text, "a", "a GaloisRingElement"),
+    ("galois.parse_element", lambda spec: scalar_parse(spec, "1"), "spec", "a GaloisRingSpec"),
+    ("involution", involution, "x", "a GroupRingElement"),
+    ("conjugate_involution", conjugate_involution, "x", "a GroupRingElement"),
+    ("sylow_split", lambda u: sylow_split(u, Z6_SPLIT), "u", "a GroupRingElement"),
+    ("sylow_split:dec", lambda d: sylow_split(Z4Z6_RING.one(), d), "dec", "a SylowDecomposition"),
+    ("sylow_merge", lambda x: sylow_merge(x, Z6_SPLIT), "x", "a GroupRingElement"),
+    ("sylow_merge:dec", lambda d: sylow_merge(sylow_split(Z4Z6_RING.one(), Z6_SPLIT), d),
+     "dec", "a SylowDecomposition"),
+    ("group_ring.element_text", element_text, "x", "a GroupRingElement"),
+    ("group_ring.parse_element", lambda ring: parse_element(ring, "1;0"), "ring", "a GroupRing"),
+]
+
+
+@pytest.mark.parametrize("entry", ELEMENT_TAKERS, ids=[row[0] for row in ELEMENT_TAKERS])
+@pytest.mark.parametrize("value", [5, None, "1"], ids=["int", "None", "str"])
+def test_element_arguments_refuse_another_type(entry, value):
+    _, call, name, kind = entry
+    message = f"{name} must be {kind}, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ELEMENT_TAKERS, ids=[row[0] for row in ELEMENT_TAKERS])
+def test_element_arguments_refuse_the_other_layer_s_element(entry):
+    """A group-ring element where a Galois-ring element belongs, and the
+    other way round; a coefficient ring where a group ring belongs."""
+    _, call, name, kind = entry
+    value = {"a GaloisRingElement": Z4Z2_RING.one(), "a GaloisRingSpec": Z4Z2_RING,
+             "a GroupRingElement": Z4.one(), "a SylowDecomposition": AbelianGroup((6,)),
+             "a GroupRing": Z4}[kind]
+    message = f"{name} must be {kind}, got {value!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 # each reported the odd degree or the pairing before the ring's r = 0

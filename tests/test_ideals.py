@@ -11,19 +11,19 @@ from galcodes.counting import (_BRUTE_CACHE, BruteForceProvider, TrivialSylowPro
                                euclidean_semisimple_count, hermitian_semisimple_count)
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import (GroupRing, _form_step, _group_index, _shift_perms, _sylow_perm,
-                                 ambient, element_text)
+from galcodes.group_ring import (GroupRing, _form_step, _group_index, _monomial_rows, _shift_perms,
+                                 _sylow_perm, ambient, element_text)
 from galcodes.groups import AbelianGroup, element_order, sylow_decompose
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
                              enumerate_semisimple_selfdual, exhaustive_bound)
 from galcodes.linalg import howell, pivot, remainder
-from helpers import (abelian_groups_up_to, compose_ints_by_transform, construct_by_elements,
-                     construct_by_nested_assembly, dual_by_scan, engine, fp_points,
-                     howell_saturating_takeovers, ideals_by_full_scan, ideals_by_orbit_scan,
-                     ideals_by_principal_joins, line_bases_by_full_scan, minimal_ideals,
-                     orbit_least_vectors, perms_by_group_add, semisimple_by_elements, shift,
-                     stream_by_fp_points)
+from helpers import (abelian_groups_up_to, annihilator_by_full_howell, compose_ints_by_transform,
+                     construct_by_elements, construct_by_nested_assembly, dual_by_scan, engine,
+                     fp_points, howell_saturating_takeovers, ideals_by_full_scan,
+                     ideals_by_orbit_scan, ideals_by_principal_joins, line_bases_by_full_scan,
+                     minimal_ideals, orbit_least_vectors, perms_by_group_add,
+                     semisimple_by_elements, shift, stream_by_fp_points)
 
 
 def join_all(eng, gens):
@@ -441,6 +441,12 @@ def test_a_walk_keeps_no_principal_ideal_on_the_engine():
     assert [c.basis for c in eng.ideal_stream()] == first
 
 
+def class_sizes(eng):
+    """nu_C of each q-cyclotomic class C of A, in partition order."""
+    dec = sylow_decompose(eng.group, eng.p)
+    return [len(cls.elements) for cls in ambient(eng.spec, dec.coprime_part).parts.classes]
+
+
 @pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
                          ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
 def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
@@ -449,8 +455,7 @@ def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
     the full greedy scan picks, so the cover vectors built from the bases
     are the full scan's too."""
     eng = engine(p, r, s, factors)
-    dec = sylow_decompose(eng.group, p)
-    nus = [len(cls.elements) for cls in ambient(eng.spec, dec.coprime_part).parts.classes]
+    nus = class_sizes(eng)
     for ideal in eng.ideal_stream():
         summands = eng._line_bases(ideal)
         assert summands == line_bases_by_full_scan(eng, ideal)
@@ -460,6 +465,45 @@ def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
                 assert len(basis) == s * nu
                 line = eng.join(ideal, eng.principal_ideal(basis[0]))
                 assert line.size == ideal.size * p**(s * nu)
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_each_line_takes_its_rows_at_its_class_picks(p, r, s, factors):
+    """On every ideal, each line basis the full greedy scan keeps is its
+    lead's rows x^j * Y^g * lead at exactly the picks of its class, s * nu_C
+    of them.  The picks of an engine that has walked are those of a fresh
+    engine that has not."""
+    eng = engine(p, r, s, factors)
+    fresh = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), AbelianGroup(factors)), eng.bound)
+    fresh_picks = [picks for _, picks in fresh._line_projectors()]
+    nus = class_sizes(eng)
+    assert [len(picks) for picks in fresh_picks] == [s * nu for nu in nus]
+    for ideal in eng.ideal_stream():
+        summands = line_bases_by_full_scan(eng, ideal)
+        assert len(summands) == len(fresh_picks)
+        for bases, picks in zip(summands, fresh_picks):
+            for basis in bases:
+                rows = list(_monomial_rows(eng.spec, factors, basis[0]))
+                assert basis == [rows[t] for t in picks]
+    assert [picks for _, picks in eng._line_projectors()] == fresh_picks
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_annihilators_equal_the_kernel_of_the_full_howell_form(p, r, s, factors):
+    """On every ideal I, at twist 0 and, when s is even, at twist s/2: the
+    annihilator of I's basis equals the oracle's, which builds the form
+    matrix row by row and reads the kernel off the full Howell form of
+    [B | I_n].  So does the socle layer's second annihilator, of the Howell
+    basis of J * I^perp."""
+    eng = engine(p, r, s, factors)
+    twists = (0, s // 2) if s % 2 == 0 else (0,)
+    for ideal in eng.ideal_stream():
+        for h in twists:
+            assert eng._annihilator(ideal.basis, h) == annihilator_by_full_howell(eng, ideal.basis, h)
+        radical = eng._radical_rows(eng._annihilator(ideal.basis, 0))
+        assert eng._socle_layer(ideal) == annihilator_by_full_howell(eng, radical, 0)
 
 
 @pytest.mark.parametrize("p, r, s, factors", SEMISIMPLE_RINGS,

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from galcodes.linalg import howell, kernel, pivot
+from helpers import kernel_by_full_howell
 
 MODULI = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
@@ -61,6 +62,31 @@ def test_kernel_equals_the_scanned_kernel(p, r, n):
             ker = kernel(mat, p, r)
             assert ker == howell(scanned, p, r), mat
             assert size(ker, m) == len(scanned), mat
+
+
+FULL_HOWELL_MODULI = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 40)]
+
+
+@pytest.mark.parametrize("p, r", FULL_HOWELL_MODULI, ids=[f"Z{p}^{r}" for p, r in FULL_HOWELL_MODULI])
+def test_kernel_equals_the_kernel_of_the_full_howell_form(p, r):
+    """kernel sweeps only mat's columns; the oracle reads the kernel off the
+    full Howell form of [mat | I_n].  Every shape n in 1..8, k in 0..9, four
+    seeded matrices each (320 per modulus): one as drawn, one with some
+    rows zeroed, one with some columns zeroed, one with both."""
+    m = p**r
+    rng = random.Random(m % 1000003 + r)
+    for n in range(1, 9):
+        for k in range(10):
+            for variant in range(4):
+                mat = [list(row) for row in random_matrix(rng, p, r, n, k)]
+                if variant & 1:
+                    for i in rng.sample(range(n), rng.randint(1, n)):
+                        mat[i] = [0] * k
+                if variant & 2 and k:
+                    for j in rng.sample(range(k), rng.randint(1, k)):
+                        for row in mat:
+                            row[j] = 0
+                assert kernel(mat, p, r) == kernel_by_full_howell(mat, p, r), mat
 
 
 def pivot_by_enumeration(row):
