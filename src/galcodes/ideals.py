@@ -24,15 +24,16 @@ and R/J = F_{p^s}[A].  The socle layer of an ideal I is
 S(I) = {v : J * v in I}.  J is closed under the involution Y^g -> Y^-g,
 the adjoint of multiplication for the Euclidean form, so
 S(I) = (J * I^perp)^perp: two annihilators, the kernels that dual also
-takes.  J * S(I) lies in I, so S(I)/I is a module over
-R/J = F_q[A] = prod_C F_Q, Q = q^nu_C, C over the q-cyclotomic classes of
-A, q = p^s.  Its simple submodules, the covers of I, are the F_Q-lines of
-the summands e_C * (S(I)/I), e_C the class idempotents, and each line
-gives its cover I + (v) through one vector v.  R acts on a line of lead v
-through F_Q = e_C * R / e_C * J, so the rows x^j * Y^g * v of an F_p-basis
-of the line sit at positions fixed by C, found once per engine.  Every
-ideal K above I meets S(I) outside I, since J is nilpotent, so every ideal
-is reached by a chain of covers from zero.
+takes.  perp is an involution on ideals, so a walk keeps each pair it
+takes both ways: about one kernel per two ideals.  J * S(I) lies in I, so
+S(I)/I is a module over R/J = F_q[A] = prod_C F_Q, Q = q^nu_C, C over the
+q-cyclotomic classes of A, q = p^s.  Its simple submodules, the covers of
+I, are the F_Q-lines of the summands e_C * (S(I)/I), e_C the class
+idempotents, and each line gives its cover I + (v) through one vector v.
+R acts on a line of lead v through F_Q = e_C * R / e_C * J, so the rows
+x^j * Y^g * v of an F_p-basis of the line sit at positions fixed by C,
+found once per engine.  Every ideal K above I meets S(I) outside I, since
+J is nilpotent, so every ideal is reached by a chain of covers from zero.
 
 Also hosts the existence criterion and the two constructive results: a
 self-dual code built whenever the criterion allows one, and the
@@ -153,6 +154,11 @@ class ExhaustiveGroupRing:
         return tuple(out)
 
     def encode_vector(self, vec) -> int:
+        self._check_vector(vec)
+        return self._encode(vec)
+
+    def _encode(self, vec) -> int:
+        """encode_vector without the check, for rows already checked."""
         out = 0
         for d in reversed(vec):
             out = out * self.m + d
@@ -169,11 +175,19 @@ class ExhaustiveGroupRing:
     # -- ideals ----------------------------------------------------------------
 
     def ideal_from_rows(self, rows) -> "Ideal":
+        """The Z_{p^r}-span of these digit vectors, each checked."""
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            self._check_vector(row)
         return Ideal(self, self.howell(rows))
 
     def generated_ideal(self, vectors) -> "Ideal":
-        """The ideal generated by the elements with these digit vectors."""
-        return self.ideal_from_rows([row for v in vectors for row in self.principal_rows(v)])
+        """The ideal generated by the elements with these digit vectors, each
+        checked."""
+        vectors = [tuple(v) for v in vectors]
+        for vec in vectors:
+            self._check_vector(vec)
+        return Ideal(self, self.howell([row for v in vectors for row in self.principal_rows(v)]))
 
     def principal_ideal(self, x) -> "Ideal":
         """The ideal of x, an element of the ring or a digit vector."""
@@ -182,7 +196,7 @@ class ExhaustiveGroupRing:
         else:
             vec = tuple(x)
             self._check_vector(vec)
-        return self.ideal_from_rows(self.principal_rows(vec))
+        return Ideal(self, self.howell(self.principal_rows(vec)))
 
     def zero_ideal(self) -> "Ideal":
         return Ideal(self, ())
@@ -193,7 +207,7 @@ class ExhaustiveGroupRing:
     def join(self, a: "Ideal", b: "Ideal") -> "Ideal":
         self._check_ideal(a)
         self._check_ideal(b)
-        return self.ideal_from_rows(a.basis + b.basis)
+        return Ideal(self, self.howell(a.basis + b.basis))
 
     def _radical_rows(self, basis) -> tuple[tuple[int, ...], ...]:
         """Howell basis of J * M, M the ideal with this basis: the span of
@@ -210,7 +224,7 @@ class ExhaustiveGroupRing:
                 rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in basis]
         return howell(rows, self.p, self.r)
 
-    def _socle_layer(self, code: "Ideal") -> tuple[tuple[int, ...], ...]:
+    def _socle_layer(self, code: "Ideal", perps: dict) -> tuple[tuple[int, ...], ...]:
         """Howell basis of S(I) = {v : J * v in I} = (J * I^perp)^perp.
 
         J is generated by p and by Y^g - 1 over the p-parts of the cyclic
@@ -218,8 +232,25 @@ class ExhaustiveGroupRing:
         adjoint of multiplication for the Euclidean form, so J * v lies in I
         exactly when v is orthogonal to J * I^perp, whose Howell basis
         _radical_rows gives the second annihilator.
+
+        perps maps the Howell basis of an ideal M to that of its Euclidean
+        annihilator, for one walk.  Over these Frobenius rings perp is an
+        involution on ideals, (M^perp)^perp = M, so each annihilator taken
+        is stored both ways, M -> M^perp and M^perp -> M: the walk meets
+        I, I^perp, J * I^perp and S(I) again as the inputs of other
+        layers.  The dict holds ideals only: the annihilator of a
+        Z_{p^r}-span is that of the span it generates under x, so the
+        reverse entry of a span not closed under x would be wrong, s > 1.
         """
-        return self._annihilator(self._radical_rows(self._annihilator(code.basis, 0)), 0)
+        return self._perp(self._radical_rows(self._perp(code.basis, perps)), perps)
+
+    def _perp(self, basis, perps: dict) -> tuple[tuple[int, ...], ...]:
+        """Howell basis of the Euclidean annihilator of the ideal with this
+        Howell basis: read from perps, or taken and stored there both ways."""
+        if basis not in perps:
+            perp = self._annihilator(basis, 0)
+            perps[basis], perps[perp] = perp, basis
+        return perps[basis]
 
     def _line_projectors(self) -> tuple:
         """Per class C of A in partition order, the columns of multiplication
@@ -251,7 +282,7 @@ class ExhaustiveGroupRing:
             self._projectors = tuple(projectors)
         return self._projectors
 
-    def _line_bases(self, code: "Ideal") -> list:
+    def _line_bases(self, code: "Ideal", perps: dict) -> list:
         """Per class C, in partition order, the F_p-bases of the F_Q-lines
         that a greedy pass picks as a basis of e_C * (S(I)/I), Q = q^nu_C.
 
@@ -264,7 +295,7 @@ class ExhaustiveGroupRing:
         would keep, and the span grows once per line.
         """
         p, r, m = self.p, self.r, self.m
-        socle = self._socle_layer(code)
+        socle = self._socle_layer(code, perps)
         span, summands = code.basis, []
         for columns, picks in self._line_projectors():
             bases = []
@@ -280,7 +311,7 @@ class ExhaustiveGroupRing:
             summands.append(bases)
         return summands
 
-    def _cover_points(self, code: "Ideal"):
+    def _cover_points(self, code: "Ideal", perps: dict):
         """One vector per simple submodule of S(I)/I, that is per cover of I.
 
         J * S(I) lies in I, so S(I)/I is a module over R/J = F_q[A], the
@@ -288,11 +319,12 @@ class ExhaustiveGroupRing:
         C of A, and its simple submodules are the F_Q-lines of the summands
         e_C * (S(I)/I), each of F_p-dimension s * nu_C.  A line of a summand
         is the lead of one of its _line_bases plus an F_p-combination of the
-        bases of the summand's later lines, yielded last line first.
+        bases of the summand's later lines, yielded last line first.  perps
+        is the walk's dict of annihilators (_socle_layer).
         """
         p, m = self.p, self.m
         lines = [(basis[0], [b for later in bases[k + 1:] for b in later])
-                 for bases in self._line_bases(code) for k, basis in enumerate(bases)]
+                 for bases in self._line_bases(code, perps) for k, basis in enumerate(bases)]
         for lead, tail in reversed(lines):
             for coeffs in itertools.product(range(p), repeat=len(tail)):
                 vec = lead
@@ -314,18 +346,21 @@ class ExhaustiveGroupRing:
         K, and every ideal is reached by a chain of covers from zero.  A
         vector recurs across the ideals it covers, so the walk builds each
         vector's principal ideal once, in a dict that lives as long as the
-        walk; the engine keeps no table of them.  The walk keeps every found
-        ideal, so rings above the bound are refused (on the first next())
-        before any is yielded.
+        walk.  The socle layers' annihilators recur too, and perp is an
+        involution on ideals, so a second dict of the walk holds each
+        annihilator pair both ways (_socle_layer).  The engine keeps no
+        table of either.  The walk keeps every found ideal, so rings above
+        the bound are refused (on the first next()) before any is yielded.
         """
         self._require_enumerable()
         zero = self.zero_ideal()
         seen = {zero.basis}
         found = [zero]
         principal = {}  # cover vector -> its principal ideal, for this walk
+        perps = {}  # ideal basis <-> its annihilator's basis, for this walk
         yield zero
         for ideal in found:  # found grows as the loop runs
-            for vec in self._cover_points(ideal):
+            for vec in self._cover_points(ideal, perps):
                 if vec not in principal:
                     principal[vec] = self.principal_ideal(vec)
                 cover = self.join(ideal, principal[vec])
@@ -442,7 +477,7 @@ class Ideal:
                 lead = row[pivot(row)]
                 members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
                            for v in members for k in range(engine.m // lead)]
-            self._encodings = tuple(sorted(engine.encode_vector(v) for v in members))
+            self._encodings = tuple(sorted(engine._encode(v) for v in members))
             if len(set(self._encodings)) != self.size:
                 raise InternalInvariantError("size disagrees with the distinct members")
         return self._encodings

@@ -201,6 +201,13 @@ def ideals_by_orbit_scan(eng):
                 yield joined
 
 
+def socle_layer_by_two_kernels(eng, code):
+    """ExhaustiveGroupRing._socle_layer without the walk's dict of
+    annihilators: both annihilators, of I and of J * I^perp, taken afresh.
+    The oracle for the dict, which stores each pair it takes both ways."""
+    return eng._annihilator(eng._radical_rows(eng._annihilator(code.basis, 0)), 0)
+
+
 def fp_points(eng, code):
     """One vector per F_p-projective point of S(I)/I, the cover candidates
     of the walk before it took one vector per simple submodule.
@@ -211,7 +218,7 @@ def fp_points(eng, code):
     """
     p, r, m = eng.p, eng.r, eng.m
     span, chosen = code.basis, []
-    for row in eng._socle_layer(code):
+    for row in socle_layer_by_two_kernels(eng, code):
         if any(remainder(span, row, m)):
             chosen.append(row)
             span = howell(span + (row,), p, r)
@@ -249,7 +256,7 @@ def line_bases_by_full_scan(eng, code):
     scanning every row x^j * Y^g * lead and keeping those that leave the
     span: the greedy basis before it stopped at the line's dimension."""
     p, r, m = eng.p, eng.r, eng.m
-    socle = eng._socle_layer(code)
+    socle = socle_layer_by_two_kernels(eng, code)
     span, summands = code.basis, []
     for columns, _ in eng._line_projectors():
         bases = []

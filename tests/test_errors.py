@@ -2,8 +2,8 @@
 apply it to a scalar argument; the one type rule, errors._check_type, which
 the entry points apply to a group, a coefficient ring, a spectral context,
 a dict of transform values, an engine's ring, an ideal, a ring element and a
-Sylow decomposition; and the order of the checks: the ring before the
-pairing."""
+Sylow decomposition; the one vector rule, ExhaustiveGroupRing._check_vector;
+and the order of the checks: the ring before the pairing."""
 
 import re
 
@@ -229,6 +229,35 @@ def test_element_arguments_refuse_the_other_layer_s_element(entry):
     message = f"{name} must be {kind}, got {value!r}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+Z4Z4 = ExhaustiveGroupRing(GroupRing(Z4, AbelianGroup((4,))))
+# (entry point, call taking one digit vector) over Z4[Z4]: encode_vector
+# used to give 765 for (9, 9, 9, 9), which decodes to another vector,
+# ideal_from_rows to keep the row (1, 2, 3), and generated_ideal to reduce
+# (9, 9, 9, 9) to an ideal of size 4 and to raise IndexError on (1,)
+VECTOR_TAKERS = [
+    ("encode_vector", Z4Z4.encode_vector),
+    ("ideal_from_rows", lambda v: Z4Z4.ideal_from_rows([(1, 0, 0, 0), v])),
+    ("generated_ideal", lambda v: Z4Z4.generated_ideal([(1, 0, 0, 0), v])),
+    ("principal_ideal", Z4Z4.principal_ideal),
+    ("from_vector", Z4Z4.from_vector),
+    ("contains_vector", lambda v: Z4Z4.zero_ideal().contains_vector(v)),
+]
+BAD_VECTORS = [
+    ((9, 9, 9, 9), "digit 9 of a vector over Z_4 is not in [0, 4)"),
+    ((0, 1, -1, 0), "digit -1 of a vector over Z_4 is not in [0, 4)"),
+    ((0, 2.0, 0, 0), "digit 2.0 of a vector over Z_4 is not in [0, 4)"),
+    ((1, 2, 3), "vector of 3 digits used in GR(2^2,1)[Z4], which has 4"),
+    ((1,), "vector of 1 digits used in GR(2^2,1)[Z4], which has 4"),
+]
+
+
+@pytest.mark.parametrize("vec, message", BAD_VECTORS, ids=["9s", "negative", "float", "3", "1"])
+@pytest.mark.parametrize("entry", VECTOR_TAKERS, ids=[row[0] for row in VECTOR_TAKERS])
+def test_entry_points_refuse_a_malformed_vector(entry, vec, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        entry[1](vec)
 
 
 # each reported the odd degree or the pairing before the ring's r = 0

@@ -23,7 +23,8 @@ from helpers import (abelian_groups_up_to, annihilator_by_full_howell, compose_i
                      fp_points, howell_saturating_takeovers, ideals_by_full_scan,
                      ideals_by_orbit_scan, ideals_by_principal_joins, line_bases_by_full_scan,
                      minimal_ideals, orbit_least_vectors, perms_by_group_add,
-                     semisimple_by_elements, shift, stream_by_fp_points)
+                     semisimple_by_elements, shift, socle_layer_by_two_kernels,
+                     stream_by_fp_points)
 
 
 def join_all(eng, gens):
@@ -156,7 +157,11 @@ VECTOR_CALLS = pytest.mark.parametrize("call", [
     lambda eng, vec: eng.principal_ideal(vec),
     lambda eng, vec: eng.unit_ideal().contains_vector(vec),
     lambda eng, vec: eng.from_vector(vec),
-], ids=["principal_ideal", "contains_vector", "from_vector"])
+    lambda eng, vec: eng.encode_vector(vec),
+    lambda eng, vec: eng.ideal_from_rows([vec]),
+    lambda eng, vec: eng.generated_ideal([vec]),
+], ids=["principal_ideal", "contains_vector", "from_vector", "encode_vector", "ideal_from_rows",
+        "generated_ideal"])
 
 
 @VECTOR_CALLS
@@ -364,7 +369,7 @@ def test_covers_are_the_minimal_joins_of_the_fp_points(p, r, s, factors):
     eng = engine(p, r, s, factors)
     got = list(eng.ideal_stream())
     for ideal in got:
-        covers = [eng.join(ideal, eng.principal_ideal(v)) for v in eng._cover_points(ideal)]
+        covers = [eng.join(ideal, eng.principal_ideal(v)) for v in eng._cover_points(ideal, {})]
         assert len(set(covers)) == len(covers)
         assert set(covers) == minimal_ideals(eng.join(ideal, eng.principal_ideal(v))
                                              for v in fp_points(eng, ideal))
@@ -422,23 +427,90 @@ def test_the_walk_joins_once_per_cover_edge(p, r, s, factors, monkeypatch):
             calls[name] += 1
             return method(*args)
         monkeypatch.setattr(eng, name, spy)
-    vectors = [v for ideal in eng.ideal_stream() for v in eng._cover_points(ideal)]
+    vectors = [v for ideal in eng.ideal_stream() for v in eng._cover_points(ideal, {})]
     assert calls == {"join": len(vectors), "principal_ideal": len(set(vectors))}
     assert len(vectors) == COVER_EDGES[(p, r, s, factors)]
     assert len(set(vectors)) == COVER_VECTORS[(p, r, s, factors)]
 
 
-def test_a_walk_keeps_no_principal_ideal_on_the_engine():
-    """The walk's principal ideals live as long as the walk: the engine
-    gains no attribute, only the projectors are filled, and a second walk
-    yields the first one's bases."""
+# the annihilators each ideal_enum walk takes, 329 in all, against 1270
+# when each socle layer takes both of its own
+ANNIHILATORS = {(2, 2, 1, (7,)): 15, (2, 2, 2, (3,)): 15, (3, 3, 1, (3,)): 20,
+                (2, 3, 1, (2, 2)): 141, (2, 2, 1, (3, 2)): 33, (2, 3, 1, (4,)): 48,
+                (2, 2, 1, (2, 2)): 25, (3, 2, 1, (3,)): 9, (2, 2, 2, (2,)): 5,
+                (2, 2, 1, (4,)): 13, (2, 2, 1, (5,)): 5}
+
+
+def spy_annihilators(monkeypatch) -> list:
+    """The rows of every later ExhaustiveGroupRing._annihilator call, in
+    order.  The spy sits on the class, so no engine gains an attribute."""
+    calls = []
+    method = ExhaustiveGroupRing._annihilator
+
+    def spy(eng, rows, h):
+        calls.append(rows)
+        return method(eng, rows, h)
+
+    monkeypatch.setattr(ExhaustiveGroupRing, "_annihilator", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, r, s, factors", IDEAL_ENUM_RINGS,
+                         ids=[ring_id(ring) for ring in IDEAL_ENUM_RINGS])
+def test_the_walk_takes_one_annihilator_per_pair(p, r, s, factors, monkeypatch):
+    """The socle layers' inputs are M = I and M = J * I^perp over the
+    ideals I.  A walk takes one annihilator per pair {M, M^perp} of them,
+    each of a new M, and yields what it yielded before the spy."""
+    eng = engine(p, r, s, factors)
+    ideals = [c.basis for c in eng.ideal_stream()]
+    pairs = set()
+    for basis in ideals:
+        perp = eng._annihilator(basis, 0)
+        radical = eng._radical_rows(perp)
+        pairs |= {frozenset((basis, perp)), frozenset((radical, eng._annihilator(radical, 0)))}
+    calls = spy_annihilators(monkeypatch)
+    assert [c.basis for c in eng.ideal_stream()] == ideals
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert len(calls) == ANNIHILATORS[(p, r, s, factors)]
+
+
+def test_a_walk_keeps_no_principal_ideal_on_the_engine(monkeypatch):
+    """The walk's principal ideals and annihilators live as long as the
+    walk: the engine gains no attribute, only the projectors are filled,
+    and a second walk takes the first one's annihilators again and yields
+    its bases."""
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, 1), AbelianGroup((3, 2))))
+    calls = spy_annihilators(monkeypatch)
     before = dict(vars(eng))
     first = [c.basis for c in eng.ideal_stream()]
+    taken = list(calls)
     after = vars(eng)
     assert after.keys() == before.keys()
     assert [k for k in after if after[k] is not before[k]] == ["_projectors"]
+    calls.clear()
     assert [c.basis for c in eng.ideal_stream()] == first
+    assert calls == taken
+    assert len(taken) == ANNIHILATORS[(2, 2, 1, (3, 2))]
+
+
+@pytest.mark.parametrize("p, r, s, factors", [(2, 2, 1, (3, 2)), (2, 3, 1, (4,)), (2, 2, 2, (3,))],
+                         ids=["Z4[Z3xZ2]", "Z8[Z4]", "GR(2^2,2)[Z3]"])
+def test_two_streams_of_one_engine_advanced_in_turn_are_two_walks(p, r, s, factors):
+    """Each stream has its own dicts: two streams of one fresh engine,
+    advanced in turn, yield what two walks of another fresh engine yield
+    one after the other."""
+    ring = GroupRing(construct_ring(p, r, s), AbelianGroup(factors))
+    eng = ExhaustiveGroupRing(ring)
+    want = [c.basis for c in eng.ideal_stream()]
+    assert [c.basis for c in eng.ideal_stream()] == want
+    eng = ExhaustiveGroupRing(ring)
+    a, b = eng.ideal_stream(), eng.ideal_stream()
+    got_a, got_b = [], []
+    for x, y in zip(a, b):
+        got_a.append(x.basis)
+        got_b.append(y.basis)
+    assert next(a, None) is None and next(b, None) is None
+    assert got_a == got_b == want
 
 
 def class_sizes(eng):
@@ -457,7 +529,7 @@ def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
     eng = engine(p, r, s, factors)
     nus = class_sizes(eng)
     for ideal in eng.ideal_stream():
-        summands = eng._line_bases(ideal)
+        summands = eng._line_bases(ideal, {})
         assert summands == line_bases_by_full_scan(eng, ideal)
         assert len(summands) == len(nus)
         for bases, nu in zip(summands, nus):
@@ -503,7 +575,54 @@ def test_annihilators_equal_the_kernel_of_the_full_howell_form(p, r, s, factors)
         for h in twists:
             assert eng._annihilator(ideal.basis, h) == annihilator_by_full_howell(eng, ideal.basis, h)
         radical = eng._radical_rows(eng._annihilator(ideal.basis, 0))
-        assert eng._socle_layer(ideal) == annihilator_by_full_howell(eng, radical, 0)
+        assert eng._socle_layer(ideal, {}) == annihilator_by_full_howell(eng, radical, 0)
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_perp_is_an_involution_on_ideals(p, r, s, factors):
+    """For M = I, J * I^perp and S(I) over every ideal I, at twist 0 and,
+    when s is even, at twist s/2: the annihilator of M's annihilator is M,
+    basis for basis.  The walk's dict stores each pair both ways on this."""
+    eng = engine(p, r, s, factors)
+    twists = (0, s // 2) if s % 2 == 0 else (0,)
+    for ideal in eng.ideal_stream():
+        radical = eng._radical_rows(eng._annihilator(ideal.basis, 0))
+        for basis in (ideal.basis, radical, eng._annihilator(radical, 0)):
+            for h in twists:
+                assert eng._annihilator(eng._annihilator(basis, h), h) == basis
+
+
+S_ABOVE_ONE_RINGS = [ring for ring in STREAM_RINGS + SEMISIMPLE_RINGS if ring[2] > 1]
+
+
+@pytest.mark.parametrize("p, r, s, factors", S_ABOVE_ONE_RINGS,
+                         ids=[ring_id(ring) for ring in S_ABOVE_ONE_RINGS])
+def test_perp_is_no_involution_on_a_span_not_closed_under_x(p, r, s, factors):
+    """With s > 1 the Z_{p^r}-span of e, the unit vector at digit 0, is not
+    closed under x.  Its annihilator is that of the span of the x^j * e,
+    0 <= j < s, so the annihilator of its annihilator is that span, not
+    the span of e: the walk's dict must hold ideals only."""
+    eng = engine(p, r, s, factors)
+    unit = (1,) + (0,) * (eng.n - 1)
+    span = howell([unit], p, r)
+    x_span = howell(list(itertools.islice(_monomial_rows(eng.spec, factors, unit), s)), p, r)
+    for h in (0, s // 2) if s % 2 == 0 else (0,):
+        assert eng._annihilator(eng._annihilator(span, h), h) == x_span != span
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_socle_layers_through_one_dict_are_the_two_kernels(p, r, s, factors):
+    """With one dict over the ideals in stream order, as a walk meets them,
+    each socle layer is the two-kernel body the dict replaced, and each
+    entry of the dict maps an ideal's basis to its annihilator's."""
+    eng = engine(p, r, s, factors)
+    perps = {}
+    for ideal in eng.ideal_stream():
+        assert eng._socle_layer(ideal, perps) == socle_layer_by_two_kernels(eng, ideal)
+    for basis, perp in perps.items():
+        assert eng._annihilator(basis, 0) == perp
 
 
 @pytest.mark.parametrize("p, r, s, factors", SEMISIMPLE_RINGS,
@@ -535,7 +654,7 @@ def test_socle_layer_is_its_definition(p, r, s, factors):
         members = set(ideal.element_encodings())
         want = [k for k, xs in enumerate(images)
                 if all(eng.encode_vector(eng.to_vector(y)) in members for y in xs)]
-        assert Ideal(eng, eng._socle_layer(ideal)).element_encodings() == tuple(want)
+        assert Ideal(eng, eng._socle_layer(ideal, {})).element_encodings() == tuple(want)
 
 
 HOWELL_MODULI = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
