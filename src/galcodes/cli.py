@@ -207,7 +207,7 @@ def _socle_walk(p, r, s, group, dual, bound, walks):
     """All ideals for dual="none", else the self-dual ones; walks keeps each ring's list."""
     if (p, r, s, group) not in walks:
         eng = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), group), bound)
-        walks[p, r, s, group] = eng, eng.enumerate_ideals()
+        walks[p, r, s, group] = eng, list(eng.ideal_stream())
     eng, ideals = walks[p, r, s, group]
     return len(ideals) if dual == "none" else sum(eng.is_self_dual(c, dual) for c in ideals)
 

@@ -184,7 +184,7 @@ class BruteForceProvider:
         key = (p, r, s2, p_group.factors, kind)
         if key not in _BRUTE_CACHE:
             if kind == TOTAL:
-                _BRUTE_CACHE[key] = len(engine.enumerate_ideals())
+                _BRUTE_CACHE[key] = sum(1 for _ in engine.ideal_stream())
             else:
                 _BRUTE_CACHE[key] = engine.count_self_dual(kind)
         return _BRUTE_CACHE[key]

@@ -98,7 +98,7 @@ class GaloisRingSpec:
     """Immutable description of GR(p^r, s) plus cached arithmetic data."""
 
     __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size",
-                 "_xi", "_xi_pows", "_dlog", "__weakref__")
+                 "_xi", "_xi_pows", "_dlog")
 
     def __init__(self, p: int, r: int, s: int, modulus: tuple[int, ...]):
         self.p = p

@@ -11,10 +11,9 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import BoundExceededError, DomainError, _check_int, _check_type
-from .numth import factorize, is_prime, lcm, valuation
+from .numth import factorize, is_prime, valuation
 
 _DIRECT_COUNT_LIMIT = 10**6
 
@@ -30,7 +29,7 @@ class AbelianGroup:
             _check_int("cyclic factor", m, 2)
         self.factors = fs
         self.order = math.prod(fs) if fs else 1
-        self.exponent = reduce(lcm, fs, 1)
+        self.exponent = math.lcm(*fs)
 
     def __repr__(self) -> str:
         return format_group(self)
@@ -69,7 +68,7 @@ class AbelianGroup:
 
 def element_order(group: AbelianGroup, a) -> int:
     """Additive order: lcm over coordinates of m_i / gcd(m_i, a_i)."""
-    return reduce(lcm, (m // math.gcd(m, x) for x, m in zip(a, group.factors)), 1)
+    return math.lcm(*(m // math.gcd(m, x) for x, m in zip(a, group.factors)))
 
 
 def order_census(group: AbelianGroup) -> dict[int, int]:

@@ -7,8 +7,10 @@ powers of the residue generator form a module basis of the coefficient
 ring; those rows are group_ring's product kernel.  Each ideal is held by
 its Howell basis (linalg.howell), so ideal identity is basis identity.
 group_ring owns the digit tables (group positions, shifts Y^g, block
-steps, the Sylow re-indexing), shared by every engine, so an engine is one
-ring, a bound and, from its first walk on, its class projectors.
+steps, the Sylow re-indexing) and this module the walk's class projectors
+(_line_projectors), each an lru_cache keyed by what it depends on and
+shared by every engine.  So an engine is one ring and a bound, and a walk
+changes nothing on it.
 
 Principal ideals, joins, duals, membership and self-duality are linear
 algebra over Z_{p^r} (linalg), polynomial in s*|G|, and run at any ring
@@ -32,7 +34,7 @@ I, are the F_Q-lines of the summands e_C * (S(I)/I), e_C the class
 idempotents, and each line gives its cover I + (v) through one vector v.
 R acts on a line of lead v through F_Q = e_C * R / e_C * J, so the rows
 x^j * Y^g * v of an F_p-basis of the line sit at positions fixed by C,
-found once per engine.  Every ideal K above I meets S(I) outside I, since
+found once per ring.  Every ideal K above I meets S(I) outside I, since
 J is nilpotent, so every ideal is reached by a chain of covers from zero.
 
 Also hosts the existence criterion and the two constructive results: a
@@ -48,6 +50,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 from .cyclotomic import EUCLIDEAN, HERMITIAN, _pairing_twist  # noqa: F401 (re-exported)
@@ -72,6 +75,54 @@ def exhaustive_bound() -> int:
         return int(raw)
     except ValueError:
         raise DomainError(f"{BOUND_ENV_VAR}={raw!r} is not an integer") from None
+
+
+def _radical_rows(spec: GaloisRingSpec, factors: tuple[int, ...], basis):
+    """Howell basis of J * M, M the ideal of spec[factors] spanned by these
+    rows: the span of p * b and (Y^g - 1) * b over the rows b, g = f / p^v(f)
+    the generator of the p-part of each cyclic factor Z_f of G."""
+    p, m = spec.p, spec.char
+    perms, index = _shift_perms(factors, spec.s), _group_index(factors)
+    rows = [tuple(p * a % m for a in b) for b in basis]
+    for k, f in enumerate(factors):
+        g = [0] * len(factors)
+        g[k] = f // p**valuation(f, p)
+        if g[k] < f:
+            perm = perms[index[tuple(g)]]
+            rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in basis]
+    return howell(rows, p, spec.r)
+
+
+@lru_cache(maxsize=None)
+def _line_projectors(ring: GroupRing) -> tuple:
+    """Per class C of A in partition order, the columns of multiplication
+    by e_C in ring = GR[G] and the picks of its lines.  e_C is the class
+    idempotent of GR[A], placed inside GR[G] by _sylow_place, so e_C * v is
+    v dotted with each column.
+
+    The picks are the positions t of the rows x^j * Y^g * e_C, row
+    t = g * s + j, that a greedy pass keeps as an F_p-basis of
+    e_C * R / e_C * J = F_Q, Q = q^nu_C: s * nu_C of them.  The pass
+    works modulo J, which meets e_C * R in e_C * J.
+    """
+    spec, factors = ring.coeff, ring.group.factors
+    p, r, m, s = spec.p, spec.r, spec.char, spec.s
+    monomials = list(_monomial_rows(spec, factors, ring.one().coeffs))
+    radical = _radical_rows(spec, factors, monomials)  # J = J * (1)
+    dec = sylow_decompose(ring.group, p)
+    ctx = ambient(spec, dec.coprime_part)
+    projectors = []
+    for e, cls in zip(class_idempotents(ctx), ctx.parts.classes):
+        rows = list(_monomial_rows(spec, factors, _sylow_place(e, dec, s)))
+        span, picks = radical, []
+        for t, row in enumerate(rows):
+            if any(remainder(span, row, m)):
+                picks.append(t)
+                if len(picks) == s * len(cls.elements):
+                    break
+                span = howell(span + (row,), p, r)
+        projectors.append((tuple(zip(*rows)), tuple(picks)))
+    return tuple(projectors)
 
 
 class ExhaustiveGroupRing:
@@ -99,7 +150,6 @@ class ExhaustiveGroupRing:
         self.ring_size = self.m**self.n
         self.bound = _check_int("the exhaustive bound",
                                 exhaustive_bound() if bound is None else bound, 1)
-        self._projectors = None  # built by _line_projectors on the first walk
 
     def __repr__(self) -> str:
         return f"ExhaustiveGroupRing({self.ring!r})"
@@ -209,21 +259,6 @@ class ExhaustiveGroupRing:
         self._check_ideal(b)
         return Ideal(self, self.howell(a.basis + b.basis))
 
-    def _radical_rows(self, basis) -> tuple[tuple[int, ...], ...]:
-        """Howell basis of J * M, M the ideal with this basis: the span of
-        p * b and (Y^g - 1) * b over the basis rows b, g = f / p^v(f) the
-        generator of the p-part of each cyclic factor Z_f of G."""
-        m, factors = self.m, self.group.factors
-        perms, index = _shift_perms(factors, self.s), _group_index(factors)
-        rows = [tuple(self.p * a % m for a in b) for b in basis]
-        for k, f in enumerate(factors):
-            g = [0] * len(factors)
-            g[k] = f // self.p**valuation(f, self.p)
-            if g[k] < f:
-                perm = perms[index[tuple(g)]]
-                rows += [tuple((b[t] - a) % m for t, a in zip(perm, b)) for b in basis]
-        return howell(rows, self.p, self.r)
-
     def _socle_layer(self, code: "Ideal", perps: dict) -> tuple[tuple[int, ...], ...]:
         """Howell basis of S(I) = {v : J * v in I} = (J * I^perp)^perp.
 
@@ -242,7 +277,8 @@ class ExhaustiveGroupRing:
         Z_{p^r}-span is that of the span it generates under x, so the
         reverse entry of a span not closed under x would be wrong, s > 1.
         """
-        return self._perp(self._radical_rows(self._perp(code.basis, perps)), perps)
+        radical = _radical_rows(self.spec, self.group.factors, self._perp(code.basis, perps))
+        return self._perp(radical, perps)
 
     def _perp(self, basis, perps: dict) -> tuple[tuple[int, ...], ...]:
         """Howell basis of the Euclidean annihilator of the ideal with this
@@ -252,39 +288,10 @@ class ExhaustiveGroupRing:
             perps[basis], perps[perp] = perp, basis
         return perps[basis]
 
-    def _line_projectors(self) -> tuple:
-        """Per class C of A in partition order, the columns of multiplication
-        by e_C and the picks of its lines, built by the first walk.  e_C is
-        the class idempotent of GR[A], placed inside GR[G] by _sylow_place,
-        so e_C * v is v dotted with each column.
-
-        The picks are the positions t of the rows x^j * Y^g * e_C, row
-        t = g * s + j, that a greedy pass keeps as an F_p-basis of
-        e_C * R / e_C * J = F_Q, Q = q^nu_C: s * nu_C of them.  The pass
-        works modulo J, which meets e_C * R in e_C * J.
-        """
-        if self._projectors is None:
-            p, r, m = self.p, self.r, self.m
-            radical = self._radical_rows(self.principal_rows(self.ring.one().coeffs))  # J = J * (1)
-            dec = sylow_decompose(self.group, p)
-            ctx = ambient(self.spec, dec.coprime_part)
-            projectors = []
-            for e, cls in zip(class_idempotents(ctx), ctx.parts.classes):
-                rows = self.principal_rows(_sylow_place(e, dec, self.s))
-                span, picks = radical, []
-                for t, row in enumerate(rows):
-                    if any(remainder(span, row, m)):
-                        picks.append(t)
-                        if len(picks) == self.s * len(cls.elements):
-                            break
-                        span = howell(span + (row,), p, r)
-                projectors.append((tuple(zip(*rows)), tuple(picks)))
-            self._projectors = tuple(projectors)
-        return self._projectors
-
-    def _line_bases(self, code: "Ideal", perps: dict) -> list:
+    def _line_bases(self, code: "Ideal", socle) -> list:
         """Per class C, in partition order, the F_p-bases of the F_Q-lines
-        that a greedy pass picks as a basis of e_C * (S(I)/I), Q = q^nu_C.
+        that a greedy pass picks as a basis of e_C * (S(I)/I), Q = q^nu_C,
+        socle the rows of S(I) (_socle_layer).
 
         The socle rows, projected by e_C, that leave the span of I and the
         lines already taken lead new lines.  A line is (I + (lead))/I, and
@@ -295,9 +302,8 @@ class ExhaustiveGroupRing:
         would keep, and the span grows once per line.
         """
         p, r, m = self.p, self.r, self.m
-        socle = self._socle_layer(code, perps)
         span, summands = code.basis, []
-        for columns, picks in self._line_projectors():
+        for columns, picks in _line_projectors(self.ring):
             bases = []
             for row in socle:
                 lead = tuple(sum(map(mul, row, col)) % m for col in columns)
@@ -311,7 +317,7 @@ class ExhaustiveGroupRing:
             summands.append(bases)
         return summands
 
-    def _cover_points(self, code: "Ideal", perps: dict):
+    def _cover_points(self, code: "Ideal", socle):
         """One vector per simple submodule of S(I)/I, that is per cover of I.
 
         J * S(I) lies in I, so S(I)/I is a module over R/J = F_q[A], the
@@ -319,12 +325,12 @@ class ExhaustiveGroupRing:
         C of A, and its simple submodules are the F_Q-lines of the summands
         e_C * (S(I)/I), each of F_p-dimension s * nu_C.  A line of a summand
         is the lead of one of its _line_bases plus an F_p-combination of the
-        bases of the summand's later lines, yielded last line first.  perps
-        is the walk's dict of annihilators (_socle_layer).
+        bases of the summand's later lines, yielded last line first.  socle
+        holds the rows of S(I) (_socle_layer).
         """
         p, m = self.p, self.m
         lines = [(basis[0], [b for later in bases[k + 1:] for b in later])
-                 for bases in self._line_bases(code, perps) for k, basis in enumerate(bases)]
+                 for bases in self._line_bases(code, socle) for k, basis in enumerate(bases)]
         for lead, tail in reversed(lines):
             for coeffs in itertools.product(range(p), repeat=len(tail)):
                 vec = lead
@@ -348,9 +354,11 @@ class ExhaustiveGroupRing:
         vector's principal ideal once, in a dict that lives as long as the
         walk.  The socle layers' annihilators recur too, and perp is an
         involution on ideals, so a second dict of the walk holds each
-        annihilator pair both ways (_socle_layer).  The engine keeps no
-        table of either.  The walk keeps every found ideal, so rings above
-        the bound are refused (on the first next()) before any is yielded.
+        annihilator pair both ways (_socle_layer).  Each socle layer is
+        taken once, here, and its rows handed to _cover_points.  The engine
+        keeps neither dict.  The walk keeps every found ideal, so rings
+        above the bound are refused (on the first next()) before any is
+        yielded.
         """
         self._require_enumerable()
         zero = self.zero_ideal()
@@ -360,7 +368,7 @@ class ExhaustiveGroupRing:
         perps = {}  # ideal basis <-> its annihilator's basis, for this walk
         yield zero
         for ideal in found:  # found grows as the loop runs
-            for vec in self._cover_points(ideal, perps):
+            for vec in self._cover_points(ideal, self._socle_layer(ideal, perps)):
                 if vec not in principal:
                     principal[vec] = self.principal_ideal(vec)
                 cover = self.join(ideal, principal[vec])
@@ -429,14 +437,12 @@ class Ideal:
     m // p^e multiples, and the size is their product.
     """
 
-    __slots__ = ("engine", "basis", "_size", "_generators", "_encodings")
+    __slots__ = ("engine", "basis", "_size")
 
     def __init__(self, engine: ExhaustiveGroupRing, basis):
         self.engine = engine
         self.basis = basis
         self._size = None
-        self._generators = None
-        self._encodings = None
 
     @property
     def size(self) -> int:
@@ -469,18 +475,17 @@ class Ideal:
 
         Refuses rings above the engine's bound, like ideal enumeration.
         """
-        self.engine._require_enumerable()
-        if self._encodings is None:
-            engine = self.engine
-            members = [tuple([0] * engine.n)]
-            for row in self.basis:
-                lead = row[pivot(row)]
-                members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
-                           for v in members for k in range(engine.m // lead)]
-            self._encodings = tuple(sorted(engine._encode(v) for v in members))
-            if len(set(self._encodings)) != self.size:
-                raise InternalInvariantError("size disagrees with the distinct members")
-        return self._encodings
+        engine = self.engine
+        engine._require_enumerable()
+        members = [tuple([0] * engine.n)]
+        for row in self.basis:
+            lead = row[pivot(row)]
+            members = [tuple((x + k * y) % engine.m for x, y in zip(v, row))
+                       for v in members for k in range(engine.m // lead)]
+        encodings = tuple(sorted(engine._encode(v) for v in members))
+        if len(set(encodings)) != self.size:
+            raise InternalInvariantError("size disagrees with the distinct members")
+        return encodings
 
     def elements(self) -> list[GroupRingElement]:
         engine = self.engine
@@ -489,25 +494,21 @@ class Ideal:
 
     def generators(self) -> list[GroupRingElement]:
         """A short generating list found greedily from the basis rows."""
-        if self._generators is None:
-            engine = self.engine
-            for row in self.basis:
-                if engine.principal_ideal(row) == self:
-                    self._generators = [engine.from_vector(row)]
-                    break
-            else:
-                gens = []
-                current = engine.zero_ideal()
-                for row in self.basis:
-                    if not current.contains_vector(row):
-                        gens.append(row)
-                        current = engine.join(current, engine.principal_ideal(row))
-                    if current == self:
-                        break
-                if current != self:
-                    raise InternalInvariantError("basis rows failed to regenerate ideal")
-                self._generators = [engine.from_vector(row) for row in gens]
-        return list(self._generators)
+        engine = self.engine
+        for row in self.basis:
+            if engine.principal_ideal(row) == self:
+                return [engine.from_vector(row)]
+        gens = []
+        current = engine.zero_ideal()
+        for row in self.basis:
+            if not current.contains_vector(row):
+                gens.append(row)
+                current = engine.join(current, engine.principal_ideal(row))
+            if current == self:
+                break
+        if current != self:
+            raise InternalInvariantError("basis rows failed to regenerate ideal")
+        return [engine.from_vector(row) for row in gens]
 
 
 # -- constructive self-dual codes ----------------------------------------------

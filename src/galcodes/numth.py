@@ -117,7 +117,3 @@ def valuation(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)

@@ -21,7 +21,7 @@ from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupR
                                  sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
-                             _pairing_twist, exhaustive_bound)
+                             _line_projectors, _pairing_twist, _radical_rows, exhaustive_bound)
 from galcodes.linalg import howell, remainder
 from galcodes.numth import factorize, multiplicative_order, prime_power_split
 
@@ -205,7 +205,8 @@ def socle_layer_by_two_kernels(eng, code):
     """ExhaustiveGroupRing._socle_layer without the walk's dict of
     annihilators: both annihilators, of I and of J * I^perp, taken afresh.
     The oracle for the dict, which stores each pair it takes both ways."""
-    return eng._annihilator(eng._radical_rows(eng._annihilator(code.basis, 0)), 0)
+    radical = _radical_rows(eng.spec, eng.group.factors, eng._annihilator(code.basis, 0))
+    return eng._annihilator(radical, 0)
 
 
 def fp_points(eng, code):
@@ -258,7 +259,7 @@ def line_bases_by_full_scan(eng, code):
     p, r, m = eng.p, eng.r, eng.m
     socle = socle_layer_by_two_kernels(eng, code)
     span, summands = code.basis, []
-    for columns, _ in eng._line_projectors():
+    for columns, _ in _line_projectors(eng.ring):
         bases = []
         for row in socle:
             lead = tuple(sum(map(mul, row, col)) % m for col in columns)

@@ -405,14 +405,14 @@ def test_verify_runs_decomposition_at_every_size(capsys):
 
 def test_verify_enumerates_each_ring_once(capsys, monkeypatch):
     seen = []
-    enumerate_ideals = ExhaustiveGroupRing.enumerate_ideals
+    ideal_stream = ExhaustiveGroupRing.ideal_stream
 
     def spy(eng):
-        ideals = enumerate_ideals(eng)  # a refused ring raises before it is counted
+        ideals = list(ideal_stream(eng))  # a refused ring raises before it is counted
         seen.append((eng.p, eng.r, eng.s, eng.group.factors))
-        return ideals
+        return iter(ideals)
 
-    monkeypatch.setattr(ExhaustiveGroupRing, "enumerate_ideals", spy)
+    monkeypatch.setattr(ExhaustiveGroupRing, "ideal_stream", spy)
     doc = run_json(capsys, "verify", "--max-ring-size", "4096", "--json")
     assert doc["result"]["status"] == "pass"
     walked = {_ring(rec["parameters"]) for rec in doc["breakdown"]

@@ -15,8 +15,9 @@ from galcodes.group_ring import (GroupRing, _form_step, _group_index, _monomial_
                                  _sylow_perm, ambient, element_text)
 from galcodes.groups import AbelianGroup, element_order, sylow_decompose
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
-                             HERMITIAN, ExhaustiveGroupRing, Ideal, construct_self_dual,
-                             enumerate_semisimple_selfdual, exhaustive_bound)
+                             HERMITIAN, ExhaustiveGroupRing, Ideal, _line_projectors,
+                             _radical_rows, construct_self_dual, enumerate_semisimple_selfdual,
+                             exhaustive_bound)
 from galcodes.linalg import howell, pivot, remainder
 from helpers import (abelian_groups_up_to, annihilator_by_full_howell, compose_ints_by_transform,
                      construct_by_elements, construct_by_nested_assembly, dual_by_scan, engine,
@@ -228,6 +229,25 @@ def test_generators_regenerate():
             assert join_all(eng, ideal.generators()) == ideal
 
 
+def test_an_ideal_is_its_engine_basis_and_size():
+    assert Ideal.__slots__ == ("engine", "basis", "_size")
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2)], ids=["Z4[Z4]", "Z4[Z2xZ2]"])
+def test_repeated_listings_of_an_ideal_agree(factors):
+    """An ideal keeps no listing: each call of element_encodings and
+    generators recomputes it, and a caller's edits of one list reach no
+    other."""
+    eng = engine(2, 2, 1, factors)
+    for ideal in eng.ideal_stream():
+        encodings, gens = ideal.element_encodings(), ideal.generators()
+        assert ideal.element_encodings() == encodings
+        gens_again = ideal.generators()
+        assert gens_again == gens and gens_again is not gens
+        gens.clear()
+        assert ideal.generators() == gens_again
+
+
 # -- enumeration ---------------------------------------------------------------------
 
 def test_enumerate_z4z2():
@@ -369,7 +389,8 @@ def test_covers_are_the_minimal_joins_of_the_fp_points(p, r, s, factors):
     eng = engine(p, r, s, factors)
     got = list(eng.ideal_stream())
     for ideal in got:
-        covers = [eng.join(ideal, eng.principal_ideal(v)) for v in eng._cover_points(ideal, {})]
+        socle = socle_layer_by_two_kernels(eng, ideal)
+        covers = [eng.join(ideal, eng.principal_ideal(v)) for v in eng._cover_points(ideal, socle)]
         assert len(set(covers)) == len(covers)
         assert set(covers) == minimal_ideals(eng.join(ideal, eng.principal_ideal(v))
                                              for v in fp_points(eng, ideal))
@@ -427,7 +448,8 @@ def test_the_walk_joins_once_per_cover_edge(p, r, s, factors, monkeypatch):
             calls[name] += 1
             return method(*args)
         monkeypatch.setattr(eng, name, spy)
-    vectors = [v for ideal in eng.ideal_stream() for v in eng._cover_points(ideal, {})]
+    vectors = [v for ideal in eng.ideal_stream()
+               for v in eng._cover_points(ideal, socle_layer_by_two_kernels(eng, ideal))]
     assert calls == {"join": len(vectors), "principal_ideal": len(set(vectors))}
     assert len(vectors) == COVER_EDGES[(p, r, s, factors)]
     assert len(set(vectors)) == COVER_VECTORS[(p, r, s, factors)]
@@ -466,7 +488,7 @@ def test_the_walk_takes_one_annihilator_per_pair(p, r, s, factors, monkeypatch):
     pairs = set()
     for basis in ideals:
         perp = eng._annihilator(basis, 0)
-        radical = eng._radical_rows(perp)
+        radical = _radical_rows(eng.spec, factors, perp)
         pairs |= {frozenset((basis, perp)), frozenset((radical, eng._annihilator(radical, 0)))}
     calls = spy_annihilators(monkeypatch)
     assert [c.basis for c in eng.ideal_stream()] == ideals
@@ -476,9 +498,8 @@ def test_the_walk_takes_one_annihilator_per_pair(p, r, s, factors, monkeypatch):
 
 def test_a_walk_keeps_no_principal_ideal_on_the_engine(monkeypatch):
     """The walk's principal ideals and annihilators live as long as the
-    walk: the engine gains no attribute, only the projectors are filled,
-    and a second walk takes the first one's annihilators again and yields
-    its bases."""
+    walk: the engine gains no attribute and changes none, and a second
+    walk takes the first one's annihilators again and yields its bases."""
     eng = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, 1), AbelianGroup((3, 2))))
     calls = spy_annihilators(monkeypatch)
     before = dict(vars(eng))
@@ -486,7 +507,7 @@ def test_a_walk_keeps_no_principal_ideal_on_the_engine(monkeypatch):
     taken = list(calls)
     after = vars(eng)
     assert after.keys() == before.keys()
-    assert [k for k in after if after[k] is not before[k]] == ["_projectors"]
+    assert [k for k in after if after[k] is not before[k]] == []
     calls.clear()
     assert [c.basis for c in eng.ideal_stream()] == first
     assert calls == taken
@@ -529,7 +550,7 @@ def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
     eng = engine(p, r, s, factors)
     nus = class_sizes(eng)
     for ideal in eng.ideal_stream():
-        summands = eng._line_bases(ideal, {})
+        summands = eng._line_bases(ideal, socle_layer_by_two_kernels(eng, ideal))
         assert summands == line_bases_by_full_scan(eng, ideal)
         assert len(summands) == len(nus)
         for bases, nu in zip(summands, nus):
@@ -544,21 +565,40 @@ def test_line_bases_stop_at_the_dimension_of_the_line(p, r, s, factors):
 def test_each_line_takes_its_rows_at_its_class_picks(p, r, s, factors):
     """On every ideal, each line basis the full greedy scan keeps is its
     lead's rows x^j * Y^g * lead at exactly the picks of its class, s * nu_C
-    of them.  The picks of an engine that has walked are those of a fresh
-    engine that has not."""
+    of them.  The picks are those of a cold build, which no walk made, and
+    the walks read the same picks from the ring's table."""
     eng = engine(p, r, s, factors)
-    fresh = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s), AbelianGroup(factors)), eng.bound)
-    fresh_picks = [picks for _, picks in fresh._line_projectors()]
+    cold_picks = [picks for _, picks in _line_projectors.__wrapped__(eng.ring)]
     nus = class_sizes(eng)
-    assert [len(picks) for picks in fresh_picks] == [s * nu for nu in nus]
+    assert [len(picks) for picks in cold_picks] == [s * nu for nu in nus]
     for ideal in eng.ideal_stream():
         summands = line_bases_by_full_scan(eng, ideal)
-        assert len(summands) == len(fresh_picks)
-        for bases, picks in zip(summands, fresh_picks):
+        assert len(summands) == len(cold_picks)
+        for bases, picks in zip(summands, cold_picks):
             for basis in bases:
                 rows = list(_monomial_rows(eng.spec, factors, basis[0]))
                 assert basis == [rows[t] for t in picks]
-    assert [picks for _, picks in eng._line_projectors()] == fresh_picks
+    assert [picks for _, picks in _line_projectors(eng.ring)] == cold_picks
+
+
+@pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
+                         ids=[ring_id(ring) for ring in STREAM_RINGS + SEMISIMPLE_RINGS])
+def test_line_projectors_of_the_table_are_a_cold_build(p, r, s, factors):
+    ring = engine(p, r, s, factors).ring
+    assert _line_projectors(ring) == _line_projectors.__wrapped__(ring)
+
+
+def test_a_second_engine_of_one_ring_reads_the_first_ones_projectors():
+    """The projectors are keyed by the ring, not by the engine: the walk
+    of a second engine of an equal ring hits the table and builds nothing."""
+    first = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, 1), AbelianGroup((3, 2))))
+    want = [c.basis for c in first.ideal_stream()]
+    before = _line_projectors.cache_info()
+    second = ExhaustiveGroupRing(GroupRing(construct_ring(2, 2, 1), AbelianGroup((3, 2))))
+    assert [c.basis for c in second.ideal_stream()] == want
+    after = _line_projectors.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 @pytest.mark.parametrize("p, r, s, factors", STREAM_RINGS + SEMISIMPLE_RINGS,
@@ -574,7 +614,7 @@ def test_annihilators_equal_the_kernel_of_the_full_howell_form(p, r, s, factors)
     for ideal in eng.ideal_stream():
         for h in twists:
             assert eng._annihilator(ideal.basis, h) == annihilator_by_full_howell(eng, ideal.basis, h)
-        radical = eng._radical_rows(eng._annihilator(ideal.basis, 0))
+        radical = _radical_rows(eng.spec, factors, eng._annihilator(ideal.basis, 0))
         assert eng._socle_layer(ideal, {}) == annihilator_by_full_howell(eng, radical, 0)
 
 
@@ -587,7 +627,7 @@ def test_perp_is_an_involution_on_ideals(p, r, s, factors):
     eng = engine(p, r, s, factors)
     twists = (0, s // 2) if s % 2 == 0 else (0,)
     for ideal in eng.ideal_stream():
-        radical = eng._radical_rows(eng._annihilator(ideal.basis, 0))
+        radical = _radical_rows(eng.spec, factors, eng._annihilator(ideal.basis, 0))
         for basis in (ideal.basis, radical, eng._annihilator(radical, 0)):
             for h in twists:
                 assert eng._annihilator(eng._annihilator(basis, h), h) == basis

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 
 from galcodes.errors import DomainError
-from galcodes.numth import (factorize, is_prime, lcm, multiplicative_order,
-                            prime_power_split, valuation)
+from galcodes.numth import (factorize, is_prime, multiplicative_order, prime_power_split,
+                            valuation)
 from helpers import divisors
 
 
@@ -71,11 +71,9 @@ def test_multiplicative_order_is_minimal(j, q):
     assert all(pow(q, t, j) != 1 for t in range(1, e))
 
 
-def test_valuation_and_lcm():
+def test_valuation():
     assert valuation(24, 2) == 3
     assert valuation(7, 2) == 0
     for n, p in [(6, 1), (6, 0), (6, -1), (0, 2)]:
         with pytest.raises(ValueError):
             valuation(n, p)
-    assert lcm(4, 6) == 12
-    assert lcm(1, 1) == 1
