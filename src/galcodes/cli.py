@@ -23,11 +23,10 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 
-from .counting import (abelian_count, cyclic_count_n, cyclic_count_p2,
+from .counting import (_CLOSED_FORMS, TOTAL, abelian_count, cyclic_count_n,
                        euclidean_abelian_count, euclidean_cyclic_count_n,
-                       euclidean_cyclic_count_p2, euclidean_semisimple_count,
-                       hermitian_abelian_count, hermitian_cyclic_count_n,
-                       hermitian_cyclic_count_p2, hermitian_semisimple_count,
+                       euclidean_semisimple_count, hermitian_abelian_count,
+                       hermitian_cyclic_count_n, hermitian_semisimple_count,
                        is_principal_ideal_group_ring)
 from .cyclotomic import partition
 from .errors import BoundExceededError, DomainError
@@ -121,8 +120,6 @@ def _code_query(args):
 # dual -> count function, one table per formula family
 _COUNTS = {"euclidean": euclidean_abelian_count, "hermitian": hermitian_abelian_count,
            "none": abelian_count}
-_CLOSED_FORMS = {"none": cyclic_count_p2, "euclidean": euclidean_cyclic_count_p2,
-                 "hermitian": hermitian_cyclic_count_p2}
 _LENGTH_COUNTS = {"none": cyclic_count_n, "euclidean": euclidean_cyclic_count_n,
                   "hermitian": hermitian_cyclic_count_n}
 _SEMISIMPLE_COUNTS = {"euclidean": euclidean_semisimple_count,
@@ -226,7 +223,7 @@ _RING_KEYS = ("p", "r", "s", "group", "dual")
 
 
 def _closed_form(p, r, s, group, dual):
-    return _CLOSED_FORMS[dual](p, s, valuation(group.order, p))
+    return _CLOSED_FORMS[TOTAL if dual == "none" else dual](p, s, valuation(group.order, p))
 
 
 def _length_count(p, r, s, group, dual):

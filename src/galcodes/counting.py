@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import (EUCLIDEAN, HERMITIAN, _pairing_twist, bad_pair_indicator,
                          even_pair_indicator)
@@ -160,7 +161,14 @@ class ClosedFormProvider:
         return _CLOSED_FORMS[kind](p, s2, a)
 
 
-_BRUTE_CACHE: dict = {}
+@lru_cache(maxsize=None)
+def _walk_count(ring: GroupRing, kind: str, bound: int | None) -> int:
+    """The kind's count of ring by one socle walk, once per ring, kind and
+    bound; the caller has asked the size rule first."""
+    engine = ExhaustiveGroupRing(ring, bound)
+    if kind == TOTAL:
+        return sum(1 for _ in engine.ideal_stream())
+    return engine.count_self_dual(kind)
 
 
 class BruteForceProvider:
@@ -174,20 +182,15 @@ class BruteForceProvider:
 
     def count(self, p: int, r: int, s2: int, p_group: AbelianGroup, kind: str) -> int:
         _check_base(p, r, s2, p_group, kind)
-        engine = ExhaustiveGroupRing(GroupRing(construct_ring(p, r, s2), p_group), self.bound)
+        ring = GroupRing(construct_ring(p, r, s2), p_group)
+        engine = ExhaustiveGroupRing(ring, self.bound)
         try:
             engine._require_enumerable()
         except BoundExceededError:
             raise ProviderDomainError(
                 f"{_describe_base(p, r, s2, p_group, kind)} unavailable: ring size "
                 f"{engine._size_text} exceeds the bound {engine.bound}") from None
-        key = (p, r, s2, p_group.factors, kind)
-        if key not in _BRUTE_CACHE:
-            if kind == TOTAL:
-                _BRUTE_CACHE[key] = sum(1 for _ in engine.ideal_stream())
-            else:
-                _BRUTE_CACHE[key] = engine.count_self_dual(kind)
-        return _BRUTE_CACHE[key]
+        return _walk_count(ring, kind, self.bound)
 
 
 class AutoProvider:

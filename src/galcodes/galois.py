@@ -17,14 +17,15 @@ canonical Teichmuller generator xi is obtained by iterating t -> t^(p^s)
 on the class of x; xi has exact multiplicative order p^s - 1 and every
 element has a unique expansion sum(a_i * p^i) with Teichmuller digits a_i.
 
-Each ring lazily builds one table of the powers xi^e, e < p^s - 1, and of
-their residues' discrete logs.  A Teichmuller digit is then a lookup by
-residue, and the Frobenius, embed and unembed are one kernel that carries
-digit logs into a target ring, an exact division then a scale (unembed's
-division refuses an element outside the subring); only xi itself is
-computed by powering.  Residue fields above 2^21 elements get no table, so
-lifts, digits, discrete logs, the Frobenius and both sides of an embedding
-refuse them.
+_teichmuller_table(spec) holds the powers xi^e, e < p^s - 1, and their
+residues' discrete logs, one lru_cache entry per ring built on first use,
+so _teichmuller_table.cache_clear() frees every table and keeps every ring.
+A Teichmuller digit is then a lookup by residue, and the Frobenius, embed
+and unembed are one kernel that carries digit logs into a target ring, an
+exact division then a scale (unembed's division refuses an element outside
+the subring); only xi itself is computed by powering, on each read.
+Residue fields above 2^21 elements get no table, so lifts, digits, discrete
+logs, the Frobenius and both sides of an embedding refuse them.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ def _primitive_polynomial(p: int, s: int) -> tuple[int, ...]:
 
 
 class GaloisRingSpec:
-    """Immutable description of GR(p^r, s) plus cached arithmetic data."""
+    """Immutable description of GR(p^r, s): the ring is (p, r, s, modulus)."""
 
-    __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size",
-                 "_xi", "_xi_pows", "_dlog")
+    __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size")
 
     def __init__(self, p: int, r: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -108,20 +108,17 @@ class GaloisRingSpec:
         self.char = p**r
         self.size = p ** (r * s)
         self.residue_size = p**s
-        self._xi: GaloisRingElement | None = None
-        # filled together by _table(): coefficients of xi^e, and residue -> e
-        self._xi_pows: tuple[tuple[int, ...], ...] = ()
-        self._dlog: dict[tuple[int, ...], int] | None = None
 
     def __repr__(self) -> str:
         return ring_name(self)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GaloisRingSpec)
-                and (self.p, self.r, self.s) == (other.p, other.r, other.s))
+                and (self.p, self.r, self.s, self.modulus)
+                == (other.p, other.r, other.s, other.modulus))
 
     def __hash__(self) -> int:
-        return hash((self.p, self.r, self.s))
+        return hash((self.p, self.r, self.s, self.modulus))
 
     def element(self, coeffs) -> GaloisRingElement:
         cs = tuple(coeffs)
@@ -165,40 +162,18 @@ class GaloisRingSpec:
     @property
     def xi(self) -> GaloisRingElement:
         """Canonical Teichmuller generator: the lift of the class of x."""
-        if self._xi is None:
-            self._xi = _lift_by_powering(self._x())
-        return self._xi
-
-    def _table(self) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-        """(residue -> e, coefficients of xi^e) for e < p^s - 1, built on first use."""
-        if self._dlog is None:
-            if self.residue_size > _MAX_DLOG_TABLE:
-                raise BoundExceededError(
-                    f"discrete-log table for {ring_name(self)} would need "
-                    f"{self.residue_size} entries, above the bound {_MAX_DLOG_TABLE}")
-            p, m, modulus = self.p, self.char, self.modulus
-            xi = self.xi.coeffs
-            acc = self.one().coeffs
-            pows = []
-            table = {}
-            for e in range(self.residue_size - 1):
-                pows.append(acc)
-                table[tuple(c % p for c in acc)] = e
-                acc = _poly_mul_mod(acc, xi, modulus, m)
-            self._xi_pows = tuple(pows)
-            self._dlog = table
-        return self._dlog, self._xi_pows
+        return _lift_by_powering(self._x())
 
     def dlog(self, t: GaloisRingElement) -> int:
         """Discrete log of a nonzero Teichmuller element with respect to xi."""
         try:
-            return self._table()[0][t.residue()]
+            return _teichmuller_table(self)[0][t.residue()]
         except KeyError:
             raise InternalInvariantError(f"{t} is not a unit Teichmuller element") from None
 
     def _digit_logs(self, coeffs: tuple[int, ...]) -> list[int | None]:
         """Exponents e_i with digit a_i = xi^(e_i), None for a zero digit."""
-        table, pows = self._table()
+        table, pows = _teichmuller_table(self)
         p, m = self.p, self.char
         out = []
         for _ in range(self.r):
@@ -320,11 +295,31 @@ def _lift_by_powering(a: GaloisRingElement) -> GaloisRingElement:
     return a
 
 
+@lru_cache(maxsize=None)
+def _teichmuller_table(spec: GaloisRingSpec) -> tuple[dict, tuple]:
+    """(residue -> e, coefficients of xi^e) for e < p^s - 1.  A residue field
+    above the bound is refused before any work, and a refusal caches nothing."""
+    if spec.residue_size > _MAX_DLOG_TABLE:
+        raise BoundExceededError(
+            f"discrete-log table for {ring_name(spec)} would need "
+            f"{spec.residue_size} entries, above the bound {_MAX_DLOG_TABLE}")
+    p, m, modulus = spec.p, spec.char, spec.modulus
+    xi = spec.xi.coeffs
+    acc = spec.one().coeffs
+    pows = []
+    table = {}
+    for e in range(spec.residue_size - 1):
+        pows.append(acc)
+        table[tuple(c % p for c in acc)] = e
+        acc = _poly_mul_mod(acc, xi, modulus, m)
+    return table, tuple(pows)
+
+
 def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
     """The unique Teichmuller element congruent to a modulo p: xi^dlog(a mod p)
     for a unit, 0 otherwise."""
     spec = _check_type("a", a, GaloisRingElement).spec
-    table, pows = spec._table()
+    table, pows = _teichmuller_table(spec)
     res = a.residue()
     if not any(res):
         return spec.zero()
@@ -334,7 +329,7 @@ def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
 def teichmuller_digits(a: GaloisRingElement) -> tuple[GaloisRingElement, ...]:
     """Digits (a_0, ..., a_{r-1}) with a = sum(a_i * p^i), each a Teichmuller element."""
     spec = a.spec
-    pows = spec._table()[1]
+    pows = _teichmuller_table(spec)[1]
     return tuple(spec.zero() if e is None else GaloisRingElement(spec, pows[e])
                  for e in spec._digit_logs(a.coeffs))
 
@@ -358,7 +353,7 @@ def _carry_digit_logs(a: GaloisRingElement, target: GaloisRingSpec, divisor: int
     Teichmuller digits a_i = xi^(e_i), the one digit-log map behind the
     Frobenius, embed and unembed.  A log that divisor does not divide puts
     a outside the degree-(target.s) subring, which is refused."""
-    pows = target._table()[1]
+    pows = _teichmuller_table(target)[1]
     order, p, m = target.residue_size - 1, target.p, target.char
     acc = [0] * target.s
     weight = 1
@@ -398,7 +393,7 @@ def _embedding_exponent(src: GaloisRingSpec, target: GaloisRingSpec) -> int:
     homomorphism, and the plain j = 1 choice usually is not one.  The
     candidates are read off the target's table, so a target above the table
     bound is refused before anything is computed or cached."""
-    pows = target._table()[1]
+    pows = _teichmuller_table(target)[1]
     step = (target.residue_size - 1) // (src.residue_size - 1)
     for j in range(src.residue_size - 1):
         cand = GaloisRingElement(target, pows[j * step])

@@ -34,9 +34,10 @@ reversal, conjugated when h = s/2) act on the pair as a plain swap.
 class_idempotents tabulates the primitive idempotent e_C of each class C
 (transform 1 on C, 0 elsewhere) on first use, by one idft per class given
 only that class's points, so the whole table costs one full idft; it holds
-the digit vectors, at most #classes * s * |A| digits, and lives as long as
-its ambient context.  An integer c at the slot of C pulls back to c * e_C,
-and _sylow_place puts such an element of GR[A] inside GR[G].
+the digit vectors, at most #classes * s * |A| digits, in an lru_cache with
+one entry per context, which never changes.  An integer c at the slot of C
+pulls back to c * e_C, and _sylow_place puts such an element of GR[A]
+inside GR[G].
 A pairing's slots are the partition's, each (class index, spreads), a
 pair's partner orbit starting at -p^h * rep; _slots only attaches the
 component rings and keeps nothing.  Point k of a spread (orbit, t) reads
@@ -376,7 +377,6 @@ class AmbientDecomposition:
             pows.append(pows[-1] * zeta)
         self.zeta_pows = pows
         self.inv_group_order = pow(group.order, -1, spec.char)
-        self._idempotents = None  # built by class_idempotents on first use
 
     def component_spec(self, nu: int) -> GaloisRingSpec:
         return construct_ring(self.spec.p, self.spec.r, self.spec.s * nu)
@@ -453,11 +453,13 @@ def class_idempotents(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
     """The idempotent e_C of each class C, in partition order, as the digit
     vector of an element of GR[A]: the inverse transform of 1 on C, given
     only C's points, so each costs |A| * |C|."""
-    if _check_type("ctx", ctx, AmbientDecomposition)._idempotents is None:
-        one = ctx.big.one()
-        ctx._idempotents = tuple(idft({h: one for h in cls.elements}, ctx).coeffs
-                                 for cls in ctx.parts.classes)
-    return ctx._idempotents
+    return _idempotents_cached(_check_type("ctx", ctx, AmbientDecomposition))
+
+
+@lru_cache(maxsize=None)
+def _idempotents_cached(ctx: AmbientDecomposition) -> tuple[tuple[int, ...], ...]:
+    one = ctx.big.one()
+    return tuple(idft({h: one for h in cls.elements}, ctx).coeffs for cls in ctx.parts.classes)
 
 
 def _slots(ctx: AmbientDecomposition, pairing: str) -> list:

@@ -97,10 +97,7 @@ def multiplicative_order(q: int, n: int) -> int:
         raise ValueError(f"{q} is not a unit modulo {n}")
     # group exponent divides lambda(n); testing divisors of the full unit
     # group order keeps this exact without needing Carmichael's function
-    order = 1
-    for p, e in factorize(n):
-        block = p ** (e - 1) * (p - 1)
-        order = order * block // math.gcd(order, block)
+    order = math.lcm(*(p ** (e - 1) * (p - 1) for p, e in factorize(n)))
     k = order
     for p, _ in factorize(order):
         while k % p == 0 and pow(q, k // p, n) == 1:

@@ -1,5 +1,6 @@
 import re
 import time
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,8 @@ from galcodes.counting import (AutoProvider, BruteForceProvider,
                                hermitian_semisimple_count,
                                is_principal_ideal_group_ring)
 from galcodes.errors import DomainError, ProviderDomainError
+from galcodes.galois import construct_ring
+from galcodes.group_ring import GroupRing
 from galcodes.groups import AbelianGroup, parse_group
 from galcodes.ideals import exists_self_dual
 from helpers import abelian_groups_up_to
@@ -235,10 +238,15 @@ def test_brute_provider_respects_bound():
 @pytest.mark.parametrize("p, factors, total", [(2, (4,), 23), (3, (3,), 16)])
 def test_brute_force_counts_every_ideal(p, factors, total, monkeypatch):
     """Z4[Z4] and Z9[Z3] by enumeration, against the r = 2 closed form; an
-    empty cache makes the count run."""
-    monkeypatch.setattr(counting, "_BRUTE_CACHE", {})
-    assert BruteForceProvider().count(p, 2, 1, AbelianGroup(factors), "total") == total
-    assert counting._BRUTE_CACHE == {(p, 2, 1, factors, "total"): total}
+    empty cache makes the count run once, and the second count reads it."""
+    cold = lru_cache(maxsize=None)(counting._walk_count.__wrapped__)
+    monkeypatch.setattr(counting, "_walk_count", cold)
+    for _ in range(2):
+        assert BruteForceProvider().count(p, 2, 1, AbelianGroup(factors), "total") == total
+    info = cold.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    ring = GroupRing(construct_ring(p, 2, 1), AbelianGroup(factors))
+    assert cold.__wrapped__(ring, "total", None) == total
     assert cyclic_count_p2(p, 1, 1 if p == 3 else 2) == total
 
 

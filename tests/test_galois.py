@@ -14,10 +14,11 @@ from galcodes import galois
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
 from galcodes.galois import (_MAX_DLOG_TABLE, GaloisRingSpec,
                              _embedding_exponent, _lift_by_powering,
-                             _primitive_polynomial, construct_ring, element_text,
+                             _primitive_polynomial, _teichmuller_table, construct_ring, element_text,
                              embed, generalized_frobenius, modulus_text,
                              parse_element, parse_ring_name, ring_name, root_of_unity,
                              teichmuller_digits, teichmuller_lift, unembed)
+from galcodes.group_ring import _form_step
 from galcodes.numth import is_prime
 from helpers import (digits_by_powering, from_teichmuller_digits, is_unit,
                      primitive_polynomial_by_scan)
@@ -355,10 +356,13 @@ def test_untabulated_ring_refuses_every_table_operation():
     refused = [lambda: teichmuller_lift(a), lambda: teichmuller_digits(a),
                lambda: generalized_frobenius(a, 1), lambda: embed(small.xi, spec),
                lambda: unembed(a, small), lambda: spec.dlog(spec.one())]
+    before = _teichmuller_table.cache_info()
     for call in refused:
         with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
             call()
-    assert spec._dlog is None
+    after = _teichmuller_table.cache_info()
+    # each refusal is a miss that caches nothing
+    assert (after.currsize, after.misses) == (before.currsize, before.misses + len(refused))
     xi = spec.xi
     assert xi**(spec.residue_size - 1) == spec.one()
     assert xi.residue() == spec._x().residue()
@@ -366,11 +370,11 @@ def test_untabulated_ring_refuses_every_table_operation():
 
 @pytest.mark.parametrize("direction", ["embed", "unembed"])
 def test_embedding_above_the_table_bound_refuses_before_caching(direction):
-    # a fresh GR(2^2, 22), so that nothing another test left behind can
-    # stand in for the work the refusal must skip; the exponent of
+    # GR(2^2, 22) built apart, equal to the canonical ring; the exponent of
     # GR(2^2, 2) in it is never cached, because its table is always refused
     big = GaloisRingSpec(2, 2, 22, construct_ring(2, 2, 22).modulus)
     small = construct_ring(2, 2, 2)
+    tables = _teichmuller_table.cache_info().currsize
     before = _embedding_exponent.cache_info()
     with pytest.raises(BoundExceededError, match="4194304 entries, above the bound 2097152"):
         if direction == "embed":
@@ -379,19 +383,46 @@ def test_embedding_above_the_table_bound_refuses_before_caching(direction):
             unembed(big.one(), small)
     after = _embedding_exponent.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses + 1)
-    assert big._xi is None
+    assert _teichmuller_table.cache_info().currsize == tables
 
 
 def test_embedding_exponent_is_found_once_per_pair_of_rings():
     small, big = construct_ring(3, 3, 2), construct_ring(3, 3, 4)
     j = _embedding_exponent(small, big)
     before = _embedding_exponent.cache_info()
-    # an equal ring built apart shares the entry
+    tables = _teichmuller_table(big)
+    # an equal ring built apart shares the entries
     twin = GaloisRingSpec(3, 3, 4, big.modulus)
     assert _embedding_exponent(small, twin) == j
     assert unembed(embed(small.xi, big), small) == small.xi
     after = _embedding_exponent.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
+    assert _teichmuller_table(twin) is tables
+
+
+def test_a_ring_on_another_modulus_is_another_ring():
+    """x^2 + 2x + 2 is primitive over F_3 as well, but GR(3, 2) is built on
+    x^2 + x + 2: the two rings differ and share no table, whichever is read
+    first."""
+    canonical = construct_ring(3, 1, 2)
+    before = _teichmuller_table.cache_info()
+    other = GaloisRingSpec(3, 1, 2, (2, 2, 1))
+    table = _teichmuller_table(other)  # built on its first read, then kept
+    assert _teichmuller_table(other) is table
+    after = _teichmuller_table.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert GaloisRingSpec.__slots__ == ("p", "r", "s", "modulus", "char", "size", "residue_size")
+    assert canonical.modulus == (2, 1, 1)
+    assert other != canonical and canonical != other
+    assert len({canonical, other}) == 2
+    with pytest.raises(DomainError, match="mixed rings"):
+        canonical.one() + other.one()
+    assert _form_step(canonical, 1) == generalized_frobenius(canonical._x(), 1).coeffs == (2, 2)
+    assert _form_step(other, 1) == generalized_frobenius(other._x(), 1).coeffs == (1, 2)
+    for spec in (canonical, other):
+        assert _teichmuller_table(spec) == _teichmuller_table.__wrapped__(spec)
+        assert spec.xi**8 == spec.one() and spec.xi**4 != spec.one()
+    assert _teichmuller_table(other) != _teichmuller_table(canonical)
 
 
 # -- Frobenius -------------------------------------------------------------------

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError, InternalInvariantError
-from galcodes.galois import construct_ring, generalized_frobenius
-from galcodes.group_ring import (DecomposedElement, GroupRing, GroupRingElement,
-                                 _ambient_cached, _slots, _sylow_perm, _sylow_place,
+from galcodes.galois import GaloisRingSpec, _teichmuller_table, construct_ring, generalized_frobenius
+from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
+                                 GroupRingElement, _ambient_cached, _idempotents_cached,
+                                 _slots, _sylow_perm, _sylow_place,
                                  ambient, class_idempotents, compose, conjugate,
                                  conjugate_involution, decompose_euclidean,
                                  decompose_hermitian, dft, element_text, idft, involution,
@@ -773,12 +774,26 @@ def test_class_idempotents_are_orthogonal_and_sum_to_one(case):
 
 
 def test_class_idempotents_are_built_on_first_use_and_kept():
-    # the uncached constructor behind ambient(), so no earlier test built the table
-    ctx = _ambient_cached.__wrapped__(2, 2, 1, (7,))
-    assert ctx._idempotents is None
+    # F_9[Z4] on x^2 + 2x + 2, a modulus no other test builds a context on:
+    # building the context builds no table, and its first read does
+    before = _idempotents_cached.cache_info()
+    ctx = AmbientDecomposition(GaloisRingSpec(3, 1, 2, (2, 2, 1)), AbelianGroup((4,)))
+    assert _idempotents_cached.cache_info() == before
     table = class_idempotents(ctx)
     assert class_idempotents(ctx) is table
-    assert ctx._idempotents is table
+    after = _idempotents_cached.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert table == _idempotents_cached.__wrapped__(ctx)
+    elements = [GroupRingElement(ctx.ring, vec) for vec in table]
+    for i, e in enumerate(elements):
+        for j, f in enumerate(elements):
+            assert e * f == (e if i == j else ctx.ring.zero())
+    # the canonical ring's table is another entry: its digits are in another basis
+    assert table != class_idempotents(table_ctx(3, 1, 2, (4,)))
+    # the uncached constructor behind ambient() makes another context, with
+    # its own entry, equal to the one of the context ambient() keeps
+    fresh = _ambient_cached.__wrapped__(2, 2, 1, (7,))
+    assert class_idempotents(fresh) == class_idempotents(table_ctx(2, 2, 1, (7,)))
     assert class_idempotents(table_ctx(2, 2, 1, (7,))) is class_idempotents(table_ctx(2, 2, 1, (7,)))
 
 
@@ -791,6 +806,15 @@ SLOT_CONTEXTS = [(2, 2, 1, (3,)), (2, 2, 1, (7,)), (2, 2, 2, (3,)), (2, 2, 2, (5
                  (2, 2, 1, ()), (3, 2, 2, ())]
 SLOT_LAYOUTS = [(case, layout) for case in SLOT_CONTEXTS
                 for layout in (("euclidean", "hermitian") if case[2] % 2 == 0 else ("euclidean",))]
+
+
+@pytest.mark.parametrize("case", SLOT_CONTEXTS)
+def test_teichmuller_tables_read_by_a_round_trip_are_cold_builds(case):
+    ctx = table_ctx(*case)
+    x = ctx.ring.random_element(random.Random(0))
+    assert compose(decompose_euclidean(x, ctx)) == x
+    for spec in (ctx.spec, ctx.big):
+        assert _teichmuller_table(spec) == _teichmuller_table.__wrapped__(spec)
 
 
 @pytest.mark.parametrize("case, layout", SLOT_LAYOUTS)

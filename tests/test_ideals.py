@@ -1,18 +1,22 @@
+import copy
 import itertools
 import random
 import re
+import sys
 import time
 from functools import reduce
 
 import pytest
 
 from galcodes import group_ring
-from galcodes.counting import (_BRUTE_CACHE, BruteForceProvider, TrivialSylowProvider,
+from galcodes.counting import (BruteForceProvider, TrivialSylowProvider, _walk_count,
                                euclidean_semisimple_count, hermitian_semisimple_count)
 from galcodes.errors import BoundExceededError, DomainError, InternalInvariantError
-from galcodes.galois import construct_ring, generalized_frobenius
+from galcodes.galois import (GaloisRingSpec, construct_ring, embed, generalized_frobenius,
+                             teichmuller_digits, unembed)
 from galcodes.group_ring import (GroupRing, _form_step, _group_index, _monomial_rows, _shift_perms,
-                                 _sylow_perm, ambient, element_text)
+                                 _slots, _sylow_perm, ambient, compose, decompose_euclidean,
+                                 decompose_hermitian, element_text)
 from galcodes.groups import AbelianGroup, element_order, sylow_decompose
 from galcodes.ideals import (BOUND_ENV_VAR, DEFAULT_BOUND, EUCLIDEAN, MAX_REPRESENTATIVES,
                              HERMITIAN, ExhaustiveGroupRing, Ideal, _line_projectors,
@@ -820,6 +824,52 @@ def test_building_a_refused_engine_fills_no_table(p, r, factors):
     assert [table.cache_info().currsize for table in TABLES] == entries
 
 
+def _snapshot(specs, holders) -> list:
+    """(space, name, value, a copy of value) for each slot of the specs, each
+    attribute of the holders, and each dict, list and set of the loaded
+    galcodes modules."""
+    spaces = [{slot: getattr(spec, slot) for slot in GaloisRingSpec.__slots__} for spec in specs]
+    spaces += [vars(obj) for obj in holders]
+    spaces += [{name: v for name, v in vars(module).items()
+                if type(v) in (dict, list, set) and not name.startswith("__")}
+               for key, module in sorted(sys.modules.items())
+               if module is not None and key.split(".")[0] == "galcodes"]
+    return [(i, name, v, copy.copy(v)) for i, space in enumerate(spaces) for name, v in space.items()]
+
+
+def _unchanged(before, after) -> bool:
+    """Each value of after is the same object as before, equal to its copy."""
+    return len(before) == len(after) and all(
+        (i, name) == (j, other) and now is v and now == kept
+        for (i, name, v, kept), (j, other, now, _) in zip(before, after))
+
+
+def test_no_object_or_module_container_changes_once_built():
+    """Every table is a module-level lru_cache: a round trip, a walk with
+    self-duality tests, a construction, a semisimple family, a brute count
+    and the Teichmuller maps change no slot of their rings, no attribute of
+    their contexts and engines, and no module-level dict, list or set."""
+    # rings built apart, so that no earlier test has read anything of them
+    small = GaloisRingSpec(2, 2, 2, construct_ring(2, 2, 2).modulus)
+    big = GaloisRingSpec(2, 2, 4, construct_ring(2, 2, 4).modulus)
+    group = AbelianGroup((5,))
+    ctx = ambient(small, group)
+    eng = ExhaustiveGroupRing(GroupRing(small, AbelianGroup((3,))))
+    specs = [small, big, ctx.spec, ctx.big] + [spec for _, spec, _ in _slots(ctx, HERMITIAN)]
+    before = _snapshot(specs, [ctx, eng])
+    x = GroupRing(small, group).random_element(random.Random(34))
+    assert compose(decompose_euclidean(x, ctx)) == x == compose(decompose_hermitian(x, ctx))
+    assert [eng.is_self_dual(c, form) for form in (EUCLIDEAN, HERMITIAN)
+            for c in eng.ideal_stream()].count(True) == 4
+    assert construct_self_dual(2, 1, 2, AbelianGroup((2, 3)), HERMITIAN).ideal is not None
+    assert len(enumerate_semisimple_selfdual(2, 2, 2, group, HERMITIAN).representatives) == 3
+    assert BruteForceProvider().count(2, 2, 2, AbelianGroup((2,)), HERMITIAN) == 3
+    for a in map(small.from_index, range(0, small.size, 3)):
+        assert unembed(embed(a, big), small) == a
+        assert sum(d * 2**i for i, d in enumerate(teichmuller_digits(a))) == a
+    assert _unchanged(before, _snapshot(specs, [ctx, eng]))
+
+
 @pytest.mark.parametrize("p, r, s", [(2, 2, 2), (3, 2, 2), (2, 1, 4)])
 def test_form_step_is_the_frobenius_power_of_x(p, r, s):
     spec = construct_ring(p, r, s)
@@ -930,12 +980,12 @@ def test_hermitian_needs_even_degree():
 def test_brute_force_provider_refuses_an_odd_degree_hermitian_count():
     """As the trivial provider does, and without caching a count of 0:
     every ideal of Z3[Z3] fails the size test, which came first."""
-    before = dict(_BRUTE_CACHE)
+    before = _walk_count.cache_info()
     with pytest.raises(DomainError, match="even degree"):
         BruteForceProvider().count(3, 1, 1, AbelianGroup((3,)), HERMITIAN)
     with pytest.raises(DomainError, match="even degree"):
         TrivialSylowProvider().count(3, 1, 1, AbelianGroup(()), HERMITIAN)
-    assert _BRUTE_CACHE == before
+    assert _walk_count.cache_info() == before
 
 
 # -- constructive existence ---------------------------------------------------------------------
