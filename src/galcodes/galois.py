@@ -96,9 +96,11 @@ def _primitive_polynomial(p: int, s: int) -> tuple[int, ...]:
 
 
 class GaloisRingSpec:
-    """Immutable description of GR(p^r, s): the ring is (p, r, s, modulus)."""
+    """Immutable description of GR(p^r, s): the ring is its key (p, r, s,
+    modulus), hashed once, since every table read and every product of two
+    elements compares rings."""
 
-    __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size")
+    __slots__ = ("p", "r", "s", "modulus", "char", "size", "residue_size", "_key", "_hash")
 
     def __init__(self, p: int, r: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -108,17 +110,17 @@ class GaloisRingSpec:
         self.char = p**r
         self.size = p ** (r * s)
         self.residue_size = p**s
+        self._key = (p, r, s, modulus)
+        self._hash = hash(self._key)
 
     def __repr__(self) -> str:
         return ring_name(self)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GaloisRingSpec)
-                and (self.p, self.r, self.s, self.modulus)
-                == (other.p, other.r, other.s, other.modulus))
+        return self is other or (isinstance(other, GaloisRingSpec) and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.r, self.s, self.modulus))
+        return self._hash
 
     def element(self, coeffs) -> GaloisRingElement:
         cs = tuple(coeffs)

@@ -15,10 +15,11 @@ as c * Y^0, weights only the first block.
 
 For A of order coprime to p, evaluation at characters diagonalizes GR[A]:
 with M = exponent(A), mu = ord_M(p^s), zeta a root of unity of order M in
-the extension GR(p^r, s*mu), dft(c) is the dict h -> sum_a c_a *
-zeta^gamma_h(a), and idft(values, ctx) the same sum, one kernel
-_character_sums, with zeta^(-gamma_h(a)) and |A|^(-1), over the points the
-dict gives (the rest read as 0).  The value at h lands in the subring of
+the extension GR(p^r, s*mu), dft(c, ctx, points) is the dict h -> sum_a
+c_a * zeta^gamma_h(a) over the points asked for (by default all of A), and
+idft(values, ctx) the same sum, one kernel _character_sums, with
+zeta^(-gamma_h(a)) and |A|^(-1), over the points the dict gives (the rest
+read as 0).  The value at h lands in the subring of
 degree s*nu, nu the size of the cyclotomic class of h, and the values on
 one class are Frobenius shifts of the value at its representative, so the
 whole ring splits into one Galois-ring component per class.  Components
@@ -41,7 +42,9 @@ inside GR[G].
 A pairing's slots are the partition's, each (class index, spreads), a
 pair's partner orbit starting at -p^h * rep; _slots only attaches the
 component rings and keeps nothing.  Point k of a spread (orbit, t) reads
-the one value the spread stores, shifted by Frobenius s*k + t.
+the one value the spread stores, shifted by Frobenius s*k + t, so
+decompose asks dft for each spread's head alone, one point per class:
+|A| * #classes terms, where compose's idft sums |A|^2.
 """
 
 from __future__ import annotations
@@ -383,23 +386,24 @@ class AmbientDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _ambient_cached(p: int, r: int, s: int, factors: tuple[int, ...]) -> AmbientDecomposition:
-    return AmbientDecomposition(construct_ring(p, r, s), AbelianGroup(factors))
+def _ambient_cached(spec: GaloisRingSpec, factors: tuple[int, ...]) -> AmbientDecomposition:
+    return AmbientDecomposition(spec, AbelianGroup(factors))
 
 
 def ambient(spec: GaloisRingSpec, group: AbelianGroup) -> AmbientDecomposition:
-    _check_type("spec", spec, GaloisRingSpec)
-    return _ambient_cached(spec.p, spec.r, spec.s,
+    """The context of spec[group], one per ring: a spec on another modulus
+    than construct_ring's gets its own."""
+    return _ambient_cached(_check_type("spec", spec, GaloisRingSpec),
                            _check_type("group", group, AbelianGroup).factors)
 
 
-def _character_sums(ctx: AmbientDecomposition, terms, sign: int):
-    """For each a of A in lexicographic order, (a, sum v * zeta^(sign *
+def _character_sums(ctx: AmbientDecomposition, terms, sign: int, points):
+    """For each point a, in the order given, (a, sum v * zeta^(sign *
     gamma_h(a) mod M)) over the (h, v) terms; gamma is symmetric, so sign 1
     is the transform and sign -1 the inverse before its |A|^(-1)."""
     group, zero, pows = ctx.group, ctx.big.zero(), ctx.zeta_pows
     M = group.exponent
-    for a in group.elements():
+    for a in points:
         acc = zero
         for h, v in terms:
             acc = acc + v * pows[sign * character_exponent(group, h, a) % M]
@@ -422,12 +426,26 @@ def _transform_context(x, ctx: AmbientDecomposition | None) -> AmbientDecomposit
     return ctx
 
 
-def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None) -> dict:
-    """Evaluate x at every character: group element h -> sum_a x_a *
-    zeta^gamma_h(a), in the extension ring ctx.big."""
+def _check_points(points, ctx: AmbientDecomposition) -> None:
+    """Refuse the first of points that is not an element of ctx's group A."""
+    index = _group_index(ctx.group.factors)
+    for h in points:
+        if type(h) is not tuple or any(type(c) is not int for c in h) or h not in index:
+            raise DomainError(f"point {h!r} is not an element of {ctx.group!r}")
+
+
+def dft(x: GroupRingElement, ctx: AmbientDecomposition | None = None,
+        points: tuple | list | None = None) -> dict:
+    """Evaluate x at the characters of points, each an element of A (by
+    default all of A, in lexicographic order): h -> sum_a x_a *
+    zeta^gamma_h(a), in the extension ring ctx.big, for h in points."""
     ctx = _transform_context(x, ctx)
+    if points is None:
+        points = ctx.group.elements()
+    else:
+        _check_points(_check_type("points", points, tuple, list), ctx)
     lifted = [(a, embed(c, ctx.big)) for a, c in x.terms()]
-    return dict(_character_sums(ctx, lifted, 1))
+    return dict(_character_sums(ctx, lifted, 1, points))
 
 
 def idft(values: dict, ctx: AmbientDecomposition) -> GroupRingElement:
@@ -439,12 +457,9 @@ def idft(values: dict, ctx: AmbientDecomposition) -> GroupRingElement:
     were not Frobenius-coherent, which is reported as a broken invariant.
     """
     _check_type("values", values, dict)
-    index = _group_index(_check_type("ctx", ctx, AmbientDecomposition).group.factors)
-    for h in values:
-        if h not in index or any(type(c) is not int for c in h):
-            raise DomainError(f"point {h!r} is not an element of {ctx.group!r}")
+    _check_points(values, _check_type("ctx", ctx, AmbientDecomposition))
     vec: list[int] = []
-    for _, acc in _character_sums(ctx, values.items(), -1):
+    for _, acc in _character_sums(ctx, values.items(), -1, ctx.group.elements()):
         vec += unembed(acc * ctx.inv_group_order, ctx.spec).coeffs
     return GroupRingElement(ctx.ring, tuple(vec))
 
@@ -522,10 +537,11 @@ def _decompose(x: GroupRingElement, ctx: AmbientDecomposition | None,
                pairing: str) -> DecomposedElement:
     """Component image under the pairing rule: for each spread (orbit, t),
     the value at orbit[0] twisted by the Frobenius power -t, so a pair
-    stores (value at a, value at -p^h * a twisted by -h)."""
+    stores (value at a, value at -p^h * a twisted by -h).  Only those
+    heads, one point per class, are evaluated."""
     ctx = _transform_context(x, ctx)
     slots = _slots(ctx, pairing)
-    values = dft(x, ctx)
+    values = dft(x, ctx, [orbit[0] for _, _, spreads in slots for orbit, _ in spreads])
     singles, pairs = {}, {}
     for i, spec, spreads in slots:
         slot = tuple(unembed(generalized_frobenius(values[orbit[0]], -t) if t else values[orbit[0]],

@@ -14,11 +14,11 @@ from galcodes.cyclotomic import (TYPE_I, TYPE_II, TYPE_II_H, TYPE_III, TYPE_III_
                                  ClassPartition, CyclotomicClass, PairGoodness)
 from galcodes.errors import DomainError
 from galcodes.galois import (GaloisRingElement, GaloisRingSpec, _lift_by_powering,
-                             _x_has_full_order, generalized_frobenius)
+                             _x_has_full_order, generalized_frobenius, unembed)
 from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupRing,
-                                 GroupRingElement, _block_steps, _decompose, _shift_perms, ambient,
-                                 compose, conjugate, conjugate_involution, idft, involution,
-                                 sylow_merge)
+                                 GroupRingElement, _block_steps, _decompose, _shift_perms, _slots,
+                                 ambient, compose, conjugate, conjugate_involution, dft, idft,
+                                 involution, sylow_merge)
 from galcodes.groups import element_order, order_census, sylow_decompose
 from galcodes.ideals import (EUCLIDEAN, MAX_REPRESENTATIVES, ExhaustiveGroupRing, Ideal,
                              _line_projectors, _pairing_twist, _radical_rows, exhaustive_bound)
@@ -689,6 +689,23 @@ def compose_nested(dec: DecomposedElement, p_group: AbelianGroup) -> GroupRingEl
         xb = compose(DecomposedElement(ctx, dec.pairing, singles, pairs))
         per_b[b] = xb
     return outer.element(per_b)
+
+
+def decompose_by_full_transform(x: GroupRingElement, ctx: AmbientDecomposition,
+                                pairing: str) -> DecomposedElement:
+    """The component image read off the whole transform: dft at every point
+    of A, then for each spread (orbit, t) the value at orbit[0] twisted by
+    the Frobenius power -t."""
+    values = dft(x, ctx)
+    singles, pairs = {}, {}
+    for i, spec, spreads in _slots(ctx, pairing):
+        slot = tuple(unembed(generalized_frobenius(values[orbit[0]], -t) if t else values[orbit[0]],
+                             spec) for orbit, t in spreads)
+        if len(slot) == 1:
+            singles[i] = slot[0]
+        else:
+            pairs[i] = slot
+    return DecomposedElement(ctx, pairing, singles, pairs)
 
 
 # -- element methods only the tests use ---------------------------------------------

@@ -149,6 +149,8 @@ CTX = ambient(Z4, AbelianGroup((3,)))
 # attribute 'ring', 'list' object has no attribute 'items', ...)
 SPECTRAL_TAKERS = [
     ("dft", lambda c: dft(CTX.ring.one(), c), "ctx", "an AmbientDecomposition", [5, Z4]),
+    ("dft:points", lambda v: dft(CTX.ring.one(), CTX, v), "points", "a tuple or a list",
+     [5, {(0,)}]),
     ("idft", lambda c: idft({}, c), "ctx", "an AmbientDecomposition", [5, CTX.ring]),
     ("idft:values", lambda v: idft(v, CTX), "values", "a dict", [[(0,)], ((0,), 1)]),
     ("class_idempotents", class_idempotents, "ctx", "an AmbientDecomposition", [5, None]),

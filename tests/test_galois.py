@@ -411,7 +411,8 @@ def test_a_ring_on_another_modulus_is_another_ring():
     assert _teichmuller_table(other) is table
     after = _teichmuller_table.cache_info()
     assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
-    assert GaloisRingSpec.__slots__ == ("p", "r", "s", "modulus", "char", "size", "residue_size")
+    assert GaloisRingSpec.__slots__ == ("p", "r", "s", "modulus", "char", "size", "residue_size",
+                                     "_key", "_hash")
     assert canonical.modulus == (2, 1, 1)
     assert other != canonical and canonical != other
     assert len({canonical, other}) == 2

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galcodes import group_ring as group_ring_module
 from galcodes.cyclotomic import TYPE_I
 from galcodes.errors import DomainError, InternalInvariantError
 from galcodes.galois import GaloisRingSpec, _teichmuller_table, construct_ring, generalized_frobenius
@@ -18,8 +19,8 @@ from galcodes.group_ring import (AmbientDecomposition, DecomposedElement, GroupR
                                  parse_element, sylow_merge, sylow_split)
 from galcodes.groups import AbelianGroup, sylow_decompose
 from helpers import (class_containing, component_list, compose_ints_by_transform,
-                     compose_nested, conjugate_involution_pairing, decompose_nested,
-                     decomposed_add, DictElement, dict_conjugate_involution,
+                     compose_nested, conjugate_involution_pairing, decompose_by_full_transform,
+                     decompose_nested, decomposed_add, DictElement, dict_conjugate_involution,
                      dict_involution, form_euclidean, form_hermitian, from_coeff_list,
                      idempotents_by_elements, involution_pairing, shift,
                      sylow_merge_by_elements, sylow_split_by_elements)
@@ -417,17 +418,49 @@ def test_idft_refuses_values_that_are_not_frobenius_coherent():
         idft({(1,): ctx.big.xi}, ctx)
 
 
-@pytest.mark.parametrize("values, point", [({(4,): 1, (5,): 1}, r"\(4,\)"),
-                                           ({(1, 9): 1, (2,): 1}, r"\(1, 9\)"),
-                                           ({(1,): 1, (2.0,): 1}, r"\(2\.0,\)"),
-                                           ({(True,): 1, (2,): 1}, r"\(True,\)")],
-                         ids=["unreduced", "too-long", "float", "bool"])
+POINTS_OUTSIDE_Z3 = [({(4,): 1, (5,): 1}, r"\(4,\)"), ({(1, 9): 1, (2,): 1}, r"\(1, 9\)"),
+                     ({(1,): 1, (2.0,): 1}, r"\(2\.0,\)"), ({(True,): 1, (2,): 1}, r"\(True,\)")]
+POINTS_OUTSIDE_Z3_IDS = ["unreduced", "too-long", "float", "bool"]
+
+
+@pytest.mark.parametrize("values, point", POINTS_OUTSIDE_Z3, ids=POINTS_OUTSIDE_Z3_IDS)
 def test_idft_refuses_points_outside_the_group(values, point):
     """Over Z4[Z3] the first two used to give the inverse of {(1,): 1, (2,): 1}
     and so did the bool point; the float one reached a TypeError."""
     ctx = ambient(Z4, AbelianGroup((3,)))
     with pytest.raises(DomainError, match=rf"^point {point} is not an element of Z3$"):
         idft({h: ctx.big.from_int(v) for h, v in values.items()}, ctx)
+
+
+@pytest.mark.parametrize("values, point", POINTS_OUTSIDE_Z3 + [({5: 1}, "5"), ({"a": 1}, "'a'")],
+                         ids=POINTS_OUTSIDE_Z3_IDS + ["int", "str"])
+def test_dft_refuses_points_outside_the_group(values, point):
+    """dft checks the points it is asked for as idft checks its keys, the
+    ones that precede the bad point included; a list point names itself."""
+    ctx = ambient(Z4, AbelianGroup((3,)))
+    with pytest.raises(DomainError, match=rf"^point {point} is not an element of Z3$"):
+        dft(ctx.ring.one(), ctx, list(values))
+    with pytest.raises(DomainError, match=r"^point \[0\] is not an element of Z3$"):
+        dft(ctx.ring.one(), ctx, ((0,), [0]))
+
+
+@pytest.mark.parametrize("case", [(2, 2, 1, (7,)), (3, 2, 2, (4,)), (2, 4, 2, (3, 3)),
+                                  (3, 2, 1, (8,)), (2, 2, 1, ())])
+def test_dft_at_points_is_the_whole_transform_restricted(case):
+    ctx = table_ctx(*case)
+    elements = ctx.group.elements()
+    rng = random.Random(len(elements))
+    for _ in range(6):
+        x = ctx.ring.random_element(rng)
+        full = dft(x, ctx)
+        assert list(full) == elements  # every point, in lexicographic order
+        assert dft(x, ctx, elements) == full and dft(x, ctx, ()) == {}
+        for k in range(1, len(elements) + 1):
+            points = rng.sample(elements, k)
+            for given in (points, tuple(points)):
+                values = dft(x, ctx, given)
+                assert list(values) == points  # in the order given
+                assert values == {h: full[h] for h in points}
 
 
 def _z4_z7_decomposition():
@@ -774,7 +807,7 @@ def test_class_idempotents_are_orthogonal_and_sum_to_one(case):
 
 
 def test_class_idempotents_are_built_on_first_use_and_kept():
-    # F_9[Z4] on x^2 + 2x + 2, a modulus no other test builds a context on:
+    # F_9[Z4] on x^2 + 2x + 2, in a context built apart from ambient()'s:
     # building the context builds no table, and its first read does
     before = _idempotents_cached.cache_info()
     ctx = AmbientDecomposition(GaloisRingSpec(3, 1, 2, (2, 2, 1)), AbelianGroup((4,)))
@@ -792,7 +825,7 @@ def test_class_idempotents_are_built_on_first_use_and_kept():
     assert table != class_idempotents(table_ctx(3, 1, 2, (4,)))
     # the uncached constructor behind ambient() makes another context, with
     # its own entry, equal to the one of the context ambient() keeps
-    fresh = _ambient_cached.__wrapped__(2, 2, 1, (7,))
+    fresh = _ambient_cached.__wrapped__(construct_ring(2, 2, 1), (7,))
     assert class_idempotents(fresh) == class_idempotents(table_ctx(2, 2, 1, (7,)))
     assert class_idempotents(table_ctx(2, 2, 1, (7,))) is class_idempotents(table_ctx(2, 2, 1, (7,)))
 
@@ -851,6 +884,78 @@ def test_slots_split_the_group_by_the_pairing_rule(case, layout):
     for _ in range(2):  # each round trip reads the same slots, kept nowhere
         assert compose(decompose(x, ctx)) == x
         assert _slots(ctx, layout) == slots and not hasattr(ctx, "_slots")
+
+
+# -- decomposition from the spread heads ------------------------------------------------------
+
+# (p, r, s, G) of the spectral benchmark's semisimple families and odd-r
+# constructions, decomposed over the coprime part A of G
+SPECTRAL_GROUPS = [(2, 2, 1, (7,)), (2, 2, 1, (15,)), (2, 4, 1, (7,)), (3, 2, 2, (5,)),
+                   (2, 2, 2, (7,)), (3, 2, 1, (13,)), (5, 2, 1, (12,)), (2, 2, 2, (9,)),
+                   (2, 1, 1, (6,)), (2, 1, 1, (2, 7)), (2, 3, 1, (14,)), (2, 1, 2, (2, 3)),
+                   (2, 3, 2, (2, 5)), (2, 1, 1, (4, 5)), (2, 1, 1, (2, 9)), (2, 3, 1, (4, 3)),
+                   (2, 1, 1, (2, 15)), (2, 1, 2, (2, 7)), (2, 1, 1, (2, 2, 3))]
+HEAD_CONTEXTS = list(dict.fromkeys(
+    SLOT_CONTEXTS
+    + [(p, r, s, sylow_decompose(AbelianGroup(g), p).coprime_part.factors)
+       for p, r, s, g in SPECTRAL_GROUPS]
+    # Z4[Z63] (13 classes), Z9[Z40], GR(2^2, 2)[Z15]
+    + [(2, 2, 1, (63,)), (3, 2, 1, (40,)), (2, 2, 2, (15,))]))
+HEAD_LAYOUTS = [(case, layout) for case in HEAD_CONTEXTS
+                for layout in (("euclidean", "hermitian") if case[2] % 2 == 0 else ("euclidean",))]
+
+
+@pytest.mark.parametrize("case, layout", HEAD_LAYOUTS)
+def test_decompose_from_the_spread_heads_equals_the_full_transform(case, layout):
+    ctx = table_ctx(*case)
+    decompose = decompose_euclidean if layout == "euclidean" else decompose_hermitian
+    rng = random.Random(repr((case, layout)))
+    for _ in range(20):
+        x = ctx.ring.random_element(rng)
+        got, want = decompose(x, ctx), decompose_by_full_transform(x, ctx, layout)
+        assert list(got.singles.items()) == list(want.singles.items())
+        assert list(got.pairs.items()) == list(want.pairs.items())
+        assert got == want
+
+
+def test_one_decompose_evaluates_one_point_per_class(monkeypatch):
+    """Z4[Z63] has 13 classes: a decompose evaluates their 13 heads, not the
+    63 points of the group, while compose still inverts from all 63."""
+    ctx = table_ctx(2, 2, 1, (63,))
+    assert len(ctx.parts.classes) == 13
+    calls, real = [], group_ring_module._character_sums
+
+    def spy(ctx, terms, sign, points):
+        points = tuple(points)
+        calls.append((sign, points))
+        return real(ctx, terms, sign, points)
+
+    monkeypatch.setattr(group_ring_module, "_character_sums", spy)
+    x = ctx.ring.random_element(random.Random(63))
+    dec = decompose_euclidean(x, ctx)
+    [(sign, points)] = calls
+    assert sign == 1 and len(points) == 13
+    assert {class_containing(ctx.parts, h).rep for h in points} == {
+        cls.rep for cls in ctx.parts.classes}
+    assert compose(dec) == x
+    assert [(sign, len(points)) for sign, points in calls[1:]] == [(-1, 63)]
+
+
+def test_a_ring_on_another_modulus_decomposes_over_its_own_context():
+    """GR(3, 2) built on x^2 + 2x + 2 gets its own context, not the one of
+    construct_ring's x^2 + x + 2, which used to refuse its elements."""
+    spec = GaloisRingSpec(3, 1, 2, (2, 2, 1))
+    ring = GroupRing(spec, AbelianGroup((4,)))
+    ctx = ambient(spec, ring.group)
+    assert ctx is ambient(spec, ring.group) and ctx.spec is spec and ctx.ring == ring
+    assert ctx is not table_ctx(3, 1, 2, (4,)) and ctx.ring != table_ctx(3, 1, 2, (4,)).ring
+    rng = random.Random(9)
+    for _ in range(10):
+        x, y = ring.random_element(rng), ring.random_element(rng)
+        for decompose in (decompose_euclidean, decompose_hermitian):
+            dx = decompose(x)
+            assert dx.context is ctx and compose(dx) == x
+            assert decompose(x * y) == dx.multiply(decompose(y))
 
 
 # -- text format ----------------------------------------------------------------------------------
